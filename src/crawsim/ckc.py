@@ -34,17 +34,19 @@ nodes.  Derivations are therefore domain-separated twice:
   codes (its path's siblings) of its own departure.
 
 Generation zero derives with the bare code, so a freshly built tree matches
-the textbook derivation exactly.  As a final guard the server also refuses
-any cover key whose recorded derivation (string, epoch) is reproducible
-from the remembered strings and lived-through epochs of a departed member
-or the leaver, recursing to the cover's children instead; with the domain
-separation above this guard is provably idle, and histories made only of
-joins keep the canonical cover count equal to the leaver's depth.
+the textbook derivation exactly.  With this domain separation no departed
+member (nor the leaver) can recompute any cover key from the strings and
+group keys it once held, so a leave always covers with the canonical
+sibling set: at most one cover per level of the leaver's path, exactly one
+on trees built by joins alone.  The unit tests check that property on
+every leave of their churn runs.
+
+The position mechanics (split, occupant slide, promotion) live in
+``crawsim.tree``; this module adds the code-derived keys.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from random import Random
 
@@ -53,12 +55,12 @@ from .crypto import (
     Ciphertext,
     ProtocolError,
     encrypt,
-    fingerprint,
     hash_f,
     hash_f_xor,
     random_digit,
     random_key,
 )
+from .tree import PositionTree, apply_epoch, recode
 
 ROOT_CODE = "1"
 
@@ -159,80 +161,29 @@ class LeaveResult:
     cover_keys: list[bytes] = field(default_factory=list)
 
 
-class CkcTree:
-    """Server-side key tree: code -> key, member -> leaf code.
+class CkcTree(PositionTree):
+    """Server-side key tree: code -> key, member -> leaf code."""
 
-    Besides the live nodes the tree remembers, per member ever keyed into
-    it, the code strings it was assigned and the epochs it was present for.
-    Both sets only grow; they feed the cover-safety rule at leave time.
-    """
+    ROOT = ROOT_CODE
 
     def __init__(self, group_key: bytes, namespace: str = ""):
         if namespace and not (namespace.isascii() and namespace.isdigit()):
             raise ValueError(f"namespace must be decimal digits, got {namespace!r}")
+        super().__init__(group_key)
         self.namespace = namespace
-        self.nodes: dict[str, bytes] = {ROOT_CODE: group_key}
-        self.leaves: dict[str, str] = {}
-        self.epoch = 0
         self.generation = 0  # bumped by every leave
-        # every key ever stored, for the secrecy oracle's key universe
-        self.key_history: set[bytes] = {group_key}
-        # how each node's current value came to be: None for random material
-        # (root draws, individual keys), else the (derivation string, epoch)
-        # it was computed from; promotions relocate values with their record
-        self.derived_from: dict[str, tuple[str, int] | None] = {ROOT_CODE: None}
-        # per member: every derivation string ever on its path, and every
-        # epoch it lived through (so: every group key it was handed)
-        self.member_strings: dict[str, set[str]] = {}
-        self.member_epochs: dict[str, set[int]] = {}
+        # the derivation strings the last join or leave consumed, for the
+        # secrecy oracle's code set
+        self.derived: list[str] = []
 
     @classmethod
     def new(cls, rng: Random, namespace: str = "") -> "CkcTree":
         return cls(random_key(rng), namespace)
 
-    def group_key(self) -> bytes:
-        return self.nodes[ROOT_CODE]
-
-    def member_count(self) -> int:
-        return len(self.leaves)
-
-    def depth_of(self, member_id: str) -> int:
-        return len(self.leaves[member_id]) - 1
-
-    def path_codes(self, leaf_code: str) -> list[str]:
-        """All codes from root to the leaf, top-down."""
-        return [leaf_code[:i] for i in range(1, len(leaf_code) + 1)]
-
-    def _set(self, code: str, key: bytes, derived: tuple[str, int] | None = None) -> None:
-        self.nodes[code] = key
-        self.key_history.add(key)
-        self.derived_from[code] = derived
-
     def _set_middle(self, code: str, ak: bytes) -> None:
         string = self.namespace + generation_tag(self.generation) + code
-        self._set(code, hash_f_xor(ak, string), derived=(string, self.epoch))
-
-    def _children(self, code: str) -> list[str]:
-        n = len(code) + 1
-        return sorted(c for c in self.nodes if len(c) == n and c.startswith(code))
-
-    def _note_presence(self) -> None:
-        """Accumulate, after an event, what each present member now knows."""
-        prefix = self.namespace + generation_tag(self.generation)
-        for member, leaf in self.leaves.items():
-            strings = self.member_strings.setdefault(member, set())
-            strings.update(prefix + c for c in self.path_codes(leaf))
-            self.member_epochs.setdefault(member, set()).add(self.epoch)
-
-    def dump(self) -> str:
-        """Deterministic JSON snapshot (keys reduced to fingerprints)."""
-        doc = {
-            "root": ROOT_CODE,
-            "epoch": self.epoch,
-            "nodes": {c: fingerprint(k) for c, k in sorted(self.nodes.items())},
-            "leaves": dict(sorted(self.leaves.items())),
-        }
-        return json.dumps(doc, sort_keys=True, indent=1)
+        self._set(code, hash_f_xor(ak, string))
+        self.derived.append(string)
 
 
 @dataclass
@@ -282,6 +233,7 @@ def ckc_join(
         raise ProtocolError(f"{member_id} already in tree")
 
     ak_new = hash_f(tree.group_key())
+    tree.derived = []
 
     root_children = tree._children(ROOT_CODE)
     if len(root_children) < 2:
@@ -294,7 +246,7 @@ def ckc_join(
     else:
         # shallowest leaf, ties broken by smallest code; reserve room for
         # the namespace and a full-width generation tag in the derivation
-        split = min(tree.leaves.values(), key=lambda c: (len(c), c))
+        split = tree.shallowest_leaf()
         if len(tree.namespace) + 4 + len(split) + 1 > KEY_WIDTH:
             raise ProtocolError("tree depth exceeds code width")
         d_occ = random_digit(rng)
@@ -305,16 +257,13 @@ def ckc_join(
     tree._set(ROOT_CODE, ak_new)
     affected: list[str] = []
     if split is not None:
-        occupant = next(m for m, c in tree.leaves.items() if c == split)
-        tree.leaves[occupant] = occupant_leaf
-        tree._set(occupant_leaf, tree.nodes[split])
+        tree.slide_occupant(split, occupant_leaf)
         # the joiner's path positions turned internal or moved under AK'
         affected = strict_ancestors(leaf)
         for code in affected:
             tree._set_middle(code, ak_new)
     tree.leaves[member_id] = leaf
     tree._set(leaf, individual_key)
-    tree._note_presence()
 
     notice = JoinNotice(
         epoch=tree.epoch,
@@ -335,74 +284,24 @@ def ckc_join(
     return JoinResult(notice, unicast, counters, unicast_key=individual_key)
 
 
-def _safe_covers(tree: CkcTree, leaver_leaf: str) -> list[str]:
-    """Cover codes for a leave: the siblings along the leaver's root path,
-    with any cover whose key a departed member (or the leaver) could
-    recompute from its remembered strings and lived-through epochs replaced
-    by its children, recursively.  Random-valued covers (individual keys)
-    have nothing to recompute and are always safe.  The generation tagging
-    makes this guard provably idle; it stays as a server-side invariant."""
-    departed = [m for m in tree.member_strings if m not in tree.leaves]
-
-    def recomputable(code: str) -> bool:
-        derived = tree.derived_from[code]
-        if derived is None:
-            return False
-        string, epoch = derived
-        return any(
-            string in tree.member_strings[m] and epoch in tree.member_epochs[m]
-            for m in departed
-        )
-
-    def expand(code: str) -> list[str]:
-        if not recomputable(code):
-            return [code]
-        out: list[str] = []
-        for child in tree._children(code):
-            out.extend(expand(child))
-        return out
-
-    covers: list[str] = []
-    for code in tree.path_codes(leaver_leaf)[1:]:  # skip root, top-down
-        for sib in tree._children(parent_code(code)):
-            if sib != code:
-                covers.extend(expand(sib))
-    return covers
-
-
 def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
     """Detach a member, promote its sibling subtree, and multicast a fresh
     group key under the cover keys."""
     if member_id not in tree.leaves:
         raise ProtocolError(f"{member_id} not in tree")
     leaf = tree.leaves.pop(member_id)
+    tree.derived = []
 
     # Cover set and keys are captured before any mutation: remaining members
-    # must be able to open the payloads with keys they already hold.
-    cover = [(code, tree.nodes[code]) for code in _safe_covers(tree, leaf)]
-    del tree.nodes[leaf]
-    del tree.derived_from[leaf]
-
-    promoted_src = promoted_dst = None
-    if len(leaf) > 2:  # parent is a proper internal node, not the root
-        parent = parent_code(leaf)
-        siblings = tree._children(parent)
-        if len(siblings) == 1:
-            promoted_src, promoted_dst = siblings[0], parent
-            moved = [c for c in tree.nodes if c.startswith(promoted_src)]
-            relocated = {
-                promoted_dst + c[len(promoted_src):]: (tree.nodes[c], tree.derived_from[c])
-                for c in moved
-            }
-            for c in moved:
-                del tree.nodes[c]
-                del tree.derived_from[c]
-            for c, (key, derived) in relocated.items():
-                tree.nodes[c] = key
-                tree.derived_from[c] = derived
-            for m, c in tree.leaves.items():
-                if c.startswith(promoted_src):
-                    tree.leaves[m] = promoted_dst + c[len(promoted_src):]
+    # must be able to open the payloads with keys they already hold.  The
+    # covers are the siblings along the leaver's root path, top-down.
+    cover = [
+        (sib, tree.nodes[sib])
+        for code in tree.path_codes(leaf)[1:]
+        for sib in tree._children(parent_code(code))
+        if sib != code
+    ]
+    promoted_src, promoted_dst = tree.detach(leaf)
 
     if tree.generation >= GENERATION_LIMIT:
         raise ProtocolError("generation counter exhausted")
@@ -414,7 +313,6 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
     affected = [] if promoted_dst is None else strict_ancestors(promoted_dst)
     for code in affected:
         tree._set_middle(code, ak_new)
-    tree._note_presence()
 
     notice = LeaveNotice(
         epoch=tree.epoch,
@@ -455,21 +353,10 @@ def build_joiner_view(
     return MemberKeyView(member_id, leaf, keys, notice.epoch, namespace, notice.generation)
 
 
-def _check_epoch(view: MemberKeyView, epoch: int) -> bool:
-    """True when the notice should be applied; False for stale re-delivery."""
-    if epoch <= view.epoch:
-        return False
-    if epoch != view.epoch + 1:
-        raise ProtocolError(
-            f"{view.member_id} missed an announcement (view at {view.epoch}, notice {epoch})"
-        )
-    return True
-
-
 def ckc_member_refresh_join(view: MemberKeyView, notice: JoinNotice) -> MemberKeyView:
     """Local update on a join announcement: roll AK forward and re-derive
     the touched middle keys that sit on the own path."""
-    if not _check_epoch(view, notice.epoch):
+    if not apply_epoch(view.member_id, view.epoch, notice.epoch):
         return view
     ak_new = hash_f(view.group_key())
     if notice.split_code is not None and view.leaf_code == notice.split_code:
@@ -491,11 +378,14 @@ def ckc_member_refresh_leave(
 ) -> MemberKeyView:
     """Local update on a leave: open the cover payload this member can read,
     re-code if inside the promoted subtree, and re-derive affected keys."""
-    from .crypto import decrypt  # local import keeps module load light
+    # imported at call time, not at the top: bench/tracing.py counts
+    # decrypts by wrapping crawsim.crypto.decrypt, and a module-level import
+    # here would bind the unwrapped function and hide ckc's decrypts
+    from .crypto import decrypt
 
     if view.member_id == notice.leaver_id:
         raise ProtocolError("departed member cannot refresh")
-    if not _check_epoch(view, notice.epoch):
+    if not apply_epoch(view.member_id, view.epoch, notice.epoch):
         return view
 
     mine = [c for c in notice.cover_codes if view.leaf_code.startswith(c)]
@@ -504,19 +394,9 @@ def ckc_member_refresh_leave(
     payload = next(ct for code, ct in multicasts if code == mine[0])
     ak_new = decrypt(view.keys[mine[0]], payload)
 
-    if notice.promoted_src is not None and view.leaf_code.startswith(notice.promoted_src):
-        # inside the promoted subtree every held code drops the digit at the
-        # promotion depth; the key values themselves are unchanged, and the
-        # old parent key dies with its position (the subtree root replaces it)
-        src, dst = notice.promoted_src, notice.promoted_dst
-        recoded: dict[str, bytes] = {}
-        for c, k in view.keys.items():
-            if c == dst:
-                continue
-            recoded[dst + c[len(src):] if c.startswith(src) else c] = k
-        view.keys = recoded
-        view.leaf_code = dst + view.leaf_code[len(src):]
-
+    view.keys, view.leaf_code = recode(
+        view.keys, view.leaf_code, notice.promoted_src, notice.promoted_dst
+    )
     view.keys[ROOT_CODE] = ak_new
     view.generation = notice.generation
     for code in notice.affected_codes:

@@ -22,6 +22,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from .crypto import ProtocolError
 from .entities import SCHEMES
 from .scenario import apply_overrides, validate_doc
 from .sim import (
@@ -68,7 +69,13 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sim = Simulation(scenario).run()
+    try:
+        sim = Simulation(scenario).run()
+    except ProtocolError as exc:
+        # validation does not replay event timings, so a scenario it accepts
+        # can still ask for an operation the protocol refuses mid-run
+        print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+        return 2
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(render_metrics_csv(sim.ledger), encoding="utf-8")

@@ -18,12 +18,12 @@ figures are both exposed: counters in ``RekeyCounters``, real messages in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from random import Random
 
-from .crypto import Ciphertext, ProtocolError, decrypt, encrypt, fingerprint, random_key
+from .crypto import Ciphertext, ProtocolError, decrypt, encrypt, random_key
 from .ckc import RekeyCounters
+from .tree import PositionTree, apply_epoch, recode
 
 ROOT_LABEL = "r"
 
@@ -73,47 +73,15 @@ class LkhLeaveResult:
     multicast_keys: list[bytes] = field(default_factory=list)  # audit only
 
 
-class LkhTree:
+class LkhTree(PositionTree):
     """Server-side LKH state: label -> key, member -> leaf label."""
 
-    def __init__(self, group_key: bytes):
-        self.nodes: dict[str, bytes] = {ROOT_LABEL: group_key}
-        self.leaves: dict[str, str] = {}
-        self.epoch = 0
-        self.key_history: set[bytes] = {group_key}
+    ROOT = ROOT_LABEL
+    path_labels = PositionTree.path_codes
 
     @classmethod
     def new(cls, rng: Random) -> "LkhTree":
         return cls(random_key(rng))
-
-    def group_key(self) -> bytes:
-        return self.nodes[ROOT_LABEL]
-
-    def member_count(self) -> int:
-        return len(self.leaves)
-
-    def depth_of(self, member_id: str) -> int:
-        return len(self.leaves[member_id]) - 1
-
-    def path_labels(self, leaf: str) -> list[str]:
-        return [leaf[:i] for i in range(1, len(leaf) + 1)]
-
-    def _set(self, label: str, key: bytes) -> None:
-        self.nodes[label] = key
-        self.key_history.add(key)
-
-    def _children(self, label: str) -> list[str]:
-        n = len(label) + 1
-        return sorted(c for c in self.nodes if len(c) == n and c.startswith(label))
-
-    def dump(self) -> str:
-        doc = {
-            "root": ROOT_LABEL,
-            "epoch": self.epoch,
-            "nodes": {c: fingerprint(k) for c, k in sorted(self.nodes.items())},
-            "leaves": dict(sorted(self.leaves.items())),
-        }
-        return json.dumps(doc, sort_keys=True, indent=1)
 
 
 @dataclass
@@ -137,12 +105,10 @@ def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) 
         split = occupant_leaf = None
         leaf = ROOT_LABEL + ("0" if ROOT_LABEL + "0" not in tree.nodes else "1")
     else:
-        split = min(tree.leaves.values(), key=lambda c: (len(c), c))
+        split = tree.shallowest_leaf()
         occupant_leaf = split + "0"
         leaf = split + "1"
-        occupant = next(m for m, c in tree.leaves.items() if c == split)
-        tree.leaves[occupant] = occupant_leaf
-        tree._set(occupant_leaf, tree.nodes[split])
+        tree.slide_occupant(split, occupant_leaf)
     tree.leaves[member_id] = leaf
     tree._set(leaf, individual_key)
 
@@ -190,22 +156,8 @@ def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> LkhLeaveResult:
         raise ProtocolError(f"{member_id} not in tree")
     leaf = tree.leaves.pop(member_id)
     depth = len(leaf) - 1
-    del tree.nodes[leaf]
-
-    promoted_src = promoted_dst = None
+    promoted_src, promoted_dst = tree.detach(leaf)
     if depth >= 2:
-        parent = parent_label(leaf)
-        remaining = tree._children(parent)
-        if len(remaining) == 1:
-            promoted_src, promoted_dst = remaining[0], parent
-            moved = [c for c in tree.nodes if c.startswith(promoted_src)]
-            relocated = {promoted_dst + c[len(promoted_src):]: tree.nodes[c] for c in moved}
-            for c in moved:
-                del tree.nodes[c]
-            tree.nodes.update(relocated)
-            for m, c in tree.leaves.items():
-                if c.startswith(promoted_src):
-                    tree.leaves[m] = promoted_dst + c[len(promoted_src):]
         changed = [leaf[:i] for i in range(len(leaf) - 2, 0, -1)]  # above the parent
     else:
         changed = [ROOT_LABEL]
@@ -254,22 +206,12 @@ def build_lkh_joiner_view(
     return LkhMemberView(member_id, notice.joiner_leaf, keys, notice.epoch)
 
 
-def _check_epoch(view: LkhMemberView, epoch: int) -> bool:
-    if epoch <= view.epoch:
-        return False
-    if epoch != view.epoch + 1:
-        raise ProtocolError(
-            f"{view.member_id} missed an update (view at {view.epoch}, notice {epoch})"
-        )
-    return True
-
-
 def lkh_member_refresh_join(
     view: LkhMemberView,
     notice: LkhJoinNotice,
     multicasts: list[tuple[str, list[tuple[str, Ciphertext]]]],
 ) -> LkhMemberView:
-    if not _check_epoch(view, notice.epoch):
+    if not apply_epoch(view.member_id, view.epoch, notice.epoch):
         return view
     if notice.split_label is not None and view.leaf_label == notice.split_label:
         view.keys[notice.occupant_leaf] = view.keys.pop(notice.split_label)
@@ -294,20 +236,11 @@ def lkh_member_refresh_leave(
 ) -> LkhMemberView:
     if view.member_id == notice.leaver_id:
         raise ProtocolError("departed member cannot refresh")
-    if not _check_epoch(view, notice.epoch):
+    if not apply_epoch(view.member_id, view.epoch, notice.epoch):
         return view
-    if notice.promoted_src is not None and view.leaf_label.startswith(notice.promoted_src):
-        src, dst = notice.promoted_src, notice.promoted_dst
-        relabeled = {}
-        for label, key in view.keys.items():
-            if label.startswith(src):
-                relabeled[dst + label[len(src):]] = key
-            elif label == dst:
-                continue  # collapsed parent; replaced by the promoted key
-            else:
-                relabeled[label] = key
-        view.keys = relabeled
-        view.leaf_label = dst + view.leaf_label[len(src):]
+    view.keys, view.leaf_label = recode(
+        view.keys, view.leaf_label, notice.promoted_src, notice.promoted_dst
+    )
     for label in notice.changed_labels:  # bottom-up
         if not view.leaf_label.startswith(label):
             continue

@@ -296,10 +296,8 @@ class Simulation:
         tree = area.tree
         self.recorder.record_keys(tree.key_history)
         if self.sc.scheme != "lkh":
-            # record the exact strings derivations consumed
-            self.recorder.record_codes(
-                d[0] for d in tree.derived_from.values() if d is not None
-            )
+            # record the exact strings this event's derivations consumed
+            self.recorder.record_codes(tree.derived)
         for msg in outcome.unicast_msgs:
             for p in msg.payloads:
                 self.recorder.record_ciphertext(

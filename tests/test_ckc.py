@@ -16,6 +16,7 @@ from crawsim.ckc import (
     ckc_leave,
     ckc_member_refresh_join,
     ckc_member_refresh_leave,
+    generation_tag,
     parse_join_unicast,
     view_matches_tree,
 )
@@ -23,13 +24,23 @@ from crawsim.crypto import DecryptionError, ProtocolError, decrypt, hash_f_xor, 
 
 
 class Harness:
-    """Server tree plus every member's locally maintained view."""
+    """Server tree plus every member's locally maintained view.
+
+    Across tenures the harness also remembers, per member id, every
+    derivation string that was on its path and every epoch it was present
+    for (so every group key it was handed), and for each derived key value
+    the (string, epoch) it was computed from.  Every leave checks the cover
+    rule against that memory.
+    """
 
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
         self.tree = CkcTree.new(self.rng)
         self.views: dict[str, MemberKeyView] = {}
         self.individual: dict[str, bytes] = {}
+        self.strings: dict[str, set[str]] = {}
+        self.epochs: dict[str, set[int]] = {}
+        self.derivations: dict[bytes, tuple[str, int]] = {}
 
     def join(self, member: str, **kwargs):
         ik = random_key(self.rng)
@@ -39,14 +50,52 @@ class Harness:
             ckc_member_refresh_join(view, res.notice)
         ak, parent = parse_join_unicast(decrypt(ik, res.unicast))
         self.views[member] = build_joiner_view(member, ik, ak, parent, res.notice)
+        self._note(res.notice.affected_codes)
         return res
 
     def leave(self, member: str):
+        leaf = self.tree.leaves[member]
+        canonical = [
+            sib
+            for code in self.tree.path_codes(leaf)[1:]
+            for sib in sorted(c for c in self.tree.nodes if c[:-1] == code[:-1])
+            if sib != code
+        ]
         res = ckc_leave(self.tree, member, self.rng)
+        assert res.notice.cover_codes == canonical
+        self.assert_covers_not_reproducible(res)
         departed = self.views.pop(member)
         for view in self.views.values():
             ckc_member_refresh_leave(view, res.notice, res.multicasts)
+        self._note(res.notice.affected_codes)
         return res, departed
+
+    def _note(self, derived_codes):
+        """After an event: how its derived keys came to be, and what each
+        present member now knows."""
+        prefix = self.tree.namespace + generation_tag(self.tree.generation)
+        epoch = self.tree.epoch
+        for code in derived_codes:
+            self.derivations[self.tree.nodes[code]] = (prefix + code, epoch)
+        for member, leaf in self.tree.leaves.items():
+            self.strings.setdefault(member, set()).update(
+                prefix + c for c in self.tree.path_codes(leaf)
+            )
+            self.epochs.setdefault(member, set()).add(epoch)
+
+    def assert_covers_not_reproducible(self, res):
+        """Neither the leaver nor any departed member (one that is not back)
+        holds both the string and the group key a cover key was derived
+        from.  Random covers (individual keys) have nothing to recompute."""
+        exposed = [m for m in self.strings if m not in self.tree.leaves]
+        for code, key in zip(res.notice.cover_codes, res.cover_keys):
+            if key not in self.derivations:
+                continue
+            string, epoch = self.derivations[key]
+            for m in exposed:
+                assert not (string in self.strings[m] and epoch in self.epochs[m]), (
+                    f"{m} can recompute cover {code} from {string!r} at epoch {epoch}"
+                )
 
     def grow(self, n: int, prefix: str = "u"):
         for i in range(len(self.views) + 1, len(self.views) + n + 1):
@@ -272,3 +321,25 @@ def test_randomized_sequences_stay_consistent():
                 alive.append(member)
                 h.join(member)
             h.assert_consistent()
+
+
+def test_randomized_churn_with_rejoins_keeps_covers_safe():
+    # departed members come back under their old ids, so their remembered
+    # strings and epochs span several tenures; Harness.leave checks every
+    # cover set against that memory
+    rng = random.Random(18)
+    for trial in range(40):
+        h = Harness(seed=2000 + trial)
+        pool = [f"p{i}" for i in range(rng.randint(3, 24))]
+        rejoined = 0
+        for _ in range(rng.randint(20, 60)):
+            present = sorted(h.views)
+            absent = [m for m in pool if m not in h.views]
+            if present and (not absent or rng.random() < 0.45):
+                h.leave(rng.choice(present))
+            else:
+                member = rng.choice(absent)
+                rejoined += member in h.strings
+                h.join(member)
+            h.assert_consistent()
+        assert rejoined > 0
