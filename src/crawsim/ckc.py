@@ -41,8 +41,10 @@ sibling set: at most one cover per level of the leaver's path, exactly one
 on trees built by joins alone.  The unit tests check that property on
 every leave of their churn runs.
 
-The position mechanics (split, occupant slide, promotion) live in
-``crawsim.tree``; this module adds the code-derived keys.
+The position mechanics (split, occupant slide, promotion) and the
+member-side model (views, notices, the consistency oracle) live in
+``crawsim.tree``; this module adds the code-derived keys and how a member
+re-derives them.
 """
 
 from __future__ import annotations
@@ -60,28 +62,9 @@ from .crypto import (
     random_digit,
     random_key,
 )
-from .tree import PositionTree, apply_epoch, recode
+from .tree import JoinNotice, LeaveNotice, MemberKeyView, PositionTree, RekeyCounters
 
 ROOT_CODE = "1"
-
-
-@dataclass
-class RekeyCounters:
-    """Per-event bookkeeping mirrored in reports: server key generations,
-    encryptions performed, and unicast/multicast sends."""
-
-    key_generations: int = 0
-    encryptions: int = 0
-    unicast_sends: int = 0
-    multicast_sends: int = 0
-
-    def __add__(self, other: "RekeyCounters") -> "RekeyCounters":
-        return RekeyCounters(
-            self.key_generations + other.key_generations,
-            self.encryptions + other.encryptions,
-            self.unicast_sends + other.unicast_sends,
-            self.multicast_sends + other.multicast_sends,
-        )
 
 
 def parent_code(code: str) -> str:
@@ -115,35 +98,6 @@ def middle_key(namespace: str, generation: int, ak: bytes, code: str) -> bytes:
 
 
 @dataclass
-class JoinNotice:
-    """Plaintext announcement that triggers local re-derivation.
-
-    Key material never rides on it: current members only need to learn that
-    a join happened and which path positions were touched.
-    """
-
-    epoch: int
-    joiner_id: str
-    joiner_leaf: str
-    split_code: str | None  # former code of the leaf that was split
-    occupant_leaf: str | None  # where the split leaf's occupant moved
-    affected_codes: list[str] = field(default_factory=list)  # top-down
-    generation: int = 0
-
-
-@dataclass
-class LeaveNotice:
-    epoch: int
-    leaver_id: str
-    leaver_code: str
-    promoted_src: str | None  # sibling subtree root before promotion
-    promoted_dst: str | None  # position (and code) it was promoted into
-    affected_codes: list[str] = field(default_factory=list)
-    cover_codes: list[str] = field(default_factory=list)  # pre-promotion
-    generation: int = 0
-
-
-@dataclass
 class JoinResult:
     notice: JoinNotice
     unicast: Ciphertext  # under the joiner's individual key
@@ -172,9 +126,6 @@ class CkcTree(PositionTree):
         super().__init__(group_key)
         self.namespace = namespace
         self.generation = 0  # bumped by every leave
-        # the derivation strings the last join or leave consumed, for the
-        # secrecy oracle's code set
-        self.derived: list[str] = []
 
     @classmethod
     def new(cls, rng: Random, namespace: str = "") -> "CkcTree":
@@ -185,23 +136,16 @@ class CkcTree(PositionTree):
         self._set(code, hash_f_xor(ak, string))
         self.derived.append(string)
 
+    def derivation_strings(self, view: MemberKeyView) -> list[str]:
+        # a member holds its own root path, labelled under the current
+        # namespace and generation
+        prefix = self.namespace + generation_tag(self.generation)
+        return [prefix + c for c in view.keys]
 
-@dataclass
-class MemberKeyView:
-    """One member's slice of the tree: exactly the keys on its root path."""
-
-    member_id: str
-    leaf_code: str
-    keys: dict[str, bytes]
-    epoch: int
-    namespace: str = ""
-    generation: int = 0
-
-    def group_key(self) -> bytes:
-        return self.keys[ROOT_CODE]
-
-    def held_codes(self) -> list[str]:
-        return sorted(self.keys)
+    def view_matches(self, view: MemberKeyView) -> bool:
+        """The shared oracle, plus: the view derives under the current
+        generation."""
+        return view.generation == self.generation and super().view_matches(view)
 
 
 def _join_plaintext(ak: bytes, parent: str) -> bytes:
@@ -334,6 +278,15 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
     return LeaveResult(notice, multicasts, counters, cover_keys=[k for _, k in cover])
 
 
+def _rederive(view: MemberKeyView, notice: JoinNotice | LeaveNotice, ak_new: bytes) -> None:
+    """Install AK' and re-derive the notice's affected middle keys that sit
+    on the view's own path."""
+    view.keys[ROOT_CODE] = ak_new
+    for code in notice.affected_codes:
+        if view.leaf.startswith(code):
+            view.keys[code] = middle_key(view.namespace, notice.generation, ak_new, code)
+
+
 def build_joiner_view(
     member_id: str,
     individual_key: bytes,
@@ -343,30 +296,23 @@ def build_joiner_view(
     namespace: str = "",
 ) -> MemberKeyView:
     """Assemble the newcomer's view from the unicast contents and the
-    announced leaf assignment."""
+    announced leaf assignment; a join's affected codes are exactly the
+    middle positions on the joiner's path."""
     leaf = notice.joiner_leaf
     if parent_code(leaf) != parent:
         raise ProtocolError("announced leaf does not extend the delivered parent code")
     keys = {ROOT_CODE: ak_new, leaf: individual_key}
-    for code in strict_ancestors(leaf):
-        keys[code] = middle_key(namespace, notice.generation, ak_new, code)
-    return MemberKeyView(member_id, leaf, keys, notice.epoch, namespace, notice.generation)
+    view = MemberKeyView(member_id, leaf, keys, notice.epoch, namespace, notice.generation)
+    _rederive(view, notice, ak_new)
+    return view
 
 
 def ckc_member_refresh_join(view: MemberKeyView, notice: JoinNotice) -> MemberKeyView:
     """Local update on a join announcement: roll AK forward and re-derive
     the touched middle keys that sit on the own path."""
-    if not apply_epoch(view.member_id, view.epoch, notice.epoch):
+    if not view.follow_join(notice):
         return view
-    ak_new = hash_f(view.group_key())
-    if notice.split_code is not None and view.leaf_code == notice.split_code:
-        # this member occupied the split leaf; it slides down one level
-        view.keys[notice.occupant_leaf] = view.keys.pop(notice.split_code)
-        view.leaf_code = notice.occupant_leaf
-    view.keys[ROOT_CODE] = ak_new
-    for code in notice.affected_codes:
-        if view.leaf_code.startswith(code):
-            view.keys[code] = middle_key(view.namespace, notice.generation, ak_new, code)
+    _rederive(view, notice, hash_f(view.group_key()))
     view.epoch = notice.epoch
     return view
 
@@ -383,35 +329,18 @@ def ckc_member_refresh_leave(
     # here would bind the unwrapped function and hide ckc's decrypts
     from .crypto import decrypt
 
-    if view.member_id == notice.leaver_id:
-        raise ProtocolError("departed member cannot refresh")
-    if not apply_epoch(view.member_id, view.epoch, notice.epoch):
+    if not view.accept_leave(notice):
         return view
 
-    mine = [c for c in notice.cover_codes if view.leaf_code.startswith(c)]
+    # cover codes are pre-promotion, so the payload is opened before re-coding
+    mine = [c for c in notice.cover_codes if view.leaf.startswith(c)]
     if len(mine) != 1:
         raise ProtocolError(f"{view.member_id} matches {len(mine)} cover nodes, expected 1")
     payload = next(ct for code, ct in multicasts if code == mine[0])
     ak_new = decrypt(view.keys[mine[0]], payload)
 
-    view.keys, view.leaf_code = recode(
-        view.keys, view.leaf_code, notice.promoted_src, notice.promoted_dst
-    )
-    view.keys[ROOT_CODE] = ak_new
+    view.promote(notice)
     view.generation = notice.generation
-    for code in notice.affected_codes:
-        if view.leaf_code.startswith(code):
-            view.keys[code] = middle_key(view.namespace, notice.generation, ak_new, code)
+    _rederive(view, notice, ak_new)
     view.epoch = notice.epoch
     return view
-
-
-def view_matches_tree(view: MemberKeyView, tree: CkcTree) -> bool:
-    """Consistency oracle: the view holds exactly the root-path codes, every
-    key equals the server's at the same code, and the counters agree."""
-    if view.epoch != tree.epoch or view.generation != tree.generation:
-        return False
-    expected = tree.path_codes(view.leaf_code)
-    if sorted(view.keys) != sorted(expected):
-        return False
-    return all(view.keys[c] == tree.nodes.get(c) for c in expected)

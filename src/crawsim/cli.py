@@ -7,8 +7,9 @@ timing).  Outputs are deterministic: re-running the same scenario and seed
 reproduces them byte for byte.
 
 ``crawsim validate`` checks a scenario file and reports the first offending
-field.  ``crawsim compare`` reads the metrics of two or more finished runs
-of the same scenario under different schemes and checks the expected cost
+field, then replays it and reports an operation the protocol refuses.
+``crawsim compare`` reads the metrics of two or more finished runs of the
+same scenario under different schemes and checks the expected cost
 relation (joins: otp-combined 1 <= plain 2 <= lkh log2(n)+1; leaves: equal
 depth across schemes).
 """
@@ -98,6 +99,13 @@ def cmd_validate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        # the field checks do not replay event timings; the run does, so a
+        # scenario the protocol would refuse mid-run is refused here too
+        Simulation(scenario).run()
+    except ProtocolError as exc:
+        print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+        return 2
     print(
         f"ok: {scenario.name} scheme={scenario.scheme} areas={len(scenario.areas)}"
         f" members={sum(len(v) for v in scenario.areas.values()) + len(scenario.extra_members)}"
@@ -139,10 +147,9 @@ def cmd_compare(args) -> int:
             print(f"error: {run_dir}: expected a single scheme, found {sorted(schemes)}", file=sys.stderr)
             return 2
         runs.append((schemes.pop(), rows))
-        rows_c = rows
-        totals = [sum(int(r[c]) for r in rows_c) for c in ("keygen", "enc", "unicast", "multicast")]
+        totals = [sum(int(r[c]) for r in rows) for c in ("keygen", "enc", "unicast", "multicast")]
         print(
-            f"run {run_dir}: scheme={runs[-1][0]} events={len(rows_c)}"
+            f"run {run_dir}: scheme={runs[-1][0]} events={len(rows)}"
             f" keygen={totals[0]} enc={totals[1]} unicast={totals[2]} multicast={totals[3]}"
         )
     if len({scheme for scheme, _ in runs}) != len(runs):

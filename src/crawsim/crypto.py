@@ -71,7 +71,7 @@ def hash_E(data: bytes) -> bytes:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError("xor operands must have equal length")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def encode_code(code: str, width: int = KEY_WIDTH) -> bytes:

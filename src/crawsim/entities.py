@@ -15,29 +15,25 @@ from random import Random
 
 from .ckc import (
     CkcTree,
-    MemberKeyView,
-    RekeyCounters,
     build_joiner_view,
     ckc_join,
     ckc_leave,
     ckc_member_refresh_join,
     ckc_member_refresh_leave,
     parse_join_unicast,
-    view_matches_tree,
 )
 from .crypto import Ciphertext, ProtocolError, decrypt, fingerprint, random_key
 from .lkh import (
-    LkhMemberView,
     LkhTree,
     build_lkh_joiner_view,
     lkh_join,
     lkh_leave,
     lkh_member_refresh_join,
     lkh_member_refresh_leave,
-    lkh_view_matches_tree,
 )
 from .otp import AuthRecord, ClientSecret, make_challenge, verify
 from .otp import register as otp_register
+from .tree import MemberKeyView, RekeyCounters
 
 SCHEMES = ("ckc_craw", "ckc_plain", "lkh")
 
@@ -159,13 +155,9 @@ class MainList:
         entry = self.lookup(member_id, group_id)
         if entry is None:
             raise ProtocolError(f"cannot bill unknown member {member_id}")
-        self.service_check(units)
-        entry.service_accounting += units
-
-    @staticmethod
-    def service_check(units: int) -> None:
         if units < 0:
             raise ProtocolError("accounting can only increase")
+        entry.service_accounting += units
 
     def to_doc(self, fmt_time) -> list[dict]:
         return [
@@ -200,7 +192,7 @@ class MobileMember:
     member_id: str
     secret: ClientSecret | None = None  # set in one-time-password deployments
     credential: bytes | None = None  # set in ordinary-auth deployments
-    views: dict[str, MemberKeyView | LkhMemberView] = field(default_factory=dict)
+    views: dict[str, MemberKeyView] = field(default_factory=dict)
     current_area: str | None = None
     busy: bool = False  # a join/leave/move is in flight
     delivered: int = 0
@@ -304,7 +296,7 @@ class AreaState:
             res = lkh_join(self.tree, member.member_id, individual_key, self.rng)
             for other in self.members.values():
                 lkh_member_refresh_join(other.views[self.area_id], res.notice, res.multicasts)
-            member.views[self.area_id] = build_lkh_joiner_view(
+            view = build_lkh_joiner_view(
                 member.member_id, individual_key, res.unicast_chain, res.notice
             )
             unicasts = [
@@ -319,7 +311,6 @@ class AreaState:
                 for (label, payloads), keys in zip(res.multicasts, res.multicast_keys)
             ]
             keys_produced = res.counters.key_generations + 1  # plus the individual key
-            leaf = res.notice.joiner_leaf
         else:
             res = ckc_join(
                 self.tree,
@@ -331,7 +322,7 @@ class AreaState:
             for other in self.members.values():
                 ckc_member_refresh_join(other.views[self.area_id], res.notice)
             ak_new, parent = parse_join_unicast(decrypt(individual_key, res.unicast))
-            member.views[self.area_id] = build_joiner_view(
+            view = build_joiner_view(
                 member.member_id,
                 individual_key,
                 ak_new,
@@ -347,10 +338,10 @@ class AreaState:
             ]
             multicasts = []
             keys_produced = res.counters.key_generations
-            leaf = res.notice.joiner_leaf
+        member.views[self.area_id] = view
         self.members[member.member_id] = member
         return RekeyOutcome(
-            "join", res.counters, len(leaf) - 1, keys_produced, unicasts, multicasts
+            "join", res.counters, len(view.leaf) - 1, keys_produced, unicasts, multicasts
         )
 
     def leave(self, member: MobileMember) -> RekeyOutcome:
@@ -358,36 +349,27 @@ class AreaState:
             raise ProtocolError(f"{member.member_id} is not in area {self.area_id}")
         if self.scheme == "lkh":
             res = lkh_leave(self.tree, member.member_id, self.rng)
-            self.members.pop(member.member_id)
-            member.views.pop(self.area_id)
-            for other in self.members.values():
-                lkh_member_refresh_leave(other.views[self.area_id], res.notice, res.multicasts)
+            refresh = lkh_member_refresh_leave
             multicasts = [
                 WireMessage(f"label={label} child={child}", [WirePayload(key, ct)])
                 for (label, (child, ct)), key in zip(res.multicasts, res.multicast_keys)
             ]
-            depth = len(res.notice.leaver_label) - 1
         else:
             res = ckc_leave(self.tree, member.member_id, self.rng)
-            self.members.pop(member.member_id)
-            member.views.pop(self.area_id)
-            for other in self.members.values():
-                ckc_member_refresh_leave(other.views[self.area_id], res.notice, res.multicasts)
+            refresh = ckc_member_refresh_leave
             multicasts = [
                 WireMessage(f"code={code}", [WirePayload(key, ct)])
                 for (code, ct), key in zip(res.multicasts, res.cover_keys)
             ]
-            depth = len(res.notice.leaver_code) - 1
+        self.members.pop(member.member_id)
+        member.views.pop(self.area_id)
+        for other in self.members.values():
+            refresh(other.views[self.area_id], res.notice, res.multicasts)
+        depth = len(res.notice.leaver_code) - 1
         return RekeyOutcome("leave", res.counters, depth, depth, [], multicasts)
 
     def consistent(self) -> bool:
         """Every present member's view matches the server tree exactly."""
-        if self.scheme == "lkh":
-            check = lkh_view_matches_tree
-        else:
-            check = view_matches_tree
         if self.tree.member_count() != len(self.members):
             return False
-        return all(
-            check(m.views[self.area_id], self.tree) for m in self.members.values()
-        )
+        return all(self.tree.view_matches(m.views[self.area_id]) for m in self.members.values())

@@ -22,41 +22,14 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .crypto import Ciphertext, ProtocolError, decrypt, encrypt, random_key
-from .ckc import RekeyCounters
-from .tree import PositionTree, apply_epoch, recode
+from .tree import JoinNotice, LeaveNotice, MemberKeyView, PositionTree, RekeyCounters
 
 ROOT_LABEL = "r"
 
 
-def parent_label(label: str) -> str:
-    if label == ROOT_LABEL:
-        raise ValueError("root label has no parent")
-    return label[:-1]
-
-
-@dataclass
-class LkhJoinNotice:
-    epoch: int
-    joiner_id: str
-    joiner_leaf: str
-    split_label: str | None
-    occupant_leaf: str | None
-    changed_labels: list[str] = field(default_factory=list)  # bottom-up
-
-
-@dataclass
-class LkhLeaveNotice:
-    epoch: int
-    leaver_id: str
-    leaver_label: str
-    promoted_src: str | None
-    promoted_dst: str | None
-    changed_labels: list[str] = field(default_factory=list)  # bottom-up
-
-
 @dataclass
 class LkhJoinResult:
-    notice: LkhJoinNotice
+    notice: JoinNotice
     unicast_chain: list[tuple[str, Ciphertext]]  # (label, ct) bottom-up
     multicasts: list[tuple[str, list[tuple[str, Ciphertext]]]]
     counters: RekeyCounters
@@ -67,7 +40,7 @@ class LkhJoinResult:
 
 @dataclass
 class LkhLeaveResult:
-    notice: LkhLeaveNotice
+    notice: LeaveNotice
     multicasts: list[tuple[str, tuple[str, Ciphertext]]]  # (label, (child, ct))
     counters: RekeyCounters
     multicast_keys: list[bytes] = field(default_factory=list)  # audit only
@@ -77,22 +50,10 @@ class LkhTree(PositionTree):
     """Server-side LKH state: label -> key, member -> leaf label."""
 
     ROOT = ROOT_LABEL
-    path_labels = PositionTree.path_codes
 
     @classmethod
     def new(cls, rng: Random) -> "LkhTree":
         return cls(random_key(rng))
-
-
-@dataclass
-class LkhMemberView:
-    member_id: str
-    leaf_label: str
-    keys: dict[str, bytes]
-    epoch: int
-
-    def group_key(self) -> bytes:
-        return self.keys[ROOT_LABEL]
 
 
 def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) -> LkhJoinResult:
@@ -137,7 +98,7 @@ def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) 
         multicasts.append((label, payloads))
         multicast_keys.append([tree.nodes[child] for child in children])
 
-    notice = LkhJoinNotice(tree.epoch, member_id, leaf, split, occupant_leaf, changed)
+    notice = JoinNotice(tree.epoch, member_id, leaf, split, occupant_leaf, changed)
     counters = RekeyCounters(
         key_generations=len(changed),
         encryptions=encryptions,
@@ -172,7 +133,7 @@ def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> LkhLeaveResult:
             multicasts.append((label, (child, encrypt(tree.nodes[child], tree.nodes[label]))))
             multicast_keys.append(tree.nodes[child])
 
-    notice = LkhLeaveNotice(tree.epoch, member_id, leaf, promoted_src, promoted_dst, changed)
+    notice = LeaveNotice(tree.epoch, member_id, leaf, promoted_src, promoted_dst, changed)
     if promoted_dst is not None:
         # conventional per-level tally (see module docstring); the realized
         # payload list is two messages shorter
@@ -192,8 +153,8 @@ def build_lkh_joiner_view(
     member_id: str,
     individual_key: bytes,
     chain: list[tuple[str, Ciphertext]],
-    notice: LkhJoinNotice,
-) -> LkhMemberView:
+    notice: JoinNotice,
+) -> MemberKeyView:
     keys = {notice.joiner_leaf: individual_key}
     wrap = individual_key
     for label, ct in chain:
@@ -203,61 +164,51 @@ def build_lkh_joiner_view(
         [notice.joiner_leaf[:i] for i in range(1, len(notice.joiner_leaf) + 1)]
     ):
         raise ProtocolError("unicast chain does not cover the announced path")
-    return LkhMemberView(member_id, notice.joiner_leaf, keys, notice.epoch)
+    return MemberKeyView(member_id, notice.joiner_leaf, keys, notice.epoch)
 
 
-def lkh_member_refresh_join(
-    view: LkhMemberView,
-    notice: LkhJoinNotice,
-    multicasts: list[tuple[str, list[tuple[str, Ciphertext]]]],
-) -> LkhMemberView:
-    if not apply_epoch(view.member_id, view.epoch, notice.epoch):
-        return view
-    if notice.split_label is not None and view.leaf_label == notice.split_label:
-        view.keys[notice.occupant_leaf] = view.keys.pop(notice.split_label)
-        view.leaf_label = notice.occupant_leaf
-    by_label = dict(multicasts)
-    for label in notice.changed_labels:  # bottom-up: child keys are current
-        if not view.leaf_label.startswith(label):
+def _climb(
+    view: MemberKeyView,
+    changed: list[str],
+    by_label: dict[str, list[tuple[str, Ciphertext]]],
+) -> None:
+    """Open the regenerated keys on the view's own path.  ``changed`` runs
+    bottom-up, so the key of the child on the path is current when its
+    parent's payload is opened under it."""
+    for label in changed:
+        if not view.leaf.startswith(label):
             continue
-        child_on_path = view.leaf_label[: len(label) + 1]
-        ct = next((ct for child, ct in by_label[label] if child == child_on_path), None)
+        child_on_path = view.leaf[: len(label) + 1]
+        payloads = by_label.get(label, ())
+        ct = next((ct for child, ct in payloads if child == child_on_path), None)
         if ct is None:
             raise ProtocolError(f"no payload under {child_on_path} for {label}")
         view.keys[label] = decrypt(view.keys[child_on_path], ct)
+
+
+def lkh_member_refresh_join(
+    view: MemberKeyView,
+    notice: JoinNotice,
+    multicasts: list[tuple[str, list[tuple[str, Ciphertext]]]],
+) -> MemberKeyView:
+    if not view.follow_join(notice):
+        return view
+    _climb(view, notice.affected_codes, dict(multicasts))
     view.epoch = notice.epoch
     return view
 
 
 def lkh_member_refresh_leave(
-    view: LkhMemberView,
-    notice: LkhLeaveNotice,
+    view: MemberKeyView,
+    notice: LeaveNotice,
     multicasts: list[tuple[str, tuple[str, Ciphertext]]],
-) -> LkhMemberView:
-    if view.member_id == notice.leaver_id:
-        raise ProtocolError("departed member cannot refresh")
-    if not apply_epoch(view.member_id, view.epoch, notice.epoch):
+) -> MemberKeyView:
+    if not view.accept_leave(notice):
         return view
-    view.keys, view.leaf_label = recode(
-        view.keys, view.leaf_label, notice.promoted_src, notice.promoted_dst
-    )
-    for label in notice.changed_labels:  # bottom-up
-        if not view.leaf_label.startswith(label):
-            continue
-        child_on_path = view.leaf_label[: len(label) + 1]
-        ct = next(
-            (ct for lab, (child, ct) in multicasts if lab == label and child == child_on_path),
-            None,
-        )
-        if ct is None:
-            raise ProtocolError(f"no payload under {child_on_path} for {label}")
-        view.keys[label] = decrypt(view.keys[child_on_path], ct)
+    view.promote(notice)
+    by_label: dict[str, list[tuple[str, Ciphertext]]] = {}
+    for label, payload in multicasts:
+        by_label.setdefault(label, []).append(payload)
+    _climb(view, notice.affected_codes, by_label)
     view.epoch = notice.epoch
     return view
-
-
-def lkh_view_matches_tree(view: LkhMemberView, tree: LkhTree) -> bool:
-    expected = tree.path_labels(view.leaf_label)
-    if sorted(view.keys) != sorted(expected):
-        return False
-    return all(view.keys[c] == tree.nodes.get(c) for c in expected)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable
 
-from .ckc import RekeyCounters, generation_tag
 from .crypto import DecryptionError, ProtocolError, decrypt, encrypt, fingerprint, random_key
 from .entities import (
     STATUS_ACTIVE,
@@ -44,6 +43,7 @@ from .entities import (
 )
 from .otp import ClientSecret
 from .secrecy import CipherRecord, RunRecorder
+from .tree import RekeyCounters
 
 TICKS_PER_SECOND = 10_000_000  # 100 ns resolution
 
@@ -247,7 +247,7 @@ class Simulation:
         for member_id in roster:
             if member_id in self.members:
                 raise ProtocolError(f"{member_id} listed twice in the scenario")
-            if self.sc.scheme == "ckc_craw":
+            if self._auth_mode() == "otp":
                 secret = ClientSecret(member_id, b"pw:" + member_id.encode(), self.rng)
                 member = MobileMember(member_id, secret=secret)
                 entry = self.main.register_otp(secret)
@@ -294,10 +294,9 @@ class Simulation:
 
     def _record_rekey(self, area: AreaState, ticks: int, outcome: RekeyOutcome, target: str | None) -> None:
         tree = area.tree
-        self.recorder.record_keys(tree.key_history)
-        if self.sc.scheme != "lkh":
-            # record the exact strings this event's derivations consumed
-            self.recorder.record_codes(tree.derived)
+        self.recorder.record_keys(tree.drain_stored())
+        # the exact strings this event's derivations consumed
+        self.recorder.record_codes(tree.derived)
         for msg in outcome.unicast_msgs:
             for p in msg.payloads:
                 self.recorder.record_ciphertext(
@@ -311,11 +310,9 @@ class Simulation:
         for m in area.members.values():
             view = m.views[area.area_id]
             self.recorder.note_knowledge(m.member_id, view.keys.values())
-            if self.sc.scheme != "lkh":
-                # the strings a member holds: its own root path, labelled
-                # under the current namespace and generation
-                prefix = tree.namespace + generation_tag(tree.generation)
-                self.recorder.note_codes(m.member_id, (prefix + c for c in view.keys))
+            strings = tree.derivation_strings(view)
+            if strings:  # an empty note would still open an entry for the member
+                self.recorder.note_codes(m.member_id, strings)
 
     def _append_event(self, ticks: int, kind: str, area: AreaState, member_id: str, outcome: RekeyOutcome) -> EventRow:
         row = EventRow(

@@ -1,11 +1,11 @@
-"""Position tree shared by the CKC and LKH key trees.
+"""Position tree and member-side model shared by the CKC and LKH key trees.
 
 Both schemes run the same binary key graph (Wong, Gouda & Lam, "Secure Group
 Communications Using Key Graphs"): a node is named by a string of digits
 under the root name, a child appends one digit, and dropping the rightmost
 digit walks to the parent.  The schemes differ only in how node keys are
-made, so this module holds the positions and moves keys around without
-ever computing one:
+made and how a member refreshes them, so this module holds everything else
+without ever computing a key:
 
 * a join splits the shallowest leaf (ties: smallest code) and slides its
   occupant one level down, keeping the occupant's individual key;
@@ -13,18 +13,131 @@ ever computing one:
   left with one child, promotes that sibling subtree into the parent's
   position: every code in it drops the digit at the promotion depth.
 
-Members mirror the promotion from the notice alone (``recode``) and apply
-notices strictly in epoch order (``apply_epoch``).  Both work on plain
-values because the two schemes name their view fields differently.
+Members learn of both from the plaintext notices below and mirror them on
+their own view (``MemberKeyView``), applying notices strictly in epoch
+order.  ``PositionTree.view_matches`` is the consistency oracle: a view
+must hold exactly the keys on its root path, equal to the server's.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 from .crypto import ProtocolError, fingerprint
 
 DIGITS = "0123456789"
+
+
+@dataclass
+class RekeyCounters:
+    """Per-event bookkeeping mirrored in reports: server key generations,
+    encryptions performed, and unicast/multicast sends."""
+
+    key_generations: int = 0
+    encryptions: int = 0
+    unicast_sends: int = 0
+    multicast_sends: int = 0
+
+    def __add__(self, other: "RekeyCounters") -> "RekeyCounters":
+        return RekeyCounters(
+            self.key_generations + other.key_generations,
+            self.encryptions + other.encryptions,
+            self.unicast_sends + other.unicast_sends,
+            self.multicast_sends + other.multicast_sends,
+        )
+
+
+@dataclass
+class JoinNotice:
+    """Plaintext announcement of a join.
+
+    Key material never rides on it: current members only need to learn that
+    a join happened and which path positions were touched.
+    """
+
+    epoch: int
+    joiner_id: str
+    joiner_leaf: str
+    split_code: str | None  # former code of the leaf that was split
+    occupant_leaf: str | None  # where the split leaf's occupant moved
+    # re-keyed positions in the order members refresh them: CKC top-down
+    # below the root, LKH bottom-up up to the root
+    affected_codes: list[str] = field(default_factory=list)
+    generation: int = 0  # CKC derivation generation
+
+
+@dataclass
+class LeaveNotice:
+    epoch: int
+    leaver_id: str
+    leaver_code: str
+    promoted_src: str | None  # sibling subtree root before promotion
+    promoted_dst: str | None  # position (and code) it was promoted into
+    affected_codes: list[str] = field(default_factory=list)  # as on a join
+    cover_codes: list[str] = field(default_factory=list)  # CKC, pre-promotion
+    generation: int = 0
+
+
+@dataclass
+class MemberKeyView:
+    """One member's slice of the tree: exactly the keys on its root path."""
+
+    member_id: str
+    leaf: str
+    keys: dict[str, bytes]
+    epoch: int
+    namespace: str = ""  # CKC derivation namespace of the area
+    generation: int = 0  # CKC derivation generation
+
+    def group_key(self) -> bytes:
+        # every position starts with the root's one-character name
+        return self.keys[self.leaf[0]]
+
+    def _in_order(self, epoch: int) -> bool:
+        """True when a notice for ``epoch`` should be applied; False for a
+        stale re-delivery.  A gap means the member missed an announcement
+        and can no longer follow the tree."""
+        if epoch <= self.epoch:
+            return False
+        if epoch != self.epoch + 1:
+            raise ProtocolError(
+                f"{self.member_id} missed an announcement (view at {self.epoch}, notice {epoch})"
+            )
+        return True
+
+    def follow_join(self, notice: JoinNotice) -> bool:
+        """Mirror a join's position change; False (view untouched) for a
+        stale re-delivery.  The scheme then refreshes the keys."""
+        if not self._in_order(notice.epoch):
+            return False
+        if notice.split_code is not None and self.leaf == notice.split_code:
+            # this member occupied the split leaf; it slides down one level
+            self.keys[notice.occupant_leaf] = self.keys.pop(notice.split_code)
+            self.leaf = notice.occupant_leaf
+        return True
+
+    def accept_leave(self, notice: LeaveNotice) -> bool:
+        """Whether to apply a leave notice; the leaver itself is refused."""
+        if self.member_id == notice.leaver_id:
+            raise ProtocolError("departed member cannot refresh")
+        return self._in_order(notice.epoch)
+
+    def promote(self, notice: LeaveNotice) -> None:
+        """Mirror the promotion of subtree ``promoted_src`` into position
+        ``promoted_dst``.  Inside the subtree every held code drops the digit
+        at the promotion depth and the key values are unchanged; the old
+        parent key dies with its position (the subtree root replaces it).
+        Members outside the subtree are unchanged."""
+        src, dst = notice.promoted_src, notice.promoted_dst
+        if src is None or not self.leaf.startswith(src):
+            return
+        moved = {}
+        for c, k in self.keys.items():
+            if c != dst:
+                moved[dst + c[len(src):] if c.startswith(src) else c] = k
+        self.keys = moved
+        self.leaf = dst + self.leaf[len(src):]
 
 
 class PositionTree:
@@ -36,8 +149,12 @@ class PositionTree:
         self.nodes: dict[str, bytes] = {self.ROOT: group_key}
         self.leaves: dict[str, str] = {}
         self.epoch = 0
-        # every key ever stored, for the secrecy oracle's key universe
-        self.key_history: set[bytes] = {group_key}
+        # keys stored since the last ``drain_stored``, for the secrecy
+        # oracle's key universe; the seed key is the first
+        self._stored: list[bytes] = [group_key]
+        # the derivation strings the last join or leave consumed, for the
+        # secrecy oracle's code set; schemes that derive no keys leave it empty
+        self.derived: list[str] = []
 
     def group_key(self) -> bytes:
         return self.nodes[self.ROOT]
@@ -45,16 +162,34 @@ class PositionTree:
     def member_count(self) -> int:
         return len(self.leaves)
 
-    def depth_of(self, member_id: str) -> int:
-        return len(self.leaves[member_id]) - 1
-
     def path_codes(self, leaf: str) -> list[str]:
         """All positions from the root to the leaf, top-down."""
         return [leaf[:i] for i in range(1, len(leaf) + 1)]
 
     def _set(self, code: str, key: bytes) -> None:
         self.nodes[code] = key
-        self.key_history.add(key)
+        self._stored.append(key)
+
+    def drain_stored(self) -> list[bytes]:
+        """The keys stored since the previous call (repeats possible)."""
+        stored, self._stored = self._stored, []
+        return stored
+
+    def derivation_strings(self, view: MemberKeyView) -> list[str]:
+        """The derivation strings a member's view gives it; none unless the
+        scheme derives keys."""
+        return []
+
+    def view_matches(self, view: MemberKeyView) -> bool:
+        """Consistency oracle: the view holds exactly the root-path codes,
+        every key equals the server's at the same code, and the epochs
+        agree."""
+        if view.epoch != self.epoch:
+            return False
+        expected = self.path_codes(view.leaf)
+        if sorted(view.keys) != sorted(expected):
+            return False
+        return all(view.keys[c] == self.nodes.get(c) for c in expected)
 
     def _children(self, code: str) -> list[str]:
         """Occupied one-digit extensions of ``code``, in sorted order."""
@@ -104,33 +239,3 @@ class PositionTree:
             "leaves": dict(sorted(self.leaves.items())),
         }
         return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def apply_epoch(member_id: str, view_epoch: int, epoch: int) -> bool:
-    """True when a notice for ``epoch`` should be applied to a view at
-    ``view_epoch``; False for a stale re-delivery.  A gap means the member
-    missed an announcement and can no longer follow the tree."""
-    if epoch <= view_epoch:
-        return False
-    if epoch != view_epoch + 1:
-        raise ProtocolError(
-            f"{member_id} missed an announcement (view at {view_epoch}, notice {epoch})"
-        )
-    return True
-
-
-def recode(
-    keys: dict[str, bytes], leaf: str, src: str | None, dst: str | None
-) -> tuple[dict[str, bytes], str]:
-    """A member's (keys, leaf) after the promotion of subtree ``src`` into
-    position ``dst``.  Inside the subtree every held code drops the digit at
-    the promotion depth and the key values are unchanged; the old parent key
-    dies with its position (the subtree root replaces it).  Members outside
-    the subtree are returned unchanged."""
-    if src is None or not leaf.startswith(src):
-        return keys, leaf
-    moved = {}
-    for c, k in keys.items():
-        if c != dst:
-            moved[dst + c[len(src):] if c.startswith(src) else c] = k
-    return moved, dst + leaf[len(src):]

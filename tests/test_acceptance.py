@@ -19,7 +19,7 @@ import pytest
 from crawsim.cli import main as cli_main
 from crawsim.ckc import parent_code
 from crawsim.crypto import DecryptionError, decrypt, hash_f, hash_f_xor, random_key
-from crawsim.ckc import CkcTree, ckc_join, ckc_leave, ckc_member_refresh_join, parse_join_unicast, build_joiner_view, view_matches_tree
+from crawsim.ckc import CkcTree, ckc_join, ckc_leave, ckc_member_refresh_join, parse_join_unicast, build_joiner_view
 from crawsim.otp import ClientSecret, make_challenge, register, verify
 from crawsim.scenario import load_scenario, validate_doc
 from crawsim.secrecy import check_secrecy, operational_decrypt_check
@@ -170,10 +170,10 @@ def test_c02_join_and_leave_walkthrough():
         assert tree.nodes[code] == hash_f_xor(ak_new, code)
     m6_view = views["m6"]
     for code, key in m6_view.keys.items():
-        if code != "1" and code != m6_view.leaf_code:
+        if code != "1" and code != m6_view.leaf:
             assert key == hash_f_xor(ak_new, code)
     for v in views.values():
-        assert view_matches_tree(v, tree)
+        assert tree.view_matches(v)
 
     # leave of m3: snapshot the pre-leave structure to derive the expected
     # cover set independently

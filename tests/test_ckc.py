@@ -10,7 +10,6 @@ import pytest
 from crawsim.ckc import (
     ROOT_CODE,
     CkcTree,
-    MemberKeyView,
     build_joiner_view,
     ckc_join,
     ckc_leave,
@@ -18,9 +17,9 @@ from crawsim.ckc import (
     ckc_member_refresh_leave,
     generation_tag,
     parse_join_unicast,
-    view_matches_tree,
 )
 from crawsim.crypto import DecryptionError, ProtocolError, decrypt, hash_f_xor, random_key
+from crawsim.tree import MemberKeyView
 
 
 class Harness:
@@ -103,7 +102,7 @@ class Harness:
 
     def assert_consistent(self):
         for member, view in self.views.items():
-            assert view_matches_tree(view, self.tree), f"{member} view diverged"
+            assert self.tree.view_matches(view), f"{member} view diverged"
 
 
 def test_join_counters_craw_and_plain():
@@ -168,8 +167,8 @@ def test_occupant_slides_down_and_keeps_individual_key():
     ik_before = h.views[occupant].keys[split]
     res = h.join("u9")
     occ_view = h.views[occupant]
-    assert occ_view.leaf_code == res.notice.occupant_leaf
-    assert occ_view.keys[occ_view.leaf_code] == ik_before
+    assert occ_view.leaf == res.notice.occupant_leaf
+    assert occ_view.keys[occ_view.leaf] == ik_before
     # the split position is now an internal key derived from AK'
     assert occ_view.keys[split] == hash_f_xor(h.tree.group_key(), split)
     h.assert_consistent()
@@ -179,10 +178,10 @@ def test_join_refresh_is_idempotent():
     h = Harness(seed=6)
     h.grow(4)
     res = h.join("u5")
-    snapshot = {m: (v.leaf_code, dict(v.keys), v.epoch) for m, v in h.views.items()}
+    snapshot = {m: (v.leaf, dict(v.keys), v.epoch) for m, v in h.views.items()}
     for view in h.views.values():
         ckc_member_refresh_join(view, res.notice)  # stale re-delivery
-    assert snapshot == {m: (v.leaf_code, dict(v.keys), v.epoch) for m, v in h.views.items()}
+    assert snapshot == {m: (v.leaf, dict(v.keys), v.epoch) for m, v in h.views.items()}
 
 
 def test_leave_cover_and_counters_n8():
@@ -219,7 +218,7 @@ def test_leave_promotion_recodes_sibling_subtree():
         assert res.notice.promoted_dst == leaf[:-1]
         # promoted members' codes dropped the digit at the promotion depth
         for view in h.views.values():
-            assert not view.leaf_code.startswith(res.notice.promoted_src)
+            assert not view.leaf.startswith(res.notice.promoted_src)
     h.assert_consistent()
 
 
@@ -279,7 +278,7 @@ def test_member_codes_are_exactly_path_prefixes():
     h = Harness(seed=14)
     h.grow(13)
     for view in h.views.values():
-        prefixes = [view.leaf_code[:i] for i in range(1, len(view.leaf_code) + 1)]
+        prefixes = [view.leaf[:i] for i in range(1, len(view.leaf) + 1)]
         assert sorted(view.keys) == sorted(prefixes)
 
 

@@ -113,15 +113,19 @@ def test_run_rejects_bad_overrides(small_path, tmp_path, capsys):
 
 
 def test_run_reports_protocol_refusal_without_traceback(tmp_path, capsys):
-    # validate accepts a leave of a member whose move is still in flight;
-    # the run refuses it, exits 2 and writes no artifacts
+    # a leave of a member whose move is still in flight passes the field
+    # checks; validate and run both refuse it and exit 2, and run writes no
+    # artifacts
     bundled = Path(crawsim.__file__).parent / "scenarios" / "handoff.json"
     doc = json.loads(bundled.read_text(encoding="utf-8"))
     doc["events"].append({"time": 1.5, "op": "leave", "member": "u1", "area": "A"})
     path = tmp_path / "inflight.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["validate", str(path)]) == 0
-    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: handoff: ")
+    assert "u1 already has an operation in flight" in captured.err
     out = tmp_path / "run"
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -190,6 +190,14 @@ def test_area_join_leave_keeps_every_view_consistent(scheme):
         assert area.consistent()
         for m in members.values():
             assert m.group_key_for("A") == area.group_key()
+    # one wrong key in one present view is enough for the oracle to object
+    view = members["u2"].views["A"]
+    code = view.leaf
+    kept = view.keys[code]
+    view.keys[code] = bytes(b ^ 1 for b in kept)
+    assert not area.consistent()
+    view.keys[code] = kept
+    assert area.consistent()
     with pytest.raises(ProtocolError):
         area.leave(MobileMember("nobody"))
     with pytest.raises(ProtocolError):

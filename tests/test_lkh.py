@@ -9,22 +9,21 @@ import pytest
 
 from crawsim.crypto import DecryptionError, ProtocolError, decrypt, random_key
 from crawsim.lkh import (
-    LkhMemberView,
     LkhTree,
     build_lkh_joiner_view,
     lkh_join,
     lkh_leave,
     lkh_member_refresh_join,
     lkh_member_refresh_leave,
-    lkh_view_matches_tree,
 )
+from crawsim.tree import MemberKeyView
 
 
 class Harness:
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
         self.tree = LkhTree.new(self.rng)
-        self.views: dict[str, LkhMemberView] = {}
+        self.views: dict[str, MemberKeyView] = {}
         self.individual: dict[str, bytes] = {}
 
     def join(self, member: str):
@@ -49,7 +48,7 @@ class Harness:
 
     def assert_consistent(self):
         for member, view in self.views.items():
-            assert lkh_view_matches_tree(view, self.tree), f"{member} diverged"
+            assert self.tree.view_matches(view), f"{member} diverged"
 
 
 def test_join_counters_match_depth_formulas():
@@ -120,7 +119,7 @@ def test_join_backward_secrecy_regenerates_path():
     h.grow(4)
     before = dict(h.tree.nodes)
     res = h.join("u5")
-    for label in res.notice.changed_labels:
+    for label in res.notice.affected_codes:
         assert h.tree.nodes[label] != before.get(label)
     h.assert_consistent()
 
@@ -142,7 +141,7 @@ def test_occupant_relabels_and_keeps_key():
     occupant = next(m for m, c in h.tree.leaves.items() if c == split)
     ik = h.views[occupant].keys[split]
     res = h.join("u5")
-    assert h.views[occupant].leaf_label == res.notice.occupant_leaf
+    assert h.views[occupant].leaf == res.notice.occupant_leaf
     assert h.views[occupant].keys[res.notice.occupant_leaf] == ik
     h.assert_consistent()
 
