@@ -2,8 +2,8 @@
 
 Every node carries a decimal code: the root is a single digit, each child
 appends one digit, and dropping the rightmost digit walks to the parent.
-Middle-node keys are never shipped: they are derived locally as
-f(AK xor code), so a join costs one unicast and zero multicasts, and a
+Middle-node keys are never shipped by a re-keying event (the t=0 roster is
+the one exception, below): they are derived locally as f(AK xor code), so a join costs one unicast and zero multicasts, and a
 leave costs one multicast per cover node.
 
 Join: the group key is refreshed in place (AK' = f(AK), so current members
@@ -16,6 +16,14 @@ into the parent's position (descendants drop the digit at the promotion
 depth), a fresh random AK' is multicast under each cover key (the siblings
 along the leaver's old root path), and the middle keys the leaver held are
 re-derived from AK'.
+
+The one exception to "never shipped" is the initial roster at t=0.  Those
+members are seated in one batch with no message in between (``seat``), so
+a middle key was derived under whichever AK was current when its position
+was last split, and the final AK cannot re-derive it.  Each initial member
+therefore receives its whole root path, middle keys included, in one
+unicast chain under its individual key (``lkh.root_path_chain``, LKH's
+joiner chain).  Re-keying events never ship a middle key.
 
 Cover safety: an internal node key is a deterministic function of a past
 group key and a code string, so anyone who held that group key and learned
@@ -136,6 +144,55 @@ class CkcTree(PositionTree):
         self._set(code, hash_f_xor(ak, string))
         self.derived.append(string)
 
+    def seat(self, member_id: str, individual_key: bytes, rng: Random) -> JoinNotice:
+        """Attach a member, roll the group key forward (AK' = f(AK)) and
+        re-derive the middle keys on the joiner's path under AK'."""
+        if member_id in self.leaves:
+            raise ProtocolError(f"{member_id} already in tree")
+
+        ak_new = hash_f(self.group_key())
+        self.derived = []
+
+        root_children = self._children(ROOT_CODE)
+        if len(root_children) < 2:
+            # the root still has a free child slot (bootstrap or post-leave);
+            # attach directly so 2^k members sit at depth k
+            split = None
+            occupant_leaf = None
+            taken = "".join(c[-1] for c in root_children)
+            leaf = ROOT_CODE + random_digit(rng, exclude=taken)
+        else:
+            # shallowest leaf, ties broken by smallest code; reserve room for
+            # the namespace and a full-width generation tag in the derivation
+            split = self.shallowest_leaf()
+            if len(self.namespace) + 4 + len(split) + 1 > KEY_WIDTH:
+                raise ProtocolError("tree depth exceeds code width")
+            d_occ = random_digit(rng)
+            occupant_leaf = split + d_occ
+            leaf = split + random_digit(rng, exclude=d_occ)
+
+        self.epoch += 1
+        self._set(ROOT_CODE, ak_new)
+        affected: list[str] = []
+        if split is not None:
+            self.slide_occupant(split, occupant_leaf)
+            # the joiner's path positions turned internal or moved under AK'
+            affected = strict_ancestors(leaf)
+            for code in affected:
+                self._set_middle(code, ak_new)
+        self.leaves[member_id] = leaf
+        self._set(leaf, individual_key)
+
+        return JoinNotice(
+            epoch=self.epoch,
+            joiner_id=member_id,
+            joiner_leaf=leaf,
+            split_code=split,
+            occupant_leaf=occupant_leaf,
+            affected_codes=affected,
+            generation=self.generation,
+        )
+
     def derivation_strings(self, view: MemberKeyView) -> list[str]:
         # a member holds its own root path, labelled under the current
         # namespace and generation
@@ -167,58 +224,17 @@ def ckc_join(
     *,
     count_individual_key: bool = False,
 ) -> JoinResult:
-    """Attach a member and roll the group key forward.
+    """Seat a member (``CkcTree.seat``) and unicast AK' with its parent code
+    under its individual key.
 
     ``count_individual_key`` adds the individual key to the generation
     counter for deployments where the server mints it instead of deriving
     it from authentication.
     """
-    if member_id in tree.leaves:
-        raise ProtocolError(f"{member_id} already in tree")
-
-    ak_new = hash_f(tree.group_key())
-    tree.derived = []
-
-    root_children = tree._children(ROOT_CODE)
-    if len(root_children) < 2:
-        # the root still has a free child slot (bootstrap or post-leave);
-        # attach directly so 2^k members sit at depth k
-        split = None
-        occupant_leaf = None
-        taken = "".join(c[-1] for c in root_children)
-        leaf = ROOT_CODE + random_digit(rng, exclude=taken)
-    else:
-        # shallowest leaf, ties broken by smallest code; reserve room for
-        # the namespace and a full-width generation tag in the derivation
-        split = tree.shallowest_leaf()
-        if len(tree.namespace) + 4 + len(split) + 1 > KEY_WIDTH:
-            raise ProtocolError("tree depth exceeds code width")
-        d_occ = random_digit(rng)
-        occupant_leaf = split + d_occ
-        leaf = split + random_digit(rng, exclude=d_occ)
-
-    tree.epoch += 1
-    tree._set(ROOT_CODE, ak_new)
-    affected: list[str] = []
-    if split is not None:
-        tree.slide_occupant(split, occupant_leaf)
-        # the joiner's path positions turned internal or moved under AK'
-        affected = strict_ancestors(leaf)
-        for code in affected:
-            tree._set_middle(code, ak_new)
-    tree.leaves[member_id] = leaf
-    tree._set(leaf, individual_key)
-
-    notice = JoinNotice(
-        epoch=tree.epoch,
-        joiner_id=member_id,
-        joiner_leaf=leaf,
-        split_code=split,
-        occupant_leaf=occupant_leaf,
-        affected_codes=affected,
-        generation=tree.generation,
+    notice = tree.seat(member_id, individual_key, rng)
+    unicast = encrypt(
+        individual_key, _join_plaintext(tree.group_key(), parent_code(notice.joiner_leaf))
     )
-    unicast = encrypt(individual_key, _join_plaintext(ak_new, parent_code(leaf)))
     counters = RekeyCounters(
         key_generations=1 + (1 if count_individual_key else 0),
         encryptions=1,
@@ -281,10 +297,10 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
 def _rederive(view: MemberKeyView, notice: JoinNotice | LeaveNotice, ak_new: bytes) -> None:
     """Install AK' and re-derive the notice's affected middle keys that sit
     on the view's own path."""
-    view.keys[ROOT_CODE] = ak_new
+    view.store(ROOT_CODE, ak_new)
     for code in notice.affected_codes:
         if view.leaf.startswith(code):
-            view.keys[code] = middle_key(view.namespace, notice.generation, ak_new, code)
+            view.store(code, middle_key(view.namespace, notice.generation, ak_new, code))
 
 
 def build_joiner_view(

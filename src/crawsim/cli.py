@@ -125,13 +125,20 @@ def _read_metrics(run_dir: Path) -> list[dict]:
 
 def _event_cost(row: dict) -> int:
     """Per-event re-keying cost: keys produced at a join (the individual key
-    counts when server-minted), tree levels re-keyed at a leave."""
+    counts when server-minted), tree levels re-keyed at a leave (the
+    leaver's depth)."""
     scheme, kind = row["scheme"], row["kind"]
+    keygen, multicast = int(row["keygen"]), int(row["multicast"])
     if kind.endswith("join"):
-        return int(row["keygen"]) + (1 if scheme == "lkh" else 0)
+        return keygen + (1 if scheme == "lkh" else 0)
     if scheme == "lkh":
-        return int(row["keygen"]) + 1
-    return int(row["multicast"])
+        # a leaver below depth 1 collapses its parent: every level above the
+        # parent is re-keyed, and the counters tally two multicasts per level
+        # of its depth (lkh module docstring); a leaver at depth 1 re-keys
+        # the root alone and sends at most one payload
+        return keygen + 1 if multicast == 2 * (keygen + 1) else keygen
+    # one cover multicast per level; the last member, at depth 1, has none
+    return max(multicast, 1)
 
 
 def cmd_compare(args) -> int:

@@ -30,6 +30,7 @@ from .lkh import (
     lkh_leave,
     lkh_member_refresh_join,
     lkh_member_refresh_leave,
+    root_path_chain,
 )
 from .otp import AuthRecord, ClientSecret, make_challenge, verify
 from .otp import register as otp_register
@@ -267,6 +268,10 @@ class RekeyOutcome:
     multicast_msgs: list[WireMessage]
 
 
+def _chain_msgs(chain: list[tuple[str, Ciphertext]], keys: list[bytes]) -> list[WireMessage]:
+    return [WireMessage(f"label={label}", [WirePayload(key, ct)]) for (label, ct), key in zip(chain, keys)]
+
+
 class AreaState:
     """One wireless area: the serving key tree plus the members keyed in it.
 
@@ -297,12 +302,10 @@ class AreaState:
             for other in self.members.values():
                 lkh_member_refresh_join(other.views[self.area_id], res.notice, res.multicasts)
             view = build_lkh_joiner_view(
-                member.member_id, individual_key, res.unicast_chain, res.notice
+                member.member_id, individual_key, res.unicast_chain,
+                res.notice.joiner_leaf, res.notice.epoch,
             )
-            unicasts = [
-                WireMessage(f"label={label}", [WirePayload(key, ct)])
-                for (label, ct), key in zip(res.unicast_chain, res.chain_keys)
-            ]
+            unicasts = _chain_msgs(res.unicast_chain, res.chain_keys)
             multicasts = [
                 WireMessage(
                     f"label={label}",
@@ -343,6 +346,25 @@ class AreaState:
         return RekeyOutcome(
             "join", res.counters, len(view.leaf) - 1, keys_produced, unicasts, multicasts
         )
+
+    def seat(self, member: MobileMember, individual_key: bytes) -> None:
+        """The server side of a join alone: place the member and re-key the
+        tree, refreshing no view and building no payload.  The t=0 rosters
+        are keyed in one batch: every member is seated, then ``hand_out``
+        gives each its view; the area is consistent again once all have one."""
+        self.tree.seat(member.member_id, individual_key, self.rng)
+        self.members[member.member_id] = member
+
+    def hand_out(self, member: MobileMember, individual_key: bytes) -> list[WireMessage]:
+        """Deliver a seated member's whole root path in one unicast chain
+        under its individual key, and open its view from it."""
+        leaf = self.tree.leaves[member.member_id]
+        chain, chain_keys = root_path_chain(self.tree, leaf)
+        member.views[self.area_id] = build_lkh_joiner_view(
+            member.member_id, individual_key, chain, leaf, self.tree.epoch,
+            namespace=self.tree.namespace,
+        )
+        return _chain_msgs(chain, chain_keys)
 
     def leave(self, member: MobileMember) -> RekeyOutcome:
         if member.member_id not in self.members:

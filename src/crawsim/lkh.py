@@ -55,38 +55,53 @@ class LkhTree(PositionTree):
     def new(cls, rng: Random) -> "LkhTree":
         return cls(random_key(rng))
 
+    def seat(self, member_id: str, individual_key: bytes, rng: Random) -> JoinNotice:
+        """Attach a member and draw a fresh key for every position on its
+        path above the leaf."""
+        if member_id in self.leaves:
+            raise ProtocolError(f"{member_id} already in tree")
+        root_children = self._children(ROOT_LABEL)
+        if len(root_children) < 2:
+            split = occupant_leaf = None
+            leaf = ROOT_LABEL + ("0" if ROOT_LABEL + "0" not in self.nodes else "1")
+        else:
+            split = self.shallowest_leaf()
+            occupant_leaf = split + "0"
+            leaf = split + "1"
+            self.slide_occupant(split, occupant_leaf)
+        self.leaves[member_id] = leaf
+        self._set(leaf, individual_key)
 
-def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) -> LkhJoinResult:
-    """Attach a member and regenerate every key on its path."""
-    if member_id in tree.leaves:
-        raise ProtocolError(f"{member_id} already in tree")
+        # regenerate path keys bottom-up: the split position (if any), every
+        # ancestor above it, and the root
+        changed = [leaf[:i] for i in range(len(leaf) - 1, 0, -1)]
+        for label in changed:
+            self._set(label, random_key(rng))
+        self.epoch += 1
+        return JoinNotice(self.epoch, member_id, leaf, split, occupant_leaf, changed)
 
-    root_children = tree._children(ROOT_LABEL)
-    if len(root_children) < 2:
-        split = occupant_leaf = None
-        leaf = ROOT_LABEL + ("0" if ROOT_LABEL + "0" not in tree.nodes else "1")
-    else:
-        split = tree.shallowest_leaf()
-        occupant_leaf = split + "0"
-        leaf = split + "1"
-        tree.slide_occupant(split, occupant_leaf)
-    tree.leaves[member_id] = leaf
-    tree._set(leaf, individual_key)
 
-    # regenerate path keys bottom-up: the split position (if any), every
-    # ancestor above it, and the root
-    changed = [leaf[:i] for i in range(len(leaf) - 1, 0, -1)]
-    for label in changed:
-        tree._set(label, random_key(rng))
-    tree.epoch += 1
-
+def root_path_chain(tree: PositionTree, leaf: str) -> tuple[list[tuple[str, Ciphertext]], list[bytes]]:
+    """The unicast chain that hands a member every key on its root path:
+    bottom-up, each key encrypted under the one below it, the first under
+    the member's individual key.  Also returns the encryption keys, aligned
+    with the chain; audit only, never shipped."""
     chain: list[tuple[str, Ciphertext]] = []
     chain_keys: list[bytes] = []
-    wrap = individual_key
-    for label in changed:
+    wrap = tree.nodes[leaf]
+    for label in reversed(tree.path_codes(leaf)[:-1]):
         chain_keys.append(wrap)
         chain.append((label, encrypt(wrap, tree.nodes[label])))
         wrap = tree.nodes[label]
+    return chain, chain_keys
+
+
+def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) -> LkhJoinResult:
+    """Attach a member and regenerate every key on its path."""
+    notice = tree.seat(member_id, individual_key, rng)
+    changed = notice.affected_codes
+    # every key on the joiner's path is new, so its chain is the whole path
+    chain, chain_keys = root_path_chain(tree, notice.joiner_leaf)
 
     multicasts = []
     multicast_keys: list[list[bytes]] = []
@@ -98,7 +113,6 @@ def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) 
         multicasts.append((label, payloads))
         multicast_keys.append([tree.nodes[child] for child in children])
 
-    notice = JoinNotice(tree.epoch, member_id, leaf, split, occupant_leaf, changed)
     counters = RekeyCounters(
         key_generations=len(changed),
         encryptions=encryptions,
@@ -153,18 +167,21 @@ def build_lkh_joiner_view(
     member_id: str,
     individual_key: bytes,
     chain: list[tuple[str, Ciphertext]],
-    notice: JoinNotice,
+    leaf: str,
+    epoch: int,
+    namespace: str = "",
 ) -> MemberKeyView:
-    keys = {notice.joiner_leaf: individual_key}
+    """Open a ``root_path_chain`` delivered for ``leaf``.  Under either
+    scheme: a CKC view also takes its tree's derivation namespace, and its
+    generation is 0 since a chain is only sent to CKC members at t=0."""
+    keys = {leaf: individual_key}
     wrap = individual_key
     for label, ct in chain:
         wrap = decrypt(wrap, ct)
         keys[label] = wrap
-    if sorted(keys) != sorted(
-        [notice.joiner_leaf[:i] for i in range(1, len(notice.joiner_leaf) + 1)]
-    ):
+    if sorted(keys) != sorted(leaf[:i] for i in range(1, len(leaf) + 1)):
         raise ProtocolError("unicast chain does not cover the announced path")
-    return MemberKeyView(member_id, notice.joiner_leaf, keys, notice.epoch)
+    return MemberKeyView(member_id, leaf, keys, epoch, namespace)
 
 
 def _climb(
@@ -183,7 +200,7 @@ def _climb(
         ct = next((ct for child, ct in payloads if child == child_on_path), None)
         if ct is None:
             raise ProtocolError(f"no payload under {child_on_path} for {label}")
-        view.keys[label] = decrypt(view.keys[child_on_path], ct)
+        view.store(label, decrypt(view.keys[child_on_path], ct))
 
 
 def lkh_member_refresh_join(

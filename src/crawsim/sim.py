@@ -39,6 +39,7 @@ from .entities import (
     MobileMember,
     ProtocolMessage,
     RekeyOutcome,
+    WireMessage,
     run_auth,
 )
 from .otp import ClientSecret
@@ -260,22 +261,32 @@ class Simulation:
             self.members[member_id] = member
 
     def _bootstrap(self) -> None:
-        """Key the initial rosters at t=0 without trace or metric rows."""
+        """Key the initial rosters at t=0 in one batch, without trace or
+        metric rows: seat every member of an area on its tree in roster order
+        (no refreshes, no payloads), then hand each its whole root path in
+        one unicast chain under its individual key."""
         for area_id in sorted(self.sc.areas):
             area = self.areas[area_id]
+            seated = []
             for member_id in self.sc.areas[area_id]:
                 member = self.members[member_id]
                 attempt = run_auth(self.main, member, self.rng)
                 if not attempt.accepted:
                     raise ProtocolError(f"bootstrap auth failed for {member_id}")
                 self._note_auth_material(member)
-                outcome = area.join(member, attempt.individual_key)
+                area.seat(member, attempt.individual_key)
+                self.recorder.record_codes(area.tree.derived)
                 member.current_area = area_id
                 self.main.mainlist.advance(
                     member_id, self.sc.group_id, STATUS_ACTIVE, 0, last_area=area_id
                 )
                 self.recorder.open_window(member_id, area_id, 0)
-                self._record_rekey(area, 0, outcome, target=member_id)
+                seated.append((member, attempt.individual_key))
+            self.recorder.record_keys(area.tree.drain_stored())
+            for member, individual_key in seated:
+                chain = area.hand_out(member, individual_key)
+                self._record_msgs(area, 0, chain, "key_unicast", target=member.member_id)
+            self._note_views(area)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -297,22 +308,32 @@ class Simulation:
         self.recorder.record_keys(tree.drain_stored())
         # the exact strings this event's derivations consumed
         self.recorder.record_codes(tree.derived)
-        for msg in outcome.unicast_msgs:
+        self._record_msgs(area, ticks, outcome.unicast_msgs, "key_unicast", target=target)
+        self._record_msgs(area, ticks, outcome.multicast_msgs, "key_multicast")
+        self._note_views(area)
+
+    def _record_msgs(
+        self, area: AreaState, ticks: int, msgs: list[WireMessage], kind: str, target: str | None = None
+    ) -> None:
+        for msg in msgs:
             for p in msg.payloads:
                 self.recorder.record_ciphertext(
-                    CipherRecord(p.enc_key, ticks, area.area_id, "key_unicast", target=target, ciphertext=p.ciphertext)
+                    CipherRecord(p.enc_key, ticks, area.area_id, kind, target=target, ciphertext=p.ciphertext)
                 )
-        for msg in outcome.multicast_msgs:
-            for p in msg.payloads:
-                self.recorder.record_ciphertext(
-                    CipherRecord(p.enc_key, ticks, area.area_id, "key_multicast", ciphertext=p.ciphertext)
-                )
+
+    def _note_views(self, area: AreaState) -> None:
+        """Note what each present member's view gained since it was last
+        noted: the keys it stored, and its derivation strings when its leaf
+        or generation changed (they depend on nothing else)."""
         for m in area.members.values():
             view = m.views[area.area_id]
-            self.recorder.note_knowledge(m.member_id, view.keys.values())
-            strings = tree.derivation_strings(view)
-            if strings:  # an empty note would still open an entry for the member
-                self.recorder.note_codes(m.member_id, strings)
+            stored, moved = view.drain_gains()
+            if stored:
+                self.recorder.note_knowledge(m.member_id, stored)
+            if moved:
+                strings = area.tree.derivation_strings(view)
+                if strings:  # an empty note would still open an entry for the member
+                    self.recorder.note_codes(m.member_id, strings)
 
     def _append_event(self, ticks: int, kind: str, area: AreaState, member_id: str, outcome: RekeyOutcome) -> EventRow:
         row = EventRow(

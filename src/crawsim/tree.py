@@ -89,6 +89,28 @@ class MemberKeyView:
     epoch: int
     namespace: str = ""  # CKC derivation namespace of the area
     generation: int = 0  # CKC derivation generation
+    # what the view gained since the last ``drain_gains``, for the secrecy
+    # oracle: the keys it stored, and the (leaf, generation) its derivation
+    # strings were last reported under
+    _stored: list[bytes] = field(init=False, repr=False, compare=False)
+    _reported: tuple[str, int] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._stored = list(self.keys.values())
+
+    def store(self, code: str, key: bytes) -> None:
+        self.keys[code] = key
+        self._stored.append(key)
+
+    def drain_gains(self) -> tuple[list[bytes], bool]:
+        """The keys stored since the previous call (repeats possible), and
+        whether the leaf or generation changed since then, which is when the
+        view's derivation strings change.  Moving a key to another code
+        stores nothing: the value was reported when it was stored."""
+        stored, self._stored = self._stored, []
+        position = (self.leaf, self.generation)
+        moved, self._reported = position != self._reported, position
+        return stored, moved
 
     def group_key(self) -> bytes:
         # every position starts with the root's one-character name
@@ -141,9 +163,14 @@ class MemberKeyView:
 
 
 class PositionTree:
-    """Server-side key tree: position -> key, member -> leaf position."""
+    """Server-side key tree: position -> key, member -> leaf position.
+
+    Each scheme adds ``seat``: the server side of a join (placement, the
+    new keys, the epoch bump), with no payload built and no member
+    refreshed."""
 
     ROOT: str  # name of the root position, set by each scheme
+    namespace = ""  # CKC's derivation namespace; empty when keys are not derived
 
     def __init__(self, group_key: bytes):
         self.nodes: dict[str, bytes] = {self.ROOT: group_key}

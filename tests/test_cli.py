@@ -181,6 +181,35 @@ def test_compare_checks_cost_relation(tmp_path, capsys):
     assert "event 3 move_leave: ckc_craw=3 ckc_plain=3 lkh=3 [ok]" in out
 
 
+def test_compare_reads_shallow_leaves(tmp_path, capsys):
+    # a leave from a two-member area (depth 1, no parent collapses) and a
+    # last-member leave (depth 1, nothing to multicast) each cost 1 level
+    shallow = dict(
+        SMALL,
+        areas={"A": ["u1", "u2"]},
+        members=[],
+        events=[
+            {"time": 1.0, "op": "leave", "member": "u1", "area": "A"},
+            {"time": 2.0, "op": "leave", "member": "u2", "area": "A"},
+        ],
+    )
+    path = tmp_path / "shallow.json"
+    path.write_text(json.dumps(shallow), encoding="utf-8")
+    dirs = []
+    for scheme in ("ckc_craw", "ckc_plain", "lkh"):
+        dirs.append(str(tmp_path / scheme))
+        assert main(["run", str(path), "--scheme", scheme, "--out", dirs[-1]]) == 0
+        report = (tmp_path / scheme / "report.txt").read_text(encoding="utf-8")
+        assert report.count("leave area=A") == report.count("cost=1") == 2
+    capsys.readouterr()
+    assert main(["compare"] + dirs) == 0
+    out = capsys.readouterr().out
+    assert "event 1 leave: ckc_craw=1 ckc_plain=1 lkh=1 [ok]" in out
+    assert "event 2 leave: ckc_craw=1 ckc_plain=1 lkh=1 [ok]" in out
+    assert "[violated]" not in out
+    assert "cost relation holds" in out
+
+
 def test_compare_rejects_duplicate_scheme_and_misaligned_runs(small_path, tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", str(small_path), "--out", str(a)])

@@ -237,6 +237,32 @@ def test_join_outcome_counters_by_scheme():
     assert len(outcome.multicast_msgs) == d
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batch_seat_and_hand_out_equal_sequential_joins(scheme):
+    key_rng = random.Random(99)
+    keys = [random_key(key_rng) for _ in range(40)]
+    batch = AreaState("A", scheme, random.Random(3), namespace="007")
+    sequential = AreaState("A", scheme, random.Random(3), namespace="007")
+    batch_members = [MobileMember(f"m{i:02d}") for i in range(40)]
+    sequential_members = [MobileMember(f"m{i:02d}") for i in range(40)]
+    for m, k in zip(batch_members, keys):
+        batch.seat(m, k)
+    for m, k in zip(batch_members, keys):
+        msgs = batch.hand_out(m, k)
+        # one chain link per level above the member's leaf
+        assert len(msgs) == len(m.views["A"].leaf) - 1
+    for m, k in zip(sequential_members, keys):
+        sequential.join(m, k)
+    assert batch.tree.dump() == sequential.tree.dump()
+    assert batch.rng.getstate() == sequential.rng.getstate()
+    for b, s in zip(batch_members, sequential_members):
+        vb, vs = b.views["A"], s.views["A"]
+        assert (vb.leaf, vb.keys, vb.epoch, vb.generation, vb.namespace) == (
+            vs.leaf, vs.keys, vs.epoch, vs.generation, vs.namespace
+        )
+    assert batch.consistent() and sequential.consistent()
+
+
 def test_leave_outcome_counters_by_scheme():
     rng = random.Random(56)
     for scheme in ("ckc_craw", "ckc_plain"):

@@ -32,7 +32,9 @@ class Harness:
         res = lkh_join(self.tree, member, ik, self.rng)
         for view in self.views.values():
             lkh_member_refresh_join(view, res.notice, res.multicasts)
-        self.views[member] = build_lkh_joiner_view(member, ik, res.unicast_chain, res.notice)
+        self.views[member] = build_lkh_joiner_view(
+            member, ik, res.unicast_chain, res.notice.joiner_leaf, res.notice.epoch
+        )
         return res
 
     def leave(self, member: str):

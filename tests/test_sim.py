@@ -4,6 +4,7 @@ trace/metrics agreement, content frames, and the secrecy audit."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -293,6 +294,44 @@ def test_mixed_run_passes_secrecy_audit(scheme):
     assert sim.check_consistent()
     assert check_secrecy(sim.recorder) == []
     assert operational_decrypt_check(sim.recorder) == []
+
+
+def test_large_lkh_bootstrap_is_quick_and_consistent():
+    # the t=0 roster is keyed in one batch; keyed as 1024 sequential joins,
+    # each refreshing every member already seated, it took about 11 s
+    doc = {
+        "schema_version": 1,
+        "name": "big",
+        "seed": 1,
+        "scheme": "lkh",
+        "group": "g1",
+        "horizon": 1.0,
+        "areas": {"A": [f"m{i}" for i in range(1024)]},
+        "members": [],
+        "events": [],
+    }
+    sc = validate_doc(doc)
+    t0 = time.perf_counter()
+    sim = Simulation(sc)
+    elapsed = time.perf_counter() - t0
+    assert sim.check_consistent()
+    assert elapsed < 3.0
+
+
+@pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
+def test_bootstrap_chains_are_audited(scheme):
+    sim = Simulation(scenario([JOIN_W1], scheme=scheme))
+    boot = [c for c in sim.recorder.ciphertexts if c.time == 0]
+    # one unicast chain per initial member, one link per level of its leaf
+    views = {m: sim.members[m].views[a] for a in sorted(AREAS) for m in AREAS[a]}
+    assert [c.target for c in boot] == [m for m, view in views.items() for _ in view.leaf[1:]]
+    assert {c.kind for c in boot} == {"key_unicast"}
+    sim.run()
+    assert check_secrecy(sim.recorder) == []
+    # a later joiner that somehow held one chain key could open a t=0 link
+    assert boot[0].target == "u1"
+    sim.recorder.note_knowledge("w1", [boot[0].enc_key])
+    assert "w1 can derive the key of a key_unicast in A at t=0" in check_secrecy(sim.recorder)
 
 
 def test_report_sections():
