@@ -8,10 +8,12 @@ reproduces them byte for byte.
 
 ``crawsim validate`` checks a scenario file and reports the first offending
 field, then replays it and reports an operation the protocol refuses.
-``crawsim compare`` reads the metrics of two or more finished runs of the
-same scenario under different schemes and checks the expected cost
-relation (joins: otp-combined 1 <= plain 2 <= lkh log2(n)+1; leaves: equal
-depth across schemes).
+``crawsim compare`` reads two or more finished runs of the same scenario
+under different schemes, each event's cost from the run's own report.txt,
+and checks the join cost relation (otp-combined 1 <= plain 2 <= lkh
+log2(n)+1).  A leave costs the leaver's depth, which the schemes' trees
+need not share, so leave costs are shown, marked where they differ, and
+not checked.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -36,6 +39,7 @@ from .sim import (
 )
 
 BUNDLED = ("tables", "handoff", "departed")
+_COST_LINE = re.compile(r"  event (\d+) \S+ area=\S+ size=\d+ cost=(\d+)$")
 
 
 def _load_doc(source: str) -> dict:
@@ -123,68 +127,78 @@ def _read_metrics(run_dir: Path) -> list[dict]:
         return list(reader)
 
 
-def _event_cost(row: dict) -> int:
-    """Per-event re-keying cost: keys produced at a join (the individual key
-    counts when server-minted), tree levels re-keyed at a leave (the
-    leaver's depth)."""
-    scheme, kind = row["scheme"], row["kind"]
-    keygen, multicast = int(row["keygen"]), int(row["multicast"])
-    if kind.endswith("join"):
-        return keygen + (1 if scheme == "lkh" else 0)
-    if scheme == "lkh":
-        # a leaver below depth 1 collapses its parent: every level above the
-        # parent is re-keyed, and the counters tally two multicasts per level
-        # of its depth (lkh module docstring); a leaver at depth 1 re-keys
-        # the root alone and sends at most one payload
-        return keygen + 1 if multicast == 2 * (keygen + 1) else keygen
-    # one cover multicast per level; the last member, at depth 1, has none
-    return max(multicast, 1)
+def _read_costs(run_dir: Path) -> dict[int, int]:
+    """Event id -> re-keying cost, from the cost lines of the run's own
+    report.txt: keys produced at a join, the leaver's depth at a leave."""
+    path = run_dir / "report.txt"
+    costs = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        match = _COST_LINE.match(line)
+        if match:
+            costs[int(match[1])] = int(match[2])
+    return costs
 
 
 def cmd_compare(args) -> int:
-    runs: list[tuple[str, list[dict]]] = []
+    runs: list[tuple[str, list[dict], list[int]]] = []
     for run_dir in args.runs:
         try:
             rows = _read_metrics(Path(run_dir))
+            costs = _read_costs(Path(run_dir))
+            event_costs = [costs[int(row["event_id"])] for row in rows]
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except KeyError as exc:
+            print(f"error: {run_dir}: report.txt gives no cost for event {exc}", file=sys.stderr)
             return 2
         schemes = {row["scheme"] for row in rows}
         if len(schemes) != 1:
             print(f"error: {run_dir}: expected a single scheme, found {sorted(schemes)}", file=sys.stderr)
             return 2
-        runs.append((schemes.pop(), rows))
+        runs.append((schemes.pop(), rows, event_costs))
         totals = [sum(int(r[c]) for r in rows) for c in ("keygen", "enc", "unicast", "multicast")]
         print(
             f"run {run_dir}: scheme={runs[-1][0]} events={len(rows)}"
             f" keygen={totals[0]} enc={totals[1]} unicast={totals[2]} multicast={totals[3]}"
         )
-    if len({scheme for scheme, _ in runs}) != len(runs):
+    if len({scheme for scheme, _, _ in runs}) != len(runs):
         print("error: runs must use distinct schemes", file=sys.stderr)
         return 2
-    lengths = {len(rows) for _, rows in runs}
+    lengths = {len(rows) for _, rows, _ in runs}
     kinds_aligned = len(lengths) == 1 and all(
-        len({rows[i]["kind"] for _, rows in runs}) == 1 for i in range(lengths.pop())
+        len({rows[i]["kind"] for _, rows, _ in runs}) == 1 for i in range(lengths.pop())
     )
     if not kinds_aligned:
         print("event sequences differ between runs; no per-event comparison")
         return 0
     print("per-event cost (join: keys produced; leave: levels re-keyed):")
     all_ok = True
+    joins = leaves = differ = 0
     for i in range(len(runs[0][1])):
         kind = runs[0][1][i]["kind"]
-        costs = {scheme: _event_cost(rows[i]) for scheme, rows in runs}
+        costs = {scheme: event_costs[i] for scheme, _, event_costs in runs}
         if kind.endswith("join"):
+            joins += 1
             ok = costs.get("ckc_craw", 1) == 1
             ordered = [costs[s] for s in ("ckc_craw", "ckc_plain", "lkh") if s in costs]
             ok = ok and ordered == sorted(ordered)
+            all_ok = all_ok and ok
+            mark = "ok" if ok else "violated"
         else:
-            ok = len(set(costs.values())) == 1
-        all_ok = all_ok and ok
+            # a leave re-keys the leaver's depth, and each scheme places
+            # members by its own rule, so the depths need not agree
+            leaves += 1
+            same = len(set(costs.values())) == 1
+            differ += not same
+            mark = "ok" if same else "depths differ"
         shown = " ".join(f"{s}={costs[s]}" for s in sorted(costs))
-        print(f"  event {i + 1} {kind}: {shown} [{'ok' if ok else 'violated'}]")
+        print(f"  event {i + 1} {kind}: {shown} [{mark}]")
     verdict = "holds" if all_ok else "violated"
-    print(f"cost relation {verdict}: joins otp-combined(1) <= plain(2) <= lkh(log2 n + 1); leaves equal")
+    print(
+        f"cost relation {verdict} on {joins} joins: otp-combined(1) <= plain(2) <= lkh(log2 n + 1);"
+        f" {leaves} leaves cost the leaver's depth, not checked ({differ} at differing depths)"
+    )
     return 0
 
 

@@ -22,13 +22,28 @@ A reachable key is only acceptable when the ciphertext was addressed to the
 member or emitted inside one of its membership windows.  Backward secrecy
 (joiners vs. pre-join traffic), forward secrecy (leavers vs. post-leave
 traffic), and movement secrecy all fall out of this single property.
+
+``check_secrecy`` computes the closure lazily.  Each member's walk starts
+from the keys it held that lie in the universe; at each key it reaches, it
+hashes f and only the codes it knows (among the codes ever in service) that
+no earlier member already tried on that key.  A memo shared by the members
+of one audit, and dropped when it returns, keeps per key a bitmask of the
+codes tried and the edges found.  The result is the closure over every
+universe key hashed under every code, with a fraction of the hashing.
+Ciphertexts are indexed by key, so a member's candidates are the reached
+keys that encrypt something, taken in ciphertext order.  Each violation
+ends with one shortest derivation path from a key the member held, found
+breadth-first from the held keys in sorted order, so it is the same in
+every process.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .crypto import Ciphertext, DecryptionError, decrypt, hash_f, hash_f_xor
+from .crypto import Ciphertext, DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor
 
 Edge = tuple[str | None, bytes]  # (code used, derived key); None marks plain f
 
@@ -86,12 +101,18 @@ class RunRecorder:
         raise RuntimeError(f"no open window for {member} in {area}")
 
 
-def derivation_edges(universe: set[bytes], codes: set[str]) -> dict[bytes, list[Edge]]:
-    """Recompute, from first principles, every derivation step that lands
-    back inside the key universe, labelled with the code it consumes."""
+def derivation_edges(
+    keys: Collection[bytes], codes: Collection[str], *, universe: set[bytes] | None = None
+) -> dict[bytes, list[Edge]]:
+    """Hash each key in ``keys`` under f and under f(. xor code) for every
+    code in ``codes``, from first principles, and keep the steps that land in
+    ``universe`` (default: ``keys`` itself), labelled with the code they
+    consume.  A key's edges come plain step first, then in code order."""
+    if universe is None:
+        universe = keys
     edges: dict[bytes, list[Edge]] = {}
     code_list = sorted(codes)
-    for key in universe:
+    for key in keys:
         outs: list[Edge] = []
         candidate = hash_f(key)
         if candidate in universe:
@@ -106,21 +127,80 @@ def derivation_edges(universe: set[bytes], codes: set[str]) -> dict[bytes, list[
 
 
 def closure(
-    knowledge: set[bytes], edges: dict[bytes, list[Edge]], codes: set[str]
+    knowledge: set[bytes], edges, codes: set[str], parent: dict | None = None
 ) -> set[bytes]:
     """Keys reachable from ``knowledge`` along derivation edges whose code,
-    if any, the member actually knows."""
+    if any, the member actually knows.  ``edges`` is anything with
+    ``get(key, default)``, such as the dict ``derivation_edges`` returns.
+
+    The walk is breadth-first from the keys in sorted order.  Given
+    ``parent``, it records for each key reached by a step the ``(code,
+    previous key)`` of a shortest path from a held key.  Short of a hash
+    collision a key has one derivation into it, so the path does not depend
+    on the order of the edges, and is the same in every process."""
     reached = set(knowledge)
-    frontier = list(knowledge)
+    frontier = deque(sorted(knowledge))
     while frontier:
-        key = frontier.pop()
+        key = frontier.popleft()
         for code, nxt in edges.get(key, ()):
             if code is not None and code not in codes:
                 continue
             if nxt not in reached:
                 reached.add(nxt)
+                if parent is not None:
+                    parent[nxt] = (code, key)
                 frontier.append(nxt)
     return reached
+
+
+class _LazyEdges:
+    """The edges of ``derivation_edges(universe, codes)``, hashed only where
+    a walk asks for them: ``get(key)`` tries f and the codes of the member
+    set by ``use`` that no earlier member tried at ``key``.  The memo keeps,
+    per key, a bitmask of the codes tried and the edges found so far."""
+
+    def __init__(self, universe: set[bytes], codes: set[str]):
+        self.universe = universe
+        self.bit = {code: 1 << i for i, code in enumerate(sorted(codes))}
+        self.tried: dict[bytes, int] = {}
+        self.found: dict[bytes, list[Edge]] = {}
+        self.codes: list[tuple[str, int]] = []
+        self.mask = 0
+
+    def use(self, codes: set[str]) -> _LazyEdges:
+        """Ask on behalf of a member knowing ``codes``; codes never in
+        service are ignored, as ``derivation_edges`` never tries them."""
+        self.codes = sorted((c, self.bit[c]) for c in codes if c in self.bit)
+        self.mask = sum(bit for _, bit in self.codes)
+        return self
+
+    def get(self, key: bytes, default=()) -> list[Edge]:
+        if key not in self.universe:
+            return default
+        tried = self.tried.get(key)
+        new = self.mask if tried is None else self.mask & ~tried
+        if tried is None or new:
+            codes = [c for c, bit in self.codes if new & bit]
+            outs = derivation_edges((key,), codes, universe=self.universe).get(key, [])
+            if tried is not None:  # f(key) was hashed again; its edge is known
+                outs = [e for e in outs if e[0] is not None]
+            self.tried[key] = (tried or 0) | new
+            if outs:
+                self.found.setdefault(key, []).extend(outs)
+        return self.found.get(key, default)
+
+
+def _provenance(parent: dict, key: bytes) -> str:
+    """`` via held K -> (code, K') -> ...``: the steps ``closure`` recorded
+    from a key the member held to ``key``, each as (code used, fingerprint of
+    the key derived), ``f`` marking a plain hash step; just `` via held K``
+    when the member held ``key`` itself."""
+    steps = []
+    while key in parent:
+        code, prev = parent[key]
+        steps.append(f" -> ({code or 'f'}, {fingerprint(key)})")
+        key = prev
+    return f" via held {fingerprint(key)}" + "".join(reversed(steps))
 
 
 def _legal(member: str, rec: CipherRecord, windows: list[Window]) -> bool:
@@ -133,16 +213,25 @@ def _legal(member: str, rec: CipherRecord, windows: list[Window]) -> bool:
 
 
 def check_secrecy(rec: RunRecorder) -> list[str]:
-    """Audit the run; returns human-readable violations (empty = clean)."""
-    edges = derivation_edges(rec.key_universe, rec.codes)
+    """Audit the run; returns human-readable violations (empty = clean),
+    member by member in recorder order, then in ciphertext order."""
+    edges = _LazyEdges(rec.key_universe, rec.codes)
+    by_key: dict[bytes, list[int]] = {}
+    for i, ct in enumerate(rec.ciphertexts):
+        by_key.setdefault(ct.enc_key, []).append(i)
     violations = []
     for member, known in rec.knowledge.items():
-        reach = closure(known, edges, rec.member_codes.get(member, set()))
+        codes = rec.member_codes.get(member, set())
+        parent: dict[bytes, tuple[str | None, bytes]] = {}
+        reach = closure(known, edges.use(codes), codes, parent)
         wins = rec.windows.get(member, [])
-        for ct in rec.ciphertexts:
-            if ct.enc_key in reach and not _legal(member, ct, wins):
+        hits = sorted(i for key in reach & by_key.keys() for i in by_key[key])
+        for i in hits:
+            ct = rec.ciphertexts[i]
+            if not _legal(member, ct, wins):
                 violations.append(
                     f"{member} can derive the key of a {ct.kind} in {ct.area} at t={ct.time}"
+                    + _provenance(parent, ct.enc_key)
                 )
     return violations
 

@@ -1,6 +1,6 @@
 """Acceptance suite.
 
-Ten end-to-end criteria, one test per criterion, so ``pytest -v`` prints one
+Eleven end-to-end criteria, one test per criterion, so ``pytest -v`` prints one
 pass/fail line for each.  Expected values are recomputed independently inside
 each test (closed-form counter tables, hand-derived message flows, direct
 cryptographic recomputation) rather than read back from the code under test.
@@ -18,7 +18,7 @@ import pytest
 
 from crawsim.cli import main as cli_main
 from crawsim.ckc import parent_code
-from crawsim.crypto import DecryptionError, decrypt, hash_f, hash_f_xor, random_key
+from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor, random_key
 from crawsim.ckc import CkcTree, ckc_join, ckc_leave, ckc_member_refresh_join, parse_join_unicast, build_joiner_view
 from crawsim.otp import ClientSecret, make_challenge, register, verify
 from crawsim.scenario import load_scenario, validate_doc
@@ -45,15 +45,19 @@ def run_bundled(name: str, scheme: str | None = None) -> Simulation:
     return Simulation(validate_doc(doc)).run()
 
 
-def random_scenario(trial: int, scheme: str, *, full_size: bool = False, frames: bool = False):
+def random_scenario(
+    trial: int, scheme: str, *, full_size: bool = False, frames: bool = False,
+    sizes: list[int] | None = None, n_ops: int | None = None,
+):
     """A legal random op sequence: joins of absent members, leaves and moves
-    of present ones.  Zero delays keep operations strictly ordered."""
+    of present ones.  Zero delays keep operations strictly ordered.  Area
+    sizes and the op count are drawn unless given."""
     rng = random.Random(9000 + trial)
     if full_size:
-        n_areas, sizes = 3, [11, 11, 8]
-    else:
-        n_areas = rng.randint(1, 3)
-        sizes = [rng.randint(2, 6) for _ in range(n_areas)]
+        sizes, n_ops = [11, 11, 8], 10
+    elif sizes is None:
+        sizes = [rng.randint(2, 6) for _ in range(rng.randint(1, 3))]
+    n_areas = len(sizes)
     areas = {
         f"R{a}": [f"m{a}x{i}" for i in range(sizes[a])] for a in range(n_areas)
     }
@@ -62,7 +66,7 @@ def random_scenario(trial: int, scheme: str, *, full_size: bool = False, frames:
     location.update({w: None for w in extra})
     events = []
     t = 1
-    for _ in range(10 if full_size else rng.randint(4, 8)):
+    for _ in range(n_ops or rng.randint(4, 8)):
         present = sorted(m for m, a in location.items() if a is not None)
         absent = sorted(m for m, a in location.items() if a is None)
         ops = (["join"] if absent else []) + (["leave"] if present else [])
@@ -415,3 +419,32 @@ def test_c10_golden_message_flows():
         expected = (GOLDEN / f"{name}.kinds").read_text(encoding="utf-8")
         assert produced == expected, f"{name} flow diverged"
     assert len((GOLDEN / "move.kinds").read_text(encoding="utf-8").splitlines()) == 13
+
+
+def test_c11_secrecy_audit_at_256_members():
+    """The audit checks a 256-member ckc_craw churn (two areas of 128, 48
+    joins/leaves/moves, content frames) within 3 seconds, finds it clean,
+    and flags a leaver that kept a post-leave group key, naming the path by
+    which it derives the next one."""
+    sc = random_scenario(0, "ckc_craw", sizes=[128, 128], n_ops=48, frames=True)
+    rows = []
+    sim = Simulation(
+        sc, on_event=lambda s, row: rows.append((row, s.areas[row.area].tree.group_key()))
+    ).run()
+    started = time.perf_counter()
+    assert check_secrecy(sim.recorder) == []
+    elapsed = time.perf_counter() - started
+    assert elapsed < 3.0, f"audit took {elapsed:.2f}s"
+
+    # a leave whose area's next event is a join: the join refreshes the
+    # group key in place as f(AK), so the leaver derives it in one step
+    for i, (row, key) in enumerate(rows):
+        nxt = next((r for r, _ in rows[i + 1:] if r.area == row.area), None)
+        if row.kind == "leave" and nxt is not None and nxt.kind.endswith("join"):
+            leaver, ak = row.member, key
+            break
+    sim.recorder.note_knowledge(leaver, [ak])
+    violations = check_secrecy(sim.recorder)
+    assert violations and all(v.startswith(f"{leaver} can derive the key of a content_frame") for v in violations)
+    derived = f" via held {fingerprint(ak)} -> (f, {fingerprint(hash_f(ak))})"
+    assert any(v.endswith(derived) for v in violations)

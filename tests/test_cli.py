@@ -210,6 +210,48 @@ def test_compare_reads_shallow_leaves(tmp_path, capsys):
     assert "cost relation holds" in out
 
 
+@pytest.mark.parametrize(
+    "order, expected",
+    [
+        (("u1", "u2"), ("ckc_craw=1 ckc_plain=1 lkh=2", "ckc_craw=2 ckc_plain=2 lkh=1")),
+        (("u2", "u1"), ("ckc_craw=2 ckc_plain=2 lkh=1", "ckc_craw=1 ckc_plain=1 lkh=2")),
+    ],
+)
+def test_compare_shows_each_runs_leave_depths(tmp_path, capsys, order, expected):
+    # in a three-member area CKC and LKH seat the members at different
+    # depths, so the same leave re-keys a different number of levels; each
+    # run's report.txt is the source of its costs, and differing leave
+    # depths are shown, not reported as a violated relation
+    doc = dict(
+        SMALL,
+        seed=3,
+        areas={"A": ["u1", "u2", "u3"]},
+        members=[],
+        events=[
+            {"time": 1.0, "op": "leave", "member": order[0], "area": "A"},
+            {"time": 2.0, "op": "leave", "member": order[1], "area": "A"},
+        ],
+    )
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    dirs = []
+    for scheme in ("ckc_craw", "ckc_plain", "lkh"):
+        dirs.append(str(tmp_path / scheme))
+        assert main(["run", str(path), "--scheme", scheme, "--out", dirs[-1]]) == 0
+        report = (tmp_path / scheme / "report.txt").read_text(encoding="utf-8")
+        for event, shown in enumerate(expected, start=1):
+            cost = dict(pair.split("=") for pair in shown.split())[scheme]
+            assert f"event {event} leave area=A size={3 - event} cost={cost}" in report
+    capsys.readouterr()
+    assert main(["compare"] + dirs) == 0
+    out = capsys.readouterr().out
+    assert f"event 1 leave: {expected[0]} [depths differ]" in out
+    assert f"event 2 leave: {expected[1]} [depths differ]" in out
+    assert "[violated]" not in out
+    assert "cost relation holds on 0 joins" in out
+    assert "2 leaves cost the leaver's depth, not checked (2 at differing depths)" in out
+
+
 def test_compare_rejects_duplicate_scheme_and_misaligned_runs(small_path, tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", str(small_path), "--out", str(a)])

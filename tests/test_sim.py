@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from crawsim.crypto import ProtocolError
+from crawsim.crypto import ProtocolError, fingerprint
 from crawsim.scenario import validate_doc
 from crawsim.secrecy import check_secrecy, operational_decrypt_check
 from crawsim.sim import (
@@ -331,7 +331,8 @@ def test_bootstrap_chains_are_audited(scheme):
     # a later joiner that somehow held one chain key could open a t=0 link
     assert boot[0].target == "u1"
     sim.recorder.note_knowledge("w1", [boot[0].enc_key])
-    assert "w1 can derive the key of a key_unicast in A at t=0" in check_secrecy(sim.recorder)
+    held = fingerprint(boot[0].enc_key)
+    assert f"w1 can derive the key of a key_unicast in A at t=0 via held {held}" in check_secrecy(sim.recorder)
 
 
 def test_report_sections():
