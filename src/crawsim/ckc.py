@@ -110,8 +110,6 @@ class JoinResult:
     notice: JoinNotice
     unicast: Ciphertext  # under the joiner's individual key
     counters: RekeyCounters
-    # server-side bookkeeping for the secrecy audit; never shipped to members
-    unicast_key: bytes = b""
 
 
 @dataclass
@@ -241,7 +239,7 @@ def ckc_join(
         unicast_sends=1,
         multicast_sends=0,
     )
-    return JoinResult(notice, unicast, counters, unicast_key=individual_key)
+    return JoinResult(notice, unicast, counters)
 
 
 def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import re
 import sys
 from importlib import resources
@@ -28,7 +27,7 @@ from pathlib import Path
 
 from .crypto import ProtocolError
 from .entities import SCHEMES
-from .scenario import apply_overrides, validate_doc
+from .scenario import apply_overrides, read_doc, validate_doc
 from .sim import (
     METRICS_HEADER,
     Simulation,
@@ -57,13 +56,7 @@ def _load_doc(source: str) -> dict:
         raw = (resources.files("crawsim") / "scenarios" / f"{name}.json").read_text(
             encoding="utf-8"
         )
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{source}: expected a JSON object at top level")
-    return doc
+    return read_doc(raw, source)
 
 
 def cmd_run(args) -> int:

@@ -336,7 +336,7 @@ class AreaState:
             unicasts = [
                 WireMessage(
                     f"leaf={res.notice.joiner_leaf}",
-                    [WirePayload(res.unicast_key, res.unicast)],
+                    [WirePayload(individual_key, res.unicast)],
                 )
             ]
             multicasts = []

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .entities import SCHEMES
-from .sim import DelayConfig, Scenario, ScenarioEvent, to_ticks
+from .sim import DelayConfig, Scenario, ScenarioEvent, need_seconds, to_ticks
 
 SCHEMA_VERSION = 1
 
@@ -52,14 +52,6 @@ def _need_str(doc: dict, field: str, default: str | None = None) -> str:
     return value
 
 
-def _need_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(field, f"expected a number, got {value!r}")
-    if value < 0:
-        _fail(field, "must be non-negative")
-    return float(value)
-
-
 def validate_doc(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ValueError("scenario: expected a JSON object at top level")
@@ -81,10 +73,7 @@ def validate_doc(doc: dict) -> Scenario:
     delays_doc = doc.get("delays", {})
     if not isinstance(delays_doc, dict):
         _fail("delays", "expected an object")
-    try:
-        delays = DelayConfig.from_seconds(delays_doc)
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
+    delays = DelayConfig.from_seconds(delays_doc)
 
     frames = doc.get("content_frames", False)
     if not isinstance(frames, bool):
@@ -137,7 +126,7 @@ def validate_doc(doc: dict) -> Scenario:
         unknown = set(ev) - _EVENT_KEYS[op]
         if unknown:
             _fail(f"{where}.{sorted(unknown)[0]}", f"unknown field for op {op!r}")
-        seconds = _need_number(ev.get("time"), f"{where}.time")
+        seconds = need_seconds(ev.get("time"), f"{where}.time")
         member = ev.get("member")
         if not isinstance(member, str) or member not in roster:
             _fail(f"{where}.member", f"{member!r} is not a registered member")
@@ -159,7 +148,7 @@ def validate_doc(doc: dict) -> Scenario:
     events.sort(key=lambda e: e.time)  # stable: same-tick events keep file order
 
     if "horizon" in doc:
-        horizon = to_ticks(_need_number(doc["horizon"], "horizon"))
+        horizon = to_ticks(need_seconds(doc["horizon"], "horizon"))
     else:
         horizon = to_ticks(last_time) + _HORIZON_MARGIN
     if events and horizon < events[-1].time:
@@ -179,13 +168,19 @@ def validate_doc(doc: dict) -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    raw = Path(path).read_text(encoding="utf-8")
+def read_doc(raw: str, source) -> dict:
+    """Parse a scenario document's text; ``source`` names it in errors."""
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    return validate_doc(doc)
+        raise ValueError(f"{source}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source}: expected a JSON object at top level")
+    return doc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return validate_doc(read_doc(Path(path).read_text(encoding="utf-8"), path))
 
 
 def apply_overrides(

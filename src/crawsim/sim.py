@@ -17,6 +17,12 @@ Scheme variants covered by one procedure set:
                    costs the key-generation and distribution delays.
 * ``lkh``          binary logical key hierarchy baseline with ordinary
                    authentication.
+
+Every re-keying event goes through one of two steps.  ``_key_in`` keys a
+member into an area (a ``join``), and ``_key_out`` keys one out (a
+``leave``); each re-keys the area, traces and records the payloads, and
+books the ledger row.  A move is ``_key_in`` at the destination, then
+``_key_out`` at the source, at one tick.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable
@@ -53,6 +60,18 @@ def to_ticks(seconds: float) -> int:
     if seconds < 0:
         raise ValueError("durations cannot be negative")
     return round(seconds * TICKS_PER_SECOND)
+
+
+def need_seconds(value, field: str) -> float:
+    """``value`` as a finite, non-negative number of seconds, or a
+    ValueError that names ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{field}: expected a finite number, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{field}: must be non-negative")
+    return float(value)
 
 
 def fmt_ticks(ticks: int) -> str:
@@ -89,11 +108,7 @@ class DelayConfig:
         for key, value in mapping.items():
             if key not in cls._JSON_FIELDS:
                 raise ValueError(f"delays: unknown field {key!r}")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"delays.{key}: expected a number, got {value!r}")
-            if value < 0:
-                raise ValueError(f"delays.{key}: must be non-negative")
-            kwargs[cls._JSON_FIELDS[key]] = to_ticks(value)
+            kwargs[cls._JSON_FIELDS[key]] = to_ticks(need_seconds(value, f"delays.{key}"))
         return cls(**kwargs)
 
     def handoff_total(self) -> int:
@@ -222,6 +237,13 @@ class Simulation:
         self.trace: list[ProtocolMessage] = []
         self.on_event = on_event
         self.main = MainServer(scenario.group_id)
+        # the scheme fixes the auth mode; key preparation is the individual
+        # key's generation and delivery, which otp auth does not need
+        otp = scenario.scheme == "ckc_craw"
+        d = scenario.delays
+        self.mode = "otp" if otp else "ordinary"
+        self.auth_delay = d.reauth if otp else d.auth_ordinary
+        self.key_prep = 0 if otp else d.keygen + d.keydist
         # each area's tree derives under its own all-digit code namespace,
         # so code strings learned in one area are inert in every other
         self.areas = {
@@ -248,7 +270,7 @@ class Simulation:
         for member_id in roster:
             if member_id in self.members:
                 raise ProtocolError(f"{member_id} listed twice in the scenario")
-            if self._auth_mode() == "otp":
+            if self.mode == "otp":
                 secret = ClientSecret(member_id, b"pw:" + member_id.encode(), self.rng)
                 member = MobileMember(member_id, secret=secret)
                 entry = self.main.register_otp(secret)
@@ -303,15 +325,6 @@ class Simulation:
         self.recorder.record_keys([entry.auth.stored_hash])
         self.recorder.note_knowledge(member.member_id, [entry.auth.stored_hash])
 
-    def _record_rekey(self, area: AreaState, ticks: int, outcome: RekeyOutcome, target: str | None) -> None:
-        tree = area.tree
-        self.recorder.record_keys(tree.drain_stored())
-        # the exact strings this event's derivations consumed
-        self.recorder.record_codes(tree.derived)
-        self._record_msgs(area, ticks, outcome.unicast_msgs, "key_unicast", target=target)
-        self._record_msgs(area, ticks, outcome.multicast_msgs, "key_multicast")
-        self._note_views(area)
-
     def _record_msgs(
         self, area: AreaState, ticks: int, msgs: list[WireMessage], kind: str, target: str | None = None
     ) -> None:
@@ -353,13 +366,6 @@ class Simulation:
             self.on_event(self, row)
         return row
 
-    def _auth_mode(self) -> str:
-        return "otp" if self.sc.scheme == "ckc_craw" else "ordinary"
-
-    def _auth_delay(self) -> int:
-        d = self.sc.delays
-        return d.reauth if self._auth_mode() == "otp" else d.auth_ordinary
-
     # -- event dispatch ---------------------------------------------------
 
     def _dispatch(self, ev: ScenarioEvent) -> None:
@@ -375,7 +381,48 @@ class Simulation:
     def check_consistent(self) -> bool:
         return all(area.consistent() for area in self.areas.values())
 
-    # -- join -------------------------------------------------------------
+    # -- keying in and out ------------------------------------------------
+
+    def _publish_rekey(self, area: AreaState, ticks: int, outcome: RekeyOutcome, target: str | None) -> None:
+        """Trace an event's payloads, then record what it stored, derived,
+        sent and taught each present member."""
+        for msg in outcome.unicast_msgs:
+            self._emit(ticks, "key_unicast", area.area_id, target or "-", msg.info())
+        for msg in outcome.multicast_msgs:
+            self._emit(ticks, "key_multicast", area.area_id, f"area:{area.area_id}", msg.info())
+        tree = area.tree
+        self.recorder.record_keys(tree.drain_stored())
+        # the exact strings this event's derivations consumed
+        self.recorder.record_codes(tree.derived)
+        self._record_msgs(area, ticks, outcome.unicast_msgs, "key_unicast", target=target)
+        self._record_msgs(area, ticks, outcome.multicast_msgs, "key_multicast")
+        self._note_views(area)
+
+    def _key_in(self, member: MobileMember, area: AreaState, individual_key: bytes, ticks: int, kind: str) -> None:
+        member_id = member.member_id
+        if self.mode == "ordinary":
+            # individual key travels over the registration-secured channel;
+            # it is not part of the re-keying payload accounting
+            self._emit(ticks, "key_unicast", area.area_id, member_id, f"individual-key {fingerprint(individual_key)}")
+        outcome = area.join(member, individual_key)
+        member.current_area = area.area_id
+        self._publish_rekey(area, ticks, outcome, target=member_id)
+        self.main.mainlist.advance(member_id, self.sc.group_id, STATUS_ACTIVE, ticks, last_area=area.area_id)
+        self._emit(ticks, "mainlist_update", area.area_id, "main", f"member={member_id} status=active")
+        self.recorder.open_window(member_id, area.area_id, ticks)
+        if kind == "join":
+            start = ticks - self.auth_delay - self.key_prep
+            self.ledger.setups.append(JoinSetupRecord(member_id, area.area_id, self.mode, start, ticks))
+            member.busy = False
+        self._append_event(ticks, kind, area, member_id, outcome)
+
+    def _key_out(self, member: MobileMember, area: AreaState, ticks: int, kind: str) -> None:
+        outcome = area.leave(member)
+        self._publish_rekey(area, ticks, outcome, target=None)
+        self.recorder.close_window(member.member_id, area.area_id, ticks)
+        self._append_event(ticks, kind, area, member.member_id, outcome)
+
+    # -- join and leave ---------------------------------------------------
 
     def _op_join(self, ev: ScenarioEvent) -> None:
         member = self.members[ev.member]
@@ -392,58 +439,24 @@ class Simulation:
         self._emit(t0, "auth_challenge", ev.member, area.area_id, attempt.detail)
         self._emit(t0, "mainlist_query", area.area_id, "main", f"member={ev.member}")
         self._emit(t0, "mainlist_update", "main", area.area_id, f"record member={ev.member}")
-        self._schedule(t0 + self._auth_delay(), _PRIO_OP, self._join_auth_done, ev, attempt, t0)
+        self._schedule(t0 + self.auth_delay, _PRIO_OP, self._join_auth_done, ev, attempt)
 
-    def _join_auth_done(self, ev: ScenarioEvent, attempt: AuthAttempt, t0: int) -> None:
+    def _join_auth_done(self, ev: ScenarioEvent, attempt: AuthAttempt) -> None:
         member = self.members[ev.member]
         area = self.areas[ev.area]
-        t1 = t0 + self._auth_delay()
+        t1 = ev.time + self.auth_delay
         self._emit(t1, "auth_result", area.area_id, ev.member, "accepted" if attempt.accepted else "rejected")
         if not attempt.accepted:
             member.busy = False
             return
         self._note_auth_material(member)
-        if self._auth_mode() == "otp":
-            self._finish_join(ev, attempt.individual_key, t0, t1)
+        if self.mode == "otp":
+            # finished here, not scheduled: work already queued on this tick
+            # would otherwise run first
+            self._key_in(member, area, attempt.individual_key, t1, "join")
         else:
-            d = self.sc.delays
-            self._schedule(t1 + d.keygen + d.keydist, _PRIO_OP, self._finish_join_ordinary, ev, attempt, t0)
-
-    def _finish_join_ordinary(self, ev: ScenarioEvent, attempt: AuthAttempt, t0: int) -> None:
-        d = self.sc.delays
-        t2 = t0 + self._auth_delay() + d.keygen + d.keydist
-        area = self.areas[ev.area]
-        # individual key travels over the registration-secured channel;
-        # it is not part of the re-keying payload accounting
-        self._emit(
-            t2, "key_unicast", area.area_id, ev.member,
-            f"individual-key {fingerprint(attempt.individual_key)}",
-        )
-        self._finish_join(ev, attempt.individual_key, t0, t2)
-
-    def _finish_join(self, ev: ScenarioEvent, individual_key: bytes, t0: int, t_done: int) -> None:
-        member = self.members[ev.member]
-        area = self.areas[ev.area]
-        outcome = area.join(member, individual_key)
-        self._emit_rekey_msgs(area, t_done, outcome, target=ev.member)
-        member.current_area = area.area_id
-        self.main.mainlist.advance(
-            ev.member, self.sc.group_id, STATUS_ACTIVE, t_done, last_area=area.area_id
-        )
-        self._emit(t_done, "mainlist_update", area.area_id, "main", f"member={ev.member} status=active")
-        self.recorder.open_window(ev.member, area.area_id, t_done)
-        self._record_rekey(area, t_done, outcome, target=ev.member)
-        self.ledger.setups.append(JoinSetupRecord(ev.member, area.area_id, self._auth_mode(), t0, t_done))
-        self._append_event(t_done, "join", area, ev.member, outcome)
-        member.busy = False
-
-    def _emit_rekey_msgs(self, area: AreaState, ticks: int, outcome: RekeyOutcome, target: str | None) -> None:
-        for msg in outcome.unicast_msgs:
-            self._emit(ticks, "key_unicast", area.area_id, target or "-", msg.info())
-        for msg in outcome.multicast_msgs:
-            self._emit(ticks, "key_multicast", area.area_id, f"area:{area.area_id}", msg.info())
-
-    # -- leave ------------------------------------------------------------
+            t2 = t1 + self.key_prep
+            self._schedule(t2, _PRIO_OP, self._key_in, member, area, attempt.individual_key, t2, "join")
 
     def _op_leave(self, ev: ScenarioEvent) -> None:
         member = self.members[ev.member]
@@ -457,12 +470,8 @@ class Simulation:
         self._emit(t0, "leave_request", area.area_id, "main", f"member={ev.member}")
         self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_LEFT, t0, last_area=area.area_id)
         self._emit(t0, "mainlist_update", area.area_id, "main", f"member={ev.member} status=left")
-        outcome = area.leave(member)
         member.current_area = None
-        self._emit_rekey_msgs(area, t0, outcome, target=None)
-        self.recorder.close_window(ev.member, area.area_id, t0)
-        self._record_rekey(area, t0, outcome, target=None)
-        self._append_event(t0, "leave", area, ev.member, outcome)
+        self._key_out(member, area, t0, "leave")
 
     # -- movement ---------------------------------------------------------
 
@@ -489,63 +498,44 @@ class Simulation:
         self._emit(t1, "mainlist_update", ev.src, "main", f"member={ev.member} status=moving")
         self._emit(t1, "mainlist_query", ev.dst, "main", f"member={ev.member}")
         self._emit(t1, "mainlist_update", "main", ev.dst, f"record member={ev.member}")
-        self._schedule(t1 + self._auth_delay(), _PRIO_OP, self._move_auth_done, ev, attempt, t1)
+        self._schedule(t1 + self.auth_delay, _PRIO_OP, self._move_auth_done, ev, attempt)
 
-    def _move_auth_done(self, ev: ScenarioEvent, attempt: AuthAttempt, t1: int) -> None:
+    def _move_auth_done(self, ev: ScenarioEvent, attempt: AuthAttempt) -> None:
         member = self.members[ev.member]
-        t2 = t1 + self._auth_delay()
+        t2 = ev.time + self.sc.delays.probe + self.auth_delay
         self._emit(t2, "auth_result", ev.dst, ev.member, "accepted" if attempt.accepted else "rejected")
         if not attempt.accepted:
             # the member never detached from the serving area; revert status
             self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_ACTIVE, t2)
             self._emit(t2, "mainlist_update", ev.dst, "main", f"member={ev.member} status=active")
-            self.ledger.handoffs.append(
-                HandoffRecord(
-                    ev.member, ev.src, ev.dst, ev.time,
-                    probe=self.sc.delays.probe, auth=self._auth_delay(),
-                    key_prep=0, reassoc=0, completed=False,
-                )
-            )
-            member.busy = False
+            self._end_handoff(ev, completed=False)
             return
         self._note_auth_material(member)
-        key_prep = 0
-        if self._auth_mode() != "otp":
-            key_prep = self.sc.delays.keygen + self.sc.delays.keydist
-        self._schedule(t2 + key_prep + self.sc.delays.reassoc, _PRIO_OP, self._move_complete, ev, attempt, t2, key_prep)
+        t3 = t2 + self.key_prep + self.sc.delays.reassoc
+        self._schedule(t3, _PRIO_OP, self._move_complete, ev, attempt.individual_key)
 
-    def _move_complete(self, ev: ScenarioEvent, attempt: AuthAttempt, t2: int, key_prep: int) -> None:
+    def _move_complete(self, ev: ScenarioEvent, individual_key: bytes) -> None:
         member = self.members[ev.member]
         src, dst = self.areas[ev.src], self.areas[ev.dst]
-        t3 = t2 + key_prep + self.sc.delays.reassoc
-        if self._auth_mode() != "otp":
-            self._emit(
-                t3, "key_unicast", dst.area_id, ev.member,
-                f"individual-key {fingerprint(attempt.individual_key)}",
-            )
-        join_outcome = dst.join(member, attempt.individual_key)
-        member.current_area = dst.area_id
-        self._emit_rekey_msgs(dst, t3, join_outcome, target=ev.member)
-        self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_ACTIVE, t3, last_area=dst.area_id)
-        self._emit(t3, "mainlist_update", dst.area_id, "main", f"member={ev.member} status=active")
-        self.recorder.open_window(ev.member, dst.area_id, t3)
-        self._record_rekey(dst, t3, join_outcome, target=ev.member)
-        self._append_event(t3, "move_join", dst, ev.member, join_outcome)
+        d = self.sc.delays
+        t3 = ev.time + d.probe + self.auth_delay + self.key_prep + d.reassoc
+        self._key_in(member, dst, individual_key, t3, "move_join")
         # the old area serves the member until this acknowledgement
         self._emit(t3, "area_join_ack", dst.area_id, src.area_id, f"member={ev.member}")
-        leave_outcome = src.leave(member)
-        self._emit_rekey_msgs(src, t3, leave_outcome, target=None)
-        self.recorder.close_window(ev.member, src.area_id, t3)
-        self._record_rekey(src, t3, leave_outcome, target=None)
-        self._append_event(t3, "move_leave", src, ev.member, leave_outcome)
+        self._key_out(member, src, t3, "move_leave")
+        self._end_handoff(ev, completed=True)
+
+    def _end_handoff(self, ev: ScenarioEvent, completed: bool) -> None:
+        """Book the hand-off; a refused one spent nothing past its auth."""
+        d = self.sc.delays
         self.ledger.handoffs.append(
             HandoffRecord(
-                ev.member, ev.src, ev.dst, ev.time,
-                probe=self.sc.delays.probe, auth=self._auth_delay(),
-                key_prep=key_prep, reassoc=self.sc.delays.reassoc, completed=True,
+                ev.member, ev.src, ev.dst, ev.time, probe=d.probe, auth=self.auth_delay,
+                key_prep=self.key_prep if completed else 0,
+                reassoc=d.reassoc if completed else 0, completed=completed,
             )
         )
-        member.busy = False
+        self.members[ev.member].busy = False
 
     # -- content ----------------------------------------------------------
 

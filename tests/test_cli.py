@@ -112,6 +112,33 @@ def test_run_rejects_bad_overrides(small_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ("NaN", "Infinity"))
+@pytest.mark.parametrize("field", ("events[1].time", "horizon", "delays.t_probe"))
+def test_non_finite_numbers_are_refused_with_their_field(tmp_path, capsys, field, value):
+    # json.loads accepts NaN and Infinity, in a file and in an override value
+    doc = json.loads(json.dumps(SMALL))
+    if field == "events[1].time":
+        doc["events"][1]["time"] = float(value)
+    elif field == "horizon":
+        doc["horizon"] = float(value)
+    else:
+        doc["delays"] = {"t_probe": float(value)}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert value in path.read_text(encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {field}: expected a finite number, got {float(value)!r}\n"
+    out = tmp_path / "run"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+    if field != "events[1].time":  # overrides address objects, not list items
+        path.write_text(json.dumps(SMALL), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(out), "--override", f"{field}={value}"]) == 2
+        assert capsys.readouterr().err == err
+
+
 def test_run_reports_protocol_refusal_without_traceback(tmp_path, capsys):
     # a leave of a member whose move is still in flight passes the field
     # checks; validate and run both refuse it and exit 2, and run writes no

@@ -212,6 +212,40 @@ def test_rejected_handoff_reverts_to_source_area():
     assert sim.check_consistent()
 
 
+@pytest.mark.parametrize("scheme", ("ckc_craw", "lkh"))
+def test_rejected_join_and_handoff_leave_only_the_later_leave(scheme):
+    events = [JOIN_W1, MOVE_U1, {"time": 3.0, "op": "leave", "member": "u1", "area": "A"}]
+    sim = Simulation(scenario(events, scheme=scheme))
+    for member_id in ("w1", "u1"):
+        member = sim.members[member_id]
+        if member.secret is not None:
+            member.secret.current_nonce = b"\x00" * 16  # verifier no longer matches
+        else:
+            member.credential = b"\x00" * 16
+    sim.run()
+    lines = render_trace(sim.trace).splitlines()
+    d = sim.sc.delays
+    auth = d.reauth if scheme == "ckc_craw" else d.auth_ordinary
+    t_join, t_move = to_ticks(1.0) + auth, to_ticks(1.0) + d.probe
+    assert f"{fmt_ticks(t_join)} auth_result A->w1 rejected" in lines
+    assert f"{fmt_ticks(t_move)} mainlist_update A->main member=u1 status=moving" in lines
+    assert f"{fmt_ticks(t_move + auth)} auth_result B->u1 rejected" in lines
+    assert f"{fmt_ticks(t_move + auth)} mainlist_update B->main member=u1 status=active" in lines
+
+    [h] = sim.ledger.handoffs
+    assert (h.member, h.src, h.dst, h.start, h.completed) == ("u1", "A", "B", to_ticks(1.0), False)
+    assert (h.probe, h.auth, h.key_prep, h.reassoc) == (d.probe, auth, 0, 0)
+    report = render_report(sim)
+    assert f"member=u1 A->B probe={fmt_ticks(d.probe)} auth={fmt_ticks(auth)}" in report
+    assert f"key_prep=0.0000000 reassoc=0.0000000 total={fmt_ticks(d.probe + auth)} refused" in report
+
+    assert [(r.kind, r.member, r.area, r.time) for r in sim.ledger.events] == [("leave", "u1", "A", to_ticks(3.0))]
+    assert sim.ledger.setups == []
+    assert sim.members["w1"].current_area is None and sim.members["u1"].current_area is None
+    assert sim.check_consistent()
+    assert check_secrecy(sim.recorder) == []
+
+
 def test_trace_payload_lines_match_counters():
     events = [JOIN_W1, {"time": 2.0, "op": "leave", "member": "w1", "area": "A"}]
     sim = Simulation(scenario(events)).run()
