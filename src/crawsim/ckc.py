@@ -57,12 +57,10 @@ re-derives them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 
 from .crypto import (
     KEY_WIDTH,
-    Ciphertext,
     ProtocolError,
     encrypt,
     hash_f,
@@ -70,7 +68,10 @@ from .crypto import (
     random_digit,
     random_key,
 )
-from .tree import JoinNotice, LeaveNotice, MemberKeyView, PositionTree, RekeyCounters
+from .tree import (
+    JoinNotice, JoinResult, LeaveNotice, LeaveResult, MemberKeyView, PositionTree,
+    RekeyCounters, WireMessage, WirePayload,
+)
 
 ROOT_CODE = "1"
 
@@ -100,25 +101,14 @@ def generation_tag(generation: int) -> str:
     return f"0{generation:03d}"
 
 
+def derivation_string(namespace: str, generation: int, code: str) -> str:
+    """The domain-separated string a middle key at ``code`` is derived from."""
+    return namespace + generation_tag(generation) + code
+
+
 def middle_key(namespace: str, generation: int, ak: bytes, code: str) -> bytes:
     """Internal node key: f(AK xor domain-separated code string)."""
-    return hash_f_xor(ak, namespace + generation_tag(generation) + code)
-
-
-@dataclass
-class JoinResult:
-    notice: JoinNotice
-    unicast: Ciphertext  # under the joiner's individual key
-    counters: RekeyCounters
-
-
-@dataclass
-class LeaveResult:
-    notice: LeaveNotice
-    multicasts: list[tuple[str, Ciphertext]]  # (cover code, AK' payload)
-    counters: RekeyCounters
-    # per-payload encryption keys, aligned with ``multicasts``; audit only
-    cover_keys: list[bytes] = field(default_factory=list)
+    return hash_f_xor(ak, derivation_string(namespace, generation, code))
 
 
 class CkcTree(PositionTree):
@@ -138,7 +128,7 @@ class CkcTree(PositionTree):
         return cls(random_key(rng), namespace)
 
     def _set_middle(self, code: str, ak: bytes) -> None:
-        string = self.namespace + generation_tag(self.generation) + code
+        string = derivation_string(self.namespace, self.generation, code)
         self._set(code, hash_f_xor(ak, string))
         self.derived.append(string)
 
@@ -160,10 +150,10 @@ class CkcTree(PositionTree):
             taken = "".join(c[-1] for c in root_children)
             leaf = ROOT_CODE + random_digit(rng, exclude=taken)
         else:
-            # shallowest leaf, ties broken by smallest code; reserve room for
-            # the namespace and a full-width generation tag in the derivation
+            # shallowest leaf, ties broken by smallest code; the new leaf's
+            # derivation must fit even under the last generation
             split = self.shallowest_leaf()
-            if len(self.namespace) + 4 + len(split) + 1 > KEY_WIDTH:
+            if len(derivation_string(self.namespace, GENERATION_LIMIT, split + "0")) > KEY_WIDTH:
                 raise ProtocolError("tree depth exceeds code width")
             d_occ = random_digit(rng)
             occupant_leaf = split + d_occ
@@ -194,7 +184,7 @@ class CkcTree(PositionTree):
     def derivation_strings(self, view: MemberKeyView) -> list[str]:
         # a member holds its own root path, labelled under the current
         # namespace and generation
-        prefix = self.namespace + generation_tag(self.generation)
+        prefix = derivation_string(self.namespace, self.generation, "")
         return [prefix + c for c in view.keys]
 
     def view_matches(self, view: MemberKeyView) -> bool:
@@ -230,16 +220,16 @@ def ckc_join(
     it from authentication.
     """
     notice = tree.seat(member_id, individual_key, rng)
-    unicast = encrypt(
-        individual_key, _join_plaintext(tree.group_key(), parent_code(notice.joiner_leaf))
-    )
+    leaf = notice.joiner_leaf
+    unicast = encrypt(individual_key, _join_plaintext(tree.group_key(), parent_code(leaf)))
     counters = RekeyCounters(
         key_generations=1 + (1 if count_individual_key else 0),
         encryptions=1,
         unicast_sends=1,
         multicast_sends=0,
     )
-    return JoinResult(notice, unicast, counters)
+    payload = WirePayload(leaf, individual_key, unicast)
+    return JoinResult(notice, [WireMessage(f"leaf={leaf}", [payload])], [], counters)
 
 
 def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
@@ -282,14 +272,17 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
         cover_codes=[c for c, _ in cover],
         generation=tree.generation,
     )
-    multicasts = [(code, encrypt(key, ak_new)) for code, key in cover]
+    multicasts = [
+        WireMessage(f"code={code}", [WirePayload(code, key, encrypt(key, ak_new))])
+        for code, key in cover
+    ]
     counters = RekeyCounters(
         key_generations=1,
         encryptions=len(multicasts),
         unicast_sends=0,
         multicast_sends=len(multicasts),
     )
-    return LeaveResult(notice, multicasts, counters, cover_keys=[k for _, k in cover])
+    return LeaveResult(notice, multicasts, counters)
 
 
 def _rederive(view: MemberKeyView, notice: JoinNotice | LeaveNotice, ak_new: bytes) -> None:
@@ -334,7 +327,7 @@ def ckc_member_refresh_join(view: MemberKeyView, notice: JoinNotice) -> MemberKe
 def ckc_member_refresh_leave(
     view: MemberKeyView,
     notice: LeaveNotice,
-    multicasts: list[tuple[str, Ciphertext]],
+    multicasts: list[WireMessage],
 ) -> MemberKeyView:
     """Local update on a leave: open the cover payload this member can read,
     re-code if inside the promoted subtree, and re-derive affected keys."""
@@ -346,12 +339,11 @@ def ckc_member_refresh_leave(
     if not view.accept_leave(notice):
         return view
 
-    # cover codes are pre-promotion, so the payload is opened before re-coding
-    mine = [c for c in notice.cover_codes if view.leaf.startswith(c)]
+    # covers are pre-promotion positions, so the payload is opened before re-coding
+    mine = [p for msg in multicasts for p in msg.payloads if view.leaf.startswith(p.under)]
     if len(mine) != 1:
         raise ProtocolError(f"{view.member_id} matches {len(mine)} cover nodes, expected 1")
-    payload = next(ct for code, ct in multicasts if code == mine[0])
-    ak_new = decrypt(view.keys[mine[0]], payload)
+    ak_new = decrypt(view.keys[mine[0].under], mine[0].ciphertext)
 
     view.promote(notice)
     view.generation = notice.generation

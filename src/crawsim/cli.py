@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--scheme", choices=SCHEMES, default=None, help="override the scheme")
     p_run.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE",
-        help="override any scenario field, dotted paths allowed (delays.t_probe=0.02)",
+        help="override any scenario field by dotted path (delays.t_probe=0.02, events.0.time=1.5)",
     )
     p_run.set_defaults(fn=cmd_run)
 

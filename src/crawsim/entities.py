@@ -22,7 +22,7 @@ from .ckc import (
     ckc_member_refresh_leave,
     parse_join_unicast,
 )
-from .crypto import Ciphertext, ProtocolError, decrypt, fingerprint, random_key
+from .crypto import ProtocolError, decrypt, fingerprint, random_key
 from .lkh import (
     LkhTree,
     build_lkh_joiner_view,
@@ -34,7 +34,7 @@ from .lkh import (
 )
 from .otp import AuthRecord, ClientSecret, make_challenge, verify
 from .otp import register as otp_register
-from .tree import MemberKeyView, RekeyCounters
+from .tree import MemberKeyView, RekeyCounters, WireMessage
 
 SCHEMES = ("ckc_craw", "ckc_plain", "lkh")
 
@@ -242,22 +242,6 @@ def run_auth(main: MainServer, member: MobileMember, rng: Random) -> AuthAttempt
     return AuthAttempt(ok, random_key(rng) if ok else None, detail)
 
 
-@dataclass(frozen=True)
-class WirePayload:
-    enc_key: bytes  # server-side audit handle, not part of the wire format
-    ciphertext: Ciphertext
-
-
-@dataclass(frozen=True)
-class WireMessage:
-    desc: str
-    payloads: list[WirePayload]
-
-    def info(self) -> str:
-        fps = "+".join(p.ciphertext.fingerprint() for p in self.payloads)
-        return f"{self.desc} {fps}"
-
-
 @dataclass
 class RekeyOutcome:
     kind: str  # "join" or "leave"
@@ -268,16 +252,12 @@ class RekeyOutcome:
     multicast_msgs: list[WireMessage]
 
 
-def _chain_msgs(chain: list[tuple[str, Ciphertext]], keys: list[bytes]) -> list[WireMessage]:
-    return [WireMessage(f"label={label}", [WirePayload(key, ct)]) for (label, ct), key in zip(chain, keys)]
-
-
 class AreaState:
     """One wireless area: the serving key tree plus the members keyed in it.
 
-    ``join``/``leave`` mutate the tree, run every present member's local
-    update exactly as a real client would (decrypting the actual payloads),
-    and return the wire messages for the simulator to stamp and trace.
+    ``join``/``leave`` re-key the tree through the scheme, run every present
+    member's local update exactly as a real client would (decrypting the
+    actual payloads), and pass the scheme's wire messages on unchanged.
     """
 
     def __init__(self, area_id: str, scheme: str, rng: Random, namespace: str = ""):
@@ -302,17 +282,9 @@ class AreaState:
             for other in self.members.values():
                 lkh_member_refresh_join(other.views[self.area_id], res.notice, res.multicasts)
             view = build_lkh_joiner_view(
-                member.member_id, individual_key, res.unicast_chain,
+                member.member_id, individual_key, res.unicasts,
                 res.notice.joiner_leaf, res.notice.epoch,
             )
-            unicasts = _chain_msgs(res.unicast_chain, res.chain_keys)
-            multicasts = [
-                WireMessage(
-                    f"label={label}",
-                    [WirePayload(k, ct) for (child, ct), k in zip(payloads, keys)],
-                )
-                for (label, payloads), keys in zip(res.multicasts, res.multicast_keys)
-            ]
             keys_produced = res.counters.key_generations + 1  # plus the individual key
         else:
             res = ckc_join(
@@ -324,7 +296,8 @@ class AreaState:
             )
             for other in self.members.values():
                 ckc_member_refresh_join(other.views[self.area_id], res.notice)
-            ak_new, parent = parse_join_unicast(decrypt(individual_key, res.unicast))
+            (unicast,) = res.unicasts[0].payloads
+            ak_new, parent = parse_join_unicast(decrypt(individual_key, unicast.ciphertext))
             view = build_joiner_view(
                 member.member_id,
                 individual_key,
@@ -333,18 +306,11 @@ class AreaState:
                 res.notice,
                 namespace=self.tree.namespace,
             )
-            unicasts = [
-                WireMessage(
-                    f"leaf={res.notice.joiner_leaf}",
-                    [WirePayload(individual_key, res.unicast)],
-                )
-            ]
-            multicasts = []
             keys_produced = res.counters.key_generations
         member.views[self.area_id] = view
         self.members[member.member_id] = member
         return RekeyOutcome(
-            "join", res.counters, len(view.leaf) - 1, keys_produced, unicasts, multicasts
+            "join", res.counters, len(view.leaf) - 1, keys_produced, res.unicasts, res.multicasts
         )
 
     def seat(self, member: MobileMember, individual_key: bytes) -> None:
@@ -359,12 +325,12 @@ class AreaState:
         """Deliver a seated member's whole root path in one unicast chain
         under its individual key, and open its view from it."""
         leaf = self.tree.leaves[member.member_id]
-        chain, chain_keys = root_path_chain(self.tree, leaf)
+        chain = root_path_chain(self.tree, leaf)
         member.views[self.area_id] = build_lkh_joiner_view(
             member.member_id, individual_key, chain, leaf, self.tree.epoch,
             namespace=self.tree.namespace,
         )
-        return _chain_msgs(chain, chain_keys)
+        return chain
 
     def leave(self, member: MobileMember) -> RekeyOutcome:
         if member.member_id not in self.members:
@@ -372,23 +338,15 @@ class AreaState:
         if self.scheme == "lkh":
             res = lkh_leave(self.tree, member.member_id, self.rng)
             refresh = lkh_member_refresh_leave
-            multicasts = [
-                WireMessage(f"label={label} child={child}", [WirePayload(key, ct)])
-                for (label, (child, ct)), key in zip(res.multicasts, res.multicast_keys)
-            ]
         else:
             res = ckc_leave(self.tree, member.member_id, self.rng)
             refresh = ckc_member_refresh_leave
-            multicasts = [
-                WireMessage(f"code={code}", [WirePayload(key, ct)])
-                for (code, ct), key in zip(res.multicasts, res.cover_keys)
-            ]
         self.members.pop(member.member_id)
         member.views.pop(self.area_id)
         for other in self.members.values():
             refresh(other.views[self.area_id], res.notice, res.multicasts)
         depth = len(res.notice.leaver_code) - 1
-        return RekeyOutcome("leave", res.counters, depth, depth, [], multicasts)
+        return RekeyOutcome("leave", res.counters, depth, depth, [], res.multicasts)
 
     def consistent(self) -> bool:
         """Every present member's view matches the server tree exactly."""

@@ -18,32 +18,15 @@ figures are both exposed: counters in ``RekeyCounters``, real messages in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 
-from .crypto import Ciphertext, ProtocolError, decrypt, encrypt, random_key
-from .tree import JoinNotice, LeaveNotice, MemberKeyView, PositionTree, RekeyCounters
+from .crypto import ProtocolError, decrypt, encrypt, random_key
+from .tree import (
+    JoinNotice, JoinResult, LeaveNotice, LeaveResult, MemberKeyView, PositionTree,
+    RekeyCounters, WireMessage, WirePayload,
+)
 
 ROOT_LABEL = "r"
-
-
-@dataclass
-class LkhJoinResult:
-    notice: JoinNotice
-    unicast_chain: list[tuple[str, Ciphertext]]  # (label, ct) bottom-up
-    multicasts: list[tuple[str, list[tuple[str, Ciphertext]]]]
-    counters: RekeyCounters
-    # encryption keys aligned with the payload lists; audit only, never shipped
-    chain_keys: list[bytes] = field(default_factory=list)
-    multicast_keys: list[list[bytes]] = field(default_factory=list)
-
-
-@dataclass
-class LkhLeaveResult:
-    notice: LeaveNotice
-    multicasts: list[tuple[str, tuple[str, Ciphertext]]]  # (label, (child, ct))
-    counters: RekeyCounters
-    multicast_keys: list[bytes] = field(default_factory=list)  # audit only
 
 
 class LkhTree(PositionTree):
@@ -81,51 +64,44 @@ class LkhTree(PositionTree):
         return JoinNotice(self.epoch, member_id, leaf, split, occupant_leaf, changed)
 
 
-def root_path_chain(tree: PositionTree, leaf: str) -> tuple[list[tuple[str, Ciphertext]], list[bytes]]:
+def _seal(tree: PositionTree, label: str, child: str) -> WirePayload:
+    """The key at ``label`` encrypted under the key of its child ``child``."""
+    key = tree.nodes[child]
+    return WirePayload(child, key, encrypt(key, tree.nodes[label]))
+
+
+def root_path_chain(tree: PositionTree, leaf: str) -> list[WireMessage]:
     """The unicast chain that hands a member every key on its root path:
     bottom-up, each key encrypted under the one below it, the first under
-    the member's individual key.  Also returns the encryption keys, aligned
-    with the chain; audit only, never shipped."""
-    chain: list[tuple[str, Ciphertext]] = []
-    chain_keys: list[bytes] = []
-    wrap = tree.nodes[leaf]
-    for label in reversed(tree.path_codes(leaf)[:-1]):
-        chain_keys.append(wrap)
-        chain.append((label, encrypt(wrap, tree.nodes[label])))
-        wrap = tree.nodes[label]
-    return chain, chain_keys
+    the member's individual key."""
+    path = tree.path_codes(leaf)
+    return [
+        WireMessage(f"label={label}", [_seal(tree, label, child)])
+        for label, child in zip(reversed(path[:-1]), reversed(path[1:]))
+    ]
 
 
-def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) -> LkhJoinResult:
+def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) -> JoinResult:
     """Attach a member and regenerate every key on its path."""
     notice = tree.seat(member_id, individual_key, rng)
     changed = notice.affected_codes
     # every key on the joiner's path is new, so its chain is the whole path
-    chain, chain_keys = root_path_chain(tree, notice.joiner_leaf)
+    chain = root_path_chain(tree, notice.joiner_leaf)
 
-    multicasts = []
-    multicast_keys: list[list[bytes]] = []
-    encryptions = len(chain)
-    for label in changed:
-        children = tree._children(label)
-        payloads = [(child, encrypt(tree.nodes[child], tree.nodes[label])) for child in children]
-        encryptions += len(payloads)
-        multicasts.append((label, payloads))
-        multicast_keys.append([tree.nodes[child] for child in children])
-
+    multicasts = [
+        WireMessage(f"label={label}", [_seal(tree, label, child) for child in tree._children(label)])
+        for label in changed
+    ]
     counters = RekeyCounters(
         key_generations=len(changed),
-        encryptions=encryptions,
+        encryptions=len(chain) + sum(len(msg.payloads) for msg in multicasts),
         unicast_sends=len(chain),
         multicast_sends=len(multicasts),
     )
-    return LkhJoinResult(
-        notice, chain, multicasts, counters,
-        chain_keys=chain_keys, multicast_keys=multicast_keys,
-    )
+    return JoinResult(notice, chain, multicasts, counters)
 
 
-def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> LkhLeaveResult:
+def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> LeaveResult:
     """Detach a member, collapse its parent, regenerate surviving path keys."""
     if member_id not in tree.leaves:
         raise ProtocolError(f"{member_id} not in tree")
@@ -140,12 +116,11 @@ def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> LkhLeaveResult:
         tree._set(label, random_key(rng))
     tree.epoch += 1
 
-    multicasts = []
-    multicast_keys: list[bytes] = []
-    for label in changed:
-        for child in tree._children(label):
-            multicasts.append((label, (child, encrypt(tree.nodes[child], tree.nodes[label]))))
-            multicast_keys.append(tree.nodes[child])
+    multicasts = [
+        WireMessage(f"label={label} child={child}", [_seal(tree, label, child)])
+        for label in changed
+        for child in tree._children(label)
+    ]
 
     notice = LeaveNotice(tree.epoch, member_id, leaf, promoted_src, promoted_dst, changed)
     if promoted_dst is not None:
@@ -160,13 +135,13 @@ def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> LkhLeaveResult:
         unicast_sends=0,
         multicast_sends=reported,
     )
-    return LkhLeaveResult(notice, multicasts, counters, multicast_keys=multicast_keys)
+    return LeaveResult(notice, multicasts, counters)
 
 
 def build_lkh_joiner_view(
     member_id: str,
     individual_key: bytes,
-    chain: list[tuple[str, Ciphertext]],
+    chain: list[WireMessage],
     leaf: str,
     epoch: int,
     namespace: str = "",
@@ -176,28 +151,26 @@ def build_lkh_joiner_view(
     generation is 0 since a chain is only sent to CKC members at t=0."""
     keys = {leaf: individual_key}
     wrap = individual_key
-    for label, ct in chain:
-        wrap = decrypt(wrap, ct)
-        keys[label] = wrap
+    for msg in chain:
+        for p in msg.payloads:
+            # a link under a position carries the key of its parent
+            wrap = decrypt(wrap, p.ciphertext)
+            keys[p.under[:-1]] = wrap
     if sorted(keys) != sorted(leaf[:i] for i in range(1, len(leaf) + 1)):
         raise ProtocolError("unicast chain does not cover the announced path")
     return MemberKeyView(member_id, leaf, keys, epoch, namespace)
 
 
-def _climb(
-    view: MemberKeyView,
-    changed: list[str],
-    by_label: dict[str, list[tuple[str, Ciphertext]]],
-) -> None:
+def _climb(view: MemberKeyView, changed: list[str], multicasts: list[WireMessage]) -> None:
     """Open the regenerated keys on the view's own path.  ``changed`` runs
     bottom-up, so the key of the child on the path is current when its
     parent's payload is opened under it."""
+    by_under = {p.under: p.ciphertext for msg in multicasts for p in msg.payloads}
     for label in changed:
         if not view.leaf.startswith(label):
             continue
         child_on_path = view.leaf[: len(label) + 1]
-        payloads = by_label.get(label, ())
-        ct = next((ct for child, ct in payloads if child == child_on_path), None)
+        ct = by_under.get(child_on_path)
         if ct is None:
             raise ProtocolError(f"no payload under {child_on_path} for {label}")
         view.store(label, decrypt(view.keys[child_on_path], ct))
@@ -206,11 +179,11 @@ def _climb(
 def lkh_member_refresh_join(
     view: MemberKeyView,
     notice: JoinNotice,
-    multicasts: list[tuple[str, list[tuple[str, Ciphertext]]]],
+    multicasts: list[WireMessage],
 ) -> MemberKeyView:
     if not view.follow_join(notice):
         return view
-    _climb(view, notice.affected_codes, dict(multicasts))
+    _climb(view, notice.affected_codes, multicasts)
     view.epoch = notice.epoch
     return view
 
@@ -218,14 +191,11 @@ def lkh_member_refresh_join(
 def lkh_member_refresh_leave(
     view: MemberKeyView,
     notice: LeaveNotice,
-    multicasts: list[tuple[str, tuple[str, Ciphertext]]],
+    multicasts: list[WireMessage],
 ) -> MemberKeyView:
     if not view.accept_leave(notice):
         return view
     view.promote(notice)
-    by_label: dict[str, list[tuple[str, Ciphertext]]] = {}
-    for label, payload in multicasts:
-        by_label.setdefault(label, []).append(payload)
-    _climb(view, notice.affected_codes, by_label)
+    _climb(view, notice.affected_codes, multicasts)
     view.epoch = notice.epoch
     return view

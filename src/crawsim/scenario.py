@@ -192,8 +192,9 @@ def apply_overrides(
     """Apply command-line overrides to a raw scenario document.
 
     ``pairs`` are dotted ``key=value`` strings such as
-    ``delays.t_probe=0.02``; values parse as JSON when possible and fall
-    back to strings.
+    ``delays.t_probe=0.02`` or ``events.0.time=1.5``: a decimal part
+    indexes a list, and a missing object on the path is created.  Values
+    parse as JSON when possible and fall back to strings.
     """
     out = json.loads(json.dumps(doc))  # deep copy, json-only types
     if seed is not None:
@@ -209,12 +210,20 @@ def apply_overrides(
         except json.JSONDecodeError:
             value = raw_value
         node = out
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
-        node[parts[-1]] = value
+        *path, last = dotted.split(".")
+        for part in path:
+            key = _slot(node, part, pair)
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+        node[_slot(node, last, pair)] = value
     return out
+
+
+def _slot(node, part: str, pair: str) -> str | int:
+    """The key ``part`` names in an object, or the index it names in a list."""
+    if isinstance(node, dict):
+        return part
+    if not isinstance(node, list):
+        raise ValueError(f"override {pair!r}: cannot look up {part!r} in {node!r}")
+    if not (part.isascii() and part.isdigit() and int(part) < len(node)):
+        raise ValueError(f"override {pair!r}: {part!r} is not an index of a {len(node)}-item list")
+    return int(part)

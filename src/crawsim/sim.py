@@ -46,12 +46,11 @@ from .entities import (
     MobileMember,
     ProtocolMessage,
     RekeyOutcome,
-    WireMessage,
     run_auth,
 )
 from .otp import ClientSecret
 from .secrecy import CipherRecord, RunRecorder
-from .tree import RekeyCounters
+from .tree import RekeyCounters, WireMessage
 
 TICKS_PER_SECOND = 10_000_000  # 100 ns resolution
 

@@ -17,6 +17,13 @@ Members learn of both from the plaintext notices below and mirror them on
 their own view (``MemberKeyView``), applying notices strictly in epoch
 order.  ``PositionTree.view_matches`` is the consistency oracle: a view
 must hold exactly the keys on its root path, equal to the server's.
+
+The wire format lives here too.  A scheme seals each key it ships into a
+``WirePayload`` under one tree position and groups the payloads into
+``WireMessage``s; ``JoinResult`` and ``LeaveResult`` carry them with the
+notice and the counters.  The area server traces and records those very
+objects, and members open the payloads whose position lies on their own
+path.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .crypto import ProtocolError, fingerprint
+from .crypto import Ciphertext, ProtocolError, fingerprint
 
 DIGITS = "0123456789"
 
@@ -77,6 +84,38 @@ class LeaveNotice:
     affected_codes: list[str] = field(default_factory=list)  # as on a join
     cover_codes: list[str] = field(default_factory=list)  # CKC, pre-promotion
     generation: int = 0
+
+
+@dataclass(frozen=True)
+class WirePayload:
+    under: str  # position whose key encrypts the payload
+    enc_key: bytes  # value of that key: server-side audit handle, not on the wire
+    ciphertext: Ciphertext
+
+
+@dataclass(frozen=True)
+class WireMessage:
+    desc: str  # trace text naming what the message re-keys
+    payloads: list[WirePayload]
+
+    def info(self) -> str:
+        fps = "+".join(p.ciphertext.fingerprint() for p in self.payloads)
+        return f"{self.desc} {fps}"
+
+
+@dataclass
+class JoinResult:
+    notice: JoinNotice
+    unicasts: list[WireMessage]  # to the joiner, under its individual key first
+    multicasts: list[WireMessage]  # to the current members
+    counters: RekeyCounters
+
+
+@dataclass
+class LeaveResult:
+    notice: LeaveNotice
+    multicasts: list[WireMessage]
+    counters: RekeyCounters
 
 
 @dataclass

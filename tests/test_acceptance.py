@@ -152,13 +152,13 @@ def test_c02_join_and_leave_walkthrough():
         res = ckc_join(tree, mid, iks[mid], rng)
         for v in views.values():
             ckc_member_refresh_join(v, res.notice)
-        ak, parent = parse_join_unicast(decrypt(iks[mid], res.unicast))
+        ak, parent = parse_join_unicast(decrypt(iks[mid], res.unicasts[0].payloads[0].ciphertext))
         views[mid] = build_joiner_view(mid, iks[mid], ak, parent, res.notice)
 
     ak_old = tree.group_key()
     iks["m6"] = random_key(rng)
     res = ckc_join(tree, "m6", iks["m6"], rng)
-    ak_new, parent = parse_join_unicast(decrypt(iks["m6"], res.unicast))
+    ak_new, parent = parse_join_unicast(decrypt(iks["m6"], res.unicasts[0].payloads[0].ciphertext))
     assert ak_new == hash_f(ak_old)  # forward move of the group key
     assert ak_new == tree.group_key()
     leaf = res.notice.joiner_leaf
@@ -199,7 +199,9 @@ def test_c02_join_and_leave_walkthrough():
     assert len(res.multicasts) == len(leaver_leaf) - 1  # one per level
     ak_after = tree.group_key()
     assert ak_after != hash_f(ak_before)  # fresh draw, not a forward move
-    for code, ct in res.multicasts:
+    for msg in res.multicasts:
+        (p,) = msg.payloads
+        code, ct = p.under, p.ciphertext
         assert decrypt(pre_nodes[code], ct) == ak_after
         for key in list(held_before.values()) + [iks["m3"]]:
             with pytest.raises(DecryptionError):

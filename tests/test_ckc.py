@@ -47,7 +47,7 @@ class Harness:
         res = ckc_join(self.tree, member, ik, self.rng, **kwargs)
         for view in self.views.values():
             ckc_member_refresh_join(view, res.notice)
-        ak, parent = parse_join_unicast(decrypt(ik, res.unicast))
+        ak, parent = parse_join_unicast(decrypt(ik, res.unicasts[0].payloads[0].ciphertext))
         self.views[member] = build_joiner_view(member, ik, ak, parent, res.notice)
         self._note(res.notice.affected_codes)
         return res
@@ -87,7 +87,9 @@ class Harness:
         holds both the string and the group key a cover key was derived
         from.  Random covers (individual keys) have nothing to recompute."""
         exposed = [m for m in self.strings if m not in self.tree.leaves]
-        for code, key in zip(res.notice.cover_codes, res.cover_keys):
+        covers = [(p.under, p.enc_key) for msg in res.multicasts for p in msg.payloads]
+        assert [code for code, _ in covers] == res.notice.cover_codes
+        for code, key in covers:
             if key not in self.derivations:
                 continue
             string, epoch = self.derivations[key]
@@ -120,13 +122,14 @@ def test_join_unicast_contents():
     h = Harness(seed=1)
     h.grow(7)
     res = h.join("u8")
-    ak, parent = parse_join_unicast(decrypt(h.individual["u8"], res.unicast))
+    unicast = res.unicasts[0].payloads[0].ciphertext
+    ak, parent = parse_join_unicast(decrypt(h.individual["u8"], unicast))
     assert ak == h.tree.group_key()
     assert res.notice.joiner_leaf == parent + res.notice.joiner_leaf[-1]
     # nobody else's individual key opens the unicast
     for other in ("u1", "u4", "u7"):
         with pytest.raises(DecryptionError):
-            decrypt(h.individual[other], res.unicast)
+            decrypt(h.individual[other], unicast)
 
 
 def test_join_consistency_sweep():
@@ -194,9 +197,9 @@ def test_leave_cover_and_counters_n8():
     h.assert_consistent()
     # the departed member's keys open none of the cover payloads
     for key in departed.keys.values():
-        for _, ct in res.multicasts:
+        for msg in res.multicasts:
             with pytest.raises(DecryptionError):
-                decrypt(key, ct)
+                decrypt(key, msg.payloads[0].ciphertext)
 
 
 def test_leave_fresh_group_key_not_derivable():
@@ -342,3 +345,28 @@ def test_randomized_churn_with_rejoins_keeps_covers_safe():
                 h.join(member)
             h.assert_consistent()
         assert rejoined > 0
+
+
+def test_refresh_refuses_a_leave_without_its_cover_payload():
+    h = Harness(seed=19)
+    h.grow(8)
+    res = ckc_leave(h.tree, "u8", h.rng)
+    mine = h.views["u7"]
+    dropped = [msg for msg in res.multicasts if not mine.leaf.startswith(msg.payloads[0].under)]
+    with pytest.raises(ProtocolError, match="u7 matches 0 cover nodes, expected 1"):
+        ckc_member_refresh_leave(mine, res.notice, dropped)
+
+
+def test_joiner_refuses_a_leaf_off_the_delivered_parent():
+    h = Harness(seed=20)
+    h.grow(4)
+    ik = random_key(h.rng)
+    res = ckc_join(h.tree, "u5", ik, h.rng)
+    ak, parent = parse_join_unicast(decrypt(ik, res.unicasts[0].payloads[0].ciphertext))
+    with pytest.raises(ProtocolError, match="does not extend the delivered parent code"):
+        build_joiner_view("u5", ik, ak, parent + "0", res.notice)
+
+
+def test_join_unicast_without_a_parent_code_is_refused():
+    with pytest.raises(ProtocolError, match="join unicast payload too short"):
+        parse_join_unicast(random_key(random.Random(21)))  # AK' with no parent code

@@ -112,6 +112,36 @@ def test_run_rejects_bad_overrides(small_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_run_override_indexes_list_items(tmp_path, capsys):
+    base, later = tmp_path / "b", tmp_path / "l"
+    assert main(["run", "handoff", "--out", str(base)]) == 0
+    assert main(["run", "handoff", "--out", str(later), "--override", "events.0.time=1.5"]) == 0
+    capsys.readouterr()
+    rows = [
+        (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:] for out in (base, later)
+    ]
+    assert len(rows[0]) == len(rows[1]) == 2
+    for before, after in zip(*rows):
+        # the move was at 1.0 s and now starts at 1.5 s
+        shift = float(after.split(",")[1]) - float(before.split(",")[1])
+        assert shift == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    ("pair", "reason"),
+    (
+        ("events.1.time=1", "'1' is not an index of a 1-item list"),
+        ("events.x.time=1", "'x' is not an index of a 1-item list"),
+        ("seed.x=3", "cannot look up 'x' in 42"),
+    ),
+)
+def test_run_refuses_override_paths_that_miss(tmp_path, capsys, pair, reason):
+    out = tmp_path / "o"
+    assert main(["run", "handoff", "--out", str(out), "--override", pair]) == 2
+    assert capsys.readouterr().err == f"error: override {pair!r}: {reason}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ("NaN", "Infinity"))
 @pytest.mark.parametrize("field", ("events[1].time", "horizon", "delays.t_probe"))
 def test_non_finite_numbers_are_refused_with_their_field(tmp_path, capsys, field, value):
@@ -133,10 +163,10 @@ def test_non_finite_numbers_are_refused_with_their_field(tmp_path, capsys, field
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == err
     assert not out.exists()
-    if field != "events[1].time":  # overrides address objects, not list items
-        path.write_text(json.dumps(SMALL), encoding="utf-8")
-        assert main(["run", str(path), "--out", str(out), "--override", f"{field}={value}"]) == 2
-        assert capsys.readouterr().err == err
+    path.write_text(json.dumps(SMALL), encoding="utf-8")
+    dotted = field.replace("[", ".").replace("]", "")
+    assert main(["run", str(path), "--out", str(out), "--override", f"{dotted}={value}"]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_run_reports_protocol_refusal_without_traceback(tmp_path, capsys):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from crawsim.crypto import ProtocolError, random_key
+from crawsim.crypto import ProtocolError, decrypt, random_key
 from crawsim.entities import (
     SCHEMES,
     STATUS_ACTIVE,
@@ -20,12 +20,11 @@ from crawsim.entities import (
     MainServer,
     MobileMember,
     ProtocolMessage,
-    WireMessage,
-    WirePayload,
     run_auth,
 )
 from crawsim.crypto import encrypt
 from crawsim.otp import ClientSecret
+from crawsim.tree import WireMessage, WirePayload
 
 
 def make_member(main: MainServer, member_id: str, rng: random.Random) -> MobileMember:
@@ -164,7 +163,8 @@ def test_credential_auth_paths():
 
 def test_wire_message_info_format():
     ct = encrypt(b"\x01" * 16, b"payload")
-    msg = WireMessage("code=12", [WirePayload(b"\x01" * 16, ct), WirePayload(b"\x01" * 16, ct)])
+    payload = WirePayload("12", b"\x01" * 16, ct)
+    msg = WireMessage("code=12", [payload, payload])
     desc, fps = msg.info().split(" ")
     assert desc == "code=12"
     assert fps == f"{ct.fingerprint()}+{ct.fingerprint()}"
@@ -261,6 +261,35 @@ def test_batch_seat_and_hand_out_equal_sequential_joins(scheme):
             vs.leaf, vs.keys, vs.epoch, vs.generation, vs.namespace
         )
     assert batch.consistent() and sequential.consistent()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_audit_handle_opens_its_own_payload(scheme):
+    # the secrecy audit reads enc_key as the key that protects a payload
+    rng = random.Random(57)
+    area = AreaState("A", scheme, rng, namespace="3")
+    seated = [(MobileMember(f"s{i}"), random_key(rng)) for i in range(6)]
+    for m, key in seated:
+        area.seat(m, key)
+    msgs = [msg for m, key in seated for msg in area.hand_out(m, key)]
+    present = [m for m, _ in seated]
+    for i in range(30):
+        if present and rng.random() < 0.4:
+            outcome = area.leave(present.pop(rng.randrange(len(present))))
+        else:
+            present.append(MobileMember(f"j{i}"))
+            outcome = area.join(present[-1], random_key(rng))
+        msgs += outcome.unicast_msgs + outcome.multicast_msgs
+    assert area.consistent()
+    payloads = [(msg.desc, p) for msg in msgs for p in msg.payloads]
+    assert len(payloads) > 60
+    for desc, p in payloads:
+        decrypt(p.enc_key, p.ciphertext)
+        field, _, position = desc.split()[0].partition("=")
+        if field == "label":  # LKH, and every t=0 chain: under a child of the label
+            assert p.under[:-1] == position, desc
+        else:  # CKC: a join unicast under the joiner's leaf, a leave under a cover
+            assert p.under == position, desc
 
 
 def test_leave_outcome_counters_by_scheme():

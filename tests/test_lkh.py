@@ -16,7 +16,7 @@ from crawsim.lkh import (
     lkh_member_refresh_join,
     lkh_member_refresh_leave,
 )
-from crawsim.tree import MemberKeyView
+from crawsim.tree import MemberKeyView, WireMessage
 
 
 class Harness:
@@ -33,7 +33,7 @@ class Harness:
         for view in self.views.values():
             lkh_member_refresh_join(view, res.notice, res.multicasts)
         self.views[member] = build_lkh_joiner_view(
-            member, ik, res.unicast_chain, res.notice.joiner_leaf, res.notice.epoch
+            member, ik, res.unicasts, res.notice.joiner_leaf, res.notice.epoch
         )
         return res
 
@@ -80,12 +80,15 @@ def test_joiner_chain_is_sequential():
     res = h.join("u8")
     # first link opens under the individual key, each next under the prior key
     wrap = h.individual["u8"]
-    for label, ct in res.unicast_chain:
-        wrap = decrypt(wrap, ct)
+    for msg in res.unicasts:
+        (p,) = msg.payloads
+        wrap = decrypt(wrap, p.ciphertext)
+        label = p.under[:-1]
+        assert msg.desc == f"label={label}"
         assert wrap == h.tree.nodes[label]
     # chain does not open under another member's key
     with pytest.raises(DecryptionError):
-        decrypt(h.individual["u1"], res.unicast_chain[0][1])
+        decrypt(h.individual["u1"], res.unicasts[0].payloads[0].ciphertext)
 
 
 def test_leave_counters_follow_reported_convention():
@@ -110,9 +113,9 @@ def test_leave_forward_secrecy():
     res, departed = h.leave("u3")
     assert h.tree.group_key() != old_group
     for key in departed.keys.values():
-        for _, (_, ct) in res.multicasts:
+        for msg in res.multicasts:
             with pytest.raises(DecryptionError):
-                decrypt(key, ct)
+                decrypt(key, msg.payloads[0].ciphertext)
     h.assert_consistent()
 
 
@@ -181,3 +184,27 @@ def test_dump_deterministic():
     a.grow(6)
     b.grow(6)
     assert a.tree.dump() == b.tree.dump()
+
+
+def test_refresh_refuses_a_join_without_its_payload():
+    h = Harness(seed=12)
+    h.grow(4)
+    res = lkh_join(h.tree, "u5", random_key(h.rng), h.rng)
+    view = h.views["u1"]
+    # drop the payload that carries the root key to u1's side of the tree
+    child = view.leaf[:2]
+    kept = [
+        WireMessage(msg.desc, [p for p in msg.payloads if p.under != child])
+        for msg in res.multicasts
+    ]
+    with pytest.raises(ProtocolError, match=f"no payload under {child} for r"):
+        lkh_member_refresh_join(view, res.notice, kept)
+
+
+def test_joiner_refuses_a_chain_that_stops_short():
+    h = Harness(seed=13)
+    h.grow(4)
+    ik = random_key(h.rng)
+    res = lkh_join(h.tree, "u5", ik, h.rng)
+    with pytest.raises(ProtocolError, match="unicast chain does not cover the announced path"):
+        build_lkh_joiner_view("u5", ik, res.unicasts[:-1], res.notice.joiner_leaf, res.notice.epoch)
