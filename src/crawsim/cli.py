@@ -174,7 +174,7 @@ def cmd_compare(args) -> int:
         if kind.endswith("join"):
             joins += 1
             ok = costs.get("ckc_craw", 1) == 1
-            ordered = [costs[s] for s in ("ckc_craw", "ckc_plain", "lkh") if s in costs]
+            ordered = [costs[s] for s in SCHEMES if s in costs]
             ok = ok and ordered == sorted(ordered)
             all_ok = all_ok and ok
             mark = "ok" if ok else "violated"

@@ -29,43 +29,24 @@ class DecryptionError(ProtocolError):
     """Authenticated decryption failed (wrong key or corrupted ciphertext)."""
 
 
-class HashFn:
-    """One-way function with a fixed output width.
-
-    Distinct labels give independent functions over the same input space;
-    the label is mixed into every digest so no instance is a prefix or
-    truncation of another.
-    """
-
-    def __init__(self, label: str, width: int = KEY_WIDTH):
-        if width <= 0:
-            raise ValueError("hash output width must be positive")
-        self._prefix = label.encode("ascii") + b"|"
-        self.width = width
-
-    def __call__(self, data: bytes) -> bytes:
-        out = hashlib.sha256(self._prefix + data).digest()
-        while len(out) < self.width:  # stretch only if width > one digest
-            out += hashlib.sha256(self._prefix + out).digest()
-        return out[: self.width]
-
-
-# The re-keying derivation f and the authentication hash E are separate
-# instances: knowing one chain gives no foothold in the other.
-_REKEY = HashFn("rekey")
-_AUTH = HashFn("auth")
+def _hash(label: bytes, data: bytes) -> bytes:
+    """Key-width SHA-256 under a label.  Distinct labels give independent
+    functions over the same input space: the re-keying derivation f and the
+    authentication hash E use separate ones, so knowing one chain gives no
+    foothold in the other."""
+    return hashlib.sha256(label + b"|" + data).digest()[:KEY_WIDTH]
 
 
 def hash_f(key: bytes) -> bytes:
     """Key-refresh derivation; input must already be key-width material."""
     if len(key) != KEY_WIDTH:
         raise ValueError(f"hash_f expects {KEY_WIDTH}-octet keys, got {len(key)}")
-    return _REKEY(key)
+    return _hash(b"rekey", key)
 
 
 def hash_E(data: bytes) -> bytes:
     """Authentication one-way hash over arbitrary octet strings."""
-    return _AUTH(data)
+    return _hash(b"auth", data)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

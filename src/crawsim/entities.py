@@ -36,7 +36,10 @@ from .otp import AuthRecord, ClientSecret, make_challenge, verify
 from .otp import register as otp_register
 from .tree import MemberKeyView, RekeyCounters, WireMessage
 
-SCHEMES = ("ckc_craw", "ckc_plain", "lkh")
+# each scheme's auth mode: under "otp" the individual key falls out of the
+# accepted one-time password; under "ordinary" the server mints it
+AUTH_MODES = {"ckc_craw": "otp", "ckc_plain": "ordinary", "lkh": "ordinary"}
+SCHEMES = tuple(AUTH_MODES)
 
 STATUS_REGISTERED = "registered"
 STATUS_ACTIVE = "active"
@@ -169,8 +172,6 @@ class MainList:
 class MainServer:
     """Owns the main list for one multicast group."""
 
-    name = "main"
-
     def __init__(self, group_id: str):
         self.group_id = group_id
         self.mainlist = MainList()
@@ -292,7 +293,7 @@ class AreaState:
                 member.member_id,
                 individual_key,
                 self.rng,
-                count_individual_key=self.scheme == "ckc_plain",
+                count_individual_key=AUTH_MODES[self.scheme] == "ordinary",
             )
             for other in self.members.values():
                 ckc_member_refresh_join(other.views[self.area_id], res.notice)

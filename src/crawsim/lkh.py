@@ -150,12 +150,12 @@ def build_lkh_joiner_view(
     scheme: a CKC view also takes its tree's derivation namespace, and its
     generation is 0 since a chain is only sent to CKC members at t=0."""
     keys = {leaf: individual_key}
-    wrap = individual_key
     for msg in chain:
         for p in msg.payloads:
+            if p.under not in keys:
+                raise ProtocolError(f"chain link under {p.under} arrives before that key")
             # a link under a position carries the key of its parent
-            wrap = decrypt(wrap, p.ciphertext)
-            keys[p.under[:-1]] = wrap
+            keys[p.under[:-1]] = decrypt(keys[p.under], p.ciphertext)
     if sorted(keys) != sorted(leaf[:i] for i in range(1, len(leaf) + 1)):
         raise ProtocolError("unicast chain does not cover the announced path")
     return MemberKeyView(member_id, leaf, keys, epoch, namespace)

@@ -7,16 +7,19 @@ steps run before content frames scheduled on the same tick, and equal keys
 preserve scheduling order, so a run is a pure function of the scenario and
 its seed.
 
-Scheme variants covered by one procedure set:
+The scheme fixes the auth mode (``entities.AUTH_MODES``).  Under ``otp``
+the member's individual key falls out of the accepted one-time password, so
+the join setup is the re-authentication delay alone.  Under ``ordinary``
+the server mints the individual key and ships it over a secured channel,
+which costs the key-generation and distribution delays.
 
-* ``ckc_craw``     one-time-password authentication; the member's individual
-                   key falls out of the accepted credential, so the join
-                   setup is the re-authentication delay alone.
-* ``ckc_plain``    same tree, ordinary authentication; the server mints the
-                   individual key and ships it over a secured channel, which
-                   costs the key-generation and distribution delays.
-* ``lkh``          binary logical key hierarchy baseline with ordinary
-                   authentication.
+Each scenario operation is one procedure.  ``_join`` and ``_move`` are
+generators that yield the tick at which their next phase starts;
+``_advance`` runs one up to its next ``yield`` and schedules the rest.  A
+leave has no wait and runs at once.  Work on one tick runs in scheduling
+order, so each wait is exactly one ``yield``: under ordinary auth a join
+always waits for key preparation, even a zero-length one, and under otp it
+goes straight on.
 
 Every re-keying event goes through one of two steps.  ``_key_in`` keys a
 member into an area (a ``join``), and ``_key_out`` keys one out (a
@@ -33,15 +36,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 from .crypto import DecryptionError, ProtocolError, decrypt, encrypt, fingerprint, random_key
 from .entities import (
+    AUTH_MODES,
     STATUS_ACTIVE,
     STATUS_LEFT,
     STATUS_MOVING,
     AreaState,
-    AuthAttempt,
     MainServer,
     MobileMember,
     ProtocolMessage,
@@ -113,11 +116,16 @@ class DelayConfig:
     def handoff_total(self) -> int:
         return self.probe + self.reauth + self.reassoc
 
+    def auth(self, mode: str) -> int:
+        return self.reauth if mode == "otp" else self.auth_ordinary
+
+    def key_prep(self, mode: str) -> int:
+        """The individual key's generation and delivery; otp needs none."""
+        return 0 if mode == "otp" else self.keygen + self.keydist
+
     def join_setup(self, mode: str) -> int:
         """Setup latency between the join request and a usable group key."""
-        if mode == "otp":
-            return self.reauth
-        return self.auth_ordinary + self.keygen + self.keydist
+        return self.auth(mode) + self.key_prep(mode)
 
     def join_setup_delta(self) -> int:
         return self.join_setup("ordinary") - self.join_setup("otp")
@@ -236,19 +244,15 @@ class Simulation:
         self.trace: list[ProtocolMessage] = []
         self.on_event = on_event
         self.main = MainServer(scenario.group_id)
-        # the scheme fixes the auth mode; key preparation is the individual
-        # key's generation and delivery, which otp auth does not need
-        otp = scenario.scheme == "ckc_craw"
-        d = scenario.delays
-        self.mode = "otp" if otp else "ordinary"
-        self.auth_delay = d.reauth if otp else d.auth_ordinary
-        self.key_prep = 0 if otp else d.keygen + d.keydist
         # each area's tree derives under its own all-digit code namespace,
         # so code strings learned in one area are inert in every other
         self.areas = {
             area_id: AreaState(area_id, scenario.scheme, self.rng, namespace=f"{idx:03d}")
             for idx, area_id in enumerate(sorted(scenario.areas))
         }
+        self.mode = AUTH_MODES[scenario.scheme]
+        self.auth_delay = scenario.delays.auth(self.mode)
+        self.key_prep = scenario.delays.key_prep(self.mode)
         self.members: dict[str, MobileMember] = {}
         self._heap: list = []
         self._seq = itertools.count()
@@ -272,13 +276,12 @@ class Simulation:
             if self.mode == "otp":
                 secret = ClientSecret(member_id, b"pw:" + member_id.encode(), self.rng)
                 member = MobileMember(member_id, secret=secret)
-                entry = self.main.register_otp(secret)
-                self.recorder.record_keys([entry.auth.stored_hash])
-                self.recorder.note_knowledge(member_id, [entry.auth.stored_hash])
+                self.main.register_otp(secret)
             else:
                 credential = random_key(self.rng)
                 member = MobileMember(member_id, credential=credential)
                 self.main.register_credential(member_id, credential)
+            self._note_auth_material(member)
             self.members[member_id] = member
 
     def _bootstrap(self) -> None:
@@ -368,8 +371,19 @@ class Simulation:
     # -- event dispatch ---------------------------------------------------
 
     def _dispatch(self, ev: ScenarioEvent) -> None:
-        handler = {"join": self._op_join, "leave": self._op_leave, "move": self._op_move}[ev.op]
-        handler(ev)
+        if self.members[ev.member].busy:
+            raise ProtocolError(f"{ev.member} already has an operation in flight")
+        if ev.op == "leave":
+            self._leave(ev)
+        else:
+            self._advance((self._join if ev.op == "join" else self._move)(ev))
+
+    def _advance(self, op: Iterator[int]) -> None:
+        """Run an operation up to its next wait, then schedule the rest at
+        the tick it yielded."""
+        ticks = next(op, None)
+        if ticks is not None:
+            self._schedule(ticks, _PRIO_OP, self._advance, op)
 
     def run(self) -> "Simulation":
         while self._heap:
@@ -379,6 +393,94 @@ class Simulation:
 
     def check_consistent(self) -> bool:
         return all(area.consistent() for area in self.areas.values())
+
+    # -- operations -------------------------------------------------------
+
+    def _join(self, ev: ScenarioEvent) -> Iterator[int]:
+        member = self.members[ev.member]
+        area = self.areas[ev.area]
+        if member.current_area is not None:
+            raise ProtocolError(f"{ev.member} is already keyed in {member.current_area}")
+        member.busy = True
+        t = ev.time
+        self._emit(t, "igmp_connect", ev.member, area.area_id)
+        self._emit(t, "join_request", ev.member, area.area_id, f"member={ev.member}")
+        attempt = run_auth(self.main, member, self.rng)
+        self._emit(t, "auth_challenge", ev.member, area.area_id, attempt.detail)
+        self._emit(t, "mainlist_query", area.area_id, "main", f"member={ev.member}")
+        self._emit(t, "mainlist_update", "main", area.area_id, f"record member={ev.member}")
+        t += self.auth_delay
+        yield t
+        self._emit(t, "auth_result", area.area_id, ev.member, "accepted" if attempt.accepted else "rejected")
+        if not attempt.accepted:
+            member.busy = False
+            return
+        self._note_auth_material(member)
+        # otp goes straight on: even a zero wait would let work already
+        # queued on this tick run first
+        if self.mode == "ordinary":
+            t += self.key_prep
+            yield t
+        self.ledger.setups.append(JoinSetupRecord(ev.member, area.area_id, self.mode, ev.time, t))
+        member.busy = False
+        self._key_in(member, area, attempt.individual_key, t, "join")
+
+    def _leave(self, ev: ScenarioEvent) -> None:
+        member = self.members[ev.member]
+        area = self.areas[ev.area]
+        if member.current_area != area.area_id:
+            raise ProtocolError(f"{ev.member} is not active in {area.area_id}")
+        t = ev.time
+        self._emit(t, "leave_request", ev.member, area.area_id, f"member={ev.member}")
+        self._emit(t, "leave_request", area.area_id, "main", f"member={ev.member}")
+        self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_LEFT, t, last_area=area.area_id)
+        self._emit(t, "mainlist_update", area.area_id, "main", f"member={ev.member} status=left")
+        member.current_area = None
+        self._key_out(member, area, t, "leave")
+
+    def _move(self, ev: ScenarioEvent) -> Iterator[int]:
+        member = self.members[ev.member]
+        if ev.src == ev.dst:
+            raise ProtocolError("move source and destination are the same area")
+        if member.current_area != ev.src:
+            raise ProtocolError(f"{ev.member} is not active in {ev.src}")
+        member.busy = True
+        d = self.sc.delays
+        # the probe phase scans channels; no protocol messages yet
+        t = ev.time + d.probe
+        yield t
+        self._emit(t, "handoff_leave", ev.member, ev.src)
+        self._emit(t, "handoff_join", ev.member, ev.dst)
+        attempt = run_auth(self.main, member, self.rng)
+        self._emit(t, "auth_challenge", ev.member, ev.dst, attempt.detail)
+        self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_MOVING, t)
+        self._emit(t, "mainlist_update", ev.src, "main", f"member={ev.member} status=moving")
+        self._emit(t, "mainlist_query", ev.dst, "main", f"member={ev.member}")
+        self._emit(t, "mainlist_update", "main", ev.dst, f"record member={ev.member}")
+        t += self.auth_delay
+        yield t
+        self._emit(t, "auth_result", ev.dst, ev.member, "accepted" if attempt.accepted else "rejected")
+        done = attempt.accepted
+        if done:
+            self._note_auth_material(member)
+            t += self.key_prep + d.reassoc
+            yield t
+            self._key_in(member, self.areas[ev.dst], attempt.individual_key, t, "move_join")
+            # the old area serves the member until this acknowledgement
+            self._emit(t, "area_join_ack", ev.dst, ev.src, f"member={ev.member}")
+            self._key_out(member, self.areas[ev.src], t, "move_leave")
+        else:
+            # the member never detached from the serving area; revert status
+            self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_ACTIVE, t)
+            self._emit(t, "mainlist_update", ev.dst, "main", f"member={ev.member} status=active")
+        # a refused hand-off spent nothing past its auth
+        self.ledger.handoffs.append(
+            HandoffRecord(
+                ev.member, ev.src, ev.dst, ev.time, probe=d.probe, auth=self.auth_delay,
+                key_prep=self.key_prep if done else 0, reassoc=d.reassoc if done else 0, completed=done,
+            )
+        )
+        member.busy = False
 
     # -- keying in and out ------------------------------------------------
 
@@ -409,10 +511,6 @@ class Simulation:
         self.main.mainlist.advance(member_id, self.sc.group_id, STATUS_ACTIVE, ticks, last_area=area.area_id)
         self._emit(ticks, "mainlist_update", area.area_id, "main", f"member={member_id} status=active")
         self.recorder.open_window(member_id, area.area_id, ticks)
-        if kind == "join":
-            start = ticks - self.auth_delay - self.key_prep
-            self.ledger.setups.append(JoinSetupRecord(member_id, area.area_id, self.mode, start, ticks))
-            member.busy = False
         self._append_event(ticks, kind, area, member_id, outcome)
 
     def _key_out(self, member: MobileMember, area: AreaState, ticks: int, kind: str) -> None:
@@ -420,121 +518,6 @@ class Simulation:
         self._publish_rekey(area, ticks, outcome, target=None)
         self.recorder.close_window(member.member_id, area.area_id, ticks)
         self._append_event(ticks, kind, area, member.member_id, outcome)
-
-    # -- join and leave ---------------------------------------------------
-
-    def _op_join(self, ev: ScenarioEvent) -> None:
-        member = self.members[ev.member]
-        area = self.areas[ev.area]
-        if member.busy:
-            raise ProtocolError(f"{ev.member} already has an operation in flight")
-        if member.current_area is not None:
-            raise ProtocolError(f"{ev.member} is already keyed in {member.current_area}")
-        member.busy = True
-        t0 = ev.time
-        self._emit(t0, "igmp_connect", ev.member, area.area_id)
-        self._emit(t0, "join_request", ev.member, area.area_id, f"member={ev.member}")
-        attempt = run_auth(self.main, member, self.rng)
-        self._emit(t0, "auth_challenge", ev.member, area.area_id, attempt.detail)
-        self._emit(t0, "mainlist_query", area.area_id, "main", f"member={ev.member}")
-        self._emit(t0, "mainlist_update", "main", area.area_id, f"record member={ev.member}")
-        self._schedule(t0 + self.auth_delay, _PRIO_OP, self._join_auth_done, ev, attempt)
-
-    def _join_auth_done(self, ev: ScenarioEvent, attempt: AuthAttempt) -> None:
-        member = self.members[ev.member]
-        area = self.areas[ev.area]
-        t1 = ev.time + self.auth_delay
-        self._emit(t1, "auth_result", area.area_id, ev.member, "accepted" if attempt.accepted else "rejected")
-        if not attempt.accepted:
-            member.busy = False
-            return
-        self._note_auth_material(member)
-        if self.mode == "otp":
-            # finished here, not scheduled: work already queued on this tick
-            # would otherwise run first
-            self._key_in(member, area, attempt.individual_key, t1, "join")
-        else:
-            t2 = t1 + self.key_prep
-            self._schedule(t2, _PRIO_OP, self._key_in, member, area, attempt.individual_key, t2, "join")
-
-    def _op_leave(self, ev: ScenarioEvent) -> None:
-        member = self.members[ev.member]
-        area = self.areas[ev.area]
-        if member.busy:
-            raise ProtocolError(f"{ev.member} already has an operation in flight")
-        if member.current_area != area.area_id:
-            raise ProtocolError(f"{ev.member} is not active in {area.area_id}")
-        t0 = ev.time
-        self._emit(t0, "leave_request", ev.member, area.area_id, f"member={ev.member}")
-        self._emit(t0, "leave_request", area.area_id, "main", f"member={ev.member}")
-        self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_LEFT, t0, last_area=area.area_id)
-        self._emit(t0, "mainlist_update", area.area_id, "main", f"member={ev.member} status=left")
-        member.current_area = None
-        self._key_out(member, area, t0, "leave")
-
-    # -- movement ---------------------------------------------------------
-
-    def _op_move(self, ev: ScenarioEvent) -> None:
-        member = self.members[ev.member]
-        if member.busy:
-            raise ProtocolError(f"{ev.member} already has an operation in flight")
-        if ev.src == ev.dst:
-            raise ProtocolError("move source and destination are the same area")
-        if member.current_area != ev.src:
-            raise ProtocolError(f"{ev.member} is not active in {ev.src}")
-        member.busy = True
-        # the probe phase scans channels; no protocol messages yet
-        self._schedule(ev.time + self.sc.delays.probe, _PRIO_OP, self._move_detach, ev)
-
-    def _move_detach(self, ev: ScenarioEvent) -> None:
-        member = self.members[ev.member]
-        t1 = ev.time + self.sc.delays.probe
-        self._emit(t1, "handoff_leave", ev.member, ev.src)
-        self._emit(t1, "handoff_join", ev.member, ev.dst)
-        attempt = run_auth(self.main, member, self.rng)
-        self._emit(t1, "auth_challenge", ev.member, ev.dst, attempt.detail)
-        self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_MOVING, t1)
-        self._emit(t1, "mainlist_update", ev.src, "main", f"member={ev.member} status=moving")
-        self._emit(t1, "mainlist_query", ev.dst, "main", f"member={ev.member}")
-        self._emit(t1, "mainlist_update", "main", ev.dst, f"record member={ev.member}")
-        self._schedule(t1 + self.auth_delay, _PRIO_OP, self._move_auth_done, ev, attempt)
-
-    def _move_auth_done(self, ev: ScenarioEvent, attempt: AuthAttempt) -> None:
-        member = self.members[ev.member]
-        t2 = ev.time + self.sc.delays.probe + self.auth_delay
-        self._emit(t2, "auth_result", ev.dst, ev.member, "accepted" if attempt.accepted else "rejected")
-        if not attempt.accepted:
-            # the member never detached from the serving area; revert status
-            self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_ACTIVE, t2)
-            self._emit(t2, "mainlist_update", ev.dst, "main", f"member={ev.member} status=active")
-            self._end_handoff(ev, completed=False)
-            return
-        self._note_auth_material(member)
-        t3 = t2 + self.key_prep + self.sc.delays.reassoc
-        self._schedule(t3, _PRIO_OP, self._move_complete, ev, attempt.individual_key)
-
-    def _move_complete(self, ev: ScenarioEvent, individual_key: bytes) -> None:
-        member = self.members[ev.member]
-        src, dst = self.areas[ev.src], self.areas[ev.dst]
-        d = self.sc.delays
-        t3 = ev.time + d.probe + self.auth_delay + self.key_prep + d.reassoc
-        self._key_in(member, dst, individual_key, t3, "move_join")
-        # the old area serves the member until this acknowledgement
-        self._emit(t3, "area_join_ack", dst.area_id, src.area_id, f"member={ev.member}")
-        self._key_out(member, src, t3, "move_leave")
-        self._end_handoff(ev, completed=True)
-
-    def _end_handoff(self, ev: ScenarioEvent, completed: bool) -> None:
-        """Book the hand-off; a refused one spent nothing past its auth."""
-        d = self.sc.delays
-        self.ledger.handoffs.append(
-            HandoffRecord(
-                ev.member, ev.src, ev.dst, ev.time, probe=d.probe, auth=self.auth_delay,
-                key_prep=self.key_prep if completed else 0,
-                reassoc=d.reassoc if completed else 0, completed=completed,
-            )
-        )
-        self.members[ev.member].busy = False
 
     # -- content ----------------------------------------------------------
 

@@ -31,9 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .crypto import Ciphertext, ProtocolError, fingerprint
-
-DIGITS = "0123456789"
+from .crypto import DIGITS, Ciphertext, ProtocolError, fingerprint
 
 
 @dataclass

@@ -56,6 +56,14 @@ def test_hash_E_accepts_any_length_and_separates_from_f():
     assert hash_E(k) != hash_f(k)  # domain separation
 
 
+def test_hash_f_and_hash_E_known_answers():
+    # each is SHA-256 over its label, "|" and the input, cut to key width
+    for k in (bytes(KEY_WIDTH), bytes(range(KEY_WIDTH)), b"\xff" * KEY_WIDTH):
+        assert hash_f(k) == hashlib.sha256(b"rekey|" + k).digest()[:16]
+    for data in (b"", b"x", bytes(range(100))):
+        assert hash_E(data) == hashlib.sha256(b"auth|" + data).digest()[:16]
+
+
 def test_hash_E_composition():
     v = b"\xaa" * KEY_WIDTH
     assert hash_E(hash_E(v)) != hash_E(v)

@@ -208,3 +208,15 @@ def test_joiner_refuses_a_chain_that_stops_short():
     res = lkh_join(h.tree, "u5", ik, h.rng)
     with pytest.raises(ProtocolError, match="unicast chain does not cover the announced path"):
         build_lkh_joiner_view("u5", ik, res.unicasts[:-1], res.notice.joiner_leaf, res.notice.epoch)
+
+
+def test_joiner_refuses_a_chain_missing_a_middle_link():
+    h = Harness(seed=14)
+    h.grow(8)
+    ik = random_key(h.rng)
+    res = lkh_join(h.tree, "u9", ik, h.rng)
+    assert [msg.payloads[0].under for msg in res.unicasts] == ["r0001", "r000", "r00", "r0"]
+    # without the second link the third is sealed under a key never delivered
+    gapped = res.unicasts[:1] + res.unicasts[2:]
+    with pytest.raises(ProtocolError, match="chain link under r00 arrives before that key"):
+        build_lkh_joiner_view("u9", ik, gapped, res.notice.joiner_leaf, res.notice.epoch)

@@ -3,6 +3,7 @@ trace/metrics agreement, content frames, and the secrecy audit."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -380,3 +381,40 @@ def test_report_sections():
     assert "hand-off = probe + reauth + reassoc = 0.9460337" in text
     assert "total=0.9460337 completed" in text
     assert "mode=otp setup=0.0025170" in text
+
+
+# SHA-256 of render_trace + render_metrics_csv for SAME_TICK_EVENTS.
+SAME_TICK_SHA256 = {
+    "ckc_craw": "03a5e737354307b039b590ed3204a45941aa6aaf4e42a9d52e66c90424520cb6",
+    "ckc_plain": "ce23c3dd070c86ef800ce1d06a233316a70b97ee768fde6659321ed1e4235a48",
+    "lkh": "b0075bfe94f7c7d85b064697b8513476110c30b2c4a842a041f0affd5856edff",
+}
+SAME_TICK_EVENTS = [
+    {"time": 1.0, "op": "join", "member": "x", "area": "A"},
+    {"time": 1.0, "op": "join", "member": "y", "area": "B"},
+    {"time": 1.0, "op": "move", "member": "a1", "from": "A", "to": "B"},
+    {"time": 1.0, "op": "leave", "member": "b1", "area": "B"},
+]
+
+
+@pytest.mark.parametrize("scheme", sorted(SAME_TICK_SHA256))
+def test_same_tick_order_under_zero_delays(scheme):
+    """With every delay zero, each phase of every operation lands on one
+    tick, so only the order of the waits orders them: under ordinary auth a
+    join waits for its (empty) key preparation, under otp it does not."""
+    zero = ("t_probe", "t_reauth", "t_reassoc", "t_keygen", "t_keydist", "t_auth_ordinary")
+    doc = {
+        "schema_version": 1,
+        "name": "same_tick",
+        "seed": 5,
+        "scheme": scheme,
+        "group": "g1",
+        "horizon": 2.0,
+        "delays": {k: 0 for k in zero},
+        "areas": {"A": ["a1", "a2", "a3"], "B": ["b1", "b2"]},
+        "members": ["x", "y"],
+        "events": SAME_TICK_EVENTS,
+    }
+    sim = Simulation(validate_doc(doc)).run()
+    text = render_trace(sim.trace) + render_metrics_csv(sim.ledger)
+    assert hashlib.sha256(text.encode()).hexdigest() == SAME_TICK_SHA256[scheme]

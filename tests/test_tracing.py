@@ -1,0 +1,47 @@
+"""The benchmark's per-layer tracer (``bench/tracing.py``) counts a layer by
+wrapping the name a caller module imported.  A scheme function that is no
+longer called through that name drops out of the counts silently, so this
+runs the bundled ``tables`` scenario (joins and leaves) under the tracer
+for every scheme and checks that each layer is still seen."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import json
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from crawsim.entities import SCHEMES
+from crawsim.scenario import apply_overrides, validate_doc
+
+MODULES = ("ckc", "crypto", "entities", "lkh", "otp", "scenario", "secrecy", "sim")
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tracer_sees_every_layer(scheme):
+    raw = (resources.files("crawsim") / "scenarios" / "tables.json").read_text(encoding="utf-8")
+    sc = validate_doc(apply_overrides(json.loads(raw), scheme=scheme))
+    mods = {name: importlib.import_module(f"crawsim.{name}") for name in MODULES}
+    tracer = load_tracer()()
+    tracer.install(mods)
+    try:
+        mods["sim"].Simulation(sc).run()
+    finally:
+        tracer.uninstall()
+    calls = {name: n for name, (n, _self_s) in tracer.summary().items()}
+    family = "lkh" if scheme == "lkh" else "ckc"
+    spans = [f"{family}.{step}" for step in ("join", "refresh", "leave", "joiner_view")]
+    spans += ["crypto.decrypt", "entities.area_join", "entities.area_leave", "sim.run"]
+    for span in spans:
+        assert calls.get(span, 0) > 0, span
