@@ -49,9 +49,10 @@ sibling set: at most one cover per level of the leaver's path, exactly one
 on trees built by joins alone.  The unit tests check that property on
 every leave of their churn runs.
 
-The position mechanics (split, occupant slide, promotion) and the
-member-side model (views, notices, the consistency oracle) live in
-``crawsim.tree``; this module adds the code-derived keys and how a member
+The placement rule and the position mechanics (``PositionTree.seat``,
+split, occupant slide, promotion) and the member-side model (views,
+notices, the consistency oracle) live in ``crawsim.tree``.  This module
+supplies the random child digits, the code-derived keys and how a member
 re-derives them.
 """
 
@@ -59,6 +60,8 @@ from __future__ import annotations
 
 from random import Random
 
+# decrypt goes through the module, so a wrapper on crypto.decrypt sees it
+from . import crypto
 from .crypto import (
     KEY_WIDTH,
     ProtocolError,
@@ -121,7 +124,8 @@ class CkcTree(PositionTree):
             raise ValueError(f"namespace must be decimal digits, got {namespace!r}")
         super().__init__(group_key)
         self.namespace = namespace
-        self.generation = 0  # bumped by every leave
+        # the new leaf's derivation must fit even under the last generation
+        self.max_leaf = KEY_WIDTH - len(derivation_string(namespace, GENERATION_LIMIT, ""))
 
     @classmethod
     def new(cls, rng: Random, namespace: str = "") -> "CkcTree":
@@ -132,54 +136,20 @@ class CkcTree(PositionTree):
         self._set(code, hash_f_xor(ak, string))
         self.derived.append(string)
 
-    def seat(self, member_id: str, individual_key: bytes, rng: Random) -> JoinNotice:
-        """Attach a member, roll the group key forward (AK' = f(AK)) and
-        re-derive the middle keys on the joiner's path under AK'."""
-        if member_id in self.leaves:
-            raise ProtocolError(f"{member_id} already in tree")
+    def _digit(self, rng: Random, exclude: str) -> str:
+        # random, so a member cannot guess a sibling's code
+        return random_digit(rng, exclude=exclude)
 
+    def _rekey_join(self, leaf: str, rng: Random) -> list[str]:
+        """Roll the group key forward (AK' = f(AK)) and re-derive under AK'
+        the joiner's path positions, which turned internal or moved."""
         ak_new = hash_f(self.group_key())
         self.derived = []
-
-        root_children = self._children(ROOT_CODE)
-        if len(root_children) < 2:
-            # the root still has a free child slot (bootstrap or post-leave);
-            # attach directly so 2^k members sit at depth k
-            split = None
-            occupant_leaf = None
-            taken = "".join(c[-1] for c in root_children)
-            leaf = ROOT_CODE + random_digit(rng, exclude=taken)
-        else:
-            # shallowest leaf, ties broken by smallest code; the new leaf's
-            # derivation must fit even under the last generation
-            split = self.shallowest_leaf()
-            if len(derivation_string(self.namespace, GENERATION_LIMIT, split + "0")) > KEY_WIDTH:
-                raise ProtocolError("tree depth exceeds code width")
-            d_occ = random_digit(rng)
-            occupant_leaf = split + d_occ
-            leaf = split + random_digit(rng, exclude=d_occ)
-
-        self.epoch += 1
         self._set(ROOT_CODE, ak_new)
-        affected: list[str] = []
-        if split is not None:
-            self.slide_occupant(split, occupant_leaf)
-            # the joiner's path positions turned internal or moved under AK'
-            affected = strict_ancestors(leaf)
-            for code in affected:
-                self._set_middle(code, ak_new)
-        self.leaves[member_id] = leaf
-        self._set(leaf, individual_key)
-
-        return JoinNotice(
-            epoch=self.epoch,
-            joiner_id=member_id,
-            joiner_leaf=leaf,
-            split_code=split,
-            occupant_leaf=occupant_leaf,
-            affected_codes=affected,
-            generation=self.generation,
-        )
+        affected = strict_ancestors(leaf)
+        for code in affected:
+            self._set_middle(code, ak_new)
+        return affected
 
     def derivation_strings(self, view: MemberKeyView) -> list[str]:
         # a member holds its own root path, labelled under the current
@@ -212,7 +182,7 @@ def ckc_join(
     *,
     count_individual_key: bool = False,
 ) -> JoinResult:
-    """Seat a member (``CkcTree.seat``) and unicast AK' with its parent code
+    """Seat a member (``PositionTree.seat``) and unicast AK' with its parent code
     under its individual key.
 
     ``count_individual_key`` adds the individual key to the generation
@@ -331,11 +301,6 @@ def ckc_member_refresh_leave(
 ) -> MemberKeyView:
     """Local update on a leave: open the cover payload this member can read,
     re-code if inside the promoted subtree, and re-derive affected keys."""
-    # imported at call time, not at the top: bench/tracing.py counts
-    # decrypts by wrapping crawsim.crypto.decrypt, and a module-level import
-    # here would bind the unwrapped function and hide ckc's decrypts
-    from .crypto import decrypt
-
     if not view.accept_leave(notice):
         return view
 
@@ -343,7 +308,7 @@ def ckc_member_refresh_leave(
     mine = [p for msg in multicasts for p in msg.payloads if view.leaf.startswith(p.under)]
     if len(mine) != 1:
         raise ProtocolError(f"{view.member_id} matches {len(mine)} cover nodes, expected 1")
-    ak_new = decrypt(view.keys[mine[0].under], mine[0].ciphertext)
+    ak_new = crypto.decrypt(view.keys[mine[0].under], mine[0].ciphertext)
 
     view.promote(notice)
     view.generation = notice.generation

@@ -55,7 +55,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def encode_code(code: str, width: int = KEY_WIDTH) -> bytes:
+def encode_code(code: str) -> bytes:
     """Map a node code to key-width octets: one octet per decimal digit
     character, right-aligned in a zero-filled buffer."""
     if not code:
@@ -63,14 +63,14 @@ def encode_code(code: str, width: int = KEY_WIDTH) -> bytes:
     if not code.isascii() or not code.isdigit():
         raise ValueError(f"node code must be decimal digits, got {code!r}")
     raw = code.encode("ascii")
-    if len(raw) > width:
-        raise ValueError(f"node code {code!r} exceeds key width {width}")
-    return raw.rjust(width, b"\x00")
+    if len(raw) > KEY_WIDTH:
+        raise ValueError(f"node code {code!r} exceeds key width {KEY_WIDTH}")
+    return raw.rjust(KEY_WIDTH, b"\x00")
 
 
 def hash_f_xor(key: bytes, code: str) -> bytes:
     """Middle-node key derivation: f(key xor encoded-code)."""
-    return hash_f(xor_bytes(key, encode_code(code, len(key))))
+    return hash_f(xor_bytes(key, encode_code(code)))
 
 
 @dataclass(frozen=True)

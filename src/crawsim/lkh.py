@@ -38,30 +38,16 @@ class LkhTree(PositionTree):
     def new(cls, rng: Random) -> "LkhTree":
         return cls(random_key(rng))
 
-    def seat(self, member_id: str, individual_key: bytes, rng: Random) -> JoinNotice:
-        """Attach a member and draw a fresh key for every position on its
-        path above the leaf."""
-        if member_id in self.leaves:
-            raise ProtocolError(f"{member_id} already in tree")
-        root_children = self._children(ROOT_LABEL)
-        if len(root_children) < 2:
-            split = occupant_leaf = None
-            leaf = ROOT_LABEL + ("0" if ROOT_LABEL + "0" not in self.nodes else "1")
-        else:
-            split = self.shallowest_leaf()
-            occupant_leaf = split + "0"
-            leaf = split + "1"
-            self.slide_occupant(split, occupant_leaf)
-        self.leaves[member_id] = leaf
-        self._set(leaf, individual_key)
+    def _digit(self, rng: Random, exclude: str) -> str:
+        return "0" if "0" not in exclude else "1"
 
-        # regenerate path keys bottom-up: the split position (if any), every
-        # ancestor above it, and the root
+    def _rekey_join(self, leaf: str, rng: Random) -> list[str]:
+        """Draw fresh keys bottom-up: the split position (if any), every
+        ancestor above it, and the root."""
         changed = [leaf[:i] for i in range(len(leaf) - 1, 0, -1)]
         for label in changed:
             self._set(label, random_key(rng))
-        self.epoch += 1
-        return JoinNotice(self.epoch, member_id, leaf, split, occupant_leaf, changed)
+        return changed
 
 
 def _seal(tree: PositionTree, label: str, child: str) -> WirePayload:

@@ -58,8 +58,9 @@ def validate_doc(doc: dict) -> Scenario:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         _fail(sorted(unknown)[0], "unknown top-level field")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        _fail("schema_version", f"expected {SCHEMA_VERSION}, got {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # refuses True and 1.0
+        _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
     name = _need_str(doc, "name")
     seed = doc.get("seed", 0)

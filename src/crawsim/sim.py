@@ -244,10 +244,11 @@ class Simulation:
         self.trace: list[ProtocolMessage] = []
         self.on_event = on_event
         self.main = MainServer(scenario.group_id)
-        # each area's tree derives under its own all-digit code namespace,
-        # so code strings learned in one area are inert in every other
+        # each area's tree derives under its own all-digit code namespace, all of
+        # one width, so code strings learned in one area are inert in every other
+        width = max(3, len(str(len(scenario.areas) - 1)))
         self.areas = {
-            area_id: AreaState(area_id, scenario.scheme, self.rng, namespace=f"{idx:03d}")
+            area_id: AreaState(area_id, scenario.scheme, self.rng, namespace=f"{idx:0{width}d}")
             for idx, area_id in enumerate(sorted(scenario.areas))
         }
         self.mode = AUTH_MODES[scenario.scheme]

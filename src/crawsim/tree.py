@@ -7,8 +7,10 @@ digit walks to the parent.  The schemes differ only in how node keys are
 made and how a member refreshes them, so this module holds everything else
 without ever computing a key:
 
-* a join splits the shallowest leaf (ties: smallest code) and slides its
-  occupant one level down, keeping the occupant's individual key;
+* a join (``PositionTree.seat``) takes a free root slot, or else splits the
+  shallowest leaf (ties: smallest code) and slides its occupant one level
+  down, keeping the occupant's individual key; the scheme only names the
+  new digits and re-keys the joiner's path;
 * a leave drops the leaver's leaf and, when its parent is internal and
   left with one child, promotes that sibling subtree into the parent's
   position: every code in it drops the digit at the promotion depth.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from random import Random
 
 from .crypto import DIGITS, Ciphertext, ProtocolError, fingerprint
 
@@ -202,12 +205,15 @@ class MemberKeyView:
 class PositionTree:
     """Server-side key tree: position -> key, member -> leaf position.
 
-    Each scheme adds ``seat``: the server side of a join (placement, the
-    new keys, the epoch bump), with no payload built and no member
-    refreshed."""
+    ``seat`` is the server side of a join.  Each scheme names new child
+    positions (``_digit(rng, exclude)``: a digit not in ``exclude``) and
+    makes a joiner's keys (``_rekey_join(leaf, rng)``: the re-keyed
+    positions, in the order members refresh them)."""
 
     ROOT: str  # name of the root position, set by each scheme
     namespace = ""  # CKC's derivation namespace; empty when keys are not derived
+    generation = 0  # CKC's derivation generation, bumped by every leave
+    max_leaf = float("inf")  # longest leaf position a join may create
 
     def __init__(self, group_key: bytes):
         self.nodes: dict[str, bytes] = {self.ROOT: group_key}
@@ -270,6 +276,31 @@ class PositionTree:
         occupant = next(m for m, c in self.leaves.items() if c == split)
         self.leaves[occupant] = occupant_leaf
         self._set(occupant_leaf, self.nodes[split])
+
+    def seat(self, member_id: str, individual_key: bytes, rng: Random) -> JoinNotice:
+        """The server side of a join: place the member, re-key its path and
+        bump the epoch, with no payload built and no member refreshed.  A
+        refused seat changes nothing and draws nothing."""
+        if member_id in self.leaves:
+            raise ProtocolError(f"{member_id} already in tree")
+        root_children = self._children(self.ROOT)
+        if len(root_children) < 2:
+            # a free root slot (bootstrap or post-leave): 2^k members sit at depth k
+            split = occupant_leaf = None
+            leaf = self.ROOT + self._digit(rng, "".join(c[-1] for c in root_children))
+        else:
+            split = self.shallowest_leaf()
+            if len(split) >= self.max_leaf:
+                raise ProtocolError("tree depth exceeds code width")
+            occupant_leaf = split + self._digit(rng, "")
+            leaf = split + self._digit(rng, occupant_leaf[-1])
+            self.slide_occupant(split, occupant_leaf)
+        self.leaves[member_id] = leaf
+        self._set(leaf, individual_key)
+        # re-keyed only now: the slide copied the occupant's key out of ``split``
+        affected = self._rekey_join(leaf, rng)
+        self.epoch += 1
+        return JoinNotice(self.epoch, member_id, leaf, split, occupant_leaf, affected, self.generation)
 
     def detach(self, leaf: str) -> tuple[str | None, str | None]:
         """Drop a vacated leaf position and promote its sibling subtree into

@@ -273,8 +273,12 @@ def test_depth_beyond_code_width_rejected():
         for i in range(2, len(deep) + 1):
             tree._set(deep[:i], random_key(rng))
         tree.leaves[member] = deep
-    with pytest.raises(ProtocolError):
-        ckc_join(tree, "c", random_key(rng), rng)
+    key = random_key(rng)
+    before = (tree.dump(), rng.getstate())
+    with pytest.raises(ProtocolError, match="tree depth exceeds code width"):
+        ckc_join(tree, "c", key, rng)
+    # refused before the tree is touched or a digit is drawn
+    assert (tree.dump(), rng.getstate()) == before
 
 
 def test_member_codes_are_exactly_path_prefixes():

@@ -56,6 +56,10 @@ def test_validate_reports_field_errors(tmp_path, capsys):
     path.write_text(json.dumps(bad), encoding="utf-8")
     assert main(["validate", str(path)]) == 2
     assert "scheme" in capsys.readouterr().err
+    for version in (True, 1.0):  # both compare equal to 1
+        path.write_text(json.dumps(dict(SMALL, schema_version=version)), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert f"schema_version: expected 1, got {version!r}" in capsys.readouterr().err
     path.write_text("{not json", encoding="utf-8")
     assert main(["validate", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err

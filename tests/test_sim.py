@@ -353,6 +353,26 @@ def test_large_lkh_bootstrap_is_quick_and_consistent():
     assert elapsed < 3.0
 
 
+def test_area_namespaces_share_one_width_past_1000_areas():
+    # with "100" a prefix of "1000", derivation_string("100", 123, "15") and
+    # derivation_string("1000", 0, "12315") would both be "100012315"
+    doc = {
+        "schema_version": 1,
+        "name": "wide",
+        "seed": 1,
+        "scheme": "ckc_craw",
+        "group": "g1",
+        "horizon": 1.0,
+        "areas": {f"a{i}": [f"m{i}"] for i in range(1001)},
+        "members": [],
+        "events": [],
+    }
+    sim = Simulation(validate_doc(doc))
+    namespaces = {area.tree.namespace for area in sim.areas.values()}
+    assert len(namespaces) == 1001
+    assert {len(ns) for ns in namespaces} == {4}
+
+
 @pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
 def test_bootstrap_chains_are_audited(scheme):
     sim = Simulation(scenario([JOIN_W1], scheme=scheme))
