@@ -2,58 +2,39 @@
 
 Every node carries a decimal code: the root is a single digit, each child
 appends one digit, and dropping the rightmost digit walks to the parent.
-Middle-node keys are never shipped by a re-keying event (the t=0 roster is
-the one exception, below): they are derived locally as f(AK xor code), so a join costs one unicast and zero multicasts, and a
-leave costs one multicast per cover node.
+Codes are public: the trace prints them and a sibling's code is one guess
+in nine.  No key is derived from a code.  A middle key is rolled from the
+key its position held before the event, K, under the new group key AK':
+it becomes f(AK' xor K), the one-way roll of LKH+ (Waldvogel et al., "The
+VersaKey Framework", IEEE JSAC 1999).  Members below a position hold K, so
+they roll it locally, and a re-keying event ships no middle key to a
+current member: a join costs one unicast and zero multicasts, and a leave
+costs one multicast per cover node.
 
 Join: the group key is refreshed in place (AK' = f(AK), so current members
-need no message), the insertion leaf is split, the middle keys on the
-joiner's path are re-derived from AK', and the newcomer receives AK' plus
-its parent code in a single unicast under its individual key.
+need no message), the insertion leaf is split, and every middle position on
+the joiner's path rolls under AK'.  The split position rolls from the
+occupant's individual key, which the occupant keeps at its new leaf.  The
+newcomer receives AK', its path's middle keys (top-down) and its parent
+code in a single unicast under its individual key.
 
 Leave: the leaver's leaf and parent vanish, the sibling subtree is promoted
 into the parent's position (descendants drop the digit at the promotion
 depth), a fresh random AK' is multicast under each cover key (the siblings
-along the leaver's old root path), and the middle keys the leaver held are
-re-derived from AK'.
+along the leaver's old root path), and the middle keys the leaver held roll
+under AK'.  The leaver held every K on its old path but never AK', so it
+holds no input to any later key, whatever codes it learns.
 
-The one exception to "never shipped" is the initial roster at t=0.  Those
-members are seated in one batch with no message in between (``seat``), so
-a middle key was derived under whichever AK was current when its position
-was last split, and the final AK cannot re-derive it.  Each initial member
-therefore receives its whole root path, middle keys included, in one
-unicast chain under its individual key (``lkh.root_path_chain``, LKH's
-joiner chain).  Re-keying events never ship a middle key.
-
-Cover safety: an internal node key is a deterministic function of a past
-group key and a code string, so anyone who held that group key and learned
-the exact string can recompute it.  Code strings resurface over time:
-promotions re-code whole subtrees, and a member who returns after leaving
-walks a fresh path whose positions may reuse strings that once named other
-nodes.  Derivations are therefore domain-separated twice:
-
-* trees serving distinct areas get distinct all-digit namespaces, so a
-  string learned in one area never collides with a derivation in another;
-* every leave opens a new generation, and derivations after the first
-  leave carry the generation tag, so a string learned under one generation
-  never reproduces a value derived under an earlier one.  Within a single
-  generation only joins happen, paths only extend, and a member's strings
-  are exactly the prefixes of its own leaf, which never include the cover
-  codes (its path's siblings) of its own departure.
-
-Generation zero derives with the bare code, so a freshly built tree matches
-the textbook derivation exactly.  With this domain separation no departed
-member (nor the leaver) can recompute any cover key from the strings and
-group keys it once held, so a leave always covers with the canonical
-sibling set: at most one cover per level of the leaver's path, exactly one
-on trees built by joins alone.  The unit tests check that property on
-every leave of their churn runs.
+The initial roster at t=0 is seated in one batch with no message in
+between (``seat``), so each member receives its whole root path, middle
+keys included, in one unicast chain under its individual key
+(``lkh.root_path_chain``, LKH's joiner chain).
 
 The placement rule and the position mechanics (``PositionTree.seat``,
 split, occupant slide, promotion) and the member-side model (views,
 notices, the consistency oracle) live in ``crawsim.tree``.  This module
-supplies the random child digits, the code-derived keys and how a member
-re-derives them.
+supplies the random child digits, the rolled keys and how a member rolls
+them.
 """
 
 from __future__ import annotations
@@ -62,15 +43,7 @@ from random import Random
 
 # decrypt goes through the module, so a wrapper on crypto.decrypt sees it
 from . import crypto
-from .crypto import (
-    KEY_WIDTH,
-    ProtocolError,
-    encrypt,
-    hash_f,
-    hash_f_xor,
-    random_digit,
-    random_key,
-)
+from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_digit, random_key
 from .tree import (
     JoinNotice, JoinResult, LeaveNotice, LeaveResult, MemberKeyView, PositionTree,
     RekeyCounters, WireMessage, WirePayload,
@@ -90,88 +63,38 @@ def strict_ancestors(code: str) -> list[str]:
     return [code[:i] for i in range(2, len(code))]
 
 
-GENERATION_LIMIT = 999
-
-
-def generation_tag(generation: int) -> str:
-    """Digit tag mixed into derivations: empty for the first generation,
-    then a fixed-width counter that always starts with 0 so it can never be
-    read as the first digits of a code (codes start at the root digit 1)."""
-    if generation == 0:
-        return ""
-    if not 0 < generation <= GENERATION_LIMIT:
-        raise ProtocolError(f"generation {generation} out of range")
-    return f"0{generation:03d}"
-
-
-def derivation_string(namespace: str, generation: int, code: str) -> str:
-    """The domain-separated string a middle key at ``code`` is derived from."""
-    return namespace + generation_tag(generation) + code
-
-
-def middle_key(namespace: str, generation: int, ak: bytes, code: str) -> bytes:
-    """Internal node key: f(AK xor domain-separated code string)."""
-    return hash_f_xor(ak, derivation_string(namespace, generation, code))
-
-
 class CkcTree(PositionTree):
     """Server-side key tree: code -> key, member -> leaf code."""
 
     ROOT = ROOT_CODE
 
-    def __init__(self, group_key: bytes, namespace: str = ""):
-        if namespace and not (namespace.isascii() and namespace.isdigit()):
-            raise ValueError(f"namespace must be decimal digits, got {namespace!r}")
-        super().__init__(group_key)
-        self.namespace = namespace
-        # the new leaf's derivation must fit even under the last generation
-        self.max_leaf = KEY_WIDTH - len(derivation_string(namespace, GENERATION_LIMIT, ""))
-
     @classmethod
-    def new(cls, rng: Random, namespace: str = "") -> "CkcTree":
-        return cls(random_key(rng), namespace)
+    def new(cls, rng: Random) -> "CkcTree":
+        return cls(random_key(rng))
 
-    def _set_middle(self, code: str, ak: bytes) -> None:
-        string = derivation_string(self.namespace, self.generation, code)
-        self._set(code, hash_f_xor(ak, string))
-        self.derived.append(string)
+    def _roll(self, codes: list[str], ak: bytes) -> None:
+        """Roll each middle key at ``codes`` from its previous value K to
+        f(AK' xor K)."""
+        for code in codes:
+            premises = (ak, self.nodes[code])
+            self._set(code, hash_f_xor(*premises), premises)
 
     def _digit(self, rng: Random, exclude: str) -> str:
-        # random, so a member cannot guess a sibling's code
         return random_digit(rng, exclude=exclude)
 
     def _rekey_join(self, leaf: str, rng: Random) -> list[str]:
-        """Roll the group key forward (AK' = f(AK)) and re-derive under AK'
-        the joiner's path positions, which turned internal or moved."""
+        """Roll the group key forward (AK' = f(AK)) and, under AK', the
+        middle keys on the joiner's path; the split position rolls from the
+        occupant's individual key."""
         ak_new = hash_f(self.group_key())
-        self.derived = []
         self._set(ROOT_CODE, ak_new)
         affected = strict_ancestors(leaf)
-        for code in affected:
-            self._set_middle(code, ak_new)
+        self._roll(affected, ak_new)
         return affected
 
-    def derivation_strings(self, view: MemberKeyView) -> list[str]:
-        # a member holds its own root path, labelled under the current
-        # namespace and generation
-        prefix = derivation_string(self.namespace, self.generation, "")
-        return [prefix + c for c in view.keys]
 
-    def view_matches(self, view: MemberKeyView) -> bool:
-        """The shared oracle, plus: the view derives under the current
-        generation."""
-        return view.generation == self.generation and super().view_matches(view)
-
-
-def _join_plaintext(ak: bytes, parent: str) -> bytes:
-    return ak + parent.encode("ascii")
-
-
-def parse_join_unicast(plaintext: bytes) -> tuple[bytes, str]:
-    """Split a decrypted join unicast into (AK', parent code)."""
-    if len(plaintext) <= KEY_WIDTH:
-        raise ProtocolError("join unicast payload too short")
-    return plaintext[:KEY_WIDTH], plaintext[KEY_WIDTH:].decode("ascii")
+def _join_plaintext(ak: bytes, middle: list[bytes], parent: str) -> bytes:
+    return ak + b"".join(middle) + parent.encode("ascii")
 
 
 def ckc_join(
@@ -182,8 +105,8 @@ def ckc_join(
     *,
     count_individual_key: bool = False,
 ) -> JoinResult:
-    """Seat a member (``PositionTree.seat``) and unicast AK' with its parent code
-    under its individual key.
+    """Seat a member (``PositionTree.seat``) and unicast AK', the middle keys
+    on its path (top-down) and its parent code under its individual key.
 
     ``count_individual_key`` adds the individual key to the generation
     counter for deployments where the server mints it instead of deriving
@@ -191,7 +114,8 @@ def ckc_join(
     """
     notice = tree.seat(member_id, individual_key, rng)
     leaf = notice.joiner_leaf
-    unicast = encrypt(individual_key, _join_plaintext(tree.group_key(), parent_code(leaf)))
+    middle = [tree.nodes[code] for code in notice.affected_codes]
+    unicast = encrypt(individual_key, _join_plaintext(tree.group_key(), middle, parent_code(leaf)))
     counters = RekeyCounters(
         key_generations=1 + (1 if count_individual_key else 0),
         encryptions=1,
@@ -208,7 +132,6 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
     if member_id not in tree.leaves:
         raise ProtocolError(f"{member_id} not in tree")
     leaf = tree.leaves.pop(member_id)
-    tree.derived = []
 
     # Cover set and keys are captured before any mutation: remaining members
     # must be able to open the payloads with keys they already hold.  The
@@ -221,16 +144,12 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
     ]
     promoted_src, promoted_dst = tree.detach(leaf)
 
-    if tree.generation >= GENERATION_LIMIT:
-        raise ProtocolError("generation counter exhausted")
-    tree.generation += 1
     tree.epoch += 1
     ak_new = random_key(rng)
     tree._set(ROOT_CODE, ak_new)
-    # middle keys the leaver held are re-derived under the fresh AK'
+    # the middle keys the leaver held roll under the fresh AK', which it never gets
     affected = [] if promoted_dst is None else strict_ancestors(promoted_dst)
-    for code in affected:
-        tree._set_middle(code, ak_new)
+    tree._roll(affected, ak_new)
 
     notice = LeaveNotice(
         epoch=tree.epoch,
@@ -240,7 +159,6 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
         promoted_dst=promoted_dst,
         affected_codes=affected,
         cover_codes=[c for c, _ in cover],
-        generation=tree.generation,
     )
     multicasts = [
         WireMessage(f"code={code}", [WirePayload(code, key, encrypt(key, ak_new))])
@@ -255,41 +173,40 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
     return LeaveResult(notice, multicasts, counters)
 
 
-def _rederive(view: MemberKeyView, notice: JoinNotice | LeaveNotice, ak_new: bytes) -> None:
-    """Install AK' and re-derive the notice's affected middle keys that sit
-    on the view's own path."""
+def _roll_view(view: MemberKeyView, notice: JoinNotice | LeaveNotice, ak_new: bytes) -> None:
+    """Install AK' and roll the notice's affected middle keys that sit on
+    the view's own path."""
     view.store(ROOT_CODE, ak_new)
     for code in notice.affected_codes:
         if view.leaf.startswith(code):
-            view.store(code, middle_key(view.namespace, notice.generation, ak_new, code))
+            view.store(code, hash_f_xor(ak_new, view.keys[code]))
 
 
 def build_joiner_view(
-    member_id: str,
-    individual_key: bytes,
-    ak_new: bytes,
-    parent: str,
-    notice: JoinNotice,
-    namespace: str = "",
+    member_id: str, individual_key: bytes, plaintext: bytes, notice: JoinNotice
 ) -> MemberKeyView:
-    """Assemble the newcomer's view from the unicast contents and the
-    announced leaf assignment; a join's affected codes are exactly the
-    middle positions on the joiner's path."""
+    """Open the newcomer's view from its decrypted join unicast (AK', the
+    middle keys on its path top-down, its parent code) and the announced
+    leaf assignment."""
+    # one key and one code digit per level above the leaf
+    if not plaintext or len(plaintext) % (KEY_WIDTH + 1):
+        raise ProtocolError("join unicast payload is not AK', middle keys and a parent code")
+    width = len(plaintext) // (KEY_WIDTH + 1) * KEY_WIDTH
+    keys = [plaintext[i:i + KEY_WIDTH] for i in range(0, width, KEY_WIDTH)]
     leaf = notice.joiner_leaf
-    if parent_code(leaf) != parent:
+    if parent_code(leaf).encode("ascii") != plaintext[width:]:
         raise ProtocolError("announced leaf does not extend the delivered parent code")
-    keys = {ROOT_CODE: ak_new, leaf: individual_key}
-    view = MemberKeyView(member_id, leaf, keys, notice.epoch, namespace, notice.generation)
-    _rederive(view, notice, ak_new)
-    return view
+    path = dict(zip([ROOT_CODE, *strict_ancestors(leaf)], keys))
+    path[leaf] = individual_key
+    return MemberKeyView(member_id, leaf, path, notice.epoch)
 
 
 def ckc_member_refresh_join(view: MemberKeyView, notice: JoinNotice) -> MemberKeyView:
-    """Local update on a join announcement: roll AK forward and re-derive
+    """Local update on a join announcement: roll AK forward and, under it,
     the touched middle keys that sit on the own path."""
     if not view.follow_join(notice):
         return view
-    _rederive(view, notice, hash_f(view.group_key()))
+    _roll_view(view, notice, hash_f(view.group_key()))
     view.epoch = notice.epoch
     return view
 
@@ -300,7 +217,7 @@ def ckc_member_refresh_leave(
     multicasts: list[WireMessage],
 ) -> MemberKeyView:
     """Local update on a leave: open the cover payload this member can read,
-    re-code if inside the promoted subtree, and re-derive affected keys."""
+    re-code if inside the promoted subtree, and roll the affected keys."""
     if not view.accept_leave(notice):
         return view
 
@@ -311,7 +228,6 @@ def ckc_member_refresh_leave(
     ak_new = crypto.decrypt(view.keys[mine[0].under], mine[0].ciphertext)
 
     view.promote(notice)
-    view.generation = notice.generation
-    _rederive(view, notice, ak_new)
+    _roll_view(view, notice, ak_new)
     view.epoch = notice.epoch
     return view

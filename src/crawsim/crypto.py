@@ -55,22 +55,9 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def encode_code(code: str) -> bytes:
-    """Map a node code to key-width octets: one octet per decimal digit
-    character, right-aligned in a zero-filled buffer."""
-    if not code:
-        raise ValueError("node code must be non-empty")
-    if not code.isascii() or not code.isdigit():
-        raise ValueError(f"node code must be decimal digits, got {code!r}")
-    raw = code.encode("ascii")
-    if len(raw) > KEY_WIDTH:
-        raise ValueError(f"node code {code!r} exceeds key width {KEY_WIDTH}")
-    return raw.rjust(KEY_WIDTH, b"\x00")
-
-
-def hash_f_xor(key: bytes, code: str) -> bytes:
-    """Middle-node key derivation: f(key xor encoded-code)."""
-    return hash_f(xor_bytes(key, encode_code(code)))
+def hash_f_xor(a: bytes, b: bytes) -> bytes:
+    """Middle-key roll: f(a xor b) over two keys."""
+    return hash_f(xor_bytes(a, b))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .ckc import (
     ckc_leave,
     ckc_member_refresh_join,
     ckc_member_refresh_leave,
-    parse_join_unicast,
 )
 from .crypto import ProtocolError, decrypt, fingerprint, random_key
 from .lkh import (
@@ -261,14 +260,14 @@ class AreaState:
     actual payloads), and pass the scheme's wire messages on unchanged.
     """
 
-    def __init__(self, area_id: str, scheme: str, rng: Random, namespace: str = ""):
+    def __init__(self, area_id: str, scheme: str, rng: Random):
         if scheme not in SCHEMES:
             raise ProtocolError(f"unknown scheme {scheme!r}")
         self.area_id = area_id
         self.scheme = scheme
         self.rng = rng
         seed_key = random_key(rng)
-        self.tree = LkhTree(seed_key) if scheme == "lkh" else CkcTree(seed_key, namespace)
+        self.tree = LkhTree(seed_key) if scheme == "lkh" else CkcTree(seed_key)
         self.members: dict[str, MobileMember] = {}
 
     def size(self) -> int:
@@ -298,15 +297,8 @@ class AreaState:
             for other in self.members.values():
                 ckc_member_refresh_join(other.views[self.area_id], res.notice)
             (unicast,) = res.unicasts[0].payloads
-            ak_new, parent = parse_join_unicast(decrypt(individual_key, unicast.ciphertext))
-            view = build_joiner_view(
-                member.member_id,
-                individual_key,
-                ak_new,
-                parent,
-                res.notice,
-                namespace=self.tree.namespace,
-            )
+            plaintext = decrypt(individual_key, unicast.ciphertext)
+            view = build_joiner_view(member.member_id, individual_key, plaintext, res.notice)
             keys_produced = res.counters.key_generations
         member.views[self.area_id] = view
         self.members[member.member_id] = member
@@ -328,8 +320,7 @@ class AreaState:
         leaf = self.tree.leaves[member.member_id]
         chain = root_path_chain(self.tree, leaf)
         member.views[self.area_id] = build_lkh_joiner_view(
-            member.member_id, individual_key, chain, leaf, self.tree.epoch,
-            namespace=self.tree.namespace,
+            member.member_id, individual_key, chain, leaf, self.tree.epoch
         )
         return chain
 

@@ -130,11 +130,9 @@ def build_lkh_joiner_view(
     chain: list[WireMessage],
     leaf: str,
     epoch: int,
-    namespace: str = "",
 ) -> MemberKeyView:
-    """Open a ``root_path_chain`` delivered for ``leaf``.  Under either
-    scheme: a CKC view also takes its tree's derivation namespace, and its
-    generation is 0 since a chain is only sent to CKC members at t=0."""
+    """Open a ``root_path_chain`` delivered for ``leaf``, under either
+    scheme."""
     keys = {leaf: individual_key}
     for msg in chain:
         for p in msg.payloads:
@@ -144,7 +142,7 @@ def build_lkh_joiner_view(
             keys[p.under[:-1]] = decrypt(keys[p.under], p.ciphertext)
     if sorted(keys) != sorted(leaf[:i] for i in range(1, len(leaf) + 1)):
         raise ProtocolError("unicast chain does not cover the announced path")
-    return MemberKeyView(member_id, leaf, keys, epoch, namespace)
+    return MemberKeyView(member_id, leaf, keys, epoch)
 
 
 def _climb(view: MemberKeyView, changed: list[str], multicasts: list[WireMessage]) -> None:

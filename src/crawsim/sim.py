@@ -244,12 +244,8 @@ class Simulation:
         self.trace: list[ProtocolMessage] = []
         self.on_event = on_event
         self.main = MainServer(scenario.group_id)
-        # each area's tree derives under its own all-digit code namespace, all of
-        # one width, so code strings learned in one area are inert in every other
-        width = max(3, len(str(len(scenario.areas) - 1)))
         self.areas = {
-            area_id: AreaState(area_id, scenario.scheme, self.rng, namespace=f"{idx:0{width}d}")
-            for idx, area_id in enumerate(sorted(scenario.areas))
+            area_id: AreaState(area_id, scenario.scheme, self.rng) for area_id in sorted(scenario.areas)
         }
         self.mode = AUTH_MODES[scenario.scheme]
         self.auth_delay = scenario.delays.auth(self.mode)
@@ -300,14 +296,13 @@ class Simulation:
                     raise ProtocolError(f"bootstrap auth failed for {member_id}")
                 self._note_auth_material(member)
                 area.seat(member, attempt.individual_key)
-                self.recorder.record_codes(area.tree.derived)
                 member.current_area = area_id
                 self.main.mainlist.advance(
                     member_id, self.sc.group_id, STATUS_ACTIVE, 0, last_area=area_id
                 )
                 self.recorder.open_window(member_id, area_id, 0)
                 seated.append((member, attempt.individual_key))
-            self.recorder.record_keys(area.tree.drain_stored())
+            self.recorder.record_keys(*area.tree.drain_stored())
             for member, individual_key in seated:
                 chain = area.hand_out(member, individual_key)
                 self._record_msgs(area, 0, chain, "key_unicast", target=member.member_id)
@@ -338,18 +333,12 @@ class Simulation:
                 )
 
     def _note_views(self, area: AreaState) -> None:
-        """Note what each present member's view gained since it was last
-        noted: the keys it stored, and its derivation strings when its leaf
-        or generation changed (they depend on nothing else)."""
+        """Note the keys each present member's view stored since it was last
+        noted."""
         for m in area.members.values():
-            view = m.views[area.area_id]
-            stored, moved = view.drain_gains()
+            stored = m.views[area.area_id].drain_gains()
             if stored:
                 self.recorder.note_knowledge(m.member_id, stored)
-            if moved:
-                strings = area.tree.derivation_strings(view)
-                if strings:  # an empty note would still open an entry for the member
-                    self.recorder.note_codes(m.member_id, strings)
 
     def _append_event(self, ticks: int, kind: str, area: AreaState, member_id: str, outcome: RekeyOutcome) -> EventRow:
         row = EventRow(
@@ -486,16 +475,13 @@ class Simulation:
     # -- keying in and out ------------------------------------------------
 
     def _publish_rekey(self, area: AreaState, ticks: int, outcome: RekeyOutcome, target: str | None) -> None:
-        """Trace an event's payloads, then record what it stored, derived,
-        sent and taught each present member."""
+        """Trace an event's payloads, then record what it stored, sent and
+        taught each present member."""
         for msg in outcome.unicast_msgs:
             self._emit(ticks, "key_unicast", area.area_id, target or "-", msg.info())
         for msg in outcome.multicast_msgs:
             self._emit(ticks, "key_multicast", area.area_id, f"area:{area.area_id}", msg.info())
-        tree = area.tree
-        self.recorder.record_keys(tree.drain_stored())
-        # the exact strings this event's derivations consumed
-        self.recorder.record_codes(tree.derived)
+        self.recorder.record_keys(*area.tree.drain_stored())
         self._record_msgs(area, ticks, outcome.unicast_msgs, "key_unicast", target=target)
         self._record_msgs(area, ticks, outcome.multicast_msgs, "key_multicast")
         self._note_views(area)

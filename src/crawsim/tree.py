@@ -72,7 +72,6 @@ class JoinNotice:
     # re-keyed positions in the order members refresh them: CKC top-down
     # below the root, LKH bottom-up up to the root
     affected_codes: list[str] = field(default_factory=list)
-    generation: int = 0  # CKC derivation generation
 
 
 @dataclass
@@ -84,7 +83,6 @@ class LeaveNotice:
     promoted_dst: str | None  # position (and code) it was promoted into
     affected_codes: list[str] = field(default_factory=list)  # as on a join
     cover_codes: list[str] = field(default_factory=list)  # CKC, pre-promotion
-    generation: int = 0
 
 
 @dataclass(frozen=True)
@@ -127,13 +125,9 @@ class MemberKeyView:
     leaf: str
     keys: dict[str, bytes]
     epoch: int
-    namespace: str = ""  # CKC derivation namespace of the area
-    generation: int = 0  # CKC derivation generation
-    # what the view gained since the last ``drain_gains``, for the secrecy
-    # oracle: the keys it stored, and the (leaf, generation) its derivation
-    # strings were last reported under
+    # the keys the view stored since the last ``drain_gains``, for the
+    # secrecy oracle
     _stored: list[bytes] = field(init=False, repr=False, compare=False)
-    _reported: tuple[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._stored = list(self.keys.values())
@@ -142,15 +136,12 @@ class MemberKeyView:
         self.keys[code] = key
         self._stored.append(key)
 
-    def drain_gains(self) -> tuple[list[bytes], bool]:
-        """The keys stored since the previous call (repeats possible), and
-        whether the leaf or generation changed since then, which is when the
-        view's derivation strings change.  Moving a key to another code
-        stores nothing: the value was reported when it was stored."""
+    def drain_gains(self) -> list[bytes]:
+        """The keys stored since the previous call (repeats possible).
+        Moving a key to another code stores nothing: the value was reported
+        when it was stored."""
         stored, self._stored = self._stored, []
-        position = (self.leaf, self.generation)
-        moved, self._reported = position != self._reported, position
-        return stored, moved
+        return stored
 
     def group_key(self) -> bytes:
         # every position starts with the root's one-character name
@@ -175,7 +166,9 @@ class MemberKeyView:
             return False
         if notice.split_code is not None and self.leaf == notice.split_code:
             # this member occupied the split leaf; it slides down one level
-            self.keys[notice.occupant_leaf] = self.keys.pop(notice.split_code)
+            # with its individual key, which stays at the split position
+            # until the scheme re-keys it
+            self.keys[notice.occupant_leaf] = self.keys[notice.split_code]
             self.leaf = notice.occupant_leaf
         return True
 
@@ -211,9 +204,6 @@ class PositionTree:
     positions, in the order members refresh them)."""
 
     ROOT: str  # name of the root position, set by each scheme
-    namespace = ""  # CKC's derivation namespace; empty when keys are not derived
-    generation = 0  # CKC's derivation generation, bumped by every leave
-    max_leaf = float("inf")  # longest leaf position a join may create
 
     def __init__(self, group_key: bytes):
         self.nodes: dict[str, bytes] = {self.ROOT: group_key}
@@ -222,9 +212,9 @@ class PositionTree:
         # keys stored since the last ``drain_stored``, for the secrecy
         # oracle's key universe; the seed key is the first
         self._stored: list[bytes] = [group_key]
-        # the derivation strings the last join or leave consumed, for the
-        # secrecy oracle's code set; schemes that derive no keys leave it empty
-        self.derived: list[str] = []
+        # key -> the two keys it was derived from as f(a xor b), since the
+        # last ``drain_stored``, for the secrecy oracle's derivation rule
+        self._derived: dict[bytes, tuple[bytes, bytes]] = {}
 
     def group_key(self) -> bytes:
         return self.nodes[self.ROOT]
@@ -236,19 +226,19 @@ class PositionTree:
         """All positions from the root to the leaf, top-down."""
         return [leaf[:i] for i in range(1, len(leaf) + 1)]
 
-    def _set(self, code: str, key: bytes) -> None:
+    def _set(self, code: str, key: bytes, premises: tuple[bytes, bytes] | None = None) -> None:
+        """Store ``key`` at ``code``; ``premises`` (a, b) when it is f(a xor b)."""
         self.nodes[code] = key
         self._stored.append(key)
+        if premises is not None:
+            self._derived[key] = premises
 
-    def drain_stored(self) -> list[bytes]:
-        """The keys stored since the previous call (repeats possible)."""
+    def drain_stored(self) -> tuple[list[bytes], dict[bytes, tuple[bytes, bytes]]]:
+        """The keys stored since the previous call (repeats possible), and
+        the premises of those derived as f(a xor b)."""
         stored, self._stored = self._stored, []
-        return stored
-
-    def derivation_strings(self, view: MemberKeyView) -> list[str]:
-        """The derivation strings a member's view gives it; none unless the
-        scheme derives keys."""
-        return []
+        derived, self._derived = self._derived, {}
+        return stored, derived
 
     def view_matches(self, view: MemberKeyView) -> bool:
         """Consistency oracle: the view holds exactly the root-path codes,
@@ -290,17 +280,16 @@ class PositionTree:
             leaf = self.ROOT + self._digit(rng, "".join(c[-1] for c in root_children))
         else:
             split = self.shallowest_leaf()
-            if len(split) >= self.max_leaf:
-                raise ProtocolError("tree depth exceeds code width")
             occupant_leaf = split + self._digit(rng, "")
             leaf = split + self._digit(rng, occupant_leaf[-1])
             self.slide_occupant(split, occupant_leaf)
         self.leaves[member_id] = leaf
         self._set(leaf, individual_key)
-        # re-keyed only now: the slide copied the occupant's key out of ``split``
+        # re-keyed only now: the slide copied the occupant's key out of
+        # ``split``, and CKC rolls ``split`` from it
         affected = self._rekey_join(leaf, rng)
         self.epoch += 1
-        return JoinNotice(self.epoch, member_id, leaf, split, occupant_leaf, affected, self.generation)
+        return JoinNotice(self.epoch, member_id, leaf, split, occupant_leaf, affected)
 
     def detach(self, leaf: str) -> tuple[str | None, str | None]:
         """Drop a vacated leaf position and promote its sibling subtree into

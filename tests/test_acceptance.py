@@ -1,6 +1,6 @@
 """Acceptance suite.
 
-Eleven end-to-end criteria, one test per criterion, so ``pytest -v`` prints one
+Twelve end-to-end criteria, one test per criterion, so ``pytest -v`` prints one
 pass/fail line for each.  Expected values are recomputed independently inside
 each test (closed-form counter tables, hand-derived message flows, direct
 cryptographic recomputation) rather than read back from the code under test.
@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from crawsim.cli import main as cli_main
 from crawsim.ckc import parent_code
-from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor, random_key
-from crawsim.ckc import CkcTree, ckc_join, ckc_leave, ckc_member_refresh_join, parse_join_unicast, build_joiner_view
+from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor, random_key, xor_bytes
+from crawsim.ckc import CkcTree, ckc_join, ckc_leave, ckc_member_refresh_join, build_joiner_view
 from crawsim.otp import ClientSecret, make_challenge, register, verify
 from crawsim.scenario import load_scenario, validate_doc
 from crawsim.secrecy import check_secrecy, operational_decrypt_check
@@ -139,8 +141,9 @@ def test_c01_rekey_counter_tables():
 
 
 def test_c02_join_and_leave_walkthrough():
-    """Join: one unicast carries f(old AK) plus the parent code, middle keys
-    are recomputed locally, nothing is multicast.  Leave: one fresh random AK
+    """Join: one unicast carries f(old AK), the joiner's middle keys and its
+    parent code; current members roll their middle keys locally from the
+    previous values, and nothing is multicast.  Leave: one fresh random AK
     per cover node, covers are exactly the siblings along the leaver's path,
     and the leaver can open none of them."""
     rng = random.Random(77)
@@ -152,30 +155,32 @@ def test_c02_join_and_leave_walkthrough():
         res = ckc_join(tree, mid, iks[mid], rng)
         for v in views.values():
             ckc_member_refresh_join(v, res.notice)
-        ak, parent = parse_join_unicast(decrypt(iks[mid], res.unicasts[0].payloads[0].ciphertext))
-        views[mid] = build_joiner_view(mid, iks[mid], ak, parent, res.notice)
+        plaintext = decrypt(iks[mid], res.unicasts[0].payloads[0].ciphertext)
+        views[mid] = build_joiner_view(mid, iks[mid], plaintext, res.notice)
 
     ak_old = tree.group_key()
+    before = dict(tree.nodes)
     iks["m6"] = random_key(rng)
     res = ckc_join(tree, "m6", iks["m6"], rng)
-    ak_new, parent = parse_join_unicast(decrypt(iks["m6"], res.unicasts[0].payloads[0].ciphertext))
+    plaintext = decrypt(iks["m6"], res.unicasts[0].payloads[0].ciphertext)
+    ak_new = plaintext[:16]
     assert ak_new == hash_f(ak_old)  # forward move of the group key
     assert ak_new == tree.group_key()
     leaf = res.notice.joiner_leaf
-    assert parent == parent_code(leaf)
     assert res.counters.multicast_sends == 0 and res.counters.unicast_sends == 1
     for v in views.values():
         ckc_member_refresh_join(v, res.notice)
-    views["m6"] = build_joiner_view("m6", iks["m6"], ak_new, parent, res.notice)
+    views["m6"] = build_joiner_view("m6", iks["m6"], plaintext, res.notice)
 
-    # middle keys on the joiner's path are locally derivable from AK' and
-    # the code; no middle key ever travels on the wire
-    for code in res.notice.affected_codes:
-        assert tree.nodes[code] == hash_f_xor(ak_new, code)
-    m6_view = views["m6"]
-    for code, key in m6_view.keys.items():
-        if code != "1" and code != m6_view.leaf:
-            assert key == hash_f_xor(ak_new, code)
+    # each middle key on the joiner's path rolls from its previous value
+    # (the split position's is the occupant's individual key) under AK'; the
+    # joiner gets them in its unicast, and no middle key is multicast
+    middle = [leaf[:i] for i in range(2, len(leaf))]
+    assert res.notice.affected_codes == middle
+    assert before[parent_code(leaf)] in iks.values()
+    rolled = [hash_f_xor(ak_new, before[code]) for code in middle]
+    assert [tree.nodes[code] for code in middle] == rolled
+    assert plaintext == ak_new + b"".join(rolled) + parent_code(leaf).encode("ascii")
     for v in views.values():
         assert tree.view_matches(v)
 
@@ -450,3 +455,73 @@ def test_c11_secrecy_audit_at_256_members():
     assert violations and all(v.startswith(f"{leaver} can derive the key of a content_frame") for v in violations)
     derived = f" via held {fingerprint(ak)} -> (f, {fingerprint(hash_f(ak))})"
     assert any(v.endswith(derived) for v in violations)
+
+
+def _departed_attack(sim: Simulation) -> int:
+    """How many ciphertexts a departed member opens.  It holds every key it
+    was given, and it reads only public run data: the codes in the trace's
+    ``code=``/``leaf=``/``label=`` fields and their prefixes, each area's
+    index (sorted order) and the count of leaves so far.  For each area it
+    left, it hashes f(k), f(k xor k') over pairs of its keys, and the
+    paper's f(k xor code string), where the string is the area's 3-digit
+    namespace, a generation tag per leave so far and a code, right-aligned
+    in 16 zero octets.  Then it trial-decrypts every ciphertext outside its
+    windows that was sent after it left that area."""
+    rec = sim.recorder
+    index = {area: i for i, area in enumerate(sorted(sim.sc.areas))}
+    codes: dict[str, set[str]] = {area: set() for area in index}
+    for msg in sim.trace:
+        if msg.kind in ("key_unicast", "key_multicast"):
+            for code in re.findall(r"\b(?:code|leaf|label)=(\d+)", msg.info):
+                codes[msg.src].update(code[:i] for i in range(1, len(code) + 1))
+    leave_times = [(r.area, r.time) for r in sim.ledger.events if r.kind in ("leave", "move_leave")]
+    opened = 0
+    for member, wins in rec.windows.items():
+        held = sorted(rec.knowledge[member])
+        derived = {hash_f(k) for k in held} | {hash_f(xor_bytes(a, b)) for a, b in combinations(held, 2)}
+
+        def outside(ct) -> bool:
+            return ct.target != member and not any(
+                w.area == ct.area and w.start <= ct.time and (w.end is None or ct.time < w.end)
+                for w in wins
+            )
+
+        for left in (w for w in wins if w.end is not None):
+            targets = [
+                ct for ct in rec.ciphertexts
+                if ct.area == left.area and ct.time >= left.end and outside(ct)
+            ]
+            if not targets:
+                continue
+            generations = sum(a == left.area and t <= targets[-1].time for a, t in leave_times)
+            strings = [
+                f"{index[left.area]:03d}" + ("" if g == 0 else f"0{g:03d}") + code
+                for g in range(generations + 1)
+                for code in codes[left.area]
+            ]
+            pads = [s.encode("ascii").rjust(16, b"\0") for s in strings if len(s) <= 16]
+            candidates = set(held) | derived | {hash_f(xor_bytes(k, p)) for k in held for p in pads}
+            for ct in targets:
+                for key in candidates:
+                    try:
+                        decrypt(key, ct.ciphertext)
+                    except DecryptionError:
+                        continue
+                    opened += 1
+                    break
+    return opened
+
+
+def test_c12_departed_member_opens_nothing_with_public_codes():
+    """Codes are public, and the paper's f(AK xor code) let a departed
+    member derive later keys from one it kept.  Under every scheme, in ten
+    random runs, the departed members' derivation attack
+    (``_departed_attack``) opens no ciphertext.  Budget: 3 seconds."""
+    started = time.monotonic()
+    opened = {
+        scheme: [_departed_attack(Simulation(random_scenario(trial, scheme)).run()) for trial in range(10)]
+        for scheme in ("ckc_craw", "ckc_plain", "lkh")
+    }
+    elapsed = time.monotonic() - started
+    assert opened == {scheme: [0] * 10 for scheme in opened}
+    assert elapsed < 3.0, f"attack took {elapsed:.1f}s"

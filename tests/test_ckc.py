@@ -4,6 +4,7 @@ and the view-vs-tree consistency oracle."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -15,21 +16,22 @@ from crawsim.ckc import (
     ckc_leave,
     ckc_member_refresh_join,
     ckc_member_refresh_leave,
-    generation_tag,
-    parse_join_unicast,
 )
-from crawsim.crypto import DecryptionError, ProtocolError, decrypt, hash_f_xor, random_key
+from crawsim.crypto import KEY_WIDTH, DecryptionError, ProtocolError, decrypt, hash_f_xor, random_key
+from crawsim.scenario import validate_doc
+from crawsim.secrecy import check_secrecy
+from crawsim.sim import Simulation
 from crawsim.tree import MemberKeyView
+from test_acceptance import ZERO_DELAYS, random_scenario
 
 
 class Harness:
     """Server tree plus every member's locally maintained view.
 
-    Across tenures the harness also remembers, per member id, every
-    derivation string that was on its path and every epoch it was present
-    for (so every group key it was handed), and for each derived key value
-    the (string, epoch) it was computed from.  Every leave checks the cover
-    rule against that memory.
+    Across tenures the harness also remembers, per member id, every key
+    value it ever held, and for each key the server derived as f(a xor b)
+    the pair (a, b).  Every leave checks the cover rule against that
+    memory.
     """
 
     def __init__(self, seed: int = 0):
@@ -37,9 +39,8 @@ class Harness:
         self.tree = CkcTree.new(self.rng)
         self.views: dict[str, MemberKeyView] = {}
         self.individual: dict[str, bytes] = {}
-        self.strings: dict[str, set[str]] = {}
-        self.epochs: dict[str, set[int]] = {}
-        self.derivations: dict[bytes, tuple[str, int]] = {}
+        self.held: dict[str, set[bytes]] = {}
+        self.derivations: dict[bytes, tuple[bytes, bytes]] = {}
 
     def join(self, member: str, **kwargs):
         ik = random_key(self.rng)
@@ -47,9 +48,9 @@ class Harness:
         res = ckc_join(self.tree, member, ik, self.rng, **kwargs)
         for view in self.views.values():
             ckc_member_refresh_join(view, res.notice)
-        ak, parent = parse_join_unicast(decrypt(ik, res.unicasts[0].payloads[0].ciphertext))
-        self.views[member] = build_joiner_view(member, ik, ak, parent, res.notice)
-        self._note(res.notice.affected_codes)
+        plaintext = decrypt(ik, res.unicasts[0].payloads[0].ciphertext)
+        self.views[member] = build_joiner_view(member, ik, plaintext, res.notice)
+        self._note()
         return res
 
     def leave(self, member: str):
@@ -66,36 +67,28 @@ class Harness:
         departed = self.views.pop(member)
         for view in self.views.values():
             ckc_member_refresh_leave(view, res.notice, res.multicasts)
-        self._note(res.notice.affected_codes)
+        self._note()
         return res, departed
 
-    def _note(self, derived_codes):
+    def _note(self):
         """After an event: how its derived keys came to be, and what each
-        present member now knows."""
-        prefix = self.tree.namespace + generation_tag(self.tree.generation)
-        epoch = self.tree.epoch
-        for code in derived_codes:
-            self.derivations[self.tree.nodes[code]] = (prefix + code, epoch)
-        for member, leaf in self.tree.leaves.items():
-            self.strings.setdefault(member, set()).update(
-                prefix + c for c in self.tree.path_codes(leaf)
-            )
-            self.epochs.setdefault(member, set()).add(epoch)
+        present member now holds."""
+        self.derivations.update(self.tree.drain_stored()[1])
+        for member, view in self.views.items():
+            self.held.setdefault(member, set()).update(view.keys.values())
 
     def assert_covers_not_reproducible(self, res):
         """Neither the leaver nor any departed member (one that is not back)
-        holds both the string and the group key a cover key was derived
-        from.  Random covers (individual keys) have nothing to recompute."""
-        exposed = [m for m in self.strings if m not in self.tree.leaves]
+        holds a cover key, or both keys a cover key was derived from."""
+        exposed = [m for m in self.held if m not in self.tree.leaves]
         covers = [(p.under, p.enc_key) for msg in res.multicasts for p in msg.payloads]
         assert [code for code, _ in covers] == res.notice.cover_codes
         for code, key in covers:
-            if key not in self.derivations:
-                continue
-            string, epoch = self.derivations[key]
+            premises = self.derivations.get(key, ())
             for m in exposed:
-                assert not (string in self.strings[m] and epoch in self.epochs[m]), (
-                    f"{m} can recompute cover {code} from {string!r} at epoch {epoch}"
+                assert key not in self.held[m], f"{m} holds cover {code}"
+                assert not (premises and set(premises) <= self.held[m]), (
+                    f"{m} can recompute cover {code}"
                 )
 
     def grow(self, n: int, prefix: str = "u"):
@@ -123,9 +116,12 @@ def test_join_unicast_contents():
     h.grow(7)
     res = h.join("u8")
     unicast = res.unicasts[0].payloads[0].ciphertext
-    ak, parent = parse_join_unicast(decrypt(h.individual["u8"], unicast))
-    assert ak == h.tree.group_key()
-    assert res.notice.joiner_leaf == parent + res.notice.joiner_leaf[-1]
+    plaintext = decrypt(h.individual["u8"], unicast)
+    leaf = res.notice.joiner_leaf
+    # AK', then the middle keys top-down, then the parent code
+    path = [h.tree.group_key()] + [h.tree.nodes[c] for c in res.notice.affected_codes]
+    assert res.notice.affected_codes == [leaf[:i] for i in range(2, len(leaf))]
+    assert plaintext == b"".join(path) + leaf[:-1].encode("ascii")
     # nobody else's individual key opens the unicast
     for other in ("u1", "u4", "u7"):
         with pytest.raises(DecryptionError):
@@ -172,8 +168,9 @@ def test_occupant_slides_down_and_keeps_individual_key():
     occ_view = h.views[occupant]
     assert occ_view.leaf == res.notice.occupant_leaf
     assert occ_view.keys[occ_view.leaf] == ik_before
-    # the split position is now an internal key derived from AK'
-    assert occ_view.keys[split] == hash_f_xor(h.tree.group_key(), split)
+    # the split position is now an internal key rolled from the occupant's
+    # individual key under AK'
+    assert occ_view.keys[split] == hash_f_xor(h.tree.group_key(), ik_before)
     h.assert_consistent()
 
 
@@ -264,23 +261,6 @@ def test_duplicate_join_and_unknown_leave_raise():
         ckc_leave(h.tree, "ghost", h.rng)
 
 
-def test_depth_beyond_code_width_rejected():
-    # handcraft a tree whose every leaf already sits at the code-width limit
-    rng = random.Random(13)
-    tree = CkcTree.new(rng)
-    for branch, member in (("2", "a"), ("3", "b")):
-        deep = "1" + branch * 15  # 16 digits = key width
-        for i in range(2, len(deep) + 1):
-            tree._set(deep[:i], random_key(rng))
-        tree.leaves[member] = deep
-    key = random_key(rng)
-    before = (tree.dump(), rng.getstate())
-    with pytest.raises(ProtocolError, match="tree depth exceeds code width"):
-        ckc_join(tree, "c", key, rng)
-    # refused before the tree is touched or a digit is drawn
-    assert (tree.dump(), rng.getstate()) == before
-
-
 def test_member_codes_are_exactly_path_prefixes():
     h = Harness(seed=14)
     h.grow(13)
@@ -331,8 +311,8 @@ def test_randomized_sequences_stay_consistent():
 
 def test_randomized_churn_with_rejoins_keeps_covers_safe():
     # departed members come back under their old ids, so their remembered
-    # strings and epochs span several tenures; Harness.leave checks every
-    # cover set against that memory
+    # keys span several tenures; Harness.leave checks every cover set
+    # against that memory
     rng = random.Random(18)
     for trial in range(40):
         h = Harness(seed=2000 + trial)
@@ -345,7 +325,7 @@ def test_randomized_churn_with_rejoins_keeps_covers_safe():
                 h.leave(rng.choice(present))
             else:
                 member = rng.choice(absent)
-                rejoined += member in h.strings
+                rejoined += member in h.held
                 h.join(member)
             h.assert_consistent()
         assert rejoined > 0
@@ -366,11 +346,68 @@ def test_joiner_refuses_a_leaf_off_the_delivered_parent():
     h.grow(4)
     ik = random_key(h.rng)
     res = ckc_join(h.tree, "u5", ik, h.rng)
-    ak, parent = parse_join_unicast(decrypt(ik, res.unicasts[0].payloads[0].ciphertext))
+    plaintext = decrypt(ik, res.unicasts[0].payloads[0].ciphertext)
+    # one more key and one more code digit: a well-formed payload for the
+    # announced leaf's child
+    bogus = plaintext[:-2] + random_key(h.rng) + plaintext[-2:] + b"0"
     with pytest.raises(ProtocolError, match="does not extend the delivered parent code"):
-        build_joiner_view("u5", ik, ak, parent + "0", res.notice)
+        build_joiner_view("u5", ik, bogus, res.notice)
 
 
 def test_join_unicast_without_a_parent_code_is_refused():
-    with pytest.raises(ProtocolError, match="join unicast payload too short"):
-        parse_join_unicast(random_key(random.Random(21)))  # AK' with no parent code
+    notice = ckc_join(CkcTree.new(random.Random(21)), "u1", bytes(KEY_WIDTH), random.Random(21)).notice
+    for plaintext in (b"", random_key(random.Random(21))):  # nothing; AK' with no parent code
+        with pytest.raises(ProtocolError, match="is not AK', middle keys and a parent code"):
+            build_joiner_view("u1", bytes(KEY_WIDTH), plaintext, notice)
+
+
+def test_area_of_300_members_stays_consistent_and_audits_clean():
+    # past the old derivation-string ceiling of about 256 members per area
+    rng = random.Random(22)
+    roster = [f"m{i}" for i in range(300)]
+    events, present, t = [], list(roster), 1
+    for i in range(24):
+        if i % 3 == 2:
+            events.append({"time": float(t), "op": "join", "member": f"w{i}", "area": "A"})
+            present.append(f"w{i}")
+        else:
+            member = present.pop(rng.randrange(len(present)))
+            events.append({"time": float(t), "op": "leave", "member": member, "area": "A"})
+        t += 1
+    doc = {
+        "schema_version": 1, "name": "wide", "seed": 22, "scheme": "ckc_craw", "group": "g1",
+        "horizon": float(t + 1), "delays": ZERO_DELAYS, "areas": {"A": roster},
+        "members": [f"w{i}" for i in range(2, 24, 3)], "events": events,
+    }
+    checked = []
+    sim = Simulation(validate_doc(doc), on_event=lambda s, row: checked.append(s.check_consistent()))
+    assert sim.check_consistent()
+    sim.run()
+    assert checked == [True] * 24
+    assert check_secrecy(sim.recorder) == []
+
+
+def test_one_tree_through_more_than_999_leaves():
+    # past the old generation ceiling of 999 leaves per area
+    h = Harness(seed=23)
+    h.grow(6)
+    rng = random.Random(23)
+    pool = [f"p{i}" for i in range(6)]
+    leaves = 0
+    while leaves < 1010:
+        present = sorted(h.views)
+        absent = [m for m in pool if m not in h.views]
+        if len(present) > 2 and (not absent or rng.random() < 0.5):
+            h.leave(rng.choice(present))
+            leaves += 1
+        else:
+            h.join(rng.choice(absent))
+        h.assert_consistent()
+
+
+def test_256_member_run_with_256_moves_audits_within_5s():
+    sim = Simulation(random_scenario(0, "ckc_craw", sizes=[128, 128], n_ops=256)).run()
+    started = time.perf_counter()
+    assert check_secrecy(sim.recorder) == []
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"audit took {elapsed:.2f}s"

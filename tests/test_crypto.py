@@ -1,5 +1,5 @@
-"""Primitive-level contracts: one-way functions, code encoding, AEAD,
-and seeded randomness."""
+"""Primitive-level contracts: one-way functions, AEAD, and seeded
+randomness."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from crawsim.crypto import (
     KEY_WIDTH,
     DecryptionError,
     decrypt,
-    encode_code,
     encrypt,
     hash_E,
     hash_f,
@@ -69,42 +68,33 @@ def test_hash_E_composition():
     assert hash_E(hash_E(v)) != hash_E(v)
 
 
-def test_encode_code_layout():
-    # One octet per digit character, right-aligned, zero fill on the left.
-    enc = encode_code("157")
-    assert enc == b"\x00" * 13 + b"157"
-    assert len(enc) == KEY_WIDTH
-    assert encode_code("1" * 16) == b"1" * 16
-
-
-def test_encode_code_rejects_bad_input():
-    for bad in ("", "1a", "1.5", "-1", "1" * 17):
-        with pytest.raises(ValueError):
-            encode_code(bad)
-
-
 def test_hash_f_xor_matches_manual_composition():
-    # Independent recomputation of the derivation pipeline from raw pieces.
-    key = bytes(range(16))
-    code = "157"
-    padded = b"\x00" * 13 + b"157"
-    manual = hashlib.sha256(b"rekey|" + bytes(a ^ b for a, b in zip(key, padded))).digest()[:16]
-    assert hash_f_xor(key, code) == manual
+    # Independent recomputation of the roll f(a xor b) from raw pieces.
+    a = bytes(range(16))
+    b = b"\x00" * 13 + b"157"
+    manual = hashlib.sha256(b"rekey|" + bytes(x ^ y for x, y in zip(a, b))).digest()[:16]
+    assert hash_f_xor(a, b) == manual
 
 
 def test_hash_f_xor_is_shared_between_parties():
-    # Server and every member compute the same middle key from (AK', code).
+    # Server and every member below a position compute the same rolled key
+    # from (AK', K), in either order.
     rng = random.Random(99)
     ak = random_key(rng)
-    for code in ("157", "1578", "1", "9042"):
-        derivations = {hash_f_xor(ak, code) for _ in range(5)}
+    for _ in range(4):
+        k = random_key(rng)
+        derivations = {hash_f_xor(ak, k) for _ in range(5)} | {hash_f_xor(k, ak)}
         assert len(derivations) == 1
 
 
 def test_hash_f_xor_distinct_codes_distinct_keys():
+    # distinct previous keys roll to distinct keys under one AK'
     ak = b"\x3c" * KEY_WIDTH
-    outs = {code: hash_f_xor(ak, code) for code in ("1", "12", "21", "112", "157", "1578")}
-    assert len(set(outs.values())) == len(outs)
+    rng = random.Random(98)
+    previous = [random_key(rng) for _ in range(6)]
+    assert len({hash_f_xor(ak, k) for k in previous}) == len(previous)
+    with pytest.raises(ValueError):
+        hash_f_xor(ak, ak[:-1])
 
 
 def test_xor_bytes_properties():

@@ -241,8 +241,8 @@ def test_join_outcome_counters_by_scheme():
 def test_batch_seat_and_hand_out_equal_sequential_joins(scheme):
     key_rng = random.Random(99)
     keys = [random_key(key_rng) for _ in range(40)]
-    batch = AreaState("A", scheme, random.Random(3), namespace="007")
-    sequential = AreaState("A", scheme, random.Random(3), namespace="007")
+    batch = AreaState("A", scheme, random.Random(3))
+    sequential = AreaState("A", scheme, random.Random(3))
     batch_members = [MobileMember(f"m{i:02d}") for i in range(40)]
     sequential_members = [MobileMember(f"m{i:02d}") for i in range(40)]
     for m, k in zip(batch_members, keys):
@@ -257,9 +257,7 @@ def test_batch_seat_and_hand_out_equal_sequential_joins(scheme):
     assert batch.rng.getstate() == sequential.rng.getstate()
     for b, s in zip(batch_members, sequential_members):
         vb, vs = b.views["A"], s.views["A"]
-        assert (vb.leaf, vb.keys, vb.epoch, vb.generation, vb.namespace) == (
-            vs.leaf, vs.keys, vs.epoch, vs.generation, vs.namespace
-        )
+        assert (vb.leaf, vb.keys, vb.epoch) == (vs.leaf, vs.keys, vs.epoch)
     assert batch.consistent() and sequential.consistent()
 
 
@@ -267,7 +265,7 @@ def test_batch_seat_and_hand_out_equal_sequential_joins(scheme):
 def test_every_audit_handle_opens_its_own_payload(scheme):
     # the secrecy audit reads enc_key as the key that protects a payload
     rng = random.Random(57)
-    area = AreaState("A", scheme, rng, namespace="3")
+    area = AreaState("A", scheme, rng)
     seated = [(MobileMember(f"s{i}"), random_key(rng)) for i in range(6)]
     for m, key in seated:
         area.seat(m, key)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from crawsim.crypto import encrypt, fingerprint, hash_f, hash_f_xor, random_key
+from crawsim.crypto import encrypt, fingerprint, hash_f, hash_f_xor, random_key, xor_bytes
 from crawsim.secrecy import (
     CipherRecord,
     RunRecorder,
+    _RecordedEdges,
     check_secrecy,
     closure,
     derivation_edges,
@@ -17,16 +18,19 @@ from crawsim.sim import Simulation
 from test_acceptance import random_scenario
 
 
-def eager_audit(rec: RunRecorder) -> list[tuple[str, list[bytes]]]:
-    """The audit as first written, kept as the reference: every edge of the
-    key universe under every code, each member's closure over them, then a
-    scan of every ciphertext.  One (message, keys along the closure's path
-    from a held key to the ciphertext's key) per violation."""
-    edges = derivation_edges(rec.key_universe, rec.codes)
+def eager_audit(rec: RunRecorder, edges=None) -> list[tuple[str, list]]:
+    """The audit from first principles, kept as the reference: every edge
+    of the key universe under f and under f(a xor b) for every pair, each
+    member's closure over them, then a scan of every ciphertext.  One
+    (message, [held key, (other premise or None, key)...] along the
+    closure's path to the ciphertext's key) per violation.  ``edges``: the
+    universe's ``derivation_edges``, when the caller has them."""
+    if edges is None:
+        edges = derivation_edges(rec.key_universe)
     found = []
     for member, known in rec.knowledge.items():
         parent = {}
-        reach = closure(known, edges, rec.member_codes.get(member, set()), parent)
+        reach = closure(known, edges, parent)
         wins = rec.windows.get(member, [])
         for ct in rec.ciphertexts:
             legal = ct.target == member or any(
@@ -34,73 +38,127 @@ def eager_audit(rec: RunRecorder) -> list[tuple[str, list[bytes]]]:
                 for w in wins
             )
             if ct.enc_key in reach and not legal:
-                path = [ct.enc_key]
-                while path[0] in parent:
-                    path.insert(0, parent[path[0]][1])
+                key, steps = ct.enc_key, []
+                while key in parent:
+                    other, prev = parent[key]
+                    steps.insert(0, (other, key))
+                    key = prev
                 message = f"{member} can derive the key of a {ct.kind} in {ct.area} at t={ct.time}"
-                found.append((message, path))
+                found.append((message, [key, *steps]))
     return found
 
 
-def replay(rec: RunRecorder, violation: str) -> tuple[str, list[bytes]]:
+def replay(rec: RunRecorder, violation: str) -> tuple[str, list]:
     """Re-hash a violation's derivation path from the member's held key;
-    returns (message before the path, keys along it)."""
+    returns the message before the path and the path as ``eager_audit``
+    gives it.  A pair step's other premise must be held or derived
+    earlier on the path."""
     message, path = violation.split(" via held ")
     member = message.split(" ", 1)[0]
-    by_print = {fingerprint(k): k for k in rec.knowledge[member]}
+    by_print = {fingerprint(k): k for k in rec.key_universe | rec.knowledge[member]}
     start, *steps = path.split(" -> ")
-    keys = [by_print[start]]
-    usable = rec.member_codes.get(member, set()) & rec.codes
+    key = by_print[start]
+    out = [key]
     for step in steps:
-        code, printed = step.strip("()").split(", ")
-        assert code == "f" or code in usable
-        keys.append(hash_f(keys[-1]) if code == "f" else hash_f_xor(keys[-1], code))
-        assert fingerprint(keys[-1]) == printed
-    return message, keys
+        how, printed = step.strip("()").split(", ")
+        if how == "f":
+            other, key = None, hash_f(key)
+        else:
+            other = by_print[how.removeprefix("xor ")]
+            key = hash_f_xor(key, other)
+        assert fingerprint(key) == printed
+        out.append((other, key))
+    return message, out
 
 
-def assert_matches_eager(rec: RunRecorder) -> list[str]:
+def assert_matches_eager(rec: RunRecorder, edges=None) -> list[str]:
     """Audit ``rec``: the messages must be the reference's, in order, and
     each path must re-hash, step by step, to the reference's path."""
     violations = check_secrecy(rec)
-    assert [replay(rec, v) for v in violations] == eager_audit(rec)
+    assert [replay(rec, v) for v in violations] == eager_audit(rec, edges)
     return violations
 
 
 def test_closure_follows_multi_hop_derivations():
-    k = bytes(16)
+    k, j = bytes(16), bytes(range(16))
     k1 = hash_f(k)
-    k2 = hash_f_xor(k1, "12")
-    universe = {k, k1, k2}
-    edges = derivation_edges(universe, {"12"})
-    reached = closure({k}, edges, {"12"})
-    assert reached == {k, k1, k2}
+    k2 = hash_f_xor(k1, j)
+    universe = {k, j, k1, k2}
+    assert closure({k, j}, derivation_edges(universe)) == universe
 
 
 def test_closure_pruned_to_universe():
-    k = bytes(16)
-    universe = {k, hash_f_xor(k, "7")}
+    k, j = bytes(16), bytes(range(16))
     # f(k) is a real hash image but not a protocol key, so it must not
-    # appear, and nothing may be reached through it
-    edges = derivation_edges(universe, {"7"})
-    reached = closure({k}, edges, {"7"})
-    assert hash_f(k) not in reached
-    assert reached == universe
+    # appear, and no pair edge may fire through it
+    outside = hash_f(k)
+    universe = {k, j, hash_f_xor(k, j), hash_f_xor(outside, j)}
+    reached = closure({k, j}, derivation_edges(universe))
+    assert outside not in reached
+    assert reached == universe - {hash_f_xor(outside, j)}
 
 
-def test_closure_requires_knowing_the_code():
-    k = bytes(16)
-    derived = hash_f_xor(k, "15")
-    edges = derivation_edges({k, derived}, {"15"})
-    assert derived not in closure({k}, edges, set())
-    assert derived in closure({k}, edges, {"15"})
+def test_pair_edge_needs_both_premises():
+    rng = random.Random(3)
+    a, b = random_key(rng), random_key(rng)
+    c = hash_f_xor(a, b)
+    edges = derivation_edges({a, b, c})
+    assert closure({a}, edges) == {a}
+    assert closure({b}, edges) == {b}
+    assert c in closure({a, b}, edges)
+
+
+def test_pair_edge_fires_at_whichever_premise_is_reached_last():
+    # the walk from a reaches b = f(f(a)) two steps later; c = f(a xor b)
+    # fires at b, whose edge list names a, in whichever order the
+    # derivation names its premises
+    a = random_key(random.Random(4))
+    b = hash_f(hash_f(a))
+    c = hash_f_xor(a, b)
+    for premises in ((a, b), (b, a)):
+        rec = RunRecorder()
+        rec.record_keys([a, hash_f(a), b, c], {c: premises})
+        rec.note_knowledge("m", [a])
+        rec.record_ciphertext(CipherRecord(c, 5, "A", "key_multicast"))
+        parent = {}
+        assert c in closure({a}, derivation_edges(rec.key_universe), parent)
+        assert parent[c] == (a, b)
+        assert assert_matches_eager(rec) == [
+            f"m can derive the key of a key_multicast in A at t=5 via held {fingerprint(a)}"
+            f" -> (f, {fingerprint(hash_f(a))}) -> (f, {fingerprint(b)})"
+            f" -> (xor {fingerprint(a)}, {fingerprint(c)})"
+        ]
+
+
+def test_recorded_derivation_that_does_not_hash_to_its_key_is_refused():
+    rng = random.Random(8)
+    a, b, c = (random_key(rng) for _ in range(3))
+    rec = RunRecorder()
+    rec.record_keys([a, b, c], {c: (a, b)})
+    with pytest.raises(ValueError, match=f"derivation of {fingerprint(c)} does not hash to it"):
+        check_secrecy(rec)
+
+
+def test_member_code_never_in_service_is_not_used():
+    # codes are no input to any key: a code the member learned gives it
+    # nothing, not even the paper's f(k xor code) of a key it holds
+    rng = random.Random(8)
+    key = random_key(rng)
+    derived = hash_f(xor_bytes(key, b"3".rjust(16, b"\0")))
+    rec = RunRecorder()
+    rec.record_keys([key, derived])
+    rec.record_codes(["3"])
+    rec.note_knowledge("m", [key])
+    rec.note_codes("m", ["3"])
+    rec.record_ciphertext(CipherRecord(derived, 5, "A", "key_multicast"))
+    assert assert_matches_eager(rec) == []
 
 
 def test_closure_does_not_run_backwards():
     k = bytes(range(16))
     universe = {k, hash_f(k)}
-    edges = derivation_edges(universe, set())
-    assert closure({hash_f(k)}, edges, set()) == {hash_f(k)}
+    edges = derivation_edges(universe)
+    assert closure({hash_f(k)}, edges) == {hash_f(k)}
 
 
 def test_window_legality_and_target_override():
@@ -148,58 +206,41 @@ def test_close_without_open_raises():
 
 def _cover_leak_recorder():
     """A departed member who remembers an old group key, and the cover key
-    derived from it with a sibling-subtree code the member has not learned."""
+    rolled from it and the sibling subtree's previous key, which the member
+    never held."""
     rng = random.Random(5)
-    old_ak = random_key(rng)
-    cover_key = hash_f_xor(old_ak, "14")  # sibling subtree, off the path
+    old_ak, sibling = random_key(rng), random_key(rng)
+    cover_key = hash_f_xor(old_ak, sibling)  # sibling subtree, off the path
     rec = RunRecorder()
-    rec.record_keys([old_ak, cover_key])
-    rec.record_codes(["14", "15"])
+    rec.record_keys([old_ak, sibling, cover_key], {cover_key: (old_ak, sibling)})
     rec.note_knowledge("leaver", [old_ak])
-    rec.note_codes("leaver", ["1", "15", "157"])  # its own path only
     rec.open_window("leaver", "A", 0)
     rec.close_window("leaver", "A", 100)
     rec.record_ciphertext(CipherRecord(cover_key, 100, "A", "key_multicast"))
-    return rec, old_ak, cover_key
+    return rec, old_ak, sibling, cover_key
 
 
-def test_cover_key_leak_via_learned_code_is_detected():
+def test_cover_key_leak_via_learned_premise_is_detected():
     # forward-secrecy regression: a departed member who remembers an old
-    # group key AND has learned a sibling-subtree code can recompute that
-    # cover key; the oracle must flag the cover payload once the code is in
-    # the member's knowledge, and stay quiet while it is not
-    rec, _, _ = _cover_leak_recorder()
+    # group key AND has learned the sibling subtree's previous key can
+    # recompute that cover key; the oracle must flag the cover payload once
+    # the key is in the member's knowledge, and stay quiet while it is not
+    rec, _, sibling, _ = _cover_leak_recorder()
     assert check_secrecy(rec) == []
-    rec.note_codes("leaver", ["14"])  # the off-path code leaks
+    rec.note_knowledge("leaver", [sibling])
     assert len(check_secrecy(rec)) == 1
 
 
 def test_violation_names_its_derivation_path():
-    rec, old_ak, cover_key = _cover_leak_recorder()
+    rec, old_ak, sibling, cover_key = _cover_leak_recorder()
     assert assert_matches_eager(rec) == []
-    # a second audit of the same recorder sees a code noted after the first
-    rec.note_codes("leaver", ["14"])
+    # a second audit of the same recorder sees a key noted after the first;
+    # both premises are held, so the step is taken at the first in order
+    rec.note_knowledge("leaver", [sibling])
+    first, other = sorted([old_ak, sibling])
     assert assert_matches_eager(rec) == [
         "leaver can derive the key of a key_multicast in A at t=100"
-        f" via held {fingerprint(old_ak)} -> (14, {fingerprint(cover_key)})"
-    ]
-
-
-def test_member_code_never_in_service_is_not_used():
-    rng = random.Random(8)
-    key = random_key(rng)
-    derived = hash_f_xor(key, "3")
-    rec = RunRecorder()
-    rec.record_keys([key, derived])
-    rec.record_codes(["4"])
-    rec.note_knowledge("m", [key])
-    rec.note_codes("m", ["3"])  # its hash lands in the universe all the same
-    rec.record_ciphertext(CipherRecord(derived, 5, "A", "key_multicast"))
-    assert assert_matches_eager(rec) == []
-    rec.record_codes(["3"])
-    assert assert_matches_eager(rec) == [
-        f"m can derive the key of a key_multicast in A at t=5 via held {fingerprint(key)}"
-        f" -> (3, {fingerprint(derived)})"
+        f" via held {fingerprint(first)} -> (xor {fingerprint(other)}, {fingerprint(cover_key)})"
     ]
 
 
@@ -219,8 +260,9 @@ def test_knowledge_outside_universe_is_not_expanded():
 
 
 def test_audit_matches_eager_reference_on_random_runs():
-    # every other run gets one extra key and one extra code, drawn from what
-    # the run recorded, in one member's knowledge, so violations occur
+    # every other run gets one extra key, drawn from what the run recorded,
+    # in one member's knowledge, so violations occur; every member's reach
+    # over the recorded derivations equals its reach over all pairs
     schemes = ("ckc_craw", "ckc_plain", "lkh")
     flagged = 0
     for trial in range(300):
@@ -229,9 +271,11 @@ def test_audit_matches_eager_reference_on_random_runs():
             rng = random.Random(trial)
             member = rng.choice(sorted(rec.knowledge))
             rec.note_knowledge(member, [rng.choice(sorted(rec.key_universe))])
-            if rec.codes:
-                rec.note_codes(member, [rng.choice(sorted(rec.codes))])
-        flagged += len(assert_matches_eager(rec))
+        pairwise = derivation_edges(rec.key_universe)
+        flagged += len(assert_matches_eager(rec, pairwise))
+        recorded = _RecordedEdges(rec.key_universe, rec.derived)
+        for known in rec.knowledge.values():
+            assert closure(known, recorded) == closure(known, pairwise)
     assert flagged > 0
 
 
@@ -261,3 +305,13 @@ def test_operational_check_opens_real_ciphertext():
     # inside a window the same ciphertext is fine
     rec.open_window("eve", "A", 0)
     assert operational_decrypt_check(rec) == []
+
+    # a key eve never held but derives as f(a xor b) from two she did; the
+    # check hashes it itself, with no derivation recorded
+    a, b = random_key(rng), random_key(rng)
+    rec = RunRecorder()
+    rec.note_knowledge("eve", [a, b])
+    rec.record_ciphertext(CipherRecord(hash_f_xor(a, b), 40, "A", "key_multicast",
+                                       ciphertext=encrypt(hash_f_xor(a, b), b"ak")))
+    assert rec.derived == {}
+    assert operational_decrypt_check(rec) == ["eve opened a key_multicast in A at t=40"]
