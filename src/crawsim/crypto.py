@@ -5,12 +5,19 @@ domain-separated SHA-256 instances, authenticated encryption derives its nonce
 from (key, plaintext), and all randomness flows through a caller-supplied
 ``random.Random``.  That keeps whole simulation runs bit-reproducible from a
 seed.
+
+Opening is a pure function of (key, nonce, body), so each ``Ciphertext``
+remembers the plaintexts it opened to, keyed by the exact key bytes: a frame
+or re-key payload that many members read under the same key is opened once
+per key.  Every reader still calls ``decrypt`` with its own key, so each
+member's outcome is its own; a wrong key never finds an entry, and a failed
+open is not remembered.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from cryptography.exceptions import InvalidTag
@@ -64,6 +71,8 @@ def hash_f_xor(a: bytes, b: bytes) -> bytes:
 class Ciphertext:
     nonce: bytes
     body: bytes  # AES-GCM output: ciphertext || tag
+    # key -> plaintext for every successful open; outside equality, hash and repr
+    _opened: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fingerprint(self) -> str:
         return fingerprint(self.nonce + self.body)
@@ -87,10 +96,15 @@ def decrypt(key: bytes, ct: Ciphertext) -> bytes:
     tampered ciphertext."""
     if len(key) != KEY_WIDTH:
         raise ValueError(f"decryption key must be {KEY_WIDTH} octets")
+    plaintext = ct._opened.get(key)
+    if plaintext is not None:
+        return plaintext
     try:
-        return AESGCM(key).decrypt(ct.nonce, ct.body, None)
+        plaintext = AESGCM(key).decrypt(ct.nonce, ct.body, None)
     except InvalidTag as exc:
         raise DecryptionError("ciphertext does not open under this key") from exc
+    ct._opened[key] = plaintext
+    return plaintext
 
 
 def random_key(rng: Random) -> bytes:

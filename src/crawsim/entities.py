@@ -155,7 +155,7 @@ class MainList:
         return entry
 
     def credit(self, member_id: str, group_id: str, units: int = 1) -> None:
-        entry = self.lookup(member_id, group_id)
+        entry = self.entries.get((member_id, group_id))  # lookup inlined: runs per frame delivery
         if entry is None:
             raise ProtocolError(f"cannot bill unknown member {member_id}")
         if units < 0:

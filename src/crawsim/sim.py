@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .crypto import DecryptionError, ProtocolError, decrypt, encrypt, fingerprint, random_key
 from .entities import (
@@ -197,8 +197,7 @@ class HandoffRecord:
         return self.probe + self.auth + self.key_prep + self.reassoc
 
 
-@dataclass(frozen=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     time: int
     area: str
     member: str
@@ -509,8 +508,7 @@ class Simulation:
     # -- content ----------------------------------------------------------
 
     def _frame_tick(self, ticks: int) -> None:
-        for area_id in sorted(self.areas):
-            area = self.areas[area_id]
+        for area_id, area in self.areas.items():  # built in sorted order
             if area.size() == 0:
                 continue
             self._frame_seq[area_id] += 1
@@ -625,13 +623,9 @@ def render_report(sim: Simulation) -> str:
     if sim.ledger.frames:
         out.append("")
         out.append("content delivery:")
-        per_member: dict[str, list[int]] = {}
-        for fr in sim.ledger.frames:
-            cell = per_member.setdefault(fr.member, [0, 0])
-            cell[0] += 1
-            cell[1] += 1 if fr.decrypted else 0
-        for member_id in sorted(per_member):
-            delivered, decrypted = per_member[member_id]
-            out.append(f"  member={member_id} delivered={delivered} decrypted={decrypted}")
+        for member_id in sorted(sim.members):
+            m = sim.members[member_id]
+            if m.delivered:
+                out.append(f"  member={member_id} delivered={m.delivered} decrypted={m.decrypted}")
     out.append("")
     return "\n".join(out)

@@ -3,6 +3,7 @@ randomness."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -136,6 +137,47 @@ def test_decrypt_corrupted_ciphertext_fails():
     mangled = crypto.Ciphertext(ct.nonce, bytes([ct.body[0] ^ 0x80]) + ct.body[1:])
     with pytest.raises(DecryptionError):
         decrypt(key, mangled)
+
+
+def test_opened_ciphertext_still_refuses_a_wrong_key():
+    key, wrong = b"\x11" * KEY_WIDTH, b"\x22" * KEY_WIDTH
+    ct = encrypt(key, b"payload")
+    assert decrypt(key, ct) == b"payload"
+    for _ in range(2):
+        with pytest.raises(DecryptionError):
+            decrypt(wrong, ct)
+    assert decrypt(key, ct) == b"payload"
+
+
+def test_failed_open_does_not_stop_the_right_key():
+    key, wrong = b"\x11" * KEY_WIDTH, b"\x22" * KEY_WIDTH
+    ct = encrypt(key, b"payload")
+    with pytest.raises(DecryptionError):
+        decrypt(wrong, ct)
+    assert decrypt(key, ct) == b"payload"
+    with pytest.raises(DecryptionError):
+        decrypt(wrong, ct)
+
+
+def test_tampered_copy_of_an_opened_ciphertext_fails():
+    key = b"\x11" * KEY_WIDTH
+    ct = encrypt(key, b"payload")
+    assert decrypt(key, ct) == b"payload"
+    tampered = dataclasses.replace(ct, body=bytes([ct.body[0] ^ 0x01]) + ct.body[1:])
+    with pytest.raises(DecryptionError):
+        decrypt(key, tampered)
+    assert decrypt(key, ct) == b"payload"
+
+
+def test_opening_leaves_equality_hash_and_repr_alone():
+    key = b"\x11" * KEY_WIDTH
+    opened = encrypt(key, b"payload")
+    fresh = crypto.Ciphertext(opened.nonce, opened.body)
+    decrypt(key, opened)
+    assert opened == fresh
+    assert hash(opened) == hash(fresh)
+    assert repr(opened) == repr(fresh)
+    assert len({opened, fresh}) == 1
 
 
 def test_random_key_is_seed_deterministic():

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from crawsim.crypto import ProtocolError, fingerprint
+from crawsim import crypto
+from crawsim.crypto import KEY_WIDTH, ProtocolError, fingerprint
 from crawsim.scenario import validate_doc
 from crawsim.secrecy import check_secrecy, operational_decrypt_check
 from crawsim.sim import (
@@ -315,6 +316,57 @@ def test_frames_delivery_and_accounting():
     assert sim.main.mainlist.lookup("u1", "g1").service_accounting == 200
     last_u8 = max(fr.time for fr in sim.ledger.frames if fr.member == "u8")
     assert last_u8 < to_ticks(1.0)
+
+
+def test_each_member_opens_frames_with_its_own_key():
+    # u7 reads each area-A frame after u1..u6 have opened it under the right
+    # key; a wrong root key in u7's view must still fail, frame after frame.
+    broken_at = []
+
+    def break_u7(sim, row):
+        if row.kind == "leave" and row.member == "u8":
+            view = sim.members["u7"].views["A"]
+            view.keys[view.leaf[0]] = bytes(KEY_WIDTH)
+            broken_at.append(row.time)
+
+    sim = Simulation(scenario([LEAVE_U8], frames=True, horizon=2.0), on_event=break_u7).run()
+    (t,) = broken_at
+    late_u7 = [fr for fr in sim.ledger.frames if fr.member == "u7" and fr.time >= t]
+    assert late_u7 and [fr for fr in sim.ledger.frames if not fr.decrypted] == late_u7
+    u7 = sim.members["u7"]
+    assert u7.delivered - u7.decrypted == len(late_u7)
+
+
+def test_frames_are_opened_once_per_key_not_per_delivery(monkeypatch):
+    real_aesgcm = crypto.AESGCM
+    opened = []
+
+    class CountingAESGCM:
+        def __init__(self, key):
+            self.key = key
+            self.inner = real_aesgcm(key)
+
+        def encrypt(self, nonce, data, aad):
+            return self.inner.encrypt(nonce, data, aad)
+
+        def decrypt(self, nonce, data, aad):
+            plaintext = self.inner.decrypt(nonce, data, aad)
+            opened.append((self.key, nonce, data))
+            return plaintext
+
+    sim = Simulation(scenario([], frames=True, horizon=1.0))
+    monkeypatch.setattr(crypto, "AESGCM", CountingAESGCM)
+    sim.run()
+    frames = {
+        (r.enc_key, r.ciphertext.nonce, r.ciphertext.body)
+        for r in sim.recorder.ciphertexts
+        if r.kind == "content_frame"
+    }
+    assert len(frames) == 200  # two areas, 100 ticks
+    assert len(sim.ledger.frames) == 15 * 100
+    assert all(fr.decrypted for fr in sim.ledger.frames)
+    assert len(opened) == len(set(opened)) == len(frames)
+    assert set(opened) == frames
 
 
 @pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
