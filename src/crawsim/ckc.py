@@ -30,11 +30,12 @@ between (``seat``), so each member receives its whole root path, middle
 keys included, in one unicast chain under its individual key
 (``lkh.root_path_chain``, LKH's joiner chain).
 
-The placement rule and the position mechanics (``PositionTree.seat``,
-split, occupant slide, promotion) and the member-side model (views,
-notices, the consistency oracle) live in ``crawsim.tree``.  This module
-supplies the random child digits, the rolled keys and how a member rolls
-them.
+The placement and leave rules and the position mechanics
+(``PositionTree.seat`` and ``unseat``, split, occupant slide, promotion,
+covers) and the member-side model (views, notices, the consistency oracle)
+live in ``crawsim.tree``.  This module supplies the random child digits,
+the rolled keys (``_rekey_join``, ``_rekey_leave``), the sealed ``Rekey``
+of each event and how a member rolls the keys.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from random import Random
 from . import crypto
 from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_digit, random_key
 from .tree import (
-    JoinNotice, JoinResult, LeaveNotice, LeaveResult, MemberKeyView, PositionTree,
-    RekeyCounters, WireMessage, WirePayload,
+    JoinNotice, LeaveNotice, MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage,
+    WirePayload,
 )
 
 ROOT_CODE = "1"
@@ -68,10 +69,6 @@ class CkcTree(PositionTree):
 
     ROOT = ROOT_CODE
 
-    @classmethod
-    def new(cls, rng: Random) -> "CkcTree":
-        return cls(random_key(rng))
-
     def _roll(self, codes: list[str], ak: bytes) -> None:
         """Roll each middle key at ``codes`` from its previous value K to
         f(AK' xor K)."""
@@ -92,6 +89,15 @@ class CkcTree(PositionTree):
         self._roll(affected, ak_new)
         return affected
 
+    def _rekey_leave(self, leaf: str, promoted_dst: str | None, rng: Random) -> list[str]:
+        """Draw a fresh random AK', which the leaver never gets, and under it
+        roll the middle keys the leaver held, now above ``promoted_dst``."""
+        ak_new = random_key(rng)
+        self._set(ROOT_CODE, ak_new)
+        affected = [] if promoted_dst is None else strict_ancestors(promoted_dst)
+        self._roll(affected, ak_new)
+        return affected
+
 
 def _join_plaintext(ak: bytes, middle: list[bytes], parent: str) -> bytes:
     return ak + b"".join(middle) + parent.encode("ascii")
@@ -104,7 +110,7 @@ def ckc_join(
     rng: Random,
     *,
     count_individual_key: bool = False,
-) -> JoinResult:
+) -> Rekey:
     """Seat a member (``PositionTree.seat``) and unicast AK', the middle keys
     on its path (top-down) and its parent code under its individual key.
 
@@ -113,7 +119,7 @@ def ckc_join(
     it from authentication.
     """
     notice = tree.seat(member_id, individual_key, rng)
-    leaf = notice.joiner_leaf
+    leaf = notice.leaf
     middle = [tree.nodes[code] for code in notice.affected_codes]
     unicast = encrypt(individual_key, _join_plaintext(tree.group_key(), middle, parent_code(leaf)))
     counters = RekeyCounters(
@@ -123,46 +129,21 @@ def ckc_join(
         multicast_sends=0,
     )
     payload = WirePayload(leaf, individual_key, unicast)
-    return JoinResult(notice, [WireMessage(f"leaf={leaf}", [payload])], [], counters)
+    return Rekey(notice, [WireMessage(f"leaf={leaf}", [payload])], [], counters, counters.key_generations)
 
 
-def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
-    """Detach a member, promote its sibling subtree, and multicast a fresh
-    group key under the cover keys."""
-    if member_id not in tree.leaves:
-        raise ProtocolError(f"{member_id} not in tree")
-    leaf = tree.leaves.pop(member_id)
-
-    # Cover set and keys are captured before any mutation: remaining members
-    # must be able to open the payloads with keys they already hold.  The
-    # covers are the siblings along the leaver's root path, top-down.
-    cover = [
-        (sib, tree.nodes[sib])
-        for code in tree.path_codes(leaf)[1:]
-        for sib in tree._children(parent_code(code))
-        if sib != code
-    ]
-    promoted_src, promoted_dst = tree.detach(leaf)
-
-    tree.epoch += 1
-    ak_new = random_key(rng)
-    tree._set(ROOT_CODE, ak_new)
-    # the middle keys the leaver held roll under the fresh AK', which it never gets
-    affected = [] if promoted_dst is None else strict_ancestors(promoted_dst)
-    tree._roll(affected, ak_new)
-
-    notice = LeaveNotice(
-        epoch=tree.epoch,
-        leaver_id=member_id,
-        leaver_code=leaf,
-        promoted_src=promoted_src,
-        promoted_dst=promoted_dst,
-        affected_codes=affected,
-        cover_codes=[c for c, _ in cover],
-    )
+def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
+    """Unseat a member (``PositionTree.unseat``) and multicast the fresh
+    group key under each cover key."""
+    # Covers are taken before the promotion: remaining members must be able
+    # to open the payloads with keys they already hold.
+    covers = tree.covers(member_id)
+    notice = tree.unseat(member_id, rng)
+    notice.cover_codes = [code for code, _ in covers]
+    ak_new = tree.group_key()
     multicasts = [
         WireMessage(f"code={code}", [WirePayload(code, key, encrypt(key, ak_new))])
-        for code, key in cover
+        for code, key in covers
     ]
     counters = RekeyCounters(
         key_generations=1,
@@ -170,7 +151,7 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> LeaveResult:
         unicast_sends=0,
         multicast_sends=len(multicasts),
     )
-    return LeaveResult(notice, multicasts, counters)
+    return Rekey(notice, [], multicasts, counters, len(notice.leaf) - 1)
 
 
 def _roll_view(view: MemberKeyView, notice: JoinNotice | LeaveNotice, ak_new: bytes) -> None:
@@ -193,7 +174,7 @@ def build_joiner_view(
         raise ProtocolError("join unicast payload is not AK', middle keys and a parent code")
     width = len(plaintext) // (KEY_WIDTH + 1) * KEY_WIDTH
     keys = [plaintext[i:i + KEY_WIDTH] for i in range(0, width, KEY_WIDTH)]
-    leaf = notice.joiner_leaf
+    leaf = notice.leaf
     if parent_code(leaf).encode("ascii") != plaintext[width:]:
         raise ProtocolError("announced leaf does not extend the delivered parent code")
     path = dict(zip([ROOT_CODE, *strict_ancestors(leaf)], keys))
@@ -207,7 +188,6 @@ def ckc_member_refresh_join(view: MemberKeyView, notice: JoinNotice) -> MemberKe
     if not view.follow_join(notice):
         return view
     _roll_view(view, notice, hash_f(view.group_key()))
-    view.epoch = notice.epoch
     return view
 
 
@@ -229,5 +209,4 @@ def ckc_member_refresh_leave(
 
     view.promote(notice)
     _roll_view(view, notice, ak_new)
-    view.epoch = notice.epoch
     return view

@@ -117,7 +117,11 @@ def _read_metrics(run_dir: Path) -> list[dict]:
         reader = csv.DictReader(fh)
         if reader.fieldnames != METRICS_HEADER.split(","):
             raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        return list(reader)
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if None in row or None in row.values():  # DictReader's marks of a long or short row
+            raise ValueError(f"{path}: line {line}: expected {len(reader.fieldnames)} fields")
+    return rows
 
 
 def _read_costs(run_dir: Path) -> dict[int, int]:
@@ -139,6 +143,7 @@ def cmd_compare(args) -> int:
             rows = _read_metrics(Path(run_dir))
             costs = _read_costs(Path(run_dir))
             event_costs = [costs[int(row["event_id"])] for row in rows]
+            totals = [sum(int(r[c]) for r in rows) for c in ("keygen", "enc", "unicast", "multicast")]
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -150,7 +155,6 @@ def cmd_compare(args) -> int:
             print(f"error: {run_dir}: expected a single scheme, found {sorted(schemes)}", file=sys.stderr)
             return 2
         runs.append((schemes.pop(), rows, event_costs))
-        totals = [sum(int(r[c]) for r in rows) for c in ("keygen", "enc", "unicast", "multicast")]
         print(
             f"run {run_dir}: scheme={runs[-1][0]} events={len(rows)}"
             f" keygen={totals[0]} enc={totals[1]} unicast={totals[2]} multicast={totals[3]}"

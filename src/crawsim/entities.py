@@ -33,7 +33,7 @@ from .lkh import (
 )
 from .otp import AuthRecord, ClientSecret, make_challenge, verify
 from .otp import register as otp_register
-from .tree import MemberKeyView, RekeyCounters, WireMessage
+from .tree import MemberKeyView, Rekey, WireMessage
 
 # each scheme's auth mode: under "otp" the individual key falls out of the
 # accepted one-time password; under "ordinary" the server mints it
@@ -242,22 +242,12 @@ def run_auth(main: MainServer, member: MobileMember, rng: Random) -> AuthAttempt
     return AuthAttempt(ok, random_key(rng) if ok else None, detail)
 
 
-@dataclass
-class RekeyOutcome:
-    kind: str  # "join" or "leave"
-    counters: RekeyCounters
-    depth: int  # leaf depth of the joiner or leaver
-    keys_produced: int  # server-minted keys for this event (cost metric)
-    unicast_msgs: list[WireMessage]
-    multicast_msgs: list[WireMessage]
-
-
 class AreaState:
     """One wireless area: the serving key tree plus the members keyed in it.
 
     ``join``/``leave`` re-key the tree through the scheme, run every present
     member's local update exactly as a real client would (decrypting the
-    actual payloads), and pass the scheme's wire messages on unchanged.
+    actual payloads), and pass the scheme's ``Rekey`` on unchanged.
     """
 
     def __init__(self, area_id: str, scheme: str, rng: Random):
@@ -266,8 +256,7 @@ class AreaState:
         self.area_id = area_id
         self.scheme = scheme
         self.rng = rng
-        seed_key = random_key(rng)
-        self.tree = LkhTree(seed_key) if scheme == "lkh" else CkcTree(seed_key)
+        self.tree = (LkhTree if scheme == "lkh" else CkcTree).new(rng)
         self.members: dict[str, MobileMember] = {}
 
     def size(self) -> int:
@@ -276,16 +265,14 @@ class AreaState:
     def group_key(self) -> bytes:
         return self.tree.group_key()
 
-    def join(self, member: MobileMember, individual_key: bytes) -> RekeyOutcome:
+    def join(self, member: MobileMember, individual_key: bytes) -> Rekey:
         if self.scheme == "lkh":
             res = lkh_join(self.tree, member.member_id, individual_key, self.rng)
             for other in self.members.values():
                 lkh_member_refresh_join(other.views[self.area_id], res.notice, res.multicasts)
             view = build_lkh_joiner_view(
-                member.member_id, individual_key, res.unicasts,
-                res.notice.joiner_leaf, res.notice.epoch,
+                member.member_id, individual_key, res.unicasts, res.notice.leaf, res.notice.epoch
             )
-            keys_produced = res.counters.key_generations + 1  # plus the individual key
         else:
             res = ckc_join(
                 self.tree,
@@ -299,12 +286,9 @@ class AreaState:
             (unicast,) = res.unicasts[0].payloads
             plaintext = decrypt(individual_key, unicast.ciphertext)
             view = build_joiner_view(member.member_id, individual_key, plaintext, res.notice)
-            keys_produced = res.counters.key_generations
         member.views[self.area_id] = view
         self.members[member.member_id] = member
-        return RekeyOutcome(
-            "join", res.counters, len(view.leaf) - 1, keys_produced, res.unicasts, res.multicasts
-        )
+        return res
 
     def seat(self, member: MobileMember, individual_key: bytes) -> None:
         """The server side of a join alone: place the member and re-key the
@@ -324,7 +308,7 @@ class AreaState:
         )
         return chain
 
-    def leave(self, member: MobileMember) -> RekeyOutcome:
+    def leave(self, member: MobileMember) -> Rekey:
         if member.member_id not in self.members:
             raise ProtocolError(f"{member.member_id} is not in area {self.area_id}")
         if self.scheme == "lkh":
@@ -337,8 +321,7 @@ class AreaState:
         member.views.pop(self.area_id)
         for other in self.members.values():
             refresh(other.views[self.area_id], res.notice, res.multicasts)
-        depth = len(res.notice.leaver_code) - 1
-        return RekeyOutcome("leave", res.counters, depth, depth, [], res.multicasts)
+        return res
 
     def consistent(self) -> bool:
         """Every present member's view matches the server tree exactly."""

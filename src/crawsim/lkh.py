@@ -14,6 +14,11 @@ the realized minimal payload set is 2*(depth-1) messages, two per
 regenerated ancestor, and is what the payload list contains.  The two
 figures are both exposed: counters in ``RekeyCounters``, real messages in
 ``multicasts``.
+
+Placement and leave (``PositionTree.seat`` and ``unseat``) live in
+``crawsim.tree``; this module supplies the child digits, the fresh path
+keys of both events (``_rekey_join``, ``_rekey_leave``), the sealed
+``Rekey`` of each event and how a member climbs its path to open them.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from random import Random
 
 from .crypto import ProtocolError, decrypt, encrypt, random_key
 from .tree import (
-    JoinNotice, JoinResult, LeaveNotice, LeaveResult, MemberKeyView, PositionTree,
-    RekeyCounters, WireMessage, WirePayload,
+    JoinNotice, LeaveNotice, MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage,
+    WirePayload,
 )
 
 ROOT_LABEL = "r"
@@ -34,10 +39,6 @@ class LkhTree(PositionTree):
 
     ROOT = ROOT_LABEL
 
-    @classmethod
-    def new(cls, rng: Random) -> "LkhTree":
-        return cls(random_key(rng))
-
     def _digit(self, rng: Random, exclude: str) -> str:
         return "0" if "0" not in exclude else "1"
 
@@ -45,6 +46,14 @@ class LkhTree(PositionTree):
         """Draw fresh keys bottom-up: the split position (if any), every
         ancestor above it, and the root."""
         changed = [leaf[:i] for i in range(len(leaf) - 1, 0, -1)]
+        for label in changed:
+            self._set(label, random_key(rng))
+        return changed
+
+    def _rekey_leave(self, leaf: str, promoted_dst: str | None, rng: Random) -> list[str]:
+        """Draw fresh keys bottom-up above the collapsed parent, or for the
+        root alone when the leaver sat right below it."""
+        changed = [leaf[:i] for i in range(len(leaf) - 2, 0, -1)] or [ROOT_LABEL]
         for label in changed:
             self._set(label, random_key(rng))
         return changed
@@ -67,12 +76,12 @@ def root_path_chain(tree: PositionTree, leaf: str) -> list[WireMessage]:
     ]
 
 
-def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) -> JoinResult:
+def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) -> Rekey:
     """Attach a member and regenerate every key on its path."""
     notice = tree.seat(member_id, individual_key, rng)
     changed = notice.affected_codes
     # every key on the joiner's path is new, so its chain is the whole path
-    chain = root_path_chain(tree, notice.joiner_leaf)
+    chain = root_path_chain(tree, notice.leaf)
 
     multicasts = [
         WireMessage(f"label={label}", [_seal(tree, label, child) for child in tree._children(label)])
@@ -84,44 +93,31 @@ def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) 
         unicast_sends=len(chain),
         multicast_sends=len(multicasts),
     )
-    return JoinResult(notice, chain, multicasts, counters)
+    # the server also mints the joiner's individual key
+    return Rekey(notice, chain, multicasts, counters, len(changed) + 1)
 
 
-def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> LeaveResult:
-    """Detach a member, collapse its parent, regenerate surviving path keys."""
-    if member_id not in tree.leaves:
-        raise ProtocolError(f"{member_id} not in tree")
-    leaf = tree.leaves.pop(member_id)
-    depth = len(leaf) - 1
-    promoted_src, promoted_dst = tree.detach(leaf)
-    if depth >= 2:
-        changed = [leaf[:i] for i in range(len(leaf) - 2, 0, -1)]  # above the parent
-    else:
-        changed = [ROOT_LABEL]
-    for label in changed:
-        tree._set(label, random_key(rng))
-    tree.epoch += 1
-
+def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> Rekey:
+    """Unseat a member (``PositionTree.unseat``) and multicast each fresh
+    key under each of its children."""
+    notice = tree.unseat(member_id, rng)
+    changed = notice.affected_codes
     multicasts = [
         WireMessage(f"label={label} child={child}", [_seal(tree, label, child)])
         for label in changed
         for child in tree._children(label)
     ]
-
-    notice = LeaveNotice(tree.epoch, member_id, leaf, promoted_src, promoted_dst, changed)
-    if promoted_dst is not None:
-        # conventional per-level tally (see module docstring); the realized
-        # payload list is two messages shorter
-        reported = 2 * depth
-    else:
-        reported = len(multicasts)
+    depth = len(notice.leaf) - 1
+    # after a promotion, the conventional per-level tally (see module
+    # docstring); the realized payload list is two messages shorter
+    reported = 2 * depth if notice.promoted_dst is not None else len(multicasts)
     counters = RekeyCounters(
         key_generations=len(changed),
         encryptions=reported,
         unicast_sends=0,
         multicast_sends=reported,
     )
-    return LeaveResult(notice, multicasts, counters)
+    return Rekey(notice, [], multicasts, counters, depth)
 
 
 def build_lkh_joiner_view(
@@ -168,7 +164,6 @@ def lkh_member_refresh_join(
     if not view.follow_join(notice):
         return view
     _climb(view, notice.affected_codes, multicasts)
-    view.epoch = notice.epoch
     return view
 
 
@@ -181,5 +176,4 @@ def lkh_member_refresh_leave(
         return view
     view.promote(notice)
     _climb(view, notice.affected_codes, multicasts)
-    view.epoch = notice.epoch
     return view

@@ -52,6 +52,15 @@ def _need_str(doc: dict, field: str, default: str | None = None) -> str:
     return value
 
 
+def _need_id(value, field: str, what: str) -> None:
+    """Refuse an area or member id the artifacts cannot carry: the trace
+    separates fields with spaces and metrics.csv with commas."""
+    if not isinstance(value, str) or not value:
+        _fail(field, f"{what} ids must be non-empty strings")
+    if any(c.isspace() or c == "," for c in value):
+        _fail(field, f"{what} id {value!r} contains whitespace or a comma")
+
+
 def validate_doc(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ValueError("scenario: expected a JSON object at top level")
@@ -86,15 +95,13 @@ def validate_doc(doc: dict) -> Scenario:
     roster: set[str] = set()
     areas: dict[str, list[str]] = {}
     for area_id, members in areas_doc.items():
-        if not isinstance(area_id, str) or not area_id:
-            _fail("areas", "area ids must be non-empty strings")
+        _need_id(area_id, "areas" if not area_id else f"areas.{area_id}", "area")
         if ":" in area_id or area_id == "main":
             _fail(f"areas.{area_id}", "area id collides with reserved names")
         if not isinstance(members, list):
             _fail(f"areas.{area_id}", "expected a list of member ids")
         for i, member in enumerate(members):
-            if not isinstance(member, str) or not member:
-                _fail(f"areas.{area_id}[{i}]", "member ids must be non-empty strings")
+            _need_id(member, f"areas.{area_id}[{i}]", "member")
             if member in roster:
                 _fail(f"areas.{area_id}[{i}]", f"{member} appears more than once")
             roster.add(member)
@@ -105,8 +112,7 @@ def validate_doc(doc: dict) -> Scenario:
         _fail("members", "expected a list of member ids")
     extra: list[str] = []
     for i, member in enumerate(extra_doc):
-        if not isinstance(member, str) or not member:
-            _fail(f"members[{i}]", "member ids must be non-empty strings")
+        _need_id(member, f"members[{i}]", "member")
         if member in roster:
             _fail(f"members[{i}]", f"{member} appears more than once")
         roster.add(member)

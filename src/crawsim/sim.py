@@ -48,12 +48,11 @@ from .entities import (
     MainServer,
     MobileMember,
     ProtocolMessage,
-    RekeyOutcome,
     run_auth,
 )
 from .otp import ClientSecret
 from .secrecy import CipherRecord, RunRecorder
-from .tree import RekeyCounters, WireMessage
+from .tree import Rekey, RekeyCounters, WireMessage
 
 TICKS_PER_SECOND = 10_000_000  # 100 ns resolution
 
@@ -164,8 +163,8 @@ class EventRow:
     area: str
     member: str
     size: int  # members keyed in the area after the event
-    depth: int
-    keys_produced: int
+    depth: int  # leaf depth of the joiner or leaver
+    cost: int  # the scheme's re-keying cost (``Rekey.cost``)
     counters: RekeyCounters
 
 
@@ -339,7 +338,7 @@ class Simulation:
             if stored:
                 self.recorder.note_knowledge(m.member_id, stored)
 
-    def _append_event(self, ticks: int, kind: str, area: AreaState, member_id: str, outcome: RekeyOutcome) -> EventRow:
+    def _append_event(self, ticks: int, kind: str, area: AreaState, member_id: str, rekey: Rekey) -> EventRow:
         row = EventRow(
             event_id=len(self.ledger.events) + 1,
             time=ticks,
@@ -348,9 +347,9 @@ class Simulation:
             area=area.area_id,
             member=member_id,
             size=area.size(),
-            depth=outcome.depth,
-            keys_produced=outcome.keys_produced,
-            counters=outcome.counters,
+            depth=len(rekey.notice.leaf) - 1,
+            cost=rekey.cost,
+            counters=rekey.counters,
         )
         self.ledger.events.append(row)
         if self.on_event is not None:
@@ -473,16 +472,16 @@ class Simulation:
 
     # -- keying in and out ------------------------------------------------
 
-    def _publish_rekey(self, area: AreaState, ticks: int, outcome: RekeyOutcome, target: str | None) -> None:
+    def _publish_rekey(self, area: AreaState, ticks: int, rekey: Rekey, target: str | None) -> None:
         """Trace an event's payloads, then record what it stored, sent and
         taught each present member."""
-        for msg in outcome.unicast_msgs:
+        for msg in rekey.unicasts:
             self._emit(ticks, "key_unicast", area.area_id, target or "-", msg.info())
-        for msg in outcome.multicast_msgs:
+        for msg in rekey.multicasts:
             self._emit(ticks, "key_multicast", area.area_id, f"area:{area.area_id}", msg.info())
         self.recorder.record_keys(*area.tree.drain_stored())
-        self._record_msgs(area, ticks, outcome.unicast_msgs, "key_unicast", target=target)
-        self._record_msgs(area, ticks, outcome.multicast_msgs, "key_multicast")
+        self._record_msgs(area, ticks, rekey.unicasts, "key_unicast", target=target)
+        self._record_msgs(area, ticks, rekey.multicasts, "key_multicast")
         self._note_views(area)
 
     def _key_in(self, member: MobileMember, area: AreaState, individual_key: bytes, ticks: int, kind: str) -> None:
@@ -491,19 +490,19 @@ class Simulation:
             # individual key travels over the registration-secured channel;
             # it is not part of the re-keying payload accounting
             self._emit(ticks, "key_unicast", area.area_id, member_id, f"individual-key {fingerprint(individual_key)}")
-        outcome = area.join(member, individual_key)
+        rekey = area.join(member, individual_key)
         member.current_area = area.area_id
-        self._publish_rekey(area, ticks, outcome, target=member_id)
+        self._publish_rekey(area, ticks, rekey, target=member_id)
         self.main.mainlist.advance(member_id, self.sc.group_id, STATUS_ACTIVE, ticks, last_area=area.area_id)
         self._emit(ticks, "mainlist_update", area.area_id, "main", f"member={member_id} status=active")
         self.recorder.open_window(member_id, area.area_id, ticks)
-        self._append_event(ticks, kind, area, member_id, outcome)
+        self._append_event(ticks, kind, area, member_id, rekey)
 
     def _key_out(self, member: MobileMember, area: AreaState, ticks: int, kind: str) -> None:
-        outcome = area.leave(member)
-        self._publish_rekey(area, ticks, outcome, target=None)
+        rekey = area.leave(member)
+        self._publish_rekey(area, ticks, rekey, target=None)
         self.recorder.close_window(member.member_id, area.area_id, ticks)
-        self._append_event(ticks, kind, area, member.member_id, outcome)
+        self._append_event(ticks, kind, area, member.member_id, rekey)
 
     # -- content ----------------------------------------------------------
 
@@ -519,17 +518,15 @@ class Simulation:
             self.recorder.record_ciphertext(
                 CipherRecord(group_key, ticks, area_id, "content_frame", ciphertext=frame)
             )
-            for member_id in sorted(area.members):
-                member = area.members[member_id]
+            for member_id, member in area.members.items():
                 member.delivered += 1
                 self.main.mainlist.credit(member_id, self.sc.group_id)
                 try:
                     decrypt(member.views[area_id].group_key(), frame)
                     ok = True
+                    member.decrypted += 1
                 except DecryptionError:
                     ok = False
-                if ok:
-                    member.decrypted += 1
                 self.ledger.frames.append(FrameRecord(ticks, area_id, member_id, ok))
         nxt = ticks + self.sc.delays.frame_interval
         if nxt <= self.sc.horizon:
@@ -593,13 +590,13 @@ def render_report(sim: Simulation) -> str:
     for row in sim.ledger.events:
         if row.kind.endswith("join"):
             out.append(
-                f"  event {row.event_id} {row.kind} area={row.area} size={row.size} cost={row.keys_produced}"
+                f"  event {row.event_id} {row.kind} area={row.area} size={row.size} cost={row.cost}"
             )
     out.append("re-keying cost, leaves (tree levels re-keyed, the leaver's depth):")
     for row in sim.ledger.events:
         if row.kind.endswith("leave"):
             out.append(
-                f"  event {row.event_id} {row.kind} area={row.area} size={row.size} cost={row.keys_produced}"
+                f"  event {row.event_id} {row.kind} area={row.area} size={row.size} cost={row.cost}"
             )
     out.append("")
     out.append("timing model:")

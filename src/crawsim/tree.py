@@ -11,9 +11,10 @@ without ever computing a key:
   shallowest leaf (ties: smallest code) and slides its occupant one level
   down, keeping the occupant's individual key; the scheme only names the
   new digits and re-keys the joiner's path;
-* a leave drops the leaver's leaf and, when its parent is internal and
-  left with one child, promotes that sibling subtree into the parent's
-  position: every code in it drops the digit at the promotion depth.
+* a leave (``PositionTree.unseat``) drops the leaver's leaf and, when its
+  parent is internal and left with one child, promotes that sibling
+  subtree into the parent's position: every code in it drops the digit at
+  the promotion depth; the scheme only re-keys what the leaver held.
 
 Members learn of both from the plaintext notices below and mirror them on
 their own view (``MemberKeyView``), applying notices strictly in epoch
@@ -22,10 +23,10 @@ must hold exactly the keys on its root path, equal to the server's.
 
 The wire format lives here too.  A scheme seals each key it ships into a
 ``WirePayload`` under one tree position and groups the payloads into
-``WireMessage``s; ``JoinResult`` and ``LeaveResult`` carry them with the
-notice and the counters.  The area server traces and records those very
-objects, and members open the payloads whose position lies on their own
-path.
+``WireMessage``s; one ``Rekey`` per event carries them with the notice,
+the counters and the event's re-keying cost.  The area server traces and
+records those very objects, and members open the payloads whose position
+lies on their own path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from random import Random
 
-from .crypto import DIGITS, Ciphertext, ProtocolError, fingerprint
+from .crypto import DIGITS, Ciphertext, ProtocolError, fingerprint, random_key
 
 
 @dataclass
@@ -65,8 +66,8 @@ class JoinNotice:
     """
 
     epoch: int
-    joiner_id: str
-    joiner_leaf: str
+    member_id: str
+    leaf: str
     split_code: str | None  # former code of the leaf that was split
     occupant_leaf: str | None  # where the split leaf's occupant moved
     # re-keyed positions in the order members refresh them: CKC top-down
@@ -77,8 +78,8 @@ class JoinNotice:
 @dataclass
 class LeaveNotice:
     epoch: int
-    leaver_id: str
-    leaver_code: str
+    member_id: str
+    leaf: str  # the leaver's leaf before the promotion
     promoted_src: str | None  # sibling subtree root before promotion
     promoted_dst: str | None  # position (and code) it was promoted into
     affected_codes: list[str] = field(default_factory=list)  # as on a join
@@ -103,18 +104,18 @@ class WireMessage:
 
 
 @dataclass
-class JoinResult:
-    notice: JoinNotice
+class Rekey:
+    """One re-keying event as its scheme reports it, from the tree to the
+    ledger."""
+
+    notice: JoinNotice | LeaveNotice
     unicasts: list[WireMessage]  # to the joiner, under its individual key first
     multicasts: list[WireMessage]  # to the current members
     counters: RekeyCounters
-
-
-@dataclass
-class LeaveResult:
-    notice: LeaveNotice
-    multicasts: list[WireMessage]
-    counters: RekeyCounters
+    # the abstract's cost: keys the server produced for a join (the
+    # individual key included when server-minted), the leaver's depth for
+    # a leave
+    cost: int
 
 
 @dataclass
@@ -148,15 +149,16 @@ class MemberKeyView:
         return self.keys[self.leaf[0]]
 
     def _in_order(self, epoch: int) -> bool:
-        """True when a notice for ``epoch`` should be applied; False for a
-        stale re-delivery.  A gap means the member missed an announcement
-        and can no longer follow the tree."""
+        """True when a notice for ``epoch`` should be applied, and the view
+        moves to that epoch; False for a stale re-delivery.  A gap means the
+        member missed an announcement and can no longer follow the tree."""
         if epoch <= self.epoch:
             return False
         if epoch != self.epoch + 1:
             raise ProtocolError(
                 f"{self.member_id} missed an announcement (view at {self.epoch}, notice {epoch})"
             )
+        self.epoch = epoch
         return True
 
     def follow_join(self, notice: JoinNotice) -> bool:
@@ -174,7 +176,7 @@ class MemberKeyView:
 
     def accept_leave(self, notice: LeaveNotice) -> bool:
         """Whether to apply a leave notice; the leaver itself is refused."""
-        if self.member_id == notice.leaver_id:
+        if self.member_id == notice.member_id:
             raise ProtocolError("departed member cannot refresh")
         return self._in_order(notice.epoch)
 
@@ -198,10 +200,14 @@ class MemberKeyView:
 class PositionTree:
     """Server-side key tree: position -> key, member -> leaf position.
 
-    ``seat`` is the server side of a join.  Each scheme names new child
-    positions (``_digit(rng, exclude)``: a digit not in ``exclude``) and
-    makes a joiner's keys (``_rekey_join(leaf, rng)``: the re-keyed
-    positions, in the order members refresh them)."""
+    ``seat`` is the server side of a join and ``unseat`` of a leave.  Each
+    scheme names new child positions (``_digit(rng, exclude)``: a digit not
+    in ``exclude``) and makes the fresh keys of both events, returning the
+    re-keyed positions in the order members refresh them:
+    ``_rekey_join(leaf, rng)`` for the joiner's path, and
+    ``_rekey_leave(leaf, promoted_dst, rng)`` for what the leaver at
+    ``leaf`` held, once its sibling subtree has moved into
+    ``promoted_dst``."""
 
     ROOT: str  # name of the root position, set by each scheme
 
@@ -215,6 +221,10 @@ class PositionTree:
         # key -> the two keys it was derived from as f(a xor b), since the
         # last ``drain_stored``, for the secrecy oracle's derivation rule
         self._derived: dict[bytes, tuple[bytes, bytes]] = {}
+
+    @classmethod
+    def new(cls, rng: Random) -> "PositionTree":
+        return cls(random_key(rng))
 
     def group_key(self) -> bytes:
         return self.nodes[self.ROOT]
@@ -313,6 +323,31 @@ class PositionTree:
             if c.startswith(src):
                 self.leaves[m] = parent + c[len(src):]
         return src, parent
+
+    def covers(self, member_id: str) -> list[tuple[str, bytes]]:
+        """The siblings along a member's root path, top-down, with their
+        keys: between them they hold every other member of the tree.  A
+        non-member has none (``unseat`` refuses it)."""
+        leaf = self.leaves.get(member_id, "")
+        return [
+            (sib, self.nodes[sib])
+            for code in self.path_codes(leaf)[1:]
+            for sib in self._children(code[:-1])
+            if sib != code
+        ]
+
+    def unseat(self, member_id: str, rng: Random) -> LeaveNotice:
+        """The server side of a leave: drop the member's leaf, promote its
+        sibling subtree, re-key what the member held and bump the epoch,
+        with no payload built and no member refreshed.  A refused unseat
+        changes nothing and draws nothing."""
+        if member_id not in self.leaves:
+            raise ProtocolError(f"{member_id} not in tree")
+        leaf = self.leaves.pop(member_id)
+        promoted_src, promoted_dst = self.detach(leaf)
+        affected = self._rekey_leave(leaf, promoted_dst, rng)
+        self.epoch += 1
+        return LeaveNotice(self.epoch, member_id, leaf, promoted_src, promoted_dst, affected)
 
     def dump(self) -> str:
         """Deterministic JSON snapshot (keys reduced to fingerprints)."""

@@ -166,7 +166,7 @@ def test_c02_join_and_leave_walkthrough():
     ak_new = plaintext[:16]
     assert ak_new == hash_f(ak_old)  # forward move of the group key
     assert ak_new == tree.group_key()
-    leaf = res.notice.joiner_leaf
+    leaf = res.notice.leaf
     assert res.counters.multicast_sends == 0 and res.counters.unicast_sends == 1
     for v in views.values():
         ckc_member_refresh_join(v, res.notice)

@@ -117,7 +117,7 @@ def test_join_unicast_contents():
     res = h.join("u8")
     unicast = res.unicasts[0].payloads[0].ciphertext
     plaintext = decrypt(h.individual["u8"], unicast)
-    leaf = res.notice.joiner_leaf
+    leaf = res.notice.leaf
     # AK', then the middle keys top-down, then the parent code
     path = [h.tree.group_key()] + [h.tree.nodes[c] for c in res.notice.affected_codes]
     assert res.notice.affected_codes == [leaf[:i] for i in range(2, len(leaf))]
@@ -255,10 +255,18 @@ def test_rejoin_after_total_drain():
 def test_duplicate_join_and_unknown_leave_raise():
     h = Harness(seed=12)
     h.join("u1")
-    with pytest.raises(ProtocolError):
-        ckc_join(h.tree, "u1", random_key(h.rng), h.rng)
-    with pytest.raises(ProtocolError):
-        ckc_leave(h.tree, "ghost", h.rng)
+    h.join("u2")
+    ik = random_key(h.rng)
+    # a refused seat or unseat changes nothing and draws nothing
+    for refused in (
+        lambda: ckc_join(h.tree, "u1", ik, h.rng),
+        lambda: ckc_leave(h.tree, "ghost", h.rng),
+    ):
+        dump, state = h.tree.dump(), h.rng.getstate()
+        with pytest.raises(ProtocolError):
+            refused()
+        assert h.tree.dump() == dump
+        assert h.rng.getstate() == state
 
 
 def test_member_codes_are_exactly_path_prefixes():

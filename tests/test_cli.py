@@ -173,6 +173,34 @@ def test_non_finite_numbers_are_refused_with_their_field(tmp_path, capsys, field
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("bad", ("A,B", "A B", "A\tB"))
+@pytest.mark.parametrize("where", ("area", "roster member", "extra member"))
+def test_ids_the_artifacts_cannot_carry_are_refused(tmp_path, capsys, where, bad):
+    # the trace separates fields with spaces and metrics.csv with commas: an
+    # area "A,B" would break compare's reading of metrics.csv, and "A B" its
+    # reading of the cost lines in report.txt
+    doc = json.loads(json.dumps(SMALL))
+    if where == "area":
+        doc["areas"][bad] = doc["areas"].pop("B")
+        doc["events"][1]["to"] = bad
+        field, kind = f"areas.{bad}", "area"
+    elif where == "roster member":
+        doc["areas"]["A"][1] = bad
+        doc["events"][2]["member"] = bad
+        field, kind = "areas.A[1]", "member"
+    else:
+        doc["members"][0] = bad
+        doc["events"][0]["member"] = bad
+        field, kind = "members[0]", "member"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: {kind} id {bad!r} contains whitespace or a comma\n"
+    out = tmp_path / "run"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_run_reports_protocol_refusal_without_traceback(tmp_path, capsys):
     # a leave of a member whose move is still in flight passes the field
     # checks; validate and run both refuse it and exit 2, and run writes no
@@ -332,6 +360,29 @@ def test_compare_rejects_duplicate_scheme_and_misaligned_runs(small_path, tmp_pa
 
     assert main(["compare", str(a), str(tmp_path / "nothere")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda row: row.rsplit(",", 1)[0] + ",many", "invalid literal for int() with base 10: 'many'"),
+        (lambda row: row.rsplit(",", 1)[0], "{}: line 2: expected 9 fields"),
+        (lambda row: row + ",9", "{}: line 2: expected 9 fields"),
+    ],
+    ids=("non-integer", "short", "long"),
+)
+def test_compare_refuses_a_damaged_metrics_row(small_path, tmp_path, capsys, damage, reason):
+    runs = {scheme: tmp_path / scheme for scheme in ("ckc_craw", "lkh")}
+    for scheme, out in runs.items():
+        assert main(["run", str(small_path), "--scheme", scheme, "--out", str(out)]) == 0
+    metrics = runs["lkh"] / "metrics.csv"
+    header, first, *rest = metrics.read_text(encoding="utf-8").splitlines()
+    metrics.write_text("\n".join([header, damage(first), *rest]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", str(runs["ckc_craw"]), str(runs["lkh"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reason.format(metrics)}\n"
+    assert f"run {runs['lkh']}" not in captured.out
 
 
 def _run_checkout(command, cwd):

@@ -24,7 +24,7 @@ from crawsim.entities import (
 )
 from crawsim.crypto import encrypt
 from crawsim.otp import ClientSecret
-from crawsim.tree import WireMessage, WirePayload
+from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload
 
 
 def make_member(main: MainServer, member_id: str, rng: random.Random) -> MobileMember:
@@ -179,14 +179,14 @@ def test_area_join_leave_keeps_every_view_consistent(scheme):
         m = MobileMember(f"u{i}")
         members[m.member_id] = m
         outcome = area.join(m, random_key(rng))
-        assert outcome.kind == "join"
+        assert isinstance(outcome.notice, JoinNotice)
         assert area.size() == i
         assert area.consistent()
     for m in members.values():
         assert m.group_key_for("A") == area.group_key()
     for victim in ("u1", "u5", "u8"):
         outcome = area.leave(members.pop(victim))
-        assert outcome.kind == "leave"
+        assert isinstance(outcome.notice, LeaveNotice)
         assert area.consistent()
         for m in members.values():
             assert m.group_key_for("A") == area.group_key()
@@ -218,23 +218,23 @@ def test_join_outcome_counters_by_scheme():
         assert outcome.counters.encryptions == 1
         assert outcome.counters.unicast_sends == 1
         assert outcome.counters.multicast_sends == 0
-        assert outcome.keys_produced == expected_cost
-        assert len(outcome.unicast_msgs) == 1
-        assert not outcome.multicast_msgs
+        assert outcome.cost == expected_cost
+        assert len(outcome.unicasts) == 1
+        assert not outcome.multicasts
 
     area = AreaState("A", "lkh", rng)
     for i in range(7):
         area.join(MobileMember(f"u{i}"), random_key(rng))
     outcome = area.join(MobileMember("u7"), random_key(rng))
-    d = outcome.depth
+    d = len(outcome.notice.leaf) - 1
     assert d == 3  # eighth member of a balanced binary tree
     assert outcome.counters.key_generations == d
     assert outcome.counters.encryptions == 3 * d
     assert outcome.counters.unicast_sends == d
     assert outcome.counters.multicast_sends == d
-    assert outcome.keys_produced == d + 1
-    assert len(outcome.unicast_msgs) == d
-    assert len(outcome.multicast_msgs) == d
+    assert outcome.cost == d + 1
+    assert len(outcome.unicasts) == d
+    assert len(outcome.multicasts) == d
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -277,7 +277,7 @@ def test_every_audit_handle_opens_its_own_payload(scheme):
         else:
             present.append(MobileMember(f"j{i}"))
             outcome = area.join(present[-1], random_key(rng))
-        msgs += outcome.unicast_msgs + outcome.multicast_msgs
+        msgs += outcome.unicasts + outcome.multicasts
     assert area.consistent()
     payloads = [(msg.desc, p) for msg in msgs for p in msg.payloads]
     assert len(payloads) > 60
@@ -298,24 +298,24 @@ def test_leave_outcome_counters_by_scheme():
         for m in members:
             area.join(m, random_key(rng))
         outcome = area.leave(members[3])
-        d = outcome.depth
+        d = len(outcome.notice.leaf) - 1
         assert d == 3
         assert outcome.counters.key_generations == 1
         assert outcome.counters.encryptions == d
         assert outcome.counters.unicast_sends == 0
         assert outcome.counters.multicast_sends == d
-        assert outcome.keys_produced == d
-        assert len(outcome.multicast_msgs) == d
+        assert outcome.cost == d
+        assert len(outcome.multicasts) == d
 
     area = AreaState("A", "lkh", rng)
     members = [MobileMember(f"u{i}") for i in range(8)]
     for m in members:
         area.join(m, random_key(rng))
     outcome = area.leave(members[3])
-    d = outcome.depth
+    d = len(outcome.notice.leaf) - 1
     assert d == 3
     # reported accounting: d-1 fresh keys, two encryptions per level
     assert outcome.counters.key_generations == d - 1
     assert outcome.counters.encryptions == 2 * d
     assert outcome.counters.multicast_sends == 2 * d
-    assert len(outcome.multicast_msgs) == 2 * (d - 1)  # realized payload messages
+    assert len(outcome.multicasts) == 2 * (d - 1)  # realized payload messages

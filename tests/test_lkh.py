@@ -33,7 +33,7 @@ class Harness:
         for view in self.views.values():
             lkh_member_refresh_join(view, res.notice, res.multicasts)
         self.views[member] = build_lkh_joiner_view(
-            member, ik, res.unicasts, res.notice.joiner_leaf, res.notice.epoch
+            member, ik, res.unicasts, res.notice.leaf, res.notice.epoch
         )
         return res
 
@@ -154,10 +154,18 @@ def test_occupant_relabels_and_keeps_key():
 def test_duplicate_join_and_unknown_leave_raise():
     h = Harness(seed=9)
     h.join("u1")
-    with pytest.raises(ProtocolError):
-        lkh_join(h.tree, "u1", random_key(h.rng), h.rng)
-    with pytest.raises(ProtocolError):
-        lkh_leave(h.tree, "ghost", h.rng)
+    h.join("u2")
+    ik = random_key(h.rng)
+    # a refused seat or unseat changes nothing and draws nothing
+    for refused in (
+        lambda: lkh_join(h.tree, "u1", ik, h.rng),
+        lambda: lkh_leave(h.tree, "ghost", h.rng),
+    ):
+        dump, state = h.tree.dump(), h.rng.getstate()
+        with pytest.raises(ProtocolError):
+            refused()
+        assert h.tree.dump() == dump
+        assert h.rng.getstate() == state
 
 
 def test_randomized_churn_consistency():
@@ -207,7 +215,7 @@ def test_joiner_refuses_a_chain_that_stops_short():
     ik = random_key(h.rng)
     res = lkh_join(h.tree, "u5", ik, h.rng)
     with pytest.raises(ProtocolError, match="unicast chain does not cover the announced path"):
-        build_lkh_joiner_view("u5", ik, res.unicasts[:-1], res.notice.joiner_leaf, res.notice.epoch)
+        build_lkh_joiner_view("u5", ik, res.unicasts[:-1], res.notice.leaf, res.notice.epoch)
 
 
 def test_joiner_refuses_a_chain_missing_a_middle_link():
@@ -219,4 +227,4 @@ def test_joiner_refuses_a_chain_missing_a_middle_link():
     # without the second link the third is sealed under a key never delivered
     gapped = res.unicasts[:1] + res.unicasts[2:]
     with pytest.raises(ProtocolError, match="chain link under r00 arrives before that key"):
-        build_lkh_joiner_view("u9", ik, gapped, res.notice.joiner_leaf, res.notice.epoch)
+        build_lkh_joiner_view("u9", ik, gapped, res.notice.leaf, res.notice.epoch)

@@ -46,6 +46,8 @@ def test_tracer_sees_every_layer(scheme):
     for span in spans:
         assert calls.get(span, 0) > 0, span
     if family == "ckc":
+        # ckc.covers_per_leave reads the cover codes off each leave's notice
+        assert tracer.extra["ckc.covers"] > 0
         # a member opens its leave cover payload inside its refresh, through
         # the crypto module, so the wrapped decrypt is seen there
         refresh, decrypt = tracer.names.index("ckc.refresh"), tracer.names.index("crypto.decrypt")
