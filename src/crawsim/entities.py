@@ -2,15 +2,16 @@
 mobile members.
 
 The main server owns the subscriber list (registration, status, billing) and
-answers authentication lookups.  Each area wireless server owns one key tree
-and re-keys it as members come and go.  Mobile members hold their credential
-and a per-area key view.  Everything here is pure state transformation; the
-simulator layers timing, traces, and metrics on top.
+answers authentication lookups; its list is the one record of where each
+member is.  Each area wireless server owns one key tree, holds the key view
+of every member present in it, and re-keys both as members come and go.
+Mobile members hold only their credential.  Everything here is pure state
+transformation; the simulator layers timing, traces, and metrics on top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .ckc import (
@@ -133,6 +134,14 @@ class MainList:
     def lookup(self, member_id: str, group_id: str) -> MainListEntry | None:
         return self.entries.get((member_id, group_id))
 
+    def area_of(self, member_id: str, group_id: str) -> str | None:
+        """The area a member is keyed in: its last area while active or
+        moving, None otherwise."""
+        entry = self.lookup(member_id, group_id)
+        if entry is None or entry.status not in (STATUS_ACTIVE, STATUS_MOVING):
+            return None
+        return entry.last_area
+
     def advance(
         self,
         member_id: str,
@@ -193,15 +202,7 @@ class MobileMember:
     member_id: str
     secret: ClientSecret | None = None  # set in one-time-password deployments
     credential: bytes | None = None  # set in ordinary-auth deployments
-    views: dict[str, MemberKeyView] = field(default_factory=dict)
-    current_area: str | None = None
     busy: bool = False  # a join/leave/move is in flight
-    delivered: int = 0
-    decrypted: int = 0
-
-    def group_key_for(self, area_id: str) -> bytes | None:
-        view = self.views.get(area_id)
-        return None if view is None else view.group_key()
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,8 @@ def run_auth(main: MainServer, member: MobileMember, rng: Random) -> AuthAttempt
 
 
 class AreaState:
-    """One wireless area: the serving key tree plus the members keyed in it.
+    """One wireless area: the serving key tree plus the key view of each
+    member keyed in it, by member id.
 
     ``join``/``leave`` re-key the tree through the scheme, run every present
     member's local update exactly as a real client would (decrypting the
@@ -257,74 +259,68 @@ class AreaState:
         self.scheme = scheme
         self.rng = rng
         self.tree = (LkhTree if scheme == "lkh" else CkcTree).new(rng)
-        self.members: dict[str, MobileMember] = {}
+        self.views: dict[str, MemberKeyView] = {}
 
     def size(self) -> int:
-        return len(self.members)
+        return len(self.views)
 
     def group_key(self) -> bytes:
         return self.tree.group_key()
 
-    def join(self, member: MobileMember, individual_key: bytes) -> Rekey:
+    def join(self, member_id: str, individual_key: bytes) -> Rekey:
         if self.scheme == "lkh":
-            res = lkh_join(self.tree, member.member_id, individual_key, self.rng)
-            for other in self.members.values():
-                lkh_member_refresh_join(other.views[self.area_id], res.notice, res.multicasts)
-            view = build_lkh_joiner_view(
-                member.member_id, individual_key, res.unicasts, res.notice.leaf, res.notice.epoch
+            res = lkh_join(self.tree, member_id, individual_key, self.rng)
+            for view in self.views.values():
+                lkh_member_refresh_join(view, res.notice, res.multicasts)
+            joiner = build_lkh_joiner_view(
+                member_id, individual_key, res.unicasts, res.notice.leaf, res.notice.epoch
             )
         else:
             res = ckc_join(
                 self.tree,
-                member.member_id,
+                member_id,
                 individual_key,
                 self.rng,
                 count_individual_key=AUTH_MODES[self.scheme] == "ordinary",
             )
-            for other in self.members.values():
-                ckc_member_refresh_join(other.views[self.area_id], res.notice)
+            for view in self.views.values():
+                ckc_member_refresh_join(view, res.notice)
             (unicast,) = res.unicasts[0].payloads
             plaintext = decrypt(individual_key, unicast.ciphertext)
-            view = build_joiner_view(member.member_id, individual_key, plaintext, res.notice)
-        member.views[self.area_id] = view
-        self.members[member.member_id] = member
+            joiner = build_joiner_view(member_id, individual_key, plaintext, res.notice)
+        self.views[member_id] = joiner
         return res
 
-    def seat(self, member: MobileMember, individual_key: bytes) -> None:
-        """The server side of a join alone: place the member and re-key the
-        tree, refreshing no view and building no payload.  The t=0 rosters
-        are keyed in one batch: every member is seated, then ``hand_out``
-        gives each its view; the area is consistent again once all have one."""
-        self.tree.seat(member.member_id, individual_key, self.rng)
-        self.members[member.member_id] = member
-
-    def hand_out(self, member: MobileMember, individual_key: bytes) -> list[WireMessage]:
-        """Deliver a seated member's whole root path in one unicast chain
-        under its individual key, and open its view from it."""
-        leaf = self.tree.leaves[member.member_id]
+    def hand_out(self, member_id: str, individual_key: bytes) -> list[WireMessage]:
+        """Deliver a member already seated on ``tree`` its whole root path in
+        one unicast chain under its individual key, and open its view from
+        it.  The t=0 rosters are keyed in one batch: every member is seated
+        with ``tree.seat`` (no view refreshed, no payload built), then
+        ``hand_out`` gives each its view; the area is consistent again once
+        all have one."""
+        leaf = self.tree.leaves[member_id]
         chain = root_path_chain(self.tree, leaf)
-        member.views[self.area_id] = build_lkh_joiner_view(
-            member.member_id, individual_key, chain, leaf, self.tree.epoch
+        self.views[member_id] = build_lkh_joiner_view(
+            member_id, individual_key, chain, leaf, self.tree.epoch
         )
         return chain
 
-    def leave(self, member: MobileMember) -> Rekey:
-        if member.member_id not in self.members:
-            raise ProtocolError(f"{member.member_id} is not in area {self.area_id}")
+    def leave(self, member_id: str) -> Rekey:
+        if member_id not in self.views:
+            raise ProtocolError(f"{member_id} is not in area {self.area_id}")
         if self.scheme == "lkh":
-            res = lkh_leave(self.tree, member.member_id, self.rng)
+            res = lkh_leave(self.tree, member_id, self.rng)
             refresh = lkh_member_refresh_leave
         else:
-            res = ckc_leave(self.tree, member.member_id, self.rng)
+            res = ckc_leave(self.tree, member_id, self.rng)
             refresh = ckc_member_refresh_leave
-        self.members.pop(member.member_id)
-        member.views.pop(self.area_id)
-        for other in self.members.values():
-            refresh(other.views[self.area_id], res.notice, res.multicasts)
+        del self.views[member_id]
+        for view in self.views.values():
+            refresh(view, res.notice, res.multicasts)
         return res
 
     def consistent(self) -> bool:
         """Every present member's view matches the server tree exactly."""
-        if self.tree.member_count() != len(self.members):
+        if self.tree.member_count() != len(self.views):
             return False
-        return all(self.tree.view_matches(m.views[self.area_id]) for m in self.members.values())
+        return all(self.tree.view_matches(view) for view in self.views.values())

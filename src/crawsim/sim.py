@@ -34,6 +34,7 @@ import heapq
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterator, NamedTuple
@@ -229,15 +230,10 @@ class Simulation:
     hang invariant checks there.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        recorder: RunRecorder | None = None,
-        on_event: Callable | None = None,
-    ):
+    def __init__(self, scenario: Scenario, on_event: Callable | None = None):
         self.sc = scenario
         self.rng = Random(scenario.seed)
-        self.recorder = recorder if recorder is not None else RunRecorder()
+        self.recorder = RunRecorder()
         self.ledger = MetricsLedger()
         self.trace: list[ProtocolMessage] = []
         self.on_event = on_event
@@ -293,17 +289,16 @@ class Simulation:
                 if not attempt.accepted:
                     raise ProtocolError(f"bootstrap auth failed for {member_id}")
                 self._note_auth_material(member)
-                area.seat(member, attempt.individual_key)
-                member.current_area = area_id
+                area.tree.seat(member_id, attempt.individual_key, area.rng)
                 self.main.mainlist.advance(
                     member_id, self.sc.group_id, STATUS_ACTIVE, 0, last_area=area_id
                 )
                 self.recorder.open_window(member_id, area_id, 0)
-                seated.append((member, attempt.individual_key))
+                seated.append((member_id, attempt.individual_key))
             self.recorder.record_keys(*area.tree.drain_stored())
-            for member, individual_key in seated:
-                chain = area.hand_out(member, individual_key)
-                self._record_msgs(area, 0, chain, "key_unicast", target=member.member_id)
+            for member_id, individual_key in seated:
+                chain = area.hand_out(member_id, individual_key)
+                self._record_msgs(area, 0, chain, "key_unicast", target=member_id)
             self._note_views(area)
 
     # -- plumbing ---------------------------------------------------------
@@ -333,10 +328,10 @@ class Simulation:
     def _note_views(self, area: AreaState) -> None:
         """Note the keys each present member's view stored since it was last
         noted."""
-        for m in area.members.values():
-            stored = m.views[area.area_id].drain_gains()
+        for member_id, view in area.views.items():
+            stored = view.drain_gains()
             if stored:
-                self.recorder.note_knowledge(m.member_id, stored)
+                self.recorder.note_knowledge(member_id, stored)
 
     def _append_event(self, ticks: int, kind: str, area: AreaState, member_id: str, rekey: Rekey) -> EventRow:
         row = EventRow(
@@ -387,8 +382,9 @@ class Simulation:
     def _join(self, ev: ScenarioEvent) -> Iterator[int]:
         member = self.members[ev.member]
         area = self.areas[ev.area]
-        if member.current_area is not None:
-            raise ProtocolError(f"{ev.member} is already keyed in {member.current_area}")
+        keyed_in = self.main.mainlist.area_of(ev.member, self.sc.group_id)
+        if keyed_in is not None:
+            raise ProtocolError(f"{ev.member} is already keyed in {keyed_in}")
         member.busy = True
         t = ev.time
         self._emit(t, "igmp_connect", ev.member, area.area_id)
@@ -411,26 +407,24 @@ class Simulation:
             yield t
         self.ledger.setups.append(JoinSetupRecord(ev.member, area.area_id, self.mode, ev.time, t))
         member.busy = False
-        self._key_in(member, area, attempt.individual_key, t, "join")
+        self._key_in(ev.member, area, attempt.individual_key, t, "join")
 
     def _leave(self, ev: ScenarioEvent) -> None:
-        member = self.members[ev.member]
         area = self.areas[ev.area]
-        if member.current_area != area.area_id:
+        if self.main.mainlist.area_of(ev.member, self.sc.group_id) != area.area_id:
             raise ProtocolError(f"{ev.member} is not active in {area.area_id}")
         t = ev.time
         self._emit(t, "leave_request", ev.member, area.area_id, f"member={ev.member}")
         self._emit(t, "leave_request", area.area_id, "main", f"member={ev.member}")
         self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_LEFT, t, last_area=area.area_id)
         self._emit(t, "mainlist_update", area.area_id, "main", f"member={ev.member} status=left")
-        member.current_area = None
-        self._key_out(member, area, t, "leave")
+        self._key_out(ev.member, area, t, "leave")
 
     def _move(self, ev: ScenarioEvent) -> Iterator[int]:
         member = self.members[ev.member]
         if ev.src == ev.dst:
             raise ProtocolError("move source and destination are the same area")
-        if member.current_area != ev.src:
+        if self.main.mainlist.area_of(ev.member, self.sc.group_id) != ev.src:
             raise ProtocolError(f"{ev.member} is not active in {ev.src}")
         member.busy = True
         d = self.sc.delays
@@ -453,10 +447,10 @@ class Simulation:
             self._note_auth_material(member)
             t += self.key_prep + d.reassoc
             yield t
-            self._key_in(member, self.areas[ev.dst], attempt.individual_key, t, "move_join")
+            self._key_in(ev.member, self.areas[ev.dst], attempt.individual_key, t, "move_join")
             # the old area serves the member until this acknowledgement
             self._emit(t, "area_join_ack", ev.dst, ev.src, f"member={ev.member}")
-            self._key_out(member, self.areas[ev.src], t, "move_leave")
+            self._key_out(ev.member, self.areas[ev.src], t, "move_leave")
         else:
             # the member never detached from the serving area; revert status
             self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_ACTIVE, t)
@@ -484,25 +478,23 @@ class Simulation:
         self._record_msgs(area, ticks, rekey.multicasts, "key_multicast")
         self._note_views(area)
 
-    def _key_in(self, member: MobileMember, area: AreaState, individual_key: bytes, ticks: int, kind: str) -> None:
-        member_id = member.member_id
+    def _key_in(self, member_id: str, area: AreaState, individual_key: bytes, ticks: int, kind: str) -> None:
         if self.mode == "ordinary":
             # individual key travels over the registration-secured channel;
             # it is not part of the re-keying payload accounting
             self._emit(ticks, "key_unicast", area.area_id, member_id, f"individual-key {fingerprint(individual_key)}")
-        rekey = area.join(member, individual_key)
-        member.current_area = area.area_id
+        rekey = area.join(member_id, individual_key)
         self._publish_rekey(area, ticks, rekey, target=member_id)
         self.main.mainlist.advance(member_id, self.sc.group_id, STATUS_ACTIVE, ticks, last_area=area.area_id)
         self._emit(ticks, "mainlist_update", area.area_id, "main", f"member={member_id} status=active")
         self.recorder.open_window(member_id, area.area_id, ticks)
         self._append_event(ticks, kind, area, member_id, rekey)
 
-    def _key_out(self, member: MobileMember, area: AreaState, ticks: int, kind: str) -> None:
-        rekey = area.leave(member)
+    def _key_out(self, member_id: str, area: AreaState, ticks: int, kind: str) -> None:
+        rekey = area.leave(member_id)
         self._publish_rekey(area, ticks, rekey, target=None)
-        self.recorder.close_window(member.member_id, area.area_id, ticks)
-        self._append_event(ticks, kind, area, member.member_id, rekey)
+        self.recorder.close_window(member_id, area.area_id, ticks)
+        self._append_event(ticks, kind, area, member_id, rekey)
 
     # -- content ----------------------------------------------------------
 
@@ -518,13 +510,11 @@ class Simulation:
             self.recorder.record_ciphertext(
                 CipherRecord(group_key, ticks, area_id, "content_frame", ciphertext=frame)
             )
-            for member_id, member in area.members.items():
-                member.delivered += 1
+            for member_id, view in area.views.items():
                 self.main.mainlist.credit(member_id, self.sc.group_id)
                 try:
-                    decrypt(member.views[area_id].group_key(), frame)
+                    decrypt(view.group_key(), frame)
                     ok = True
-                    member.decrypted += 1
                 except DecryptionError:
                     ok = False
                 self.ledger.frames.append(FrameRecord(ticks, area_id, member_id, ok))
@@ -618,11 +608,13 @@ def render_report(sim: Simulation) -> str:
                 f" reassoc={fmt_ticks(h.reassoc)} total={fmt_ticks(h.total())} {state}"
             )
     if sim.ledger.frames:
+        delivered = Counter(fr.member for fr in sim.ledger.frames)
+        decrypted = Counter(fr.member for fr in sim.ledger.frames if fr.decrypted)
         out.append("")
         out.append("content delivery:")
-        for member_id in sorted(sim.members):
-            m = sim.members[member_id]
-            if m.delivered:
-                out.append(f"  member={member_id} delivered={m.delivered} decrypted={m.decrypted}")
+        for member_id in sorted(delivered):
+            out.append(
+                f"  member={member_id} delivered={delivered[member_id]} decrypted={decrypted[member_id]}"
+            )
     out.append("")
     return "\n".join(out)

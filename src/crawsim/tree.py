@@ -305,15 +305,17 @@ class PositionTree:
         """Drop a vacated leaf position and promote its sibling subtree into
         the parent's position when the parent is not the root.  Returns
         (promoted subtree root before the move, position it moved into), or
-        (None, None) when nothing moved."""
+        (None, None) when nothing moved.
+
+        Every internal position below the root has exactly two children: a
+        seat splits a leaf into two, and a detach replaces a parent by its
+        one remaining child.  So a non-root parent keeps exactly one child
+        here; anything else is a broken tree and fails loudly."""
         del self.nodes[leaf]
         if len(leaf) <= 2:  # the parent is the root, which never collapses
             return None, None
         parent = leaf[:-1]
-        siblings = self._children(parent)
-        if len(siblings) != 1:
-            return None, None
-        src = siblings[0]
+        (src,) = self._children(parent)
         moved = [c for c in self.nodes if c.startswith(src)]
         relocated = {parent + c[len(src):]: self.nodes[c] for c in moved}
         for c in moved:

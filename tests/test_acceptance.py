@@ -246,7 +246,9 @@ def test_c03_otp_auth_soundness():
 
 def test_c04_consistency_after_every_event():
     """After every re-keying event, in randomized runs across all schemes,
-    each present member's locally refreshed view matches the server tree."""
+    each present member's locally refreshed view matches the server tree;
+    at the end, a member's view is held by exactly its main-list area while
+    it is active, and by no area otherwise."""
     schemes = ("ckc_craw", "ckc_plain", "lkh")
     checked = 0
 
@@ -259,11 +261,10 @@ def test_c04_consistency_after_every_event():
         sc = random_scenario(trial, schemes[trial % 3])
         sim = Simulation(sc, on_event=hook).run()
         assert not any(m.busy for m in sim.members.values())
-        for m in sim.members.values():
-            entry = sim.main.mainlist.lookup(m.member_id, "g1")
-            if m.current_area is not None:
-                assert entry.status == "active"
-                assert m.member_id in sim.areas[m.current_area].members
+        for member_id in sim.members:
+            entry = sim.main.mainlist.lookup(member_id, "g1")
+            holding = [a for a, area in sim.areas.items() if member_id in area.views]
+            assert holding == ([entry.last_area] if entry.status == "active" else [])
     assert checked > 200
 
 
@@ -369,8 +370,10 @@ def test_c08_mainlist_lifecycle_and_accounting():
     assert statuses == ["active", "moving", "active", "left", "active"]
 
     w1_frames = [fr for fr in sim.ledger.frames if fr.member == "w1"]
-    assert entry.service_accounting == len(w1_frames) == sim.members["w1"].delivered
+    assert entry.service_accounting == len(w1_frames)
     assert all(fr.decrypted for fr in w1_frames)
+    n = len(w1_frames)
+    assert f"  member=w1 delivered={n} decrypted={n}\n" in render_report(sim)
     join1 = to_ticks(1.0) + to_ticks(0.002517)
     move_done = to_ticks(2.0) + to_ticks(0.9460337)
     leave_at = to_ticks(4.0)
@@ -389,8 +392,7 @@ def test_c09_frame_continuity_across_handoff_and_after_leave():
     hand-off; the departed member receives nothing afterwards and none of its
     keys can open later traffic."""
     sim = run_bundled("handoff")
-    u1 = sim.members["u1"]
-    assert u1.delivered == u1.decrypted == 300
+    assert sum(fr.member == "u1" for fr in sim.ledger.frames) == 300
     assert all(fr.decrypted for fr in sim.ledger.frames)
     move_done = to_ticks(1.0) + to_ticks(0.9460337)
     areas = {fr.area for fr in sim.ledger.frames if fr.member == "u1" and fr.time > move_done}
@@ -398,10 +400,10 @@ def test_c09_frame_continuity_across_handoff_and_after_leave():
     assert check_secrecy(sim.recorder) == []
 
     sim = run_bundled("departed")
-    u8 = sim.members["u8"]
     leave_at = to_ticks(1.0)
-    assert u8.delivered == u8.decrypted == 99
-    assert all(fr.time < leave_at for fr in sim.ledger.frames if fr.member == "u8")
+    u8_frames = [fr for fr in sim.ledger.frames if fr.member == "u8"]
+    assert len(u8_frames) == 99 and all(fr.decrypted for fr in u8_frames)
+    assert all(fr.time < leave_at for fr in u8_frames)
     held = sim.recorder.knowledge["u8"]
     later = [
         rec for rec in sim.recorder.ciphertexts

@@ -4,9 +4,11 @@ orchestration across all three schemes."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from crawsim.ckc import ckc_member_refresh_leave
 from crawsim.crypto import ProtocolError, decrypt, random_key
 from crawsim.entities import (
     SCHEMES,
@@ -23,6 +25,7 @@ from crawsim.entities import (
     run_auth,
 )
 from crawsim.crypto import encrypt
+from crawsim.lkh import lkh_member_refresh_leave
 from crawsim.otp import ClientSecret
 from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload
 
@@ -61,6 +64,21 @@ def test_status_walk_through_the_lifecycle():
     ml.advance("u1", "g1", STATUS_LEFT, 40)
     # a departed subscriber may come back
     assert ml.advance("u1", "g1", STATUS_ACTIVE, 50, last_area="A").status == STATUS_ACTIVE
+
+
+def test_area_of_follows_the_main_list_status():
+    ml = MainList()
+    ml.register(MainListEntry("u1", "g1"))
+    assert ml.area_of("u1", "g1") is None  # registered, never keyed in
+    assert ml.area_of("u9", "g1") is None and ml.area_of("u1", "g2") is None
+    ml.advance("u1", "g1", STATUS_ACTIVE, 10, last_area="A")
+    assert ml.area_of("u1", "g1") == "A"
+    ml.advance("u1", "g1", STATUS_MOVING, 20)
+    assert ml.area_of("u1", "g1") == "A"  # still served by the source area
+    ml.advance("u1", "g1", STATUS_ACTIVE, 30, last_area="B")
+    assert ml.area_of("u1", "g1") == "B"
+    entry = ml.advance("u1", "g1", STATUS_LEFT, 40, last_area="B")
+    assert entry.last_area == "B" and ml.area_of("u1", "g1") is None
 
 
 def test_illegal_transitions_rejected():
@@ -174,24 +192,23 @@ def test_wire_message_info_format():
 def test_area_join_leave_keeps_every_view_consistent(scheme):
     rng = random.Random(101)
     area = AreaState("A", scheme, rng)
-    members = {}
     for i in range(1, 9):
-        m = MobileMember(f"u{i}")
-        members[m.member_id] = m
-        outcome = area.join(m, random_key(rng))
+        outcome = area.join(f"u{i}", random_key(rng))
         assert isinstance(outcome.notice, JoinNotice)
         assert area.size() == i
         assert area.consistent()
-    for m in members.values():
-        assert m.group_key_for("A") == area.group_key()
+    for view in area.views.values():
+        assert view.group_key() == area.group_key()
     for victim in ("u1", "u5", "u8"):
-        outcome = area.leave(members.pop(victim))
+        outcome = area.leave(victim)
         assert isinstance(outcome.notice, LeaveNotice)
+        assert victim not in area.views
         assert area.consistent()
-        for m in members.values():
-            assert m.group_key_for("A") == area.group_key()
+        for view in area.views.values():
+            assert view.group_key() == area.group_key()
+    assert sorted(area.views) == ["u2", "u3", "u4", "u6", "u7"]
     # one wrong key in one present view is enough for the oracle to object
-    view = members["u2"].views["A"]
+    view = area.views["u2"]
     code = view.leaf
     kept = view.keys[code]
     view.keys[code] = bytes(b ^ 1 for b in kept)
@@ -199,9 +216,38 @@ def test_area_join_leave_keeps_every_view_consistent(scheme):
     view.keys[code] = kept
     assert area.consistent()
     with pytest.raises(ProtocolError):
-        area.leave(MobileMember("nobody"))
+        area.leave("nobody")
     with pytest.raises(ProtocolError):
         AreaState("A", "mystery", rng)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_member_views_refuse_a_missed_notice_their_own_leave_and_any_mismatch(scheme):
+    refresh_leave = lkh_member_refresh_leave if scheme == "lkh" else ckc_member_refresh_leave
+    rng = random.Random(58)
+    area = AreaState("A", scheme, rng)
+    for i in range(6):
+        area.join(f"u{i}", random_key(rng))
+    departed = area.views["u5"]
+    outcome = area.leave("u5")
+    with pytest.raises(ProtocolError, match="departed member cannot refresh"):
+        refresh_leave(departed, outcome.notice, outcome.multicasts)
+    # the oracle refuses a view that is right but for one thing
+    view = area.views["u1"]
+    assert area.tree.view_matches(view)
+    sibling = next(c for c in area.tree._children(view.leaf[:-1]) if c != view.leaf)
+    for wrong in (
+        replace(view, epoch=view.epoch - 1),
+        replace(view, keys={c: k for c, k in view.keys.items() if c != view.leaf}),
+        replace(view, keys={**view.keys, sibling: area.tree.nodes[sibling]}),
+    ):
+        assert not area.tree.view_matches(wrong)
+    # a member that misses one announcement cannot follow the next
+    lagging = area.views.pop("u0")
+    area.join("u6", random_key(rng))
+    area.views["u0"] = lagging
+    with pytest.raises(ProtocolError, match=r"u0 missed an announcement \(view at 7, notice 9\)"):
+        area.leave("u6")
 
 
 def test_join_outcome_counters_by_scheme():
@@ -212,8 +258,8 @@ def test_join_outcome_counters_by_scheme():
     ):
         area = AreaState("A", scheme, rng)
         for i in range(7):
-            area.join(MobileMember(f"u{i}"), random_key(rng))
-        outcome = area.join(MobileMember("u7"), random_key(rng))
+            area.join(f"u{i}", random_key(rng))
+        outcome = area.join("u7", random_key(rng))
         assert outcome.counters.key_generations == expected_keygen
         assert outcome.counters.encryptions == 1
         assert outcome.counters.unicast_sends == 1
@@ -224,8 +270,8 @@ def test_join_outcome_counters_by_scheme():
 
     area = AreaState("A", "lkh", rng)
     for i in range(7):
-        area.join(MobileMember(f"u{i}"), random_key(rng))
-    outcome = area.join(MobileMember("u7"), random_key(rng))
+        area.join(f"u{i}", random_key(rng))
+    outcome = area.join("u7", random_key(rng))
     d = len(outcome.notice.leaf) - 1
     assert d == 3  # eighth member of a balanced binary tree
     assert outcome.counters.key_generations == d
@@ -243,20 +289,19 @@ def test_batch_seat_and_hand_out_equal_sequential_joins(scheme):
     keys = [random_key(key_rng) for _ in range(40)]
     batch = AreaState("A", scheme, random.Random(3))
     sequential = AreaState("A", scheme, random.Random(3))
-    batch_members = [MobileMember(f"m{i:02d}") for i in range(40)]
-    sequential_members = [MobileMember(f"m{i:02d}") for i in range(40)]
-    for m, k in zip(batch_members, keys):
-        batch.seat(m, k)
-    for m, k in zip(batch_members, keys):
+    member_ids = [f"m{i:02d}" for i in range(40)]
+    for m, k in zip(member_ids, keys):
+        batch.tree.seat(m, k, batch.rng)
+    for m, k in zip(member_ids, keys):
         msgs = batch.hand_out(m, k)
         # one chain link per level above the member's leaf
-        assert len(msgs) == len(m.views["A"].leaf) - 1
-    for m, k in zip(sequential_members, keys):
+        assert len(msgs) == len(batch.views[m].leaf) - 1
+    for m, k in zip(member_ids, keys):
         sequential.join(m, k)
     assert batch.tree.dump() == sequential.tree.dump()
     assert batch.rng.getstate() == sequential.rng.getstate()
-    for b, s in zip(batch_members, sequential_members):
-        vb, vs = b.views["A"], s.views["A"]
+    for m in member_ids:
+        vb, vs = batch.views[m], sequential.views[m]
         assert (vb.leaf, vb.keys, vb.epoch) == (vs.leaf, vs.keys, vs.epoch)
     assert batch.consistent() and sequential.consistent()
 
@@ -266,16 +311,16 @@ def test_every_audit_handle_opens_its_own_payload(scheme):
     # the secrecy audit reads enc_key as the key that protects a payload
     rng = random.Random(57)
     area = AreaState("A", scheme, rng)
-    seated = [(MobileMember(f"s{i}"), random_key(rng)) for i in range(6)]
+    seated = [(f"s{i}", random_key(rng)) for i in range(6)]
     for m, key in seated:
-        area.seat(m, key)
+        area.tree.seat(m, key, area.rng)
     msgs = [msg for m, key in seated for msg in area.hand_out(m, key)]
     present = [m for m, _ in seated]
     for i in range(30):
         if present and rng.random() < 0.4:
             outcome = area.leave(present.pop(rng.randrange(len(present))))
         else:
-            present.append(MobileMember(f"j{i}"))
+            present.append(f"j{i}")
             outcome = area.join(present[-1], random_key(rng))
         msgs += outcome.unicasts + outcome.multicasts
     assert area.consistent()
@@ -294,10 +339,9 @@ def test_leave_outcome_counters_by_scheme():
     rng = random.Random(56)
     for scheme in ("ckc_craw", "ckc_plain"):
         area = AreaState("A", scheme, rng)
-        members = [MobileMember(f"u{i}") for i in range(8)]
-        for m in members:
-            area.join(m, random_key(rng))
-        outcome = area.leave(members[3])
+        for i in range(8):
+            area.join(f"u{i}", random_key(rng))
+        outcome = area.leave("u3")
         d = len(outcome.notice.leaf) - 1
         assert d == 3
         assert outcome.counters.key_generations == 1
@@ -308,10 +352,9 @@ def test_leave_outcome_counters_by_scheme():
         assert len(outcome.multicasts) == d
 
     area = AreaState("A", "lkh", rng)
-    members = [MobileMember(f"u{i}") for i in range(8)]
-    for m in members:
-        area.join(m, random_key(rng))
-    outcome = area.leave(members[3])
+    for i in range(8):
+        area.join(f"u{i}", random_key(rng))
+    outcome = area.leave("u3")
     d = len(outcome.notice.leaf) - 1
     assert d == 3
     # reported accounting: d-1 fresh keys, two encryptions per level

@@ -132,7 +132,7 @@ def test_handoff_timeline_otp():
     assert kinds == ["move_join", "move_leave"]
     t_done = to_ticks(1.0) + to_ticks(0.9460337)
     assert all(r.time == t_done for r in sim.ledger.events)
-    assert sim.members["u1"].current_area == "B"
+    assert sim.main.mainlist.area_of("u1", "g1") == "B"
     assert sim.areas["A"].size() == 7 and sim.areas["B"].size() == 8
 
 
@@ -178,7 +178,7 @@ def test_rejected_join_changes_nothing():
     sim.run()
     text = render_trace(sim.trace)
     assert "auth_result A->w1 rejected" in text
-    assert sim.members["w1"].current_area is None
+    assert sim.main.mainlist.area_of("w1", "g1") is None
     assert not sim.members["w1"].busy
     assert sim.main.mainlist.lookup("w1", "g1").status == "registered"
     assert sim.ledger.events == [] == sim.ledger.setups
@@ -192,7 +192,7 @@ def test_rejected_otp_join_changes_nothing():
     entry.auth = sim.main.mainlist.lookup("u1", "g1").auth  # verifier mismatch
     sim.run()
     assert "auth_result A->w1 rejected" in render_trace(sim.trace)
-    assert sim.members["w1"].current_area is None
+    assert sim.main.mainlist.area_of("w1", "g1") is None
     assert sim.ledger.events == []
     assert sim.check_consistent()
 
@@ -208,8 +208,8 @@ def test_rejected_handoff_reverts_to_source_area():
     entry = sim.main.mainlist.lookup("u1", "g1")
     assert entry.status == "active"
     assert entry.last_area == "A"
-    assert sim.members["u1"].current_area == "A"
-    assert "u1" in sim.areas["A"].members and "u1" not in sim.areas["B"].members
+    assert sim.main.mainlist.area_of("u1", "g1") == "A"
+    assert "u1" in sim.areas["A"].views and "u1" not in sim.areas["B"].views
     assert sim.ledger.events == []
     assert sim.check_consistent()
 
@@ -243,7 +243,7 @@ def test_rejected_join_and_handoff_leave_only_the_later_leave(scheme):
 
     assert [(r.kind, r.member, r.area, r.time) for r in sim.ledger.events] == [("leave", "u1", "A", to_ticks(3.0))]
     assert sim.ledger.setups == []
-    assert sim.members["w1"].current_area is None and sim.members["u1"].current_area is None
+    assert [sim.main.mainlist.area_of(m, "g1") for m in ("w1", "u1")] == [None, None]
     assert sim.check_consistent()
     assert check_secrecy(sim.recorder) == []
 
@@ -325,7 +325,7 @@ def test_each_member_opens_frames_with_its_own_key():
 
     def break_u7(sim, row):
         if row.kind == "leave" and row.member == "u8":
-            view = sim.members["u7"].views["A"]
+            view = sim.areas["A"].views["u7"]
             view.keys[view.leaf[0]] = bytes(KEY_WIDTH)
             broken_at.append(row.time)
 
@@ -333,8 +333,8 @@ def test_each_member_opens_frames_with_its_own_key():
     (t,) = broken_at
     late_u7 = [fr for fr in sim.ledger.frames if fr.member == "u7" and fr.time >= t]
     assert late_u7 and [fr for fr in sim.ledger.frames if not fr.decrypted] == late_u7
-    u7 = sim.members["u7"]
-    assert u7.delivered - u7.decrypted == len(late_u7)
+    n = sum(fr.member == "u7" for fr in sim.ledger.frames)
+    assert f"  member=u7 delivered={n} decrypted={n - len(late_u7)}\n" in render_report(sim)
 
 
 def test_frames_are_opened_once_per_key_not_per_delivery(monkeypatch):
@@ -410,7 +410,7 @@ def test_bootstrap_chains_are_audited(scheme):
     sim = Simulation(scenario([JOIN_W1], scheme=scheme))
     boot = [c for c in sim.recorder.ciphertexts if c.time == 0]
     # one unicast chain per initial member, one link per level of its leaf
-    views = {m: sim.members[m].views[a] for a in sorted(AREAS) for m in AREAS[a]}
+    views = {m: sim.areas[a].views[m] for a in sorted(AREAS) for m in AREAS[a]}
     assert [c.target for c in boot] == [m for m, view in views.items() for _ in view.leaf[1:]]
     assert {c.kind for c in boot} == {"key_unicast"}
     sim.run()

@@ -1,8 +1,9 @@
 """The benchmark's per-layer tracer (``bench/tracing.py``) counts a layer by
 wrapping the name a caller module imported.  A scheme function that is no
 longer called through that name drops out of the counts silently, so this
-runs the bundled ``tables`` scenario (joins and leaves) under the tracer
-for every scheme and checks that each layer is still seen."""
+runs the bundled ``tables`` scenario (joins and leaves) and ``handoff``
+(content frames) under the tracer for every scheme and checks that each
+layer is still seen."""
 
 from __future__ import annotations
 
@@ -28,17 +29,24 @@ def load_tracer():
     return module.Tracer
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_tracer_sees_every_layer(scheme):
-    raw = (resources.files("crawsim") / "scenarios" / "tables.json").read_text(encoding="utf-8")
+def traced_run(bundled: str, scheme: str):
+    """Run a bundled scenario under the tracer; the tracer and the finished
+    simulation."""
+    raw = (resources.files("crawsim") / "scenarios" / f"{bundled}.json").read_text(encoding="utf-8")
     sc = validate_doc(apply_overrides(json.loads(raw), scheme=scheme))
     mods = {name: importlib.import_module(f"crawsim.{name}") for name in MODULES}
     tracer = load_tracer()()
     tracer.install(mods)
     try:
-        mods["sim"].Simulation(sc).run()
+        sim = mods["sim"].Simulation(sc).run()
     finally:
         tracer.uninstall()
+    return tracer, sim
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tracer_sees_every_layer(scheme):
+    tracer, _sim = traced_run("tables", scheme)
     calls = {name: n for name, (n, _self_s) in tracer.summary().items()}
     family = "lkh" if scheme == "lkh" else "ckc"
     spans = [f"{family}.{step}" for step in ("join", "refresh", "leave", "joiner_view")]
@@ -55,3 +63,13 @@ def test_tracer_sees_every_layer(scheme):
             nid == decrypt and p >= 0 and tracer.name_id[p] == refresh
             for nid, p in zip(tracer.name_id, tracer.parent)
         )
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tracer_counts_one_credit_per_frame_delivery(scheme):
+    tracer, sim = traced_run("handoff", scheme)
+    calls = {name: n for name, (n, _self_s) in tracer.summary().items()}
+    deliveries = len(sim.ledger.frames)
+    assert deliveries > 0
+    assert calls["entities.credit"] == deliveries
+    assert calls["crypto.decrypt"] >= deliveries
