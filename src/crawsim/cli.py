@@ -64,7 +64,7 @@ def cmd_run(args) -> int:
         doc = _load_doc(args.scenario)
         doc = apply_overrides(doc, seed=args.seed, scheme=args.scheme, pairs=args.override)
         scenario = validate_doc(doc)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -75,11 +75,15 @@ def cmd_run(args) -> int:
         print(f"error: {scenario.name}: {exc}", file=sys.stderr)
         return 2
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(render_metrics_csv(sim.ledger), encoding="utf-8")
-    (out / "trace.log").write_text(render_trace(sim.trace), encoding="utf-8")
-    (out / "mainlist.json").write_text(render_mainlist(sim), encoding="utf-8")
-    (out / "report.txt").write_text(render_report(sim), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "metrics.csv").write_text(render_metrics_csv(sim.ledger), encoding="utf-8")
+        (out / "trace.log").write_text(render_trace(sim.trace), encoding="utf-8")
+        (out / "mainlist.json").write_text(render_mainlist(sim), encoding="utf-8")
+        (out / "report.txt").write_text(render_report(sim), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     totals = sim.ledger.totals()
     print(
         f"{scenario.name}: scheme={scenario.scheme} events={len(sim.ledger.events)}"
@@ -93,7 +97,7 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     try:
         scenario = validate_doc(_load_doc(args.scenario))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

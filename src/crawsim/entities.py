@@ -1,12 +1,13 @@
-"""Group entities: main server subscriber list, area wireless servers, and
-mobile members.
+"""Group entities: the main list, area wireless servers, and mobile members.
 
-The main server owns the subscriber list (registration, status, billing) and
-answers authentication lookups; its list is the one record of where each
-member is.  Each area wireless server owns one key tree, holds the key view
-of every member present in it, and re-keys both as members come and go.
-Mobile members hold only their credential.  Everything here is pure state
-transformation; the simulator layers timing, traces, and metrics on top.
+The main server's whole state is one ``MainList`` for its one multicast
+group, keyed by member id: registration, auth material, status and
+billing.  It answers authentication lookups, and it is the one record of
+where each member is.  Each area wireless server owns one key tree, holds
+the key view of every member present in it, and re-keys both as members
+come and go.  Mobile members hold only their credential.  Everything here
+is pure state transformation; the simulator layers timing, traces, and
+metrics on top.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class ProtocolMessage:
 @dataclass
 class MainListEntry:
     member_id: str
-    group_id: str
     status: str = STATUS_REGISTERED
     last_area: str | None = None
     service_accounting: int = 0
@@ -96,7 +96,7 @@ class MainListEntry:
     auth: AuthRecord | None = None  # one-time-password verifier state
     credential: bytes | None = None  # ordinary shared credential
 
-    def to_doc(self, fmt_time) -> dict:
+    def to_doc(self, group_id: str, fmt_time) -> dict:
         if self.auth is not None:
             material = {
                 "kind": "otp",
@@ -110,7 +110,7 @@ class MainListEntry:
             }
         return {
             "member": self.member_id,
-            "group": self.group_id,
+            "group": group_id,
             "status": self.status,
             "last_area": self.last_area,
             "service_accounting": self.service_accounting,
@@ -120,39 +120,42 @@ class MainListEntry:
 
 
 class MainList:
-    """The subscriber table held by the main server."""
+    """The main server's subscriber list for its one multicast group, keyed
+    by member id: auth material, status, location and billing."""
 
-    def __init__(self):
-        self.entries: dict[tuple[str, str], MainListEntry] = {}
+    def __init__(self, group_id: str):
+        self.group_id = group_id
+        self.entries: dict[str, MainListEntry] = {}
 
-    def register(self, entry: MainListEntry) -> None:
-        key = (entry.member_id, entry.group_id)
-        if key in self.entries:
-            raise ProtocolError(f"{entry.member_id} already registered for {entry.group_id}")
-        self.entries[key] = entry
+    def register(self, member: MobileMember) -> MainListEntry:
+        """Enrol a member: its first one-time-password verifier when it has
+        a secret, its credential otherwise."""
+        if member.member_id in self.entries:
+            raise ProtocolError(f"{member.member_id} already registered for {self.group_id}")
+        if member.secret is not None:
+            entry = MainListEntry(member.member_id, auth=otp_register(member.secret))
+        else:
+            entry = MainListEntry(member.member_id, credential=member.credential)
+        self.entries[member.member_id] = entry
+        return entry
 
-    def lookup(self, member_id: str, group_id: str) -> MainListEntry | None:
-        return self.entries.get((member_id, group_id))
+    def lookup(self, member_id: str) -> MainListEntry | None:
+        return self.entries.get(member_id)
 
-    def area_of(self, member_id: str, group_id: str) -> str | None:
+    def area_of(self, member_id: str) -> str | None:
         """The area a member is keyed in: its last area while active or
         moving, None otherwise."""
-        entry = self.lookup(member_id, group_id)
+        entry = self.lookup(member_id)
         if entry is None or entry.status not in (STATUS_ACTIVE, STATUS_MOVING):
             return None
         return entry.last_area
 
     def advance(
-        self,
-        member_id: str,
-        group_id: str,
-        status: str,
-        time: int,
-        last_area: str | None = None,
+        self, member_id: str, status: str, time: int, last_area: str | None = None
     ) -> MainListEntry:
-        entry = self.lookup(member_id, group_id)
+        entry = self.lookup(member_id)
         if entry is None:
-            raise ProtocolError(f"{member_id} is not registered for {group_id}")
+            raise ProtocolError(f"{member_id} is not registered for {self.group_id}")
         if status not in _TRANSITIONS.get(entry.status, set()):
             raise ProtocolError(
                 f"illegal status transition {entry.status} -> {status} for {member_id}"
@@ -163,38 +166,15 @@ class MainList:
             entry.last_area = last_area
         return entry
 
-    def credit(self, member_id: str, group_id: str, units: int = 1) -> None:
-        entry = self.entries.get((member_id, group_id))  # lookup inlined: runs per frame delivery
+    def credit(self, member_id: str) -> None:
+        """Bill one delivered frame."""
+        entry = self.entries.get(member_id)  # lookup inlined: runs per frame delivery
         if entry is None:
             raise ProtocolError(f"cannot bill unknown member {member_id}")
-        if units < 0:
-            raise ProtocolError("accounting can only increase")
-        entry.service_accounting += units
+        entry.service_accounting += 1
 
     def to_doc(self, fmt_time) -> list[dict]:
-        return [
-            self.entries[k].to_doc(fmt_time) for k in sorted(self.entries)
-        ]
-
-
-class MainServer:
-    """Owns the main list for one multicast group."""
-
-    def __init__(self, group_id: str):
-        self.group_id = group_id
-        self.mainlist = MainList()
-
-    def register_otp(self, secret: ClientSecret) -> MainListEntry:
-        entry = MainListEntry(
-            secret.member_id, self.group_id, auth=otp_register(secret)
-        )
-        self.mainlist.register(entry)
-        return entry
-
-    def register_credential(self, member_id: str, credential: bytes) -> MainListEntry:
-        entry = MainListEntry(member_id, self.group_id, credential=credential)
-        self.mainlist.register(entry)
-        return entry
+        return [self.entries[m].to_doc(self.group_id, fmt_time) for m in sorted(self.entries)]
 
 
 @dataclass
@@ -212,7 +192,7 @@ class AuthAttempt:
     detail: str  # short description for traces
 
 
-def run_auth(main: MainServer, member: MobileMember, rng: Random) -> AuthAttempt:
+def run_auth(mainlist: MainList, member: MobileMember, rng: Random) -> AuthAttempt:
     """One authentication exchange against the main list.
 
     With a one-time password the challenge both proves possession and pins
@@ -220,7 +200,7 @@ def run_auth(main: MainServer, member: MobileMember, rng: Random) -> AuthAttempt
     Ordinary deployments compare a registered credential and mint a fresh
     key server-side.
     """
-    entry = main.mainlist.lookup(member.member_id, main.group_id)
+    entry = mainlist.lookup(member.member_id)
     if member.secret is not None:
         challenge = make_challenge(member.secret, rng)
         detail = fingerprint(challenge.wire().encode("ascii"))
@@ -306,8 +286,6 @@ class AreaState:
         return chain
 
     def leave(self, member_id: str) -> Rekey:
-        if member_id not in self.views:
-            raise ProtocolError(f"{member_id} is not in area {self.area_id}")
         if self.scheme == "lkh":
             res = lkh_leave(self.tree, member_id, self.rng)
             refresh = lkh_member_refresh_leave

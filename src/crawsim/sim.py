@@ -34,6 +34,7 @@ import heapq
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
@@ -46,7 +47,7 @@ from .entities import (
     STATUS_LEFT,
     STATUS_MOVING,
     AreaState,
-    MainServer,
+    MainList,
     MobileMember,
     ProtocolMessage,
     run_auth,
@@ -65,14 +66,16 @@ def to_ticks(seconds: float) -> int:
 
 
 def need_seconds(value, field: str) -> float:
-    """``value`` as a finite, non-negative number of seconds, or a
-    ValueError that names ``field``."""
+    """``value`` as a finite, non-negative number of seconds whose tick
+    count is finite too, or a ValueError that names ``field``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{field}: expected a finite number, got {value!r}")
     if value < 0:
         raise ValueError(f"{field}: must be non-negative")
+    if value * TICKS_PER_SECOND > sys.float_info.max:  # exact for an int of any size
+        raise ValueError(f"{field}: too large to count in ticks")
     return float(value)
 
 
@@ -237,7 +240,7 @@ class Simulation:
         self.ledger = MetricsLedger()
         self.trace: list[ProtocolMessage] = []
         self.on_event = on_event
-        self.main = MainServer(scenario.group_id)
+        self.mainlist = MainList(scenario.group_id)
         self.areas = {
             area_id: AreaState(area_id, scenario.scheme, self.rng) for area_id in sorted(scenario.areas)
         }
@@ -262,16 +265,11 @@ class Simulation:
         roster = [m for a in sorted(self.sc.areas) for m in self.sc.areas[a]]
         roster += list(self.sc.extra_members)
         for member_id in roster:
-            if member_id in self.members:
-                raise ProtocolError(f"{member_id} listed twice in the scenario")
             if self.mode == "otp":
-                secret = ClientSecret(member_id, b"pw:" + member_id.encode(), self.rng)
-                member = MobileMember(member_id, secret=secret)
-                self.main.register_otp(secret)
+                member = MobileMember(member_id, secret=ClientSecret(member_id, b"pw:" + member_id.encode(), self.rng))
             else:
-                credential = random_key(self.rng)
-                member = MobileMember(member_id, credential=credential)
-                self.main.register_credential(member_id, credential)
+                member = MobileMember(member_id, credential=random_key(self.rng))
+            self.mainlist.register(member)
             self._note_auth_material(member)
             self.members[member_id] = member
 
@@ -285,14 +283,12 @@ class Simulation:
             seated = []
             for member_id in self.sc.areas[area_id]:
                 member = self.members[member_id]
-                attempt = run_auth(self.main, member, self.rng)
+                attempt = run_auth(self.mainlist, member, self.rng)
                 if not attempt.accepted:
                     raise ProtocolError(f"bootstrap auth failed for {member_id}")
                 self._note_auth_material(member)
                 area.tree.seat(member_id, attempt.individual_key, area.rng)
-                self.main.mainlist.advance(
-                    member_id, self.sc.group_id, STATUS_ACTIVE, 0, last_area=area_id
-                )
+                self.mainlist.advance(member_id, STATUS_ACTIVE, 0, last_area=area_id)
                 self.recorder.open_window(member_id, area_id, 0)
                 seated.append((member_id, attempt.individual_key))
             self.recorder.record_keys(*area.tree.drain_stored())
@@ -312,7 +308,7 @@ class Simulation:
     def _note_auth_material(self, member: MobileMember) -> None:
         if member.secret is None:
             return
-        entry = self.main.mainlist.lookup(member.member_id, self.sc.group_id)
+        entry = self.mainlist.lookup(member.member_id)
         self.recorder.record_keys([entry.auth.stored_hash])
         self.recorder.note_knowledge(member.member_id, [entry.auth.stored_hash])
 
@@ -382,14 +378,14 @@ class Simulation:
     def _join(self, ev: ScenarioEvent) -> Iterator[int]:
         member = self.members[ev.member]
         area = self.areas[ev.area]
-        keyed_in = self.main.mainlist.area_of(ev.member, self.sc.group_id)
+        keyed_in = self.mainlist.area_of(ev.member)
         if keyed_in is not None:
             raise ProtocolError(f"{ev.member} is already keyed in {keyed_in}")
         member.busy = True
         t = ev.time
         self._emit(t, "igmp_connect", ev.member, area.area_id)
         self._emit(t, "join_request", ev.member, area.area_id, f"member={ev.member}")
-        attempt = run_auth(self.main, member, self.rng)
+        attempt = run_auth(self.mainlist, member, self.rng)
         self._emit(t, "auth_challenge", ev.member, area.area_id, attempt.detail)
         self._emit(t, "mainlist_query", area.area_id, "main", f"member={ev.member}")
         self._emit(t, "mainlist_update", "main", area.area_id, f"record member={ev.member}")
@@ -411,12 +407,12 @@ class Simulation:
 
     def _leave(self, ev: ScenarioEvent) -> None:
         area = self.areas[ev.area]
-        if self.main.mainlist.area_of(ev.member, self.sc.group_id) != area.area_id:
+        if self.mainlist.area_of(ev.member) != area.area_id:
             raise ProtocolError(f"{ev.member} is not active in {area.area_id}")
         t = ev.time
         self._emit(t, "leave_request", ev.member, area.area_id, f"member={ev.member}")
         self._emit(t, "leave_request", area.area_id, "main", f"member={ev.member}")
-        self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_LEFT, t, last_area=area.area_id)
+        self.mainlist.advance(ev.member, STATUS_LEFT, t, last_area=area.area_id)
         self._emit(t, "mainlist_update", area.area_id, "main", f"member={ev.member} status=left")
         self._key_out(ev.member, area, t, "leave")
 
@@ -424,7 +420,7 @@ class Simulation:
         member = self.members[ev.member]
         if ev.src == ev.dst:
             raise ProtocolError("move source and destination are the same area")
-        if self.main.mainlist.area_of(ev.member, self.sc.group_id) != ev.src:
+        if self.mainlist.area_of(ev.member) != ev.src:
             raise ProtocolError(f"{ev.member} is not active in {ev.src}")
         member.busy = True
         d = self.sc.delays
@@ -433,9 +429,9 @@ class Simulation:
         yield t
         self._emit(t, "handoff_leave", ev.member, ev.src)
         self._emit(t, "handoff_join", ev.member, ev.dst)
-        attempt = run_auth(self.main, member, self.rng)
+        attempt = run_auth(self.mainlist, member, self.rng)
         self._emit(t, "auth_challenge", ev.member, ev.dst, attempt.detail)
-        self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_MOVING, t)
+        self.mainlist.advance(ev.member, STATUS_MOVING, t)
         self._emit(t, "mainlist_update", ev.src, "main", f"member={ev.member} status=moving")
         self._emit(t, "mainlist_query", ev.dst, "main", f"member={ev.member}")
         self._emit(t, "mainlist_update", "main", ev.dst, f"record member={ev.member}")
@@ -453,7 +449,7 @@ class Simulation:
             self._key_out(ev.member, self.areas[ev.src], t, "move_leave")
         else:
             # the member never detached from the serving area; revert status
-            self.main.mainlist.advance(ev.member, self.sc.group_id, STATUS_ACTIVE, t)
+            self.mainlist.advance(ev.member, STATUS_ACTIVE, t)
             self._emit(t, "mainlist_update", ev.dst, "main", f"member={ev.member} status=active")
         # a refused hand-off spent nothing past its auth
         self.ledger.handoffs.append(
@@ -485,7 +481,7 @@ class Simulation:
             self._emit(ticks, "key_unicast", area.area_id, member_id, f"individual-key {fingerprint(individual_key)}")
         rekey = area.join(member_id, individual_key)
         self._publish_rekey(area, ticks, rekey, target=member_id)
-        self.main.mainlist.advance(member_id, self.sc.group_id, STATUS_ACTIVE, ticks, last_area=area.area_id)
+        self.mainlist.advance(member_id, STATUS_ACTIVE, ticks, last_area=area.area_id)
         self._emit(ticks, "mainlist_update", area.area_id, "main", f"member={member_id} status=active")
         self.recorder.open_window(member_id, area.area_id, ticks)
         self._append_event(ticks, kind, area, member_id, rekey)
@@ -511,7 +507,7 @@ class Simulation:
                 CipherRecord(group_key, ticks, area_id, "content_frame", ciphertext=frame)
             )
             for member_id, view in area.views.items():
-                self.main.mainlist.credit(member_id, self.sc.group_id)
+                self.mainlist.credit(member_id)
                 try:
                     decrypt(view.group_key(), frame)
                     ok = True
@@ -546,9 +542,9 @@ def render_trace(trace: list[ProtocolMessage]) -> str:
 
 def render_mainlist(sim: Simulation) -> str:
     doc = {
-        "group": sim.sc.group_id,
+        "group": sim.mainlist.group_id,
         "scheme": sim.sc.scheme,
-        "entries": sim.main.mainlist.to_doc(fmt_ticks),
+        "entries": sim.mainlist.to_doc(fmt_ticks),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

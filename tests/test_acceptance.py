@@ -262,7 +262,7 @@ def test_c04_consistency_after_every_event():
         sim = Simulation(sc, on_event=hook).run()
         assert not any(m.busy for m in sim.members.values())
         for member_id in sim.members:
-            entry = sim.main.mainlist.lookup(member_id, "g1")
+            entry = sim.mainlist.lookup(member_id)
             holding = [a for a, area in sim.areas.items() if member_id in area.views]
             assert holding == ([entry.last_area] if entry.status == "active" else [])
     assert checked > 200
@@ -362,7 +362,7 @@ def test_c08_mainlist_lifecycle_and_accounting():
         ],
     }
     sim = Simulation(validate_doc(doc)).run()
-    entry = sim.main.mainlist.lookup("w1", "g1")
+    entry = sim.mainlist.lookup("w1")
     assert entry.status == "active" and entry.last_area == "A"
     trace = "\n".join(f"{m.kind} {m.src}->{m.dst} {m.info}" for m in sim.trace)
     updates = [ln for ln in trace.splitlines() if "member=w1 status=" in ln]

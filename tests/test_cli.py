@@ -173,6 +173,34 @@ def test_non_finite_numbers_are_refused_with_their_field(tmp_path, capsys, field
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize(
+    ("pair", "field"),
+    (
+        ("delays.t_probe=1e308", "delays.t_probe"),
+        ("events.0.time=1e303", "events[0].time"),
+        ("horizon=1e305", "horizon"),
+        ("horizon=1" + "0" * 400, "horizon"),  # an int past every float
+    ),
+    ids=("t_probe", "event_time", "horizon", "horizon_int"),
+)
+def test_finite_numbers_past_the_tick_count_are_refused_with_their_field(tmp_path, capsys, pair, field):
+    # each value is finite, but its count of 100 ns ticks is not
+    out = tmp_path / "o"
+    assert main(["run", "tables", "--out", str(out), "--override", pair]) == 2
+    assert capsys.readouterr().err == f"error: {field}: too large to count in ticks\n"
+    assert not out.exists()
+
+
+def test_run_refuses_an_out_path_that_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me", encoding="utf-8")
+    assert main(["run", "tables", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "keep me"
+
+
 @pytest.mark.parametrize("bad", ("A,B", "A B", "A\tB"))
 @pytest.mark.parametrize("where", ("area", "roster member", "extra member"))
 def test_ids_the_artifacts_cannot_carry_are_refused(tmp_path, capsys, where, bad):

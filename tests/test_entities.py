@@ -18,8 +18,6 @@ from crawsim.entities import (
     STATUS_REGISTERED,
     AreaState,
     MainList,
-    MainListEntry,
-    MainServer,
     MobileMember,
     ProtocolMessage,
     run_auth,
@@ -30,10 +28,10 @@ from crawsim.otp import ClientSecret
 from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload
 
 
-def make_member(main: MainServer, member_id: str, rng: random.Random) -> MobileMember:
-    secret = ClientSecret(member_id, b"pw:" + member_id.encode(), rng)
-    main.register_otp(secret)
-    return MobileMember(member_id, secret=secret)
+def make_member(mainlist: MainList, member_id: str, rng: random.Random) -> MobileMember:
+    member = MobileMember(member_id, secret=ClientSecret(member_id, b"pw:" + member_id.encode(), rng))
+    mainlist.register(member)
+    return member
 
 
 def test_message_kind_is_validated():
@@ -44,41 +42,40 @@ def test_message_kind_is_validated():
 
 
 def test_register_and_duplicate_rejected():
-    ml = MainList()
-    ml.register(MainListEntry("u1", "g1"))
-    assert ml.lookup("u1", "g1").status == STATUS_REGISTERED
-    assert ml.lookup("u1", "g2") is None
+    ml = MainList("g1")
+    ml.register(MobileMember("u1"))
+    assert ml.lookup("u1").status == STATUS_REGISTERED
+    assert ml.lookup("u2") is None
     with pytest.raises(ProtocolError):
-        ml.register(MainListEntry("u1", "g1"))
-    ml.register(MainListEntry("u1", "g2"))  # same member, different group is fine
+        ml.register(MobileMember("u1"))
 
 
 def test_status_walk_through_the_lifecycle():
-    ml = MainList()
-    ml.register(MainListEntry("u1", "g1"))
-    ml.advance("u1", "g1", STATUS_ACTIVE, 10, last_area="A")
-    ml.advance("u1", "g1", STATUS_MOVING, 20)
-    entry = ml.advance("u1", "g1", STATUS_ACTIVE, 30, last_area="B")
+    ml = MainList("g1")
+    ml.register(MobileMember("u1"))
+    ml.advance("u1", STATUS_ACTIVE, 10, last_area="A")
+    ml.advance("u1", STATUS_MOVING, 20)
+    entry = ml.advance("u1", STATUS_ACTIVE, 30, last_area="B")
     assert entry.last_area == "B"
     assert entry.last_update == 30
-    ml.advance("u1", "g1", STATUS_LEFT, 40)
+    ml.advance("u1", STATUS_LEFT, 40)
     # a departed subscriber may come back
-    assert ml.advance("u1", "g1", STATUS_ACTIVE, 50, last_area="A").status == STATUS_ACTIVE
+    assert ml.advance("u1", STATUS_ACTIVE, 50, last_area="A").status == STATUS_ACTIVE
 
 
 def test_area_of_follows_the_main_list_status():
-    ml = MainList()
-    ml.register(MainListEntry("u1", "g1"))
-    assert ml.area_of("u1", "g1") is None  # registered, never keyed in
-    assert ml.area_of("u9", "g1") is None and ml.area_of("u1", "g2") is None
-    ml.advance("u1", "g1", STATUS_ACTIVE, 10, last_area="A")
-    assert ml.area_of("u1", "g1") == "A"
-    ml.advance("u1", "g1", STATUS_MOVING, 20)
-    assert ml.area_of("u1", "g1") == "A"  # still served by the source area
-    ml.advance("u1", "g1", STATUS_ACTIVE, 30, last_area="B")
-    assert ml.area_of("u1", "g1") == "B"
-    entry = ml.advance("u1", "g1", STATUS_LEFT, 40, last_area="B")
-    assert entry.last_area == "B" and ml.area_of("u1", "g1") is None
+    ml = MainList("g1")
+    ml.register(MobileMember("u1"))
+    assert ml.area_of("u1") is None  # registered, never keyed in
+    assert ml.area_of("u9") is None
+    ml.advance("u1", STATUS_ACTIVE, 10, last_area="A")
+    assert ml.area_of("u1") == "A"
+    ml.advance("u1", STATUS_MOVING, 20)
+    assert ml.area_of("u1") == "A"  # still served by the source area
+    ml.advance("u1", STATUS_ACTIVE, 30, last_area="B")
+    assert ml.area_of("u1") == "B"
+    entry = ml.advance("u1", STATUS_LEFT, 40, last_area="B")
+    assert entry.last_area == "B" and ml.area_of("u1") is None
 
 
 def test_illegal_transitions_rejected():
@@ -93,41 +90,34 @@ def test_illegal_transitions_rejected():
         (STATUS_LEFT, STATUS_LEFT),
     ]
     for src, dst in bad:
-        ml = MainList()
-        ml.register(MainListEntry("u1", "g1", status=src))
+        ml = MainList("g1")
+        ml.register(MobileMember("u1")).status = src
         with pytest.raises(ProtocolError):
-            ml.advance("u1", "g1", dst, 1)
+            ml.advance("u1", dst, 1)
 
 
 def test_advance_and_credit_require_registration():
-    ml = MainList()
+    ml = MainList("g1")
     with pytest.raises(ProtocolError):
-        ml.advance("ghost", "g1", STATUS_ACTIVE, 0)
+        ml.advance("ghost", STATUS_ACTIVE, 0)
     with pytest.raises(ProtocolError):
-        ml.credit("ghost", "g1")
+        ml.credit("ghost")
 
 
 def test_accounting_only_increases():
-    rng = random.Random(7)
-    ml = MainList()
-    ml.register(MainListEntry("u1", "g1"))
-    total = 0
-    for _ in range(200):
-        units = rng.randrange(0, 5)
-        ml.credit("u1", "g1", units)
-        total += units
-        assert ml.lookup("u1", "g1").service_accounting == total
-    with pytest.raises(ProtocolError):
-        ml.credit("u1", "g1", -1)
-    assert ml.lookup("u1", "g1").service_accounting == total
+    ml = MainList("g1")
+    ml.register(MobileMember("u1"))
+    for n in range(1, 201):
+        ml.credit("u1")
+        assert ml.lookup("u1").service_accounting == n
 
 
 def test_entry_documents():
     rng = random.Random(1)
-    main = MainServer("g1")
-    make_member(main, "u1", rng)
-    main.register_credential("u2", random_key(rng))
-    docs = main.mainlist.to_doc(str)
+    ml = MainList("g1")
+    make_member(ml, "u1", rng)
+    ml.register(MobileMember("u2", credential=random_key(rng)))
+    docs = ml.to_doc(str)
     assert [d["member"] for d in docs] == ["u1", "u2"]
     assert docs[0]["auth"]["kind"] == "otp"
     assert docs[0]["auth"]["session_index"] == 1
@@ -138,45 +128,44 @@ def test_entry_documents():
 
 def test_otp_auth_accepts_and_rolls_forward():
     rng = random.Random(11)
-    main = MainServer("g1")
-    member = make_member(main, "u1", rng)
+    ml = MainList("g1")
+    member = make_member(ml, "u1", rng)
     keys = []
     for i in range(5):
-        attempt = run_auth(main, member, rng)
+        attempt = run_auth(ml, member, rng)
         assert attempt.accepted
         keys.append(attempt.individual_key)
-        entry = main.mainlist.lookup("u1", "g1")
+        entry = ml.lookup("u1")
         assert entry.auth.session_index == i + 2
     assert len(set(keys)) == len(keys)
 
 
 def test_otp_auth_without_registration_recovers():
     rng = random.Random(12)
-    main = MainServer("g1")
-    secret = ClientSecret("u1", b"pw:u1", rng)
-    member = MobileMember("u1", secret=secret)
-    attempt = run_auth(main, member, rng)
+    ml = MainList("g1")
+    member = MobileMember("u1", secret=ClientSecret("u1", b"pw:u1", rng))
+    attempt = run_auth(ml, member, rng)
     assert not attempt.accepted
     # the client discarded its pending state, so a later registration
     # followed by a fresh attempt still lines up
-    main.register_otp(secret)
-    assert run_auth(main, member, rng).accepted
+    ml.register(member)
+    assert run_auth(ml, member, rng).accepted
 
 
 def test_credential_auth_paths():
     rng = random.Random(13)
-    main = MainServer("g1")
+    ml = MainList("g1")
     cred = random_key(rng)
-    main.register_credential("u1", cred)
     good = MobileMember("u1", credential=cred)
-    first = run_auth(main, good, rng)
-    second = run_auth(main, good, rng)
+    ml.register(good)
+    first = run_auth(ml, good, rng)
+    second = run_auth(ml, good, rng)
     assert first.accepted and second.accepted
     assert first.individual_key != second.individual_key  # minted per session
     impostor = MobileMember("u1", credential=random_key(rng))
-    assert not run_auth(main, impostor, rng).accepted
+    assert not run_auth(ml, impostor, rng).accepted
     stranger = MobileMember("u9", credential=cred)
-    assert not run_auth(main, stranger, rng).accepted
+    assert not run_auth(ml, stranger, rng).accepted
 
 
 def test_wire_message_info_format():
@@ -215,8 +204,11 @@ def test_area_join_leave_keeps_every_view_consistent(scheme):
     assert not area.consistent()
     view.keys[code] = kept
     assert area.consistent()
+    # a non-member's leave is refused before any change or draw
+    before = (area.tree.dump(), rng.getstate(), sorted(area.views))
     with pytest.raises(ProtocolError):
         area.leave("nobody")
+    assert (area.tree.dump(), rng.getstate(), sorted(area.views)) == before
     with pytest.raises(ProtocolError):
         AreaState("A", "mystery", rng)
 

@@ -132,7 +132,7 @@ def test_handoff_timeline_otp():
     assert kinds == ["move_join", "move_leave"]
     t_done = to_ticks(1.0) + to_ticks(0.9460337)
     assert all(r.time == t_done for r in sim.ledger.events)
-    assert sim.main.mainlist.area_of("u1", "g1") == "B"
+    assert sim.mainlist.area_of("u1") == "B"
     assert sim.areas["A"].size() == 7 and sim.areas["B"].size() == 8
 
 
@@ -178,9 +178,9 @@ def test_rejected_join_changes_nothing():
     sim.run()
     text = render_trace(sim.trace)
     assert "auth_result A->w1 rejected" in text
-    assert sim.main.mainlist.area_of("w1", "g1") is None
+    assert sim.mainlist.area_of("w1") is None
     assert not sim.members["w1"].busy
-    assert sim.main.mainlist.lookup("w1", "g1").status == "registered"
+    assert sim.mainlist.lookup("w1").status == "registered"
     assert sim.ledger.events == [] == sim.ledger.setups
     assert sim.areas["A"].size() == 8
     assert sim.check_consistent()
@@ -188,11 +188,11 @@ def test_rejected_join_changes_nothing():
 
 def test_rejected_otp_join_changes_nothing():
     sim = Simulation(scenario([JOIN_W1]))
-    entry = sim.main.mainlist.lookup("w1", "g1")
-    entry.auth = sim.main.mainlist.lookup("u1", "g1").auth  # verifier mismatch
+    entry = sim.mainlist.lookup("w1")
+    entry.auth = sim.mainlist.lookup("u1").auth  # verifier mismatch
     sim.run()
     assert "auth_result A->w1 rejected" in render_trace(sim.trace)
-    assert sim.main.mainlist.area_of("w1", "g1") is None
+    assert sim.mainlist.area_of("w1") is None
     assert sim.ledger.events == []
     assert sim.check_consistent()
 
@@ -205,10 +205,10 @@ def test_rejected_handoff_reverts_to_source_area():
     h = sim.ledger.handoffs[0]
     assert not h.completed
     assert h.key_prep == 0 and h.reassoc == 0
-    entry = sim.main.mainlist.lookup("u1", "g1")
+    entry = sim.mainlist.lookup("u1")
     assert entry.status == "active"
     assert entry.last_area == "A"
-    assert sim.main.mainlist.area_of("u1", "g1") == "A"
+    assert sim.mainlist.area_of("u1") == "A"
     assert "u1" in sim.areas["A"].views and "u1" not in sim.areas["B"].views
     assert sim.ledger.events == []
     assert sim.check_consistent()
@@ -243,7 +243,7 @@ def test_rejected_join_and_handoff_leave_only_the_later_leave(scheme):
 
     assert [(r.kind, r.member, r.area, r.time) for r in sim.ledger.events] == [("leave", "u1", "A", to_ticks(3.0))]
     assert sim.ledger.setups == []
-    assert [sim.main.mainlist.area_of(m, "g1") for m in ("w1", "u1")] == [None, None]
+    assert [sim.mainlist.area_of(m) for m in ("w1", "u1")] == [None, None]
     assert sim.check_consistent()
     assert check_secrecy(sim.recorder) == []
 
@@ -302,6 +302,14 @@ def test_mainlist_document():
     assert by_member["v1"]["auth"]["kind"] == "otp"
 
 
+def test_mainlist_document_names_a_non_default_group():
+    sim = Simulation(scenario([JOIN_W1], group="news")).run()
+    doc = json.loads(render_mainlist(sim))
+    assert doc["group"] == "news"
+    assert len(doc["entries"]) == 16
+    assert all(entry["group"] == "news" for entry in doc["entries"])
+
+
 def test_frames_delivery_and_accounting():
     events = [{"time": 1.0, "op": "leave", "member": "u8", "area": "A"}]
     sim = Simulation(scenario(events, frames=True, horizon=2.0)).run()
@@ -312,8 +320,8 @@ def test_frames_delivery_and_accounting():
     assert per["u8"] == 99  # frames at 0.01 .. 0.99; the 1.00 frame follows the leave
     assert per["u1"] == 200
     assert all(per[f"v{i}"] == 200 for i in range(1, 8))
-    assert sim.main.mainlist.lookup("u8", "g1").service_accounting == 99
-    assert sim.main.mainlist.lookup("u1", "g1").service_accounting == 200
+    assert sim.mainlist.lookup("u8").service_accounting == 99
+    assert sim.mainlist.lookup("u1").service_accounting == 200
     last_u8 = max(fr.time for fr in sim.ledger.frames if fr.member == "u8")
     assert last_u8 < to_ticks(1.0)
 
