@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import re
 import sys
 from importlib import resources
@@ -59,6 +60,16 @@ def _load_doc(source: str) -> dict:
     return read_doc(raw, source)
 
 
+def _make_out(out: Path) -> list[Path]:
+    """Create the output directory, and its missing parents, before any
+    simulation time is spent; the directories this made, deepest first."""
+    made = [path for path in (out, *out.parents) if not path.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise PermissionError(f"{out}: not a writable directory")
+    return made
+
+
 def cmd_run(args) -> int:
     try:
         doc = _load_doc(args.scenario)
@@ -67,16 +78,22 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out: Path = args.out
+    try:
+        made = _make_out(out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         sim = Simulation(scenario).run()
     except ProtocolError as exc:
         # validation does not replay event timings, so a scenario it accepts
         # can still ask for an operation the protocol refuses mid-run
+        for path in made:
+            path.rmdir()
         print(f"error: {scenario.name}: {exc}", file=sys.stderr)
         return 2
-    out: Path = args.out
     try:
-        out.mkdir(parents=True, exist_ok=True)
         (out / "metrics.csv").write_text(render_metrics_csv(sim.ledger), encoding="utf-8")
         (out / "trace.log").write_text(render_trace(sim.trace), encoding="utf-8")
         (out / "mainlist.json").write_text(render_mainlist(sim), encoding="utf-8")

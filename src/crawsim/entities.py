@@ -12,6 +12,7 @@ metrics on top.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from random import Random
 
@@ -166,12 +167,17 @@ class MainList:
             entry.last_area = last_area
         return entry
 
-    def credit(self, member_id: str) -> None:
-        """Bill one delivered frame."""
-        entry = self.entries.get(member_id)  # lookup inlined: runs per frame delivery
-        if entry is None:
-            raise ProtocolError(f"cannot bill unknown member {member_id}")
-        entry.service_accounting += 1
+    def credit(self, member_ids: Iterable[str]) -> None:
+        """Bill one delivered frame to each member, or refuse the whole bill
+        when any id is unknown."""
+        if isinstance(member_ids, str):  # iterable too, one character at a time
+            raise ProtocolError(f"credit takes a collection of member ids, not the string {member_ids!r}")
+        try:
+            billed = [self.entries[m] for m in member_ids]
+        except KeyError as exc:
+            raise ProtocolError(f"cannot bill unknown member {exc.args[0]}") from None
+        for entry in billed:
+            entry.service_accounting += 1
 
     def to_doc(self, fmt_time) -> list[dict]:
         return [self.entries[m].to_doc(self.group_id, fmt_time) for m in sorted(self.entries)]

@@ -20,6 +20,10 @@ SCHEMA_VERSION = 1
 # in-flight hand-off (well under two seconds with default delays)
 _HORIZON_MARGIN = to_ticks(2.0)
 
+# with content frames, a run traces one line and records one ciphertext per
+# area per frame tick, so frame ticks x areas is bounded before any run
+MAX_FRAMES = 100_000
+
 _TOP_KEYS = {
     "schema_version",
     "name",
@@ -160,6 +164,13 @@ def validate_doc(doc: dict) -> Scenario:
         horizon = to_ticks(last_time) + _HORIZON_MARGIN
     if events and horizon < events[-1].time:
         _fail("horizon", "must not be earlier than the last event")
+    if frames and delays.frame_interval > 0:
+        ticks = horizon // delays.frame_interval
+        if ticks * len(areas) > MAX_FRAMES:
+            _fail(
+                "horizon",
+                f"{ticks} frame ticks x {len(areas)} areas exceeds the limit of {MAX_FRAMES} content frames",
+            )
 
     return Scenario(
         name=name,

@@ -26,6 +26,14 @@ member into an area (a ``join``), and ``_key_out`` keys one out (a
 ``leave``); each re-keys the area, traces and records the payloads, and
 books the ledger row.  A move is ``_key_in`` at the destination, then
 ``_key_out`` at the source, at one tick.
+
+With content frames on, each non-empty area multicasts one frame per frame
+tick under its group key.  Each member reads it with the group key in its
+own view, so each outcome is that member's own, but the frame is opened
+once per distinct key in the area (``FrameReaders``) and billed to all the
+area's members in one ``MainList.credit`` call.  The ledger's ``FrameLog``
+keeps one run per stretch of consecutive frame ticks with the same
+audience, so it grows with the re-keying events, not with the horizon.
 """
 
 from __future__ import annotations
@@ -35,12 +43,11 @@ import itertools
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterator, NamedTuple
 
-from .crypto import DecryptionError, ProtocolError, decrypt, encrypt, fingerprint, random_key
+from .crypto import Ciphertext, DecryptionError, ProtocolError, decrypt, encrypt, fingerprint, random_key
 from .entities import (
     AUTH_MODES,
     STATUS_ACTIVE,
@@ -54,7 +61,7 @@ from .entities import (
 )
 from .otp import ClientSecret
 from .secrecy import CipherRecord, RunRecorder
-from .tree import Rekey, RekeyCounters, WireMessage
+from .tree import MemberKeyView, Rekey, RekeyCounters, WireMessage
 
 TICKS_PER_SECOND = 10_000_000  # 100 ns resolution
 
@@ -207,12 +214,97 @@ class FrameRecord(NamedTuple):
     decrypted: bool
 
 
+# one frame tick's deliveries: for each area that held members, in sorted
+# order, its id, its member ids in view order and each member's outcome
+Audience = tuple[tuple[str, tuple[str, ...], tuple[bool, ...]], ...]
+
+
+@dataclass
+class FrameRun:
+    """Consecutive frame ticks with one audience."""
+
+    first: int  # tick of the first frame
+    count: int  # frame ticks in the run
+    audience: Audience
+
+
+class FrameLog:
+    """Every content-frame delivery of a run, kept as runs of consecutive
+    frame ticks that share one audience, so it grows with the re-keying
+    events, not with the horizon.  ``len`` counts deliveries, and iterating
+    yields one ``FrameRecord`` per delivery: by tick, then by area, then by
+    member in view order."""
+
+    def __init__(self, interval: int):
+        self.interval = interval  # ticks between frames
+        self.runs: list[FrameRun] = []
+        self._deliveries = 0
+
+    def add(self, ticks: int, audience: Audience) -> None:
+        """Log one frame tick's deliveries."""
+        last = self.runs[-1] if self.runs else None
+        if last is not None and last.audience == audience and ticks == last.first + last.count * self.interval:
+            last.count += 1
+        else:
+            self.runs.append(FrameRun(ticks, 1, audience))
+        self._deliveries += sum(len(members) for _area, members, _outcomes in audience)
+
+    def __len__(self) -> int:
+        return self._deliveries
+
+    def __iter__(self) -> Iterator[FrameRecord]:
+        for run in self.runs:
+            for k in range(run.count):
+                ticks = run.first + k * self.interval
+                for area_id, members, outcomes in run.audience:
+                    for member_id, ok in zip(members, outcomes):
+                        yield FrameRecord(ticks, area_id, member_id, ok)
+
+    def tally(self) -> dict[str, list[int]]:
+        """Member id -> [frames delivered, frames decrypted]."""
+        out: dict[str, list[int]] = {}
+        for run in self.runs:
+            for _area, members, outcomes in run.audience:
+                for member_id, ok in zip(members, outcomes):
+                    counts = out.setdefault(member_id, [0, 0])
+                    counts[0] += run.count
+                    counts[1] += run.count if ok else 0
+        return out
+
+
+class FrameReaders:
+    """The readers of one area's frames: its present members in view order,
+    and the group key each one's own view holds.  Each member's outcome is
+    that of its own key, so members holding the same key bytes share one
+    open."""
+
+    def __init__(self, views: dict[str, MemberKeyView]):
+        self.members = tuple(views)
+        self._held = [view.group_key() for view in views.values()]
+        self._keys = tuple(dict.fromkeys(self._held))
+        self._opens: dict[bytes, bool] | None = None
+        self._outcomes: tuple[bool, ...] = ()
+
+    def read(self, frame: Ciphertext) -> tuple[bool, ...]:
+        """Each member's outcome on ``frame``, opening it once per key."""
+        opens = {}
+        for key in self._keys:
+            try:
+                decrypt(key, frame)
+                opens[key] = True
+            except DecryptionError:
+                opens[key] = False
+        if opens != self._opens:
+            self._opens, self._outcomes = opens, tuple(map(opens.__getitem__, self._held))
+        return self._outcomes
+
+
 @dataclass
 class MetricsLedger:
+    frames: FrameLog
     events: list[EventRow] = field(default_factory=list)
     setups: list[JoinSetupRecord] = field(default_factory=list)
     handoffs: list[HandoffRecord] = field(default_factory=list)
-    frames: list[FrameRecord] = field(default_factory=list)
 
     def totals(self) -> RekeyCounters:
         total = RekeyCounters(0, 0, 0, 0)
@@ -237,7 +329,7 @@ class Simulation:
         self.sc = scenario
         self.rng = Random(scenario.seed)
         self.recorder = RunRecorder()
-        self.ledger = MetricsLedger()
+        self.ledger = MetricsLedger(FrameLog(scenario.delays.frame_interval))
         self.trace: list[ProtocolMessage] = []
         self.on_event = on_event
         self.mainlist = MainList(scenario.group_id)
@@ -251,6 +343,10 @@ class Simulation:
         self._heap: list = []
         self._seq = itertools.count()
         self._frame_seq: dict[str, int] = {a: 0 for a in self.areas}
+        # a view changes only in a re-keying event or in its on_event hook,
+        # and _append_event forgets every area's readers after both, so each
+        # member's key is read once per event, not once per frame
+        self._readers: dict[str, FrameReaders] = {}
         self._register_all()
         self._bootstrap()
         for ev in scenario.events:
@@ -345,6 +441,7 @@ class Simulation:
         self.ledger.events.append(row)
         if self.on_event is not None:
             self.on_event(self, row)
+        self._readers.clear()
         return row
 
     # -- event dispatch ---------------------------------------------------
@@ -495,6 +592,7 @@ class Simulation:
     # -- content ----------------------------------------------------------
 
     def _frame_tick(self, ticks: int) -> None:
+        audience = []
         for area_id, area in self.areas.items():  # built in sorted order
             if area.size() == 0:
                 continue
@@ -506,14 +604,12 @@ class Simulation:
             self.recorder.record_ciphertext(
                 CipherRecord(group_key, ticks, area_id, "content_frame", ciphertext=frame)
             )
-            for member_id, view in area.views.items():
-                self.mainlist.credit(member_id)
-                try:
-                    decrypt(view.group_key(), frame)
-                    ok = True
-                except DecryptionError:
-                    ok = False
-                self.ledger.frames.append(FrameRecord(ticks, area_id, member_id, ok))
+            readers = self._readers.get(area_id)
+            if readers is None:
+                readers = self._readers[area_id] = FrameReaders(area.views)
+            self.mainlist.credit(readers.members)
+            audience.append((area_id, readers.members, readers.read(frame)))
+        self.ledger.frames.add(ticks, tuple(audience))
         nxt = ticks + self.sc.delays.frame_interval
         if nxt <= self.sc.horizon:
             self._schedule(nxt, _PRIO_FRAME, self._frame_tick, nxt)
@@ -604,13 +700,11 @@ def render_report(sim: Simulation) -> str:
                 f" reassoc={fmt_ticks(h.reassoc)} total={fmt_ticks(h.total())} {state}"
             )
     if sim.ledger.frames:
-        delivered = Counter(fr.member for fr in sim.ledger.frames)
-        decrypted = Counter(fr.member for fr in sim.ledger.frames if fr.decrypted)
+        tally = sim.ledger.frames.tally()
         out.append("")
         out.append("content delivery:")
-        for member_id in sorted(delivered):
-            out.append(
-                f"  member={member_id} delivered={delivered[member_id]} decrypted={decrypted[member_id]}"
-            )
+        for member_id in sorted(tally):
+            delivered, decrypted = tally[member_id]
+            out.append(f"  member={member_id} delivered={delivered} decrypted={decrypted}")
     out.append("")
     return "\n".join(out)

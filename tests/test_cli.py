@@ -15,6 +15,7 @@ import pytest
 
 import crawsim
 from crawsim.cli import main
+from crawsim.scenario import validate_doc
 
 SMALL = {
     "schema_version": 1,
@@ -201,6 +202,45 @@ def test_run_refuses_an_out_path_that_is_a_file(tmp_path, capsys):
     assert taken.read_text(encoding="utf-8") == "keep me"
 
 
+def test_run_checks_the_out_path_before_any_simulation(tmp_path, capsys, monkeypatch):
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("the simulation ran before --out was checked")
+
+    monkeypatch.setattr("crawsim.cli.Simulation", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        assert main(["run", "tables", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text(encoding="utf-8") == "keep me"
+
+
+def frames_doc(horizon, **delays) -> dict:
+    return dict(json.loads(json.dumps(SMALL)), content_frames=True, horizon=horizon, delays=delays)
+
+
+def test_horizons_past_the_frame_limit_are_refused_up_front(tmp_path, capsys):
+    # 1e6 s of 10 ms frames over two areas: 2e8 trace lines and ciphertexts
+    with pytest.raises(ValueError) as refused:
+        validate_doc(frames_doc(1e6))
+    err = "horizon: 100000000 frame ticks x 2 areas exceeds the limit of 100000 content frames"
+    assert str(refused.value) == err
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(frames_doc(1e6)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    out = tmp_path / "run"
+    assert main(["run", "handoff", "--out", str(out), "--override", "horizon=1e6"]) == 2
+    assert capsys.readouterr().err.startswith("error: horizon: ")
+    assert not out.exists()
+    # the limit counts frames (ticks x areas), not seconds
+    validate_doc(frames_doc(500.0))  # 50 000 ticks x 2 areas
+    with pytest.raises(ValueError, match="^horizon: 50001 frame ticks x 2 areas "):
+        validate_doc(frames_doc(500.01))
+    validate_doc(frames_doc(1e6, frame_interval=20))
+    validate_doc(dict(frames_doc(1e6), content_frames=False))
+
+
 @pytest.mark.parametrize("bad", ("A,B", "A B", "A\tB"))
 @pytest.mark.parametrize("where", ("area", "roster member", "extra member"))
 def test_ids_the_artifacts_cannot_carry_are_refused(tmp_path, capsys, where, bad):
@@ -249,6 +289,21 @@ def test_run_reports_protocol_refusal_without_traceback(tmp_path, capsys):
     assert err.startswith("error: handoff: ")
     assert "u1 already has an operation in flight" in err
     assert not out.exists()
+
+
+def test_a_refused_run_removes_only_the_directories_it_made(tmp_path, capsys):
+    bundled = Path(crawsim.__file__).parent / "scenarios" / "handoff.json"
+    doc = json.loads(bundled.read_text(encoding="utf-8"))
+    doc["events"].append({"time": 1.5, "op": "leave", "member": "u1", "area": "A"})
+    path = tmp_path / "inflight.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "a" / "b")]) == 2
+    assert not (tmp_path / "a").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["run", str(path), "--out", str(kept)]) == 2
+    assert kept.is_dir() and not any(kept.iterdir())
+    capsys.readouterr()
 
 
 def test_bundled_scenarios_run_by_name(tmp_path, capsys):

@@ -101,14 +101,28 @@ def test_advance_and_credit_require_registration():
     with pytest.raises(ProtocolError):
         ml.advance("ghost", STATUS_ACTIVE, 0)
     with pytest.raises(ProtocolError):
-        ml.credit("ghost")
+        ml.credit(["ghost"])
+
+
+def test_credit_refuses_a_bare_string_and_any_unknown_id():
+    # a string is iterable: credit("u1") must not bill members "u" and "1"
+    ml = MainList("g1")
+    for member_id in ("u1", "u", "1"):
+        ml.register(MobileMember(member_id))
+    with pytest.raises(ProtocolError, match="not the string 'u1'"):
+        ml.credit("u1")
+    with pytest.raises(ProtocolError, match="unknown member ghost"):
+        ml.credit(["u", "ghost"])
+    assert [ml.lookup(m).service_accounting for m in ("u1", "u", "1")] == [0, 0, 0]
+    ml.credit(("u1", "u"))
+    assert [ml.lookup(m).service_accounting for m in ("u1", "u", "1")] == [1, 1, 0]
 
 
 def test_accounting_only_increases():
     ml = MainList("g1")
     ml.register(MobileMember("u1"))
     for n in range(1, 201):
-        ml.credit("u1")
+        ml.credit(["u1"])
         assert ml.lookup("u1").service_accounting == n
 
 

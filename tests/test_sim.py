@@ -6,12 +6,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from importlib import resources
 
 import pytest
+from test_acceptance import random_scenario
 
 from crawsim import crypto
 from crawsim.crypto import KEY_WIDTH, ProtocolError, fingerprint
-from crawsim.scenario import validate_doc
+from crawsim.scenario import apply_overrides, validate_doc
 from crawsim.secrecy import check_secrecy, operational_decrypt_check
 from crawsim.sim import (
     METRICS_HEADER,
@@ -375,6 +377,50 @@ def test_frames_are_opened_once_per_key_not_per_delivery(monkeypatch):
     assert all(fr.decrypted for fr in sim.ledger.frames)
     assert len(opened) == len(set(opened)) == len(frames)
     assert set(opened) == frames
+
+
+# (deliveries, SHA-256 of repr(list(sim.ledger.frames))), taken while the
+# ledger still kept one FrameRecord per delivery in a list
+PINNED_DELIVERIES = {
+    ("handoff", "ckc_craw"): (4500, "57c637fd4b9b61f587aed00ed29706ac254df0fa1cf5917aabea154a74cff9ff"),
+    ("handoff", "ckc_plain"): (4500, "513243e03563ce19b352f7b470883deeb4dcb05ca6dc045cbbdb165b6adf6d53"),
+    ("handoff", "lkh"): (4500, "513243e03563ce19b352f7b470883deeb4dcb05ca6dc045cbbdb165b6adf6d53"),
+    ("departed", "ckc_craw"): (1499, "725d30364e79f186181d6ed41b6f15704e9c5e2cc47cd59ea428b2d96c2be163"),
+    ("departed", "ckc_plain"): (1499, "725d30364e79f186181d6ed41b6f15704e9c5e2cc47cd59ea428b2d96c2be163"),
+    ("departed", "lkh"): (1499, "725d30364e79f186181d6ed41b6f15704e9c5e2cc47cd59ea428b2d96c2be163"),
+    (1, "ckc_craw"): (54, "06102d912318450f389e67720a2b8a2cc1ae8fd5bfb5e6c3188bb96cd76ec773"),
+    (2, "ckc_plain"): (262, "f24853864fb7c6789e7b0e9083ca40bccbff0873e53b0c41e192c2cd95611b85"),
+    (3, "lkh"): (362, "b60263868db5801516d4b00ec1c74b930a88a2d49ce1854c125aa2045f68bd7a"),
+}
+
+
+def bundled_doc(name: str) -> dict:
+    return json.loads((resources.files("crawsim") / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("source, scheme", PINNED_DELIVERIES, ids=lambda v: str(v))
+def test_frame_log_expands_to_the_pinned_deliveries(source, scheme):
+    if isinstance(source, int):
+        sc = random_scenario(source, scheme, frames=True)
+    else:
+        sc = validate_doc(apply_overrides(bundled_doc(source), scheme=scheme))
+    sim = Simulation(sc).run()
+    deliveries, digest = PINNED_DELIVERIES[source, scheme]
+    assert len(sim.ledger.frames) == deliveries
+    assert hashlib.sha256(repr(list(sim.ledger.frames)).encode()).hexdigest() == digest
+
+
+def test_frame_log_does_not_grow_with_the_horizon():
+    # departed: u8 leaves area A at 1.0 s, so the 8-member audience of the
+    # frames at 0.01 .. 0.99 s gives way to a 7-member one for good
+    short, long = (
+        Simulation(validate_doc(apply_overrides(bundled_doc("departed"), pairs=[f"horizon={h}"]))).run()
+        for h in (2, 20)
+    )
+    assert len(short.ledger.frames.runs) == len(long.ledger.frames.runs) == 2
+    assert len(short.ledger.frames) == 99 * 8 + 101 * 7
+    assert len(long.ledger.frames) == 99 * 8 + 1901 * 7  # about tenfold
+    assert list(long.ledger.frames)[: len(short.ledger.frames)] == list(short.ledger.frames)
 
 
 @pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))

@@ -67,9 +67,13 @@ def test_tracer_sees_every_layer(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tracer_counts_one_credit_per_frame_delivery(scheme):
+    # an area's frame is billed to all its present members in one credit
+    # call, and opened at least once; the bills add up to the deliveries
     tracer, sim = traced_run("handoff", scheme)
     calls = {name: n for name, (n, _self_s) in tracer.summary().items()}
-    deliveries = len(sim.ledger.frames)
-    assert deliveries > 0
-    assert calls["entities.credit"] == deliveries
-    assert calls["crypto.decrypt"] >= deliveries
+    frames = sum(r.kind == "content_frame" for r in sim.recorder.ciphertexts)
+    assert frames > 0
+    assert calls["entities.credit"] == frames
+    billed = sum(entry.service_accounting for entry in sim.mainlist.entries.values())
+    assert billed == len(sim.ledger.frames)
+    assert calls["crypto.decrypt"] >= frames
