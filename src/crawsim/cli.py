@@ -9,17 +9,16 @@ reproduces them byte for byte.
 ``crawsim validate`` checks a scenario file and reports the first offending
 field, then replays it and reports an operation the protocol refuses.
 ``crawsim compare`` reads two or more finished runs of the same scenario
-under different schemes, each event's cost from the run's own report.txt,
-and checks the join cost relation (otp-combined 1 <= plain 2 <= lkh
-log2(n)+1).  A leave costs the leaver's depth, which the schemes' trees
-need not share, so leave costs are shown, marked where they differ, and
-not checked.
+under different schemes, each from its report.txt alone (scheme, totals,
+and each event's kind and cost), and checks the join cost relation
+(otp-combined 1 <= plain 2 <= lkh log2(n)+1).  A leave costs the leaver's
+depth, which the schemes' trees need not share, so leave costs are shown,
+marked where they differ, and not checked.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -29,17 +28,15 @@ from pathlib import Path
 from .crypto import ProtocolError
 from .entities import SCHEMES
 from .scenario import apply_overrides, read_doc, validate_doc
-from .sim import (
-    METRICS_HEADER,
-    Simulation,
-    render_mainlist,
-    render_metrics_csv,
-    render_report,
-    render_trace,
-)
+from .sim import Simulation, render_mainlist, render_metrics_csv, render_report, render_trace
 
 BUNDLED = ("tables", "handoff", "departed")
-_COST_LINE = re.compile(r"  event (\d+) \S+ area=\S+ size=\d+ cost=(\d+)$")
+# the lines of report.txt that compare reads; a scenario name may hold
+# spaces, so the run line is matched from its end
+_RUN_LINE = re.compile(rf"run: .* scheme=({'|'.join(SCHEMES)}) seed=-?\d+ horizon=\S+$")
+_TOTALS_LINE = re.compile(r"totals: (keygen=\d+ enc=\d+ unicast=\d+ multicast=\d+)$")
+_EVENT_LINE = re.compile(r"  event \d+ t=")
+_COST_LINE = re.compile(r"  event (\d+) (\S+) area=\S+ size=\d+ cost=(\d+)$")
 
 
 def _load_doc(source: str) -> dict:
@@ -132,70 +129,46 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _read_metrics(run_dir: Path) -> list[dict]:
-    path = run_dir / "metrics.csv"
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != METRICS_HEADER.split(","):
-            raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        rows = list(reader)
-    for line, row in enumerate(rows, start=2):
-        if None in row or None in row.values():  # DictReader's marks of a long or short row
-            raise ValueError(f"{path}: line {line}: expected {len(reader.fieldnames)} fields")
-    return rows
-
-
-def _read_costs(run_dir: Path) -> dict[int, int]:
-    """Event id -> re-keying cost, from the cost lines of the run's own
-    report.txt: keys produced at a join, the leaver's depth at a leave."""
+def _read_report(run_dir: Path) -> tuple[str, str, list[tuple[str, int]]]:
+    """A finished run's scheme, totals, and each event's kind and re-keying
+    cost in event-id order, all from its report.txt: keys produced at a
+    join, the leaver's depth at a leave."""
     path = run_dir / "report.txt"
-    costs = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        match = _COST_LINE.match(line)
-        if match:
-            costs[int(match[1])] = int(match[2])
-    return costs
+    lines = path.read_text(encoding="utf-8").splitlines()
+    run = _RUN_LINE.match(lines[0]) if lines else None
+    totals = [m[1] for m in map(_TOTALS_LINE.match, lines) if m]
+    if run is None:
+        raise ValueError(f"{path}: the first line is not a run line with a known scheme")
+    if len(totals) != 1:
+        raise ValueError(f"{path}: expected one totals line, found {len(totals)}")
+    costs = sorted((int(m[1]), m[2], int(m[3])) for m in map(_COST_LINE.match, lines) if m)
+    n_events = sum(1 for line in lines if _EVENT_LINE.match(line))
+    if [event_id for event_id, _, _ in costs] != list(range(1, n_events + 1)):
+        raise ValueError(f"{path}: cost lines do not number the events 1..{n_events}")
+    return run[1], totals[0], [(kind, cost) for _, kind, cost in costs]
 
 
 def cmd_compare(args) -> int:
-    runs: list[tuple[str, list[dict], list[int]]] = []
+    runs: list[tuple[str, list[tuple[str, int]]]] = []
     for run_dir in args.runs:
         try:
-            rows = _read_metrics(Path(run_dir))
-            costs = _read_costs(Path(run_dir))
-            event_costs = [costs[int(row["event_id"])] for row in rows]
-            totals = [sum(int(r[c]) for r in rows) for c in ("keygen", "enc", "unicast", "multicast")]
+            scheme, totals, events = _read_report(Path(run_dir))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except KeyError as exc:
-            print(f"error: {run_dir}: report.txt gives no cost for event {exc}", file=sys.stderr)
-            return 2
-        schemes = {row["scheme"] for row in rows}
-        if len(schemes) != 1:
-            print(f"error: {run_dir}: expected a single scheme, found {sorted(schemes)}", file=sys.stderr)
-            return 2
-        runs.append((schemes.pop(), rows, event_costs))
-        print(
-            f"run {run_dir}: scheme={runs[-1][0]} events={len(rows)}"
-            f" keygen={totals[0]} enc={totals[1]} unicast={totals[2]} multicast={totals[3]}"
-        )
-    if len({scheme for scheme, _, _ in runs}) != len(runs):
+        runs.append((scheme, events))
+        print(f"run {run_dir}: scheme={scheme} events={len(events)} {totals}")
+    if len({scheme for scheme, _ in runs}) != len(runs):
         print("error: runs must use distinct schemes", file=sys.stderr)
         return 2
-    lengths = {len(rows) for _, rows, _ in runs}
-    kinds_aligned = len(lengths) == 1 and all(
-        len({rows[i]["kind"] for _, rows, _ in runs}) == 1 for i in range(lengths.pop())
-    )
-    if not kinds_aligned:
+    if len({tuple(kind for kind, _ in events) for _, events in runs}) != 1:
         print("event sequences differ between runs; no per-event comparison")
         return 0
     print("per-event cost (join: keys produced; leave: levels re-keyed):")
     all_ok = True
     joins = leaves = differ = 0
-    for i in range(len(runs[0][1])):
-        kind = runs[0][1][i]["kind"]
-        costs = {scheme: event_costs[i] for scheme, _, event_costs in runs}
+    for i, (kind, _) in enumerate(runs[0][1]):
+        costs = {scheme: events[i][1] for scheme, events in runs}
         if kind.endswith("join"):
             joins += 1
             ok = costs.get("ckc_craw", 1) == 1

@@ -56,13 +56,17 @@ def _need_str(doc: dict, field: str, default: str | None = None) -> str:
     return value
 
 
-def _need_id(value, field: str, what: str) -> None:
+def _need_id(value, field: str, what: str, areas=()) -> None:
     """Refuse an area or member id the artifacts cannot carry: the trace
-    separates fields with spaces and metrics.csv with commas."""
+    separates fields with spaces and metrics.csv with commas, names the main
+    list ``main`` and an area's multicast ``area:<id>``, and must not read a
+    member as an area."""
     if not isinstance(value, str) or not value:
         _fail(field, f"{what} ids must be non-empty strings")
     if any(c.isspace() or c == "," for c in value):
         _fail(field, f"{what} id {value!r} contains whitespace or a comma")
+    if ":" in value or value == "main" or value in areas:
+        _fail(field, f"{what} id {value!r} collides with a reserved name or an area id")
 
 
 def validate_doc(doc: dict) -> Scenario:
@@ -76,6 +80,8 @@ def validate_doc(doc: dict) -> Scenario:
         _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
     name = _need_str(doc, "name")
+    if not name.isprintable():  # report.txt's first line carries it
+        _fail("name", f"{name!r} holds a character report.txt cannot carry on one line")
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("seed", f"expected an integer, got {seed!r}")
@@ -100,12 +106,10 @@ def validate_doc(doc: dict) -> Scenario:
     areas: dict[str, list[str]] = {}
     for area_id, members in areas_doc.items():
         _need_id(area_id, "areas" if not area_id else f"areas.{area_id}", "area")
-        if ":" in area_id or area_id == "main":
-            _fail(f"areas.{area_id}", "area id collides with reserved names")
         if not isinstance(members, list):
             _fail(f"areas.{area_id}", "expected a list of member ids")
         for i, member in enumerate(members):
-            _need_id(member, f"areas.{area_id}[{i}]", "member")
+            _need_id(member, f"areas.{area_id}[{i}]", "member", areas_doc)
             if member in roster:
                 _fail(f"areas.{area_id}[{i}]", f"{member} appears more than once")
             roster.add(member)
@@ -116,7 +120,7 @@ def validate_doc(doc: dict) -> Scenario:
         _fail("members", "expected a list of member ids")
     extra: list[str] = []
     for i, member in enumerate(extra_doc):
-        _need_id(member, f"members[{i}]", "member")
+        _need_id(member, f"members[{i}]", "member", areas_doc)
         if member in roster:
             _fail(f"members[{i}]", f"{member} appears more than once")
         roster.add(member)
@@ -164,7 +168,9 @@ def validate_doc(doc: dict) -> Scenario:
         horizon = to_ticks(last_time) + _HORIZON_MARGIN
     if events and horizon < events[-1].time:
         _fail("horizon", "must not be earlier than the last event")
-    if frames and delays.frame_interval > 0:
+    if frames:
+        if delays.frame_interval == 0:
+            _fail("delays.frame_interval", "content frames need an interval of at least one 100 ns tick")
         ticks = horizon // delays.frame_interval
         if ticks * len(areas) > MAX_FRAMES:
             _fail(

@@ -100,26 +100,21 @@ class RunRecorder:
         raise RuntimeError(f"no open window for {member} in {area}")
 
 
-def derivation_edges(
-    keys: Collection[bytes], universe: set[bytes] | None = None
-) -> dict[bytes, list[Edge]]:
+def derivation_edges(keys: Collection[bytes]) -> dict[bytes, list[Edge]]:
     """Hash each key in ``keys`` under f, and each pair of them under
     f(a xor b), from first principles, and keep the steps that land in
-    ``universe`` (default: ``keys`` itself).  A pair's step is an edge of
-    both premises, each naming the other.  A key's edges come plain step
-    first, then sorted."""
-    if universe is None:
-        universe = keys
+    ``keys``.  A pair's step is an edge of both premises, each naming
+    the other.  A key's edges come plain step first, then sorted."""
     edges: dict[bytes, list[Edge]] = {}
     ordered = sorted(keys)
     for key in ordered:
         candidate = hash_f(key)
-        if candidate in universe:
+        if candidate in keys:
             edges.setdefault(key, []).append((None, candidate))
     pairs: dict[bytes, list[Edge]] = {}
     for a, b in combinations(ordered, 2):
         candidate = hash_f_xor(a, b)
-        if candidate in universe:
+        if candidate in keys:
             pairs.setdefault(a, []).append((b, candidate))
             pairs.setdefault(b, []).append((a, candidate))
     for key, outs in pairs.items():

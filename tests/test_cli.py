@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,8 @@ import pytest
 import crawsim
 from crawsim.cli import main
 from crawsim.scenario import validate_doc
+from crawsim.secrecy import check_secrecy
+from crawsim.sim import Simulation, render_report
 
 SMALL = {
     "schema_version": 1,
@@ -241,12 +244,22 @@ def test_horizons_past_the_frame_limit_are_refused_up_front(tmp_path, capsys):
     validate_doc(dict(frames_doc(1e6), content_frames=False))
 
 
-@pytest.mark.parametrize("bad", ("A,B", "A B", "A\tB"))
-@pytest.mark.parametrize("where", ("area", "roster member", "extra member"))
+@pytest.mark.parametrize(
+    ("where", "bad"),
+    [
+        (where, bad)
+        for where in ("area", "roster member", "extra member")
+        for bad in ("A,B", "A B", "A\tB", "main", "x:y")
+    ]
+    + [("roster member", "B"), ("extra member", "A"), ("name", "two\nlines scheme=lkh"), ("name", "bell\a")],
+)
 def test_ids_the_artifacts_cannot_carry_are_refused(tmp_path, capsys, where, bad):
-    # the trace separates fields with spaces and metrics.csv with commas: an
-    # area "A,B" would break compare's reading of metrics.csv, and "A B" its
-    # reading of the cost lines in report.txt
+    # the trace separates fields with spaces, so "A B" would also break
+    # compare's reading of the cost lines in report.txt; metrics.csv
+    # separates them with commas.  The trace names the main list "main" and
+    # an area's multicast "area:<id>", so a member "main", "x:y" or "A"
+    # would read as one of those or as an area.  The scenario name heads
+    # report.txt's run line, which compare reads, so it stays on one line
     doc = json.loads(json.dumps(SMALL))
     if where == "area":
         doc["areas"][bad] = doc["areas"].pop("B")
@@ -256,17 +269,41 @@ def test_ids_the_artifacts_cannot_carry_are_refused(tmp_path, capsys, where, bad
         doc["areas"]["A"][1] = bad
         doc["events"][2]["member"] = bad
         field, kind = "areas.A[1]", "member"
-    else:
+    elif where == "extra member":
         doc["members"][0] = bad
         doc["events"][0]["member"] = bad
         field, kind = "members[0]", "member"
+    else:
+        doc["name"] = bad
+    if where == "name":
+        reason = f"name: {bad!r} holds a character report.txt cannot carry on one line"
+    elif any(c.isspace() or c == "," for c in bad):
+        reason = f"{field}: {kind} id {bad!r} contains whitespace or a comma"
+    else:
+        reason = f"{field}: {kind} id {bad!r} collides with a reserved name or an area id"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {field}: {kind} id {bad!r} contains whitespace or a comma\n"
+    assert capsys.readouterr().err == f"error: {reason}\n"
     out = tmp_path / "run"
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("interval", (0, 5e-8))
+def test_content_frames_need_a_frame_interval_of_one_tick(tmp_path, capsys, interval):
+    # an interval that rounds to zero 100 ns ticks would run with no frames
+    doc = dict(SMALL, areas={"A": ["u1", "u2"]}, members=[], events=[], horizon=1.0,
+               content_frames=True, delays={"frame_interval": interval})
+    path = tmp_path / "still.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = "error: delays.frame_interval: content frames need an interval of at least one 100 ns tick\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+    validate_doc(dict(doc, content_frames=False))
+    validate_doc(dict(doc, delays={"frame_interval": 1e-4}))  # 10 000 ticks x 1 area
 
 
 def test_run_reports_protocol_refusal_without_traceback(tmp_path, capsys):
@@ -445,27 +482,81 @@ def test_compare_rejects_duplicate_scheme_and_misaligned_runs(small_path, tmp_pa
     assert "error:" in capsys.readouterr().err
 
 
+MISNUMBERED = "{}: cost lines do not number the events 1..4"
+NO_RUN_LINE = "{}: the first line is not a run line with a known scheme"
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
-        (lambda row: row.rsplit(",", 1)[0] + ",many", "invalid literal for int() with base 10: 'many'"),
-        (lambda row: row.rsplit(",", 1)[0], "{}: line 2: expected 9 fields"),
-        (lambda row: row + ",9", "{}: line 2: expected 9 fields"),
+        (lambda text: re.sub(r"cost=\d+", "cost=many", text, count=1), MISNUMBERED),
+        (lambda text: re.sub(r"\n.* cost=\d+", "", text, count=1), MISNUMBERED),
+        (lambda text: text.split("\n", 1)[1], NO_RUN_LINE),
+        (lambda text: text.replace("scheme=lkh", "scheme=rot13", 1), NO_RUN_LINE),
+        (lambda text: re.sub(r"totals: .*\n", "", text), "{}: expected one totals line, found 0"),
     ],
-    ids=("non-integer", "short", "long"),
+    ids=("non-integer", "cost-line-deleted", "run-line-deleted", "unknown-scheme", "totals-line-deleted"),
 )
-def test_compare_refuses_a_damaged_metrics_row(small_path, tmp_path, capsys, damage, reason):
+def test_compare_refuses_a_damaged_report(small_path, tmp_path, capsys, damage, reason):
     runs = {scheme: tmp_path / scheme for scheme in ("ckc_craw", "lkh")}
     for scheme, out in runs.items():
         assert main(["run", str(small_path), "--scheme", scheme, "--out", str(out)]) == 0
-    metrics = runs["lkh"] / "metrics.csv"
-    header, first, *rest = metrics.read_text(encoding="utf-8").splitlines()
-    metrics.write_text("\n".join([header, damage(first), *rest]) + "\n", encoding="utf-8")
+    report = runs["lkh"] / "report.txt"
+    report.write_text(damage(report.read_text(encoding="utf-8")), encoding="utf-8")
     capsys.readouterr()
     assert main(["compare", str(runs["ckc_craw"]), str(runs["lkh"])]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {reason.format(metrics)}\n"
+    assert captured.err == f"error: {reason.format(report)}\n"
     assert f"run {runs['lkh']}" not in captured.out
+
+
+def test_compare_reads_a_run_directory_that_holds_only_its_report(small_path, tmp_path, capsys):
+    full, bare = tmp_path / "full", tmp_path / "bare"
+    for scheme in ("ckc_craw", "ckc_plain", "lkh"):
+        assert main(["run", str(small_path), "--scheme", scheme, "--out", str(full / scheme)]) == 0
+        (bare / scheme).mkdir(parents=True)
+        shutil.copy(full / scheme / "report.txt", bare / scheme / "report.txt")
+    capsys.readouterr()
+    outputs = []
+    for root in (full, bare):
+        assert main(["compare"] + [str(root / scheme) for scheme in ("ckc_craw", "ckc_plain", "lkh")]) == 0
+        outputs.append(capsys.readouterr().out.replace(str(root), "<root>"))
+    assert outputs[0] == outputs[1]
+    assert "run <root>/lkh: scheme=lkh events=4 keygen=8 enc=25 unicast=5 multicast=15" in outputs[1]
+    assert "event 1 join: ckc_craw=1 ckc_plain=2 lkh=4 [ok]" in outputs[1]
+
+
+ZERO_DELAYS = dict.fromkeys(
+    ("t_probe", "t_reauth", "t_reassoc", "t_keygen", "t_keydist", "t_auth_ordinary"), 0.0
+)
+
+
+@pytest.mark.parametrize("n", (64, 256, 1024))
+def test_compare_confirms_the_abstracts_join_cost_at_every_size(tmp_path, capsys, n):
+    """One join into an area of n - 1 costs 1 key under CRAW, 2 under plain
+    CKC, and log2 n + 1 under LKH, with every view consistent and the
+    secrecy audit clean.  The nine runs with their audits take about 2 s
+    together on a 2-core host."""
+    doc = dict(
+        SMALL,
+        name=f"join{n}",
+        delays=ZERO_DELAYS,
+        areas={"A": [f"u{i}" for i in range(n - 1)]},
+        members=["w1"],
+        events=[{"time": 1.0, "op": "join", "member": "w1", "area": "A"}],
+    )
+    dirs = []
+    for scheme in ("ckc_craw", "ckc_plain", "lkh"):
+        sim = Simulation(validate_doc(dict(doc, scheme=scheme))).run()
+        assert sim.check_consistent()
+        assert check_secrecy(sim.recorder) == []
+        dirs.append(tmp_path / scheme)
+        dirs[-1].mkdir()
+        (dirs[-1] / "report.txt").write_text(render_report(sim), encoding="utf-8")
+    assert main(["compare"] + [str(d) for d in dirs]) == 0
+    out = capsys.readouterr().out
+    assert f"event 1 join: ckc_craw=1 ckc_plain=2 lkh={n.bit_length()} [ok]" in out
+    assert "cost relation holds" in out
 
 
 def _run_checkout(command, cwd):
