@@ -90,25 +90,21 @@ class ProtocolMessage:
 @dataclass
 class MainListEntry:
     member_id: str
+    auth: AuthRecord | bytes  # the otp verifier state, or the shared credential
     status: str = STATUS_REGISTERED
     last_area: str | None = None
     service_accounting: int = 0
     last_update: int = 0
-    auth: AuthRecord | None = None  # one-time-password verifier state
-    credential: bytes | None = None  # ordinary shared credential
 
     def to_doc(self, group_id: str, fmt_time) -> dict:
-        if self.auth is not None:
+        if isinstance(self.auth, AuthRecord):
             material = {
                 "kind": "otp",
                 "session_index": self.auth.session_index,
                 "verifier": fingerprint(self.auth.stored_hash),
             }
         else:
-            material = {
-                "kind": "credential",
-                "tag": fingerprint(self.credential or b""),
-            }
+            material = {"kind": "credential", "tag": fingerprint(self.auth)}
         return {
             "member": self.member_id,
             "group": group_id,
@@ -129,15 +125,13 @@ class MainList:
         self.entries: dict[str, MainListEntry] = {}
 
     def register(self, member: MobileMember) -> MainListEntry:
-        """Enrol a member: its first one-time-password verifier when it has
-        a secret, its credential otherwise."""
+        """Enrol a member: the first one-time-password verifier of its
+        secret, or its shared credential."""
         if member.member_id in self.entries:
             raise ProtocolError(f"{member.member_id} already registered for {self.group_id}")
-        if member.secret is not None:
-            entry = MainListEntry(member.member_id, auth=otp_register(member.secret))
-        else:
-            entry = MainListEntry(member.member_id, credential=member.credential)
-        self.entries[member.member_id] = entry
+        credential = member.credential
+        auth = otp_register(credential) if isinstance(credential, ClientSecret) else credential
+        entry = self.entries[member.member_id] = MainListEntry(member.member_id, auth)
         return entry
 
     def lookup(self, member_id: str) -> MainListEntry | None:
@@ -186,8 +180,7 @@ class MainList:
 @dataclass
 class MobileMember:
     member_id: str
-    secret: ClientSecret | None = None  # set in one-time-password deployments
-    credential: bytes | None = None  # set in ordinary-auth deployments
+    credential: ClientSecret | bytes  # the otp secret, or the shared key
     busy: bool = False  # a join/leave/move is in flight
 
 
@@ -207,26 +200,20 @@ def run_auth(mainlist: MainList, member: MobileMember, rng: Random) -> AuthAttem
     key server-side.
     """
     entry = mainlist.lookup(member.member_id)
-    if member.secret is not None:
-        challenge = make_challenge(member.secret, rng)
+    credential = member.credential
+    if isinstance(credential, ClientSecret):
+        challenge = make_challenge(credential, rng)
         detail = fingerprint(challenge.wire().encode("ascii"))
-        if entry is None or entry.auth is None:
-            member.secret.discard_pending()
-            return AuthAttempt(False, None, detail)
-        outcome = verify(entry.auth, challenge)
-        if not outcome.accepted:
-            member.secret.discard_pending()
+        enrolled = entry is not None and isinstance(entry.auth, AuthRecord)
+        outcome = verify(entry.auth, challenge) if enrolled else None
+        if outcome is None or not outcome.accepted:
+            credential.discard_pending()
             return AuthAttempt(False, None, detail)
         entry.auth = outcome.record
-        member.secret.confirm_success()
+        credential.confirm_success()
         return AuthAttempt(True, outcome.individual_key, detail)
-    ok = (
-        entry is not None
-        and entry.credential is not None
-        and member.credential == entry.credential
-    )
-    detail = fingerprint(member.credential or b"")
-    return AuthAttempt(ok, random_key(rng) if ok else None, detail)
+    ok = entry is not None and credential == entry.auth
+    return AuthAttempt(ok, random_key(rng) if ok else None, fingerprint(credential))
 
 
 class AreaState:

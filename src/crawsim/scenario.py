@@ -24,6 +24,10 @@ _HORIZON_MARGIN = to_ticks(2.0)
 # area per frame tick, so frame ticks x areas is bounded before any run
 MAX_FRAMES = 100_000
 
+# each event may re-key an area holding every registered member, so events x
+# registered members bounds a run's re-keying work before it starts
+MAX_EVENT_MEMBERS = 10_000_000
+
 _TOP_KEYS = {
     "schema_version",
     "name",
@@ -129,6 +133,8 @@ def validate_doc(doc: dict) -> Scenario:
     events_doc = doc.get("events", [])
     if not isinstance(events_doc, list):
         _fail("events", "expected a list")
+    if len(events_doc) * len(roster) > MAX_EVENT_MEMBERS:
+        _fail("events", f"{len(events_doc)} events x {len(roster)} members exceeds the limit of {MAX_EVENT_MEMBERS}")
     events: list[ScenarioEvent] = []
     last_time = 0.0
     for i, ev in enumerate(events_doc):
@@ -171,12 +177,8 @@ def validate_doc(doc: dict) -> Scenario:
     if frames:
         if delays.frame_interval == 0:
             _fail("delays.frame_interval", "content frames need an interval of at least one 100 ns tick")
-        ticks = horizon // delays.frame_interval
-        if ticks * len(areas) > MAX_FRAMES:
-            _fail(
-                "horizon",
-                f"{ticks} frame ticks x {len(areas)} areas exceeds the limit of {MAX_FRAMES} content frames",
-            )
+        if horizon // delays.frame_interval * len(areas) > MAX_FRAMES:
+            _fail("horizon", f"frame ticks x {len(areas)} areas exceeds the limit of {MAX_FRAMES} content frames")
 
     return Scenario(
         name=name,

@@ -14,7 +14,10 @@ adversary needs nothing but its keys: it may know every code in service.
 Expansion is pruned to the key universe, since a hash output that is not a
 protocol key cannot re-enter the protocol key set except by hash collision.
 A reachable key is only acceptable when the ciphertext was addressed to the
-member or emitted inside one of its membership windows.  Backward secrecy
+member or emitted inside one of its membership windows.  One tick can hold
+several events, so a window's bounds are (tick, ciphertexts recorded so
+far) pairs and a ciphertext is inside when its (tick, position in the
+recorder) falls in [open, close), as the run ordered them.  Backward secrecy
 (joiners vs. pre-join traffic), forward secrecy (leavers vs. post-leave
 traffic), and movement secrecy all fall out of this single property.
 
@@ -57,8 +60,10 @@ class CipherRecord:
 @dataclass
 class Window:
     area: str
-    start: int
-    end: int | None = None  # open until further notice
+    start: int  # tick
+    opened: int  # ciphertexts recorded when it opened
+    end: int | None = None  # tick; open until further notice
+    closed: int | None = None  # ciphertexts recorded when it closed
 
 
 @dataclass
@@ -90,12 +95,12 @@ class RunRecorder:
         self.key_universe.add(rec.enc_key)
 
     def open_window(self, member: str, area: str, t: int) -> None:
-        self.windows.setdefault(member, []).append(Window(area, t))
+        self.windows.setdefault(member, []).append(Window(area, t, len(self.ciphertexts)))
 
     def close_window(self, member: str, area: str, t: int) -> None:
         for w in reversed(self.windows.get(member, [])):
             if w.area == area and w.end is None:
-                w.end = t
+                w.end, w.closed = t, len(self.ciphertexts)
                 return
         raise RuntimeError(f"no open window for {member} in {area}")
 
@@ -191,11 +196,12 @@ def _provenance(parent: dict, key: bytes) -> str:
     return f" via held {fingerprint(key)}" + "".join(reversed(steps))
 
 
-def _legal(member: str, rec: CipherRecord, windows: list[Window]) -> bool:
+def _legal(member: str, rec: CipherRecord, position: int, windows: list[Window]) -> bool:
     if rec.target == member:
         return True
+    at = (rec.time, position)
     for w in windows:
-        if w.area == rec.area and w.start <= rec.time and (w.end is None or rec.time < w.end):
+        if w.area == rec.area and (w.start, w.opened) <= at and (w.end is None or at < (w.end, w.closed)):
             return True
     return False
 
@@ -215,7 +221,7 @@ def check_secrecy(rec: RunRecorder) -> list[str]:
         hits = sorted(i for key in reach & by_key.keys() for i in by_key[key])
         for i in hits:
             ct = rec.ciphertexts[i]
-            if not _legal(member, ct, wins):
+            if not _legal(member, ct, i, wins):
                 violations.append(
                     f"{member} can derive the key of a {ct.kind} in {ct.area} at t={ct.time}"
                     + _provenance(parent, ct.enc_key)
@@ -235,8 +241,8 @@ def operational_decrypt_check(rec: RunRecorder, max_attempts: int = 4000) -> lis
         held = sorted(known)
         derived = [hash_f(k) for k in held] + [hash_f_xor(a, b) for a, b in combinations(held, 2)]
         candidates = list(dict.fromkeys(held + derived))
-        for ct in rec.ciphertexts:
-            if ct.ciphertext is None or _legal(member, ct, wins):
+        for i, ct in enumerate(rec.ciphertexts):
+            if ct.ciphertext is None or _legal(member, ct, i, wins):
                 continue
             for key in candidates:
                 attempts += 1

@@ -59,7 +59,7 @@ from .entities import (
     ProtocolMessage,
     run_auth,
 )
-from .otp import ClientSecret
+from .otp import AuthRecord, ClientSecret
 from .secrecy import CipherRecord, RunRecorder
 from .tree import MemberKeyView, Rekey, RekeyCounters, WireMessage
 
@@ -183,7 +183,6 @@ class EventRow:
 class JoinSetupRecord:
     member: str
     area: str
-    mode: str  # "otp" or "ordinary"
     start: int
     done: int
 
@@ -362,9 +361,10 @@ class Simulation:
         roster += list(self.sc.extra_members)
         for member_id in roster:
             if self.mode == "otp":
-                member = MobileMember(member_id, secret=ClientSecret(member_id, b"pw:" + member_id.encode(), self.rng))
+                credential = ClientSecret(member_id, b"pw:" + member_id.encode(), self.rng)
             else:
-                member = MobileMember(member_id, credential=random_key(self.rng))
+                credential = random_key(self.rng)
+            member = MobileMember(member_id, credential)
             self.mainlist.register(member)
             self._note_auth_material(member)
             self.members[member_id] = member
@@ -402,11 +402,10 @@ class Simulation:
         self.trace.append(ProtocolMessage(ticks, kind, src, dst, info))
 
     def _note_auth_material(self, member: MobileMember) -> None:
-        if member.secret is None:
-            return
-        entry = self.mainlist.lookup(member.member_id)
-        self.recorder.record_keys([entry.auth.stored_hash])
-        self.recorder.note_knowledge(member.member_id, [entry.auth.stored_hash])
+        auth = self.mainlist.lookup(member.member_id).auth
+        if isinstance(auth, AuthRecord):
+            self.recorder.record_keys([auth.stored_hash])
+            self.recorder.note_knowledge(member.member_id, [auth.stored_hash])
 
     def _record_msgs(
         self, area: AreaState, ticks: int, msgs: list[WireMessage], kind: str, target: str | None = None
@@ -498,7 +497,7 @@ class Simulation:
         if self.mode == "ordinary":
             t += self.key_prep
             yield t
-        self.ledger.setups.append(JoinSetupRecord(ev.member, area.area_id, self.mode, ev.time, t))
+        self.ledger.setups.append(JoinSetupRecord(ev.member, area.area_id, ev.time, t))
         member.busy = False
         self._key_in(ev.member, area, attempt.individual_key, t, "join")
 
@@ -577,16 +576,18 @@ class Simulation:
             # it is not part of the re-keying payload accounting
             self._emit(ticks, "key_unicast", area.area_id, member_id, f"individual-key {fingerprint(individual_key)}")
         rekey = area.join(member_id, individual_key)
+        # the window opens before the join's payloads, the first it may read
+        self.recorder.open_window(member_id, area.area_id, ticks)
         self._publish_rekey(area, ticks, rekey, target=member_id)
         self.mainlist.advance(member_id, STATUS_ACTIVE, ticks, last_area=area.area_id)
         self._emit(ticks, "mainlist_update", area.area_id, "main", f"member={member_id} status=active")
-        self.recorder.open_window(member_id, area.area_id, ticks)
         self._append_event(ticks, kind, area, member_id, rekey)
 
     def _key_out(self, member_id: str, area: AreaState, ticks: int, kind: str) -> None:
         rekey = area.leave(member_id)
-        self._publish_rekey(area, ticks, rekey, target=None)
+        # and closes before the leave's payloads, the first it may not
         self.recorder.close_window(member_id, area.area_id, ticks)
+        self._publish_rekey(area, ticks, rekey, target=None)
         self._append_event(ticks, kind, area, member_id, rekey)
 
     # -- content ----------------------------------------------------------
@@ -689,7 +690,7 @@ def render_report(sim: Simulation) -> str:
     if sim.ledger.setups:
         out.append("realized join setups:")
         for s in sim.ledger.setups:
-            out.append(f"  member={s.member} area={s.area} mode={s.mode} setup={fmt_ticks(s.setup())}")
+            out.append(f"  member={s.member} area={s.area} mode={sim.mode} setup={fmt_ticks(s.setup())}")
     if sim.ledger.handoffs:
         out.append("realized hand-offs:")
         for h in sim.ledger.handoffs:

@@ -52,7 +52,8 @@ def random_scenario(
     sizes: list[int] | None = None, n_ops: int | None = None,
 ):
     """A legal random op sequence: joins of absent members, leaves and moves
-    of present ones.  Zero delays keep operations strictly ordered.  Area
+    of present ones.  Events are one second apart, so no two share a tick,
+    and zero delays finish each operation on the tick it starts.  Area
     sizes and the op count are drawn unless given."""
     rng = random.Random(9000 + trial)
     if full_size:

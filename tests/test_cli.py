@@ -226,7 +226,7 @@ def test_horizons_past_the_frame_limit_are_refused_up_front(tmp_path, capsys):
     # 1e6 s of 10 ms frames over two areas: 2e8 trace lines and ciphertexts
     with pytest.raises(ValueError) as refused:
         validate_doc(frames_doc(1e6))
-    err = "horizon: 100000000 frame ticks x 2 areas exceeds the limit of 100000 content frames"
+    err = "horizon: frame ticks x 2 areas exceeds the limit of 100000 content frames"
     assert str(refused.value) == err
     path = tmp_path / "long.json"
     path.write_text(json.dumps(frames_doc(1e6)), encoding="utf-8")
@@ -236,12 +236,41 @@ def test_horizons_past_the_frame_limit_are_refused_up_front(tmp_path, capsys):
     assert main(["run", "handoff", "--out", str(out), "--override", "horizon=1e6"]) == 2
     assert capsys.readouterr().err.startswith("error: horizon: ")
     assert not out.exists()
+    # 1e300 s is 1e307 ticks: the refusal names the limit, not that count
+    assert main(["run", "handoff", "--out", str(out), "--override", "horizon=1e300"]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
     # the limit counts frames (ticks x areas), not seconds
     validate_doc(frames_doc(500.0))  # 50 000 ticks x 2 areas
-    with pytest.raises(ValueError, match="^horizon: 50001 frame ticks x 2 areas "):
+    with pytest.raises(ValueError, match="^horizon: frame ticks x 2 areas "):
         validate_doc(frames_doc(500.01))
     validate_doc(frames_doc(1e6, frame_interval=20))
     validate_doc(dict(frames_doc(1e6), content_frames=False))
+
+
+def events_doc(n_members: int, n_events: int) -> dict:
+    members = [f"m{i}" for i in range(n_members)]
+    events = [
+        {"time": float(i), "op": "leave" if i % 2 else "join", "member": "m0", "area": "A"}
+        for i in range(n_events)
+    ]
+    return dict(json.loads(json.dumps(SMALL)), areas={"A": []}, members=members, events=events, horizon=float(n_events))
+
+
+def test_events_times_members_past_the_limit_are_refused_up_front(tmp_path, capsys):
+    # every event may re-key an area holding every member: 10^7 member
+    # refreshes is the most a scenario may ask for
+    validate_doc(events_doc(1000, 10_000))
+    with pytest.raises(ValueError) as refused:
+        validate_doc(events_doc(1001, 10_000))
+    err = "events: 10000 events x 1001 members exceeds the limit of 10000000"
+    assert str(refused.value) == err
+    path = tmp_path / "busy.json"
+    path.write_text(json.dumps(events_doc(1001, 10_000)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    # the roster counts as well as the extra members
+    with pytest.raises(ValueError, match="^events: 10000 events x 1001 members "):
+        validate_doc(dict(events_doc(1000, 10_000), areas={"A": ["a0"]}))
 
 
 @pytest.mark.parametrize(

@@ -24,12 +24,12 @@ from crawsim.entities import (
 )
 from crawsim.crypto import encrypt
 from crawsim.lkh import lkh_member_refresh_leave
-from crawsim.otp import ClientSecret
+from crawsim.otp import AuthRecord, ClientSecret
 from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload
 
 
 def make_member(mainlist: MainList, member_id: str, rng: random.Random) -> MobileMember:
-    member = MobileMember(member_id, secret=ClientSecret(member_id, b"pw:" + member_id.encode(), rng))
+    member = MobileMember(member_id, ClientSecret(member_id, b"pw:" + member_id.encode(), rng))
     mainlist.register(member)
     return member
 
@@ -43,16 +43,34 @@ def test_message_kind_is_validated():
 
 def test_register_and_duplicate_rejected():
     ml = MainList("g1")
-    ml.register(MobileMember("u1"))
+    ml.register(MobileMember("u1", b"cred:u1"))
     assert ml.lookup("u1").status == STATUS_REGISTERED
     assert ml.lookup("u2") is None
     with pytest.raises(ProtocolError):
-        ml.register(MobileMember("u1"))
+        ml.register(MobileMember("u1", b"cred:u1"))
+
+
+def test_a_member_holds_one_credential_and_its_entry_one_auth():
+    # the credential's type is the auth mode: a one-time-password secret
+    # enrols its first verifier, shared key bytes enrol themselves
+    with pytest.raises(TypeError):
+        MobileMember("u1")
+    rng = random.Random(3)
+    ml = MainList("g1")
+    make_member(ml, "u1", rng)
+    otp_entry = ml.lookup("u1")
+    key = random_key(rng)
+    shared_entry = ml.register(MobileMember("u2", key))
+    assert isinstance(otp_entry.auth, AuthRecord) and otp_entry.auth.session_index == 1
+    assert shared_entry.auth == key
+    # material of the other mode never authenticates
+    assert not run_auth(ml, MobileMember("u1", key), rng).accepted
+    assert not run_auth(ml, MobileMember("u2", ClientSecret("u2", b"pw:u2", rng)), rng).accepted
 
 
 def test_status_walk_through_the_lifecycle():
     ml = MainList("g1")
-    ml.register(MobileMember("u1"))
+    ml.register(MobileMember("u1", b"cred:u1"))
     ml.advance("u1", STATUS_ACTIVE, 10, last_area="A")
     ml.advance("u1", STATUS_MOVING, 20)
     entry = ml.advance("u1", STATUS_ACTIVE, 30, last_area="B")
@@ -65,7 +83,7 @@ def test_status_walk_through_the_lifecycle():
 
 def test_area_of_follows_the_main_list_status():
     ml = MainList("g1")
-    ml.register(MobileMember("u1"))
+    ml.register(MobileMember("u1", b"cred:u1"))
     assert ml.area_of("u1") is None  # registered, never keyed in
     assert ml.area_of("u9") is None
     ml.advance("u1", STATUS_ACTIVE, 10, last_area="A")
@@ -91,7 +109,7 @@ def test_illegal_transitions_rejected():
     ]
     for src, dst in bad:
         ml = MainList("g1")
-        ml.register(MobileMember("u1")).status = src
+        ml.register(MobileMember("u1", b"cred:u1")).status = src
         with pytest.raises(ProtocolError):
             ml.advance("u1", dst, 1)
 
@@ -108,7 +126,7 @@ def test_credit_refuses_a_bare_string_and_any_unknown_id():
     # a string is iterable: credit("u1") must not bill members "u" and "1"
     ml = MainList("g1")
     for member_id in ("u1", "u", "1"):
-        ml.register(MobileMember(member_id))
+        ml.register(MobileMember(member_id, b"cred:" + member_id.encode()))
     with pytest.raises(ProtocolError, match="not the string 'u1'"):
         ml.credit("u1")
     with pytest.raises(ProtocolError, match="unknown member ghost"):
@@ -120,7 +138,7 @@ def test_credit_refuses_a_bare_string_and_any_unknown_id():
 
 def test_accounting_only_increases():
     ml = MainList("g1")
-    ml.register(MobileMember("u1"))
+    ml.register(MobileMember("u1", b"cred:u1"))
     for n in range(1, 201):
         ml.credit(["u1"])
         assert ml.lookup("u1").service_accounting == n
@@ -157,7 +175,7 @@ def test_otp_auth_accepts_and_rolls_forward():
 def test_otp_auth_without_registration_recovers():
     rng = random.Random(12)
     ml = MainList("g1")
-    member = MobileMember("u1", secret=ClientSecret("u1", b"pw:u1", rng))
+    member = MobileMember("u1", ClientSecret("u1", b"pw:u1", rng))
     attempt = run_auth(ml, member, rng)
     assert not attempt.accepted
     # the client discarded its pending state, so a later registration

@@ -14,8 +14,9 @@ from crawsim.secrecy import (
     derivation_edges,
     operational_decrypt_check,
 )
+from crawsim.scenario import validate_doc
 from crawsim.sim import Simulation
-from test_acceptance import random_scenario
+from test_acceptance import ZERO_DELAYS, random_scenario
 
 
 def eager_audit(rec: RunRecorder, edges=None) -> list[tuple[str, list]]:
@@ -185,6 +186,62 @@ def test_window_boundaries_are_half_open():
     assert check_secrecy(rec) == []
     rec.record_ciphertext(CipherRecord(key, 200, "A", "content_frame"))
     assert len(check_secrecy(rec)) == 1
+
+
+def test_one_ticks_events_are_judged_in_recording_order():
+    # two ciphertexts on tick 100 and two on tick 200: u1's window opens
+    # after the first of tick 100 and closes after the first of tick 200,
+    # so the first and the last are outside it
+    rec = RunRecorder()
+    key = random_key(random.Random(2))
+    rec.note_knowledge("u1", [key])
+    sealed = [encrypt(key, bytes([i])) for i in range(4)]
+    rec.record_ciphertext(CipherRecord(key, 100, "A", "key_multicast", ciphertext=sealed[0]))
+    rec.open_window("u1", "A", 100)
+    rec.record_ciphertext(CipherRecord(key, 100, "A", "key_unicast", ciphertext=sealed[1]))
+    rec.record_ciphertext(CipherRecord(key, 200, "A", "content_frame", ciphertext=sealed[2]))
+    rec.close_window("u1", "A", 200)
+    rec.record_ciphertext(CipherRecord(key, 200, "A", "key_multicast", ciphertext=sealed[3]))
+    assert [v.split(" via ")[0] for v in check_secrecy(rec)] == [
+        "u1 can derive the key of a key_multicast in A at t=100",
+        "u1 can derive the key of a key_multicast in A at t=200",
+    ]
+    assert operational_decrypt_check(rec) == [
+        "u1 opened a key_multicast in A at t=100",
+        "u1 opened a key_multicast in A at t=200",
+    ]
+
+
+A4 = {"A": ["u1", "u2", "u3", "u4"]}
+
+
+@pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
+@pytest.mark.parametrize(
+    ("areas", "events"),
+    [
+        # a leave on the bootstrap's tick: the t=0 chains came first
+        (A4, [{"time": 0.0, "op": "leave", "member": "u1", "area": "A"}]),
+        # the second leaver reads the first leave's multicast, sent while it
+        # was still present
+        (A4, [{"time": 1.0, "op": "leave", "member": m, "area": "A"} for m in ("u1", "u2")]),
+        # u1's arrival re-keys B just before v1 leaves it
+        (
+            {"A": ["u1", "u2", "u3"], "B": ["v1", "v2", "v3"]},
+            [
+                {"time": 1.0, "op": "move", "member": "u1", "from": "A", "to": "B"},
+                {"time": 1.0, "op": "move", "member": "v1", "from": "B", "to": "A"},
+            ],
+        ),
+    ],
+    ids=("leave-at-t0", "two-leaves", "crossing-moves"),
+)
+def test_runs_whose_events_share_a_tick_audit_clean(scheme, areas, events):
+    doc = {"schema_version": 1, "name": "tick", "seed": 1, "scheme": scheme,
+           "delays": ZERO_DELAYS, "areas": areas, "events": events}
+    sim = Simulation(validate_doc(doc)).run()
+    assert sim.check_consistent()
+    assert check_secrecy(sim.recorder) == []
+    assert operational_decrypt_check(sim.recorder) == []
 
 
 def test_other_area_is_not_covered_by_window():

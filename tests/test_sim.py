@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 from importlib import resources
 
 import pytest
-from test_acceptance import random_scenario
+from test_acceptance import ZERO_DELAYS, random_scenario
 
 from crawsim import crypto
 from crawsim.crypto import KEY_WIDTH, ProtocolError, fingerprint
+from crawsim.otp import ClientSecret
 from crawsim.scenario import apply_overrides, validate_doc
 from crawsim.secrecy import check_secrecy, operational_decrypt_check
 from crawsim.sim import (
@@ -109,7 +111,7 @@ def test_join_completion_times_by_auth_mode():
     assert row.kind == "join"
     assert row.time == to_ticks(1.0) + to_ticks(0.0025170)
     setup = sim.ledger.setups[0]
-    assert setup.mode == "otp"
+    assert sim.mode == "otp"
     assert setup.setup() == sim.sc.delays.join_setup("otp")
 
     for scheme in ("ckc_plain", "lkh"):
@@ -117,7 +119,7 @@ def test_join_completion_times_by_auth_mode():
         row = sim.ledger.events[0]
         assert row.time == to_ticks(1.0) + to_ticks(0.9392370)
         setup = sim.ledger.setups[0]
-        assert setup.mode == "ordinary"
+        assert sim.mode == "ordinary"
         assert setup.setup() == sim.sc.delays.join_setup("ordinary")
         assert setup.setup() - to_ticks(0.0025170) == sim.sc.delays.join_setup_delta()
 
@@ -222,8 +224,8 @@ def test_rejected_join_and_handoff_leave_only_the_later_leave(scheme):
     sim = Simulation(scenario(events, scheme=scheme))
     for member_id in ("w1", "u1"):
         member = sim.members[member_id]
-        if member.secret is not None:
-            member.secret.current_nonce = b"\x00" * 16  # verifier no longer matches
+        if isinstance(member.credential, ClientSecret):
+            member.credential.current_nonce = b"\x00" * 16  # verifier no longer matches
         else:
             member.credential = b"\x00" * 16
     sim.run()
@@ -524,3 +526,79 @@ def test_same_tick_order_under_zero_delays(scheme):
     sim = Simulation(validate_doc(doc)).run()
     text = render_trace(sim.trace) + render_metrics_csv(sim.ledger)
     assert hashlib.sha256(text.encode()).hexdigest() == SAME_TICK_SHA256[scheme]
+
+
+def shared_tick_doc(trial: int) -> dict:
+    """A legal random document whose events share ticks: at most six
+    members in one to three areas, every delay zero, content frames on, and
+    one to three operations on each event tick, no member twice in one
+    tick.  Event ticks fall on frame ticks too, and the first may be t=0."""
+    rng = random.Random(7000 + trial)
+    n_areas = rng.randint(1, 3)
+    members = [f"m{i}" for i in range(rng.randint(2, 6))]
+    location = {m: rng.choice([None] + [f"A{a}" for a in range(n_areas)]) for m in members}
+    areas = {f"A{a}": [m for m in members if location[m] == f"A{a}"] for a in range(n_areas)}
+    extra = [m for m in members if location[m] is None]
+    events = []
+    t = rng.choice([0.0, 0.25])
+    for _ in range(rng.randint(2, 5)):
+        for m in rng.sample(members, rng.randint(1, min(3, len(members)))):
+            here = location[m]
+            ops = (["leave", "move"] if n_areas > 1 else ["leave"]) if here else ["join"]
+            op = rng.choice(ops)
+            if op == "join":
+                location[m] = rng.choice(sorted(areas))
+                events.append({"time": t, "op": "join", "member": m, "area": location[m]})
+            elif op == "leave":
+                location[m] = None
+                events.append({"time": t, "op": "leave", "member": m, "area": here})
+            else:
+                location[m] = rng.choice(sorted(set(areas) - {here}))
+                events.append({"time": t, "op": "move", "member": m, "from": here, "to": location[m]})
+        t += rng.choice([0.25, 0.5, 1.0])
+    return {
+        "schema_version": 1,
+        "name": f"ticks{trial}",
+        "seed": trial,
+        "scheme": "ckc_craw",
+        "group": "g1",
+        "horizon": t + 0.5,
+        "content_frames": True,
+        "delays": ZERO_DELAYS | {"frame_interval": 0.25},
+        "areas": areas,
+        "members": extra,
+        "events": events,
+    }
+
+
+def test_schemes_agree_on_windows_frames_and_entries_under_zero_delays():
+    """A metamorphic check: with every delay zero, the scheme changes only
+    key material, so one document gives the same membership windows, the
+    same frame deliveries and the same main-list entries (their auth
+    material aside) under all three schemes.  Each run also stays
+    consistent and audits clean, though its events share ticks.  Forty
+    random documents and the three bundled scenarios with delays zeroed.
+    Budget: 10 seconds (about 0.5 s on a 2-core host)."""
+    docs = [shared_tick_doc(trial) for trial in range(40)]
+    for name in ("tables", "handoff", "departed"):
+        doc = bundled_doc(name)
+        docs.append(dict(doc, delays=doc.get("delays", {}) | ZERO_DELAYS))
+    started = time.monotonic()
+    shared = 0
+    for doc in docs:
+        seen = []
+        for scheme in ("ckc_craw", "ckc_plain", "lkh"):
+            sim = Simulation(validate_doc(dict(doc, scheme=scheme))).run()
+            assert sim.check_consistent()
+            assert check_secrecy(sim.recorder) == [], (doc["name"], scheme)
+            windows = {m: [(w.area, w.start, w.end) for w in ws] for m, ws in sim.recorder.windows.items()}
+            entries = json.loads(render_mainlist(sim))["entries"]
+            for entry in entries:
+                del entry["auth"]
+            seen.append((windows, list(sim.ledger.frames), entries))
+        assert seen[0] == seen[1] == seen[2], doc["name"]
+        ticks = [e["time"] for e in doc["events"]]
+        shared += len(ticks) > len(set(ticks))
+    elapsed = time.monotonic() - started
+    assert shared >= 30  # most documents put several events on one tick
+    assert elapsed < 10.0, f"metamorphic check took {elapsed:.1f}s"
