@@ -36,6 +36,13 @@ covers) and the member-side model (views, notices, the consistency oracle)
 live in ``crawsim.tree``.  This module supplies the random child digits,
 the rolled keys (``_rekey_join``, ``_rekey_leave``), the sealed ``Rekey``
 of each event and how a member rolls the keys.
+
+A member rolls from the inputs it holds itself, but the members below one
+position hold the same K, so an event rolls each distinct input once: the
+memo rides on the event's notice, keyed by the input bytes and never by
+code, and a member holding a wrong K gets its own (wrong) roll.  On a leave,
+each remaining member finds its cover payload by looking up its own
+root-path positions in the event's ``payload_index``.
 """
 
 from __future__ import annotations
@@ -154,13 +161,27 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
     return Rekey(notice, [], multicasts, counters, len(notice.leaf) - 1)
 
 
+def _rolled(notice: JoinNotice | LeaveNotice, *inputs: bytes) -> bytes:
+    """f(AK) of one key, or f(AK' xor K) of two, from a member's own input
+    bytes.  The event's notice memoizes each distinct input, so the members
+    that hold the same keys share one roll, and a member holding another
+    key gets its own."""
+    out = notice._rolls.get(inputs)
+    if out is None:
+        out = notice._rolls[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
+    return out
+
+
 def _roll_view(view: MemberKeyView, notice: JoinNotice | LeaveNotice, ak_new: bytes) -> None:
     """Install AK' and roll the notice's affected middle keys that sit on
     the view's own path."""
     view.store(ROOT_CODE, ak_new)
     for code in notice.affected_codes:
-        if view.leaf.startswith(code):
-            view.store(code, hash_f_xor(ak_new, view.keys[code]))
+        # the affected codes are one top-down chain, so the first one off
+        # the path ends it
+        if not view.leaf.startswith(code):
+            break
+        view.store(code, _rolled(notice, ak_new, view.keys[code]))
 
 
 def build_joiner_view(
@@ -187,22 +208,24 @@ def ckc_member_refresh_join(view: MemberKeyView, notice: JoinNotice) -> MemberKe
     the touched middle keys that sit on the own path."""
     if not view.follow_join(notice):
         return view
-    _roll_view(view, notice, hash_f(view.group_key()))
+    _roll_view(view, notice, _rolled(notice, view.group_key()))
     return view
 
 
 def ckc_member_refresh_leave(
     view: MemberKeyView,
     notice: LeaveNotice,
-    multicasts: list[WireMessage],
+    index: dict[str, WirePayload],
 ) -> MemberKeyView:
-    """Local update on a leave: open the cover payload this member can read,
-    re-code if inside the promoted subtree, and roll the affected keys."""
+    """Local update on a leave: open the cover payload this member can read
+    (``index``: the event's ``payload_index``), re-code if inside the
+    promoted subtree, and roll the affected keys."""
     if not view.accept_leave(notice):
         return view
 
     # covers are pre-promotion positions, so the payload is opened before re-coding
-    mine = [p for msg in multicasts for p in msg.payloads if view.leaf.startswith(p.under)]
+    path = [view.leaf[:i] for i in range(1, len(view.leaf) + 1)]
+    mine = [index[code] for code in path if code in index]
     if len(mine) != 1:
         raise ProtocolError(f"{view.member_id} matches {len(mine)} cover nodes, expected 1")
     ak_new = crypto.decrypt(view.keys[mine[0].under], mine[0].ciphertext)

@@ -36,7 +36,7 @@ from .lkh import (
 )
 from .otp import AuthRecord, ClientSecret, make_challenge, verify
 from .otp import register as otp_register
-from .tree import MemberKeyView, Rekey, WireMessage
+from .tree import MemberKeyView, Rekey, WireMessage, payload_index
 
 # each scheme's auth mode: under "otp" the individual key falls out of the
 # accepted one-time password; under "ordinary" the server mints it
@@ -222,7 +222,11 @@ class AreaState:
 
     ``join``/``leave`` re-key the tree through the scheme, run every present
     member's local update exactly as a real client would (decrypting the
-    actual payloads), and pass the scheme's ``Rekey`` on unchanged.
+    actual payloads), and pass the scheme's ``Rekey`` on unchanged.  The
+    work the members of one event share is done once per event: its
+    payloads are indexed by position once (``payload_index``), and a CKC
+    roll runs once per distinct input (AK' and K), however many members
+    hold that input.
     """
 
     def __init__(self, area_id: str, scheme: str, rng: Random):
@@ -243,8 +247,9 @@ class AreaState:
     def join(self, member_id: str, individual_key: bytes) -> Rekey:
         if self.scheme == "lkh":
             res = lkh_join(self.tree, member_id, individual_key, self.rng)
+            index = payload_index(res.multicasts)
             for view in self.views.values():
-                lkh_member_refresh_join(view, res.notice, res.multicasts)
+                lkh_member_refresh_join(view, res.notice, index)
             joiner = build_lkh_joiner_view(
                 member_id, individual_key, res.unicasts, res.notice.leaf, res.notice.epoch
             )
@@ -286,8 +291,9 @@ class AreaState:
             res = ckc_leave(self.tree, member_id, self.rng)
             refresh = ckc_member_refresh_leave
         del self.views[member_id]
+        index = payload_index(res.multicasts)
         for view in self.views.values():
-            refresh(view, res.notice, res.multicasts)
+            refresh(view, res.notice, index)
         return res
 
     def consistent(self) -> bool:

@@ -141,39 +141,38 @@ def build_lkh_joiner_view(
     return MemberKeyView(member_id, leaf, keys, epoch)
 
 
-def _climb(view: MemberKeyView, changed: list[str], multicasts: list[WireMessage]) -> None:
-    """Open the regenerated keys on the view's own path.  ``changed`` runs
-    bottom-up, so the key of the child on the path is current when its
-    parent's payload is opened under it."""
-    by_under = {p.under: p.ciphertext for msg in multicasts for p in msg.payloads}
+def _climb(view: MemberKeyView, changed: list[str], index: dict[str, WirePayload]) -> None:
+    """Open the regenerated keys on the view's own path from the event's
+    ``payload_index``.  ``changed`` runs bottom-up, so the key of the child
+    on the path is current when its parent's payload is opened under it."""
     for label in changed:
         if not view.leaf.startswith(label):
             continue
         child_on_path = view.leaf[: len(label) + 1]
-        ct = by_under.get(child_on_path)
-        if ct is None:
+        payload = index.get(child_on_path)
+        if payload is None:
             raise ProtocolError(f"no payload under {child_on_path} for {label}")
-        view.store(label, decrypt(view.keys[child_on_path], ct))
+        view.store(label, decrypt(view.keys[child_on_path], payload.ciphertext))
 
 
 def lkh_member_refresh_join(
     view: MemberKeyView,
     notice: JoinNotice,
-    multicasts: list[WireMessage],
+    index: dict[str, WirePayload],
 ) -> MemberKeyView:
     if not view.follow_join(notice):
         return view
-    _climb(view, notice.affected_codes, multicasts)
+    _climb(view, notice.affected_codes, index)
     return view
 
 
 def lkh_member_refresh_leave(
     view: MemberKeyView,
     notice: LeaveNotice,
-    multicasts: list[WireMessage],
+    index: dict[str, WirePayload],
 ) -> MemberKeyView:
     if not view.accept_leave(notice):
         return view
     view.promote(notice)
-    _climb(view, notice.affected_codes, multicasts)
+    _climb(view, notice.affected_codes, index)
     return view

@@ -25,8 +25,9 @@ The wire format lives here too.  A scheme seals each key it ships into a
 ``WirePayload`` under one tree position and groups the payloads into
 ``WireMessage``s; one ``Rekey`` per event carries them with the notice,
 the counters and the event's re-keying cost.  The area server traces and
-records those very objects, and members open the payloads whose position
-lies on their own path.
+records those very objects, indexes each event's payloads by position once
+(``payload_index``), and members open the payloads whose position lies on
+their own path.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ class JoinNotice:
     # re-keyed positions in the order members refresh them: CKC top-down
     # below the root, LKH bottom-up up to the root
     affected_codes: list[str] = field(default_factory=list)
+    # the event's member-side rolls, input bytes -> output, so each distinct
+    # input is rolled once (``ckc._rolled``); outside equality and repr
+    _rolls: dict[tuple[bytes, ...], bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -84,6 +90,10 @@ class LeaveNotice:
     promoted_dst: str | None  # position (and code) it was promoted into
     affected_codes: list[str] = field(default_factory=list)  # as on a join
     cover_codes: list[str] = field(default_factory=list)  # CKC, pre-promotion
+    # as on a join
+    _rolls: dict[tuple[bytes, ...], bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,14 @@ class WireMessage:
     def info(self) -> str:
         fps = "+".join(p.ciphertext.fingerprint() for p in self.payloads)
         return f"{self.desc} {fps}"
+
+
+def payload_index(messages: list[WireMessage]) -> dict[str, WirePayload]:
+    """An event's payloads by the position whose key seals them (an event
+    seals at most one payload under each).  Built once per event, so each
+    member looks up the positions on its own path instead of scanning every
+    payload."""
+    return {p.under: p for msg in messages for p in msg.payloads}
 
 
 @dataclass

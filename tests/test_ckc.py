@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from crawsim import ckc
 from crawsim.ckc import (
     ROOT_CODE,
     CkcTree,
@@ -18,10 +19,11 @@ from crawsim.ckc import (
     ckc_member_refresh_leave,
 )
 from crawsim.crypto import KEY_WIDTH, DecryptionError, ProtocolError, decrypt, hash_f_xor, random_key
+from crawsim.entities import AreaState
 from crawsim.scenario import validate_doc
 from crawsim.secrecy import check_secrecy
 from crawsim.sim import Simulation
-from crawsim.tree import MemberKeyView
+from crawsim.tree import MemberKeyView, payload_index
 from test_acceptance import ZERO_DELAYS, random_scenario
 
 
@@ -66,7 +68,7 @@ class Harness:
         self.assert_covers_not_reproducible(res)
         departed = self.views.pop(member)
         for view in self.views.values():
-            ckc_member_refresh_leave(view, res.notice, res.multicasts)
+            ckc_member_refresh_leave(view, res.notice, payload_index(res.multicasts))
         self._note()
         return res, departed
 
@@ -346,7 +348,64 @@ def test_refresh_refuses_a_leave_without_its_cover_payload():
     mine = h.views["u7"]
     dropped = [msg for msg in res.multicasts if not mine.leaf.startswith(msg.payloads[0].under)]
     with pytest.raises(ProtocolError, match="u7 matches 0 cover nodes, expected 1"):
-        ckc_member_refresh_leave(mine, res.notice, dropped)
+        ckc_member_refresh_leave(mine, res.notice, payload_index(dropped))
+
+
+def _ckc_area(n: int, seed: int) -> AreaState:
+    rng = random.Random(seed)
+    area = AreaState("A", "ckc_craw", rng)
+    for i in range(1, n + 1):
+        area.join(f"u{i}", random_key(rng))
+    return area
+
+
+def _event(area: AreaState, event: str):
+    """One more join, or the leave of a deepest member."""
+    if event == "join":
+        return area.join("new", random_key(area.rng))
+    leaves = area.tree.leaves
+    return area.leave(max(leaves, key=lambda m: len(leaves[m])))
+
+
+@pytest.mark.parametrize("event", ("join", "leave"))
+def test_an_event_rolls_each_middle_key_once_for_all_its_members(event, monkeypatch):
+    # the server rolls each affected position once, and the members below
+    # it, who all hold the same K, share one more roll
+    area = _ckc_area(96, seed=23)
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return hash_f_xor(a, b)
+
+    monkeypatch.setattr(ckc, "hash_f_xor", counting)
+    res = _event(area, event)
+    assert len(res.notice.affected_codes) >= 3
+    assert len(calls) <= 2 * len(res.notice.affected_codes)
+    assert area.consistent()
+
+
+@pytest.mark.parametrize("event", ("join", "leave"))
+def test_a_member_holding_a_wrong_middle_key_gets_its_own_roll(event):
+    # rolls are shared by input bytes, not by position: a member holding a
+    # wrong K at a rolled position, with members before and after it that
+    # hold the right one, ends off the tree alone
+    area = _ckc_area(96, seed=24)
+    tree = area.tree
+    if event == "join":
+        rolled = tree.shallowest_leaf()[:2]  # the joiner's path runs through it
+        leaver = None
+    else:
+        leaver = max(tree.leaves, key=lambda m: len(tree.leaves[m]))
+        rolled = tree.leaves[leaver][:2]
+    sharing = [m for m, v in area.views.items() if v.leaf.startswith(rolled) and m != leaver]
+    victim = sharing[len(sharing) // 2]
+    view = area.views[victim]
+    spoiled = view.keys[rolled] = bytes(b ^ 1 for b in view.keys[rolled])
+    res = _event(area, event)
+    assert rolled in res.notice.affected_codes
+    assert view.keys[rolled] == hash_f_xor(tree.group_key(), spoiled)
+    assert [m for m, v in area.views.items() if not tree.view_matches(v)] == [victim]
 
 
 def test_joiner_refuses_a_leaf_off_the_delivered_parent():

@@ -25,7 +25,7 @@ from crawsim.entities import (
 from crawsim.crypto import encrypt
 from crawsim.lkh import lkh_member_refresh_leave
 from crawsim.otp import AuthRecord, ClientSecret
-from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload
+from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload, payload_index
 
 
 def make_member(mainlist: MainList, member_id: str, rng: random.Random) -> MobileMember:
@@ -255,7 +255,7 @@ def test_member_views_refuse_a_missed_notice_their_own_leave_and_any_mismatch(sc
     departed = area.views["u5"]
     outcome = area.leave("u5")
     with pytest.raises(ProtocolError, match="departed member cannot refresh"):
-        refresh_leave(departed, outcome.notice, outcome.multicasts)
+        refresh_leave(departed, outcome.notice, payload_index(outcome.multicasts))
     # the oracle refuses a view that is right but for one thing
     view = area.views["u1"]
     assert area.tree.view_matches(view)

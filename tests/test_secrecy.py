@@ -25,7 +25,9 @@ def eager_audit(rec: RunRecorder, edges=None) -> list[tuple[str, list]]:
     member's closure over them, then a scan of every ciphertext.  One
     (message, [held key, (other premise or None, key)...] along the
     closure's path to the ciphertext's key) per violation.  ``edges``: the
-    universe's ``derivation_edges``, when the caller has them."""
+    universe's ``derivation_edges``, when the caller has them.  Events of
+    one tick are ordered as recorded: a ciphertext at (tick, position) is
+    in a window when it falls in [(start, opened), (end, closed))."""
     if edges is None:
         edges = derivation_edges(rec.key_universe)
     found = []
@@ -33,9 +35,12 @@ def eager_audit(rec: RunRecorder, edges=None) -> list[tuple[str, list]]:
         parent = {}
         reach = closure(known, edges, parent)
         wins = rec.windows.get(member, [])
-        for ct in rec.ciphertexts:
+        for position, ct in enumerate(rec.ciphertexts):
+            at = (ct.time, position)
             legal = ct.target == member or any(
-                w.area == ct.area and w.start <= ct.time and (w.end is None or ct.time < w.end)
+                w.area == ct.area
+                and (w.start, w.opened) <= at
+                and (w.end is None or at < (w.end, w.closed))
                 for w in wins
             )
             if ct.enc_key in reach and not legal:
@@ -240,7 +245,8 @@ def test_runs_whose_events_share_a_tick_audit_clean(scheme, areas, events):
            "delays": ZERO_DELAYS, "areas": areas, "events": events}
     sim = Simulation(validate_doc(doc)).run()
     assert sim.check_consistent()
-    assert check_secrecy(sim.recorder) == []
+    # the first-principles reference orders the tick's events too
+    assert assert_matches_eager(sim.recorder) == []
     assert operational_decrypt_check(sim.recorder) == []
 
 
