@@ -27,13 +27,18 @@ member into an area (a ``join``), and ``_key_out`` keys one out (a
 books the ledger row.  A move is ``_key_in`` at the destination, then
 ``_key_out`` at the source, at one tick.
 
-With content frames on, each non-empty area multicasts one frame per frame
-tick under its group key.  Each member reads it with the group key in its
-own view, so each outcome is that member's own, but the frame is opened
-once per distinct key in the area (``FrameReaders``) and billed to all the
-area's members in one ``MainList.credit`` call.  The ledger's ``FrameLog``
-keeps one run per stretch of consecutive frame ticks with the same
-audience, so it grows with the re-keying events, not with the horizon.
+Each area's tree, when it is built, and each member view, when a join or
+the t=0 hand-out opens it, is bound once to the run's ``RunRecorder``: its
+key sets become the recorder's own, so each key is recorded as it is stored.
+
+With content frames on, each non-empty area multicasts one frame under its
+group key every ``frame_interval`` up to and including the horizon.  Each
+member reads it with the group key in its own view, so each outcome is that
+member's own, but the frame is opened once per distinct key in the area
+(``FrameReaders``) and billed to all the area's members in one
+``MainList.credit`` call.  The ledger's ``FrameLog`` keeps one run per
+stretch of consecutive frame ticks with the same audience, so it grows
+with the re-keying events, not with the horizon.
 """
 
 from __future__ import annotations
@@ -335,6 +340,11 @@ class Simulation:
         self.areas = {
             area_id: AreaState(area_id, scenario.scheme, self.rng) for area_id in sorted(scenario.areas)
         }
+        # each tree's key sets, and each view's (``_bind_view``), are shared
+        # with the recorder: a key is recorded as it is stored
+        for area in self.areas.values():
+            self.recorder.record_keys(area.tree.stored, area.tree.derived)
+            area.tree.stored, area.tree.derived = self.recorder.key_universe, self.recorder.derived
         self.mode = AUTH_MODES[scenario.scheme]
         self.auth_delay = scenario.delays.auth(self.mode)
         self.key_prep = scenario.delays.key_prep(self.mode)
@@ -350,8 +360,8 @@ class Simulation:
         self._bootstrap()
         for ev in scenario.events:
             self._schedule(ev.time, _PRIO_OP, self._dispatch, ev)
-        if scenario.frames_enabled and scenario.delays.frame_interval > 0:
-            first = scenario.delays.frame_interval
+        first = scenario.delays.frame_interval
+        if scenario.frames_enabled and 0 < first <= scenario.horizon:
             self._schedule(first, _PRIO_FRAME, self._frame_tick, first)
 
     # -- setup -----------------------------------------------------------
@@ -387,11 +397,10 @@ class Simulation:
                 self.mainlist.advance(member_id, STATUS_ACTIVE, 0, last_area=area_id)
                 self.recorder.open_window(member_id, area_id, 0)
                 seated.append((member_id, attempt.individual_key))
-            self.recorder.record_keys(*area.tree.drain_stored())
             for member_id, individual_key in seated:
                 chain = area.hand_out(member_id, individual_key)
+                self._bind_view(area.views[member_id])
                 self._record_msgs(area, 0, chain, "key_unicast", target=member_id)
-            self._note_views(area)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -416,13 +425,11 @@ class Simulation:
                     CipherRecord(p.enc_key, ticks, area.area_id, kind, target=target, ciphertext=p.ciphertext)
                 )
 
-    def _note_views(self, area: AreaState) -> None:
-        """Note the keys each present member's view stored since it was last
-        noted."""
-        for member_id, view in area.views.items():
-            stored = view.drain_gains()
-            if stored:
-                self.recorder.note_knowledge(member_id, stored)
+    def _bind_view(self, view: MemberKeyView) -> None:
+        """Note what a new view holds, then make its ``held`` set the
+        recorder's knowledge of the member."""
+        self.recorder.note_knowledge(view.member_id, view.held)
+        view.held = self.recorder.knowledge[view.member_id]
 
     def _append_event(self, ticks: int, kind: str, area: AreaState, member_id: str, rekey: Rekey) -> EventRow:
         row = EventRow(
@@ -559,16 +566,13 @@ class Simulation:
     # -- keying in and out ------------------------------------------------
 
     def _publish_rekey(self, area: AreaState, ticks: int, rekey: Rekey, target: str | None) -> None:
-        """Trace an event's payloads, then record what it stored, sent and
-        taught each present member."""
+        """Trace an event's payloads, then record them."""
         for msg in rekey.unicasts:
             self._emit(ticks, "key_unicast", area.area_id, target or "-", msg.info())
         for msg in rekey.multicasts:
             self._emit(ticks, "key_multicast", area.area_id, f"area:{area.area_id}", msg.info())
-        self.recorder.record_keys(*area.tree.drain_stored())
         self._record_msgs(area, ticks, rekey.unicasts, "key_unicast", target=target)
         self._record_msgs(area, ticks, rekey.multicasts, "key_multicast")
-        self._note_views(area)
 
     def _key_in(self, member_id: str, area: AreaState, individual_key: bytes, ticks: int, kind: str) -> None:
         if self.mode == "ordinary":
@@ -576,6 +580,7 @@ class Simulation:
             # it is not part of the re-keying payload accounting
             self._emit(ticks, "key_unicast", area.area_id, member_id, f"individual-key {fingerprint(individual_key)}")
         rekey = area.join(member_id, individual_key)
+        self._bind_view(area.views[member_id])
         # the window opens before the join's payloads, the first it may read
         self.recorder.open_window(member_id, area.area_id, ticks)
         self._publish_rekey(area, ticks, rekey, target=member_id)

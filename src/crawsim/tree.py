@@ -21,6 +21,11 @@ their own view (``MemberKeyView``), applying notices strictly in epoch
 order.  ``PositionTree.view_matches`` is the consistency oracle: a view
 must hold exactly the keys on its root path, equal to the server's.
 
+Each key is recorded where it is stored, for the secrecy oracle: the tree
+in ``stored`` (with the premises of each f(a xor b) in ``derived``) and a
+view in ``held``.  They only grow; a simulation shares them with its run
+recorder.
+
 The wire format lives here too.  A scheme seals each key it ships into a
 ``WirePayload`` under one tree position and groups the payloads into
 ``WireMessage``s; one ``Rekey`` per event carries them with the notice,
@@ -144,23 +149,16 @@ class MemberKeyView:
     leaf: str
     keys: dict[str, bytes]
     epoch: int
-    # the keys the view stored since the last ``drain_gains``, for the
-    # secrecy oracle
-    _stored: list[bytes] = field(init=False, repr=False, compare=False)
+    # every key the view ever stored (a move to another code stores nothing),
+    # recorded here; a simulation shares it as its recorder's ``knowledge``
+    held: set[bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._stored = list(self.keys.values())
+        self.held = set(self.keys.values())
 
     def store(self, code: str, key: bytes) -> None:
         self.keys[code] = key
-        self._stored.append(key)
-
-    def drain_gains(self) -> list[bytes]:
-        """The keys stored since the previous call (repeats possible).
-        Moving a key to another code stores nothing: the value was reported
-        when it was stored."""
-        stored, self._stored = self._stored, []
-        return stored
+        self.held.add(key)
 
     def group_key(self) -> bytes:
         # every position starts with the root's one-character name
@@ -233,12 +231,11 @@ class PositionTree:
         self.nodes: dict[str, bytes] = {self.ROOT: group_key}
         self.leaves: dict[str, str] = {}
         self.epoch = 0
-        # keys stored since the last ``drain_stored``, for the secrecy
-        # oracle's key universe; the seed key is the first
-        self._stored: list[bytes] = [group_key]
-        # key -> the two keys it was derived from as f(a xor b), since the
-        # last ``drain_stored``, for the secrecy oracle's derivation rule
-        self._derived: dict[bytes, tuple[bytes, bytes]] = {}
+        # every key ever stored, recorded here (``_set``); a simulation
+        # shares it as its recorder's ``key_universe``
+        self.stored: set[bytes] = {group_key}
+        # key -> (a, b) for each key stored as f(a xor b); shared likewise
+        self.derived: dict[bytes, tuple[bytes, bytes]] = {}
 
     @classmethod
     def new(cls, rng: Random) -> "PositionTree":
@@ -257,16 +254,9 @@ class PositionTree:
     def _set(self, code: str, key: bytes, premises: tuple[bytes, bytes] | None = None) -> None:
         """Store ``key`` at ``code``; ``premises`` (a, b) when it is f(a xor b)."""
         self.nodes[code] = key
-        self._stored.append(key)
+        self.stored.add(key)
         if premises is not None:
-            self._derived[key] = premises
-
-    def drain_stored(self) -> tuple[list[bytes], dict[bytes, tuple[bytes, bytes]]]:
-        """The keys stored since the previous call (repeats possible), and
-        the premises of those derived as f(a xor b)."""
-        stored, self._stored = self._stored, []
-        derived, self._derived = self._derived, {}
-        return stored, derived
+            self.derived[key] = premises
 
     def view_matches(self, view: MemberKeyView) -> bool:
         """Consistency oracle: the view holds exactly the root-path codes,

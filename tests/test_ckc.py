@@ -31,9 +31,9 @@ class Harness:
     """Server tree plus every member's locally maintained view.
 
     Across tenures the harness also remembers, per member id, every key
-    value it ever held, and for each key the server derived as f(a xor b)
-    the pair (a, b).  Every leave checks the cover rule against that
-    memory.
+    value it ever held; the tree keeps, for each key it derived as
+    f(a xor b), the pair (a, b).  Every leave checks the cover rule against
+    both.
     """
 
     def __init__(self, seed: int = 0):
@@ -42,7 +42,6 @@ class Harness:
         self.views: dict[str, MemberKeyView] = {}
         self.individual: dict[str, bytes] = {}
         self.held: dict[str, set[bytes]] = {}
-        self.derivations: dict[bytes, tuple[bytes, bytes]] = {}
 
     def join(self, member: str, **kwargs):
         ik = random_key(self.rng)
@@ -73,9 +72,7 @@ class Harness:
         return res, departed
 
     def _note(self):
-        """After an event: how its derived keys came to be, and what each
-        present member now holds."""
-        self.derivations.update(self.tree.drain_stored()[1])
+        """After an event: what each present member now holds."""
         for member, view in self.views.items():
             self.held.setdefault(member, set()).update(view.keys.values())
 
@@ -86,7 +83,7 @@ class Harness:
         covers = [(p.under, p.enc_key) for msg in res.multicasts for p in msg.payloads]
         assert [code for code, _ in covers] == res.notice.cover_codes
         for code, key in covers:
-            premises = self.derivations.get(key, ())
+            premises = self.tree.derived.get(key, ())
             for m in exposed:
                 assert key not in self.held[m], f"{m} holds cover {code}"
                 assert not (premises and set(premises) <= self.held[m]), (

@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import time
+from collections import defaultdict
 from importlib import resources
 
 import pytest
@@ -29,6 +30,7 @@ from crawsim.sim import (
     render_trace,
     to_ticks,
 )
+from crawsim.tree import MemberKeyView, PositionTree
 
 AREAS = {
     "A": ["u1", "u2", "u3", "u4", "u5", "u6", "u7", "u8"],
@@ -423,6 +425,78 @@ def test_frame_log_does_not_grow_with_the_horizon():
     assert len(short.ledger.frames) == 99 * 8 + 101 * 7
     assert len(long.ledger.frames) == 99 * 8 + 1901 * 7  # about tenfold
     assert list(long.ledger.frames)[: len(short.ledger.frames)] == list(short.ledger.frames)
+
+
+def test_no_frame_is_sent_past_the_horizon():
+    def run(interval):
+        doc = {
+            "schema_version": 1, "name": "t", "seed": 1, "scheme": "ckc_craw", "group": "g1",
+            "horizon": 1.0, "content_frames": True, "delays": {"frame_interval": interval},
+            "areas": {"A": ["u1", "u2"], "B": ["v1"], "C": []}, "members": [], "events": [],
+        }
+        sim = Simulation(validate_doc(doc)).run()
+        frames = [line for line in render_trace(sim.trace).splitlines() if " content_frame " in line]
+        return sim, frames
+
+    # the first frame would fall at 5 s, past the 1 s horizon
+    sim, frames = run(5.0)
+    assert frames == [] and len(sim.ledger.frames) == 0
+    assert "content delivery:" not in render_report(sim)
+    assert all(entry.service_accounting == 0 for entry in sim.mainlist.entries.values())
+    # a frame on the horizon itself is sent: one per non-empty area
+    sim, frames = run(1.0)
+    assert [line.split()[2] for line in frames] == ["A->area:A", "B->area:B"]
+    assert all(line.startswith("1.0000000 ") for line in frames)
+    assert len(sim.ledger.frames) == 3
+    assert all(entry.service_accounting == 1 for entry in sim.mainlist.entries.values())
+
+
+@pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
+@pytest.mark.parametrize("source", ("tables", "handoff", "departed", "churn"))
+def test_recorder_holds_every_key_stored(monkeypatch, source, scheme):
+    """Every key a tree or a view stores reaches the recorder, and nothing
+    else does: the universe is the trees' keys, the ciphertext keys and the
+    OTP verifiers; each member knows its views' keys and its verifiers.
+    Budget: about 1.5 s for all twelve runs."""
+    tree_keys, premises, view_keys, verifiers = set(), {}, defaultdict(set), defaultdict(set)
+
+    def wrap(owner, name, log):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args):
+            out = original(self, *args)
+            log(self, *args)
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def log_set(tree, code, key, derived_from=None):
+        tree_keys.add(key)
+        if derived_from is not None:
+            premises[key] = derived_from
+
+    def log_auth(sim, member):
+        if sim.mode == "otp":
+            verifiers[member.member_id].add(sim.mainlist.lookup(member.member_id).auth.stored_hash)
+
+    wrap(PositionTree, "__init__", lambda tree, group_key: tree_keys.add(group_key))
+    wrap(PositionTree, "_set", log_set)
+    wrap(MemberKeyView, "__post_init__", lambda view: view_keys[view.member_id].update(view.keys.values()))
+    wrap(MemberKeyView, "store", lambda view, code, key: view_keys[view.member_id].add(key))
+    wrap(Simulation, "_note_auth_material", log_auth)
+
+    if source == "churn":
+        sc = random_scenario(7, scheme, sizes=[6, 5, 4], n_ops=40)
+    else:
+        sc = validate_doc(apply_overrides(bundled_doc(source), scheme=scheme))
+    rec = Simulation(sc).run().recorder
+
+    enc_keys = {r.enc_key for r in rec.ciphertexts}
+    assert rec.key_universe == tree_keys | enc_keys | set().union(*verifiers.values())
+    assert rec.derived == premises and (premises or scheme == "lkh")
+    assert sorted(rec.knowledge) == sorted(view_keys.keys() | verifiers.keys())
+    for member, known in rec.knowledge.items():
+        assert known == view_keys.get(member, set()) | verifiers.get(member, set()), member
 
 
 @pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
