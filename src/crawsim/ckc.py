@@ -37,12 +37,13 @@ live in ``crawsim.tree``.  This module supplies the random child digits,
 the rolled keys (``_rekey_join``, ``_rekey_leave``), the sealed ``Rekey``
 of each event and how a member rolls the keys.
 
-A member rolls from the inputs it holds itself, but the members below one
-position hold the same K, so an event rolls each distinct input once: the
-memo rides on the event's notice, keyed by the input bytes and never by
-code, and a member holding a wrong K gets its own (wrong) roll.  On a leave,
-each remaining member finds its cover payload by looking up its own
-root-path positions in the event's ``payload_index``.
+A member refreshes from the event's ``Rekey`` alone.  It rolls from the
+inputs it holds itself, but the members below one position hold the same
+K, so an event rolls each distinct input once: the memo is the event's
+``rolls``, keyed by the input bytes and never by code, and a member holding
+a wrong K gets its own (wrong) roll.  On a leave, each remaining member
+looks its own root-path positions up in the event's ``index`` to find its
+cover payload.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from random import Random
 from . import crypto
 from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_digit, random_key
 from .tree import (
-    JoinNotice, LeaveNotice, MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage,
-    WirePayload,
+    MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, path_codes,
 )
 
 ROOT_CODE = "1"
@@ -161,75 +161,67 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
     return Rekey(notice, [], multicasts, counters, len(notice.leaf) - 1)
 
 
-def _rolled(notice: JoinNotice | LeaveNotice, *inputs: bytes) -> bytes:
+def _rolled(rekey: Rekey, *inputs: bytes) -> bytes:
     """f(AK) of one key, or f(AK' xor K) of two, from a member's own input
-    bytes.  The event's notice memoizes each distinct input, so the members
-    that hold the same keys share one roll, and a member holding another
-    key gets its own."""
-    out = notice._rolls.get(inputs)
+    bytes, rolled once per event for each distinct input (``rekey.rolls``)."""
+    out = rekey.rolls.get(inputs)
     if out is None:
-        out = notice._rolls[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
+        out = rekey.rolls[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
     return out
 
 
-def _roll_view(view: MemberKeyView, notice: JoinNotice | LeaveNotice, ak_new: bytes) -> None:
-    """Install AK' and roll the notice's affected middle keys that sit on
+def _roll_view(view: MemberKeyView, rekey: Rekey, ak_new: bytes) -> None:
+    """Install AK' and roll the event's affected middle keys that sit on
     the view's own path."""
     view.store(ROOT_CODE, ak_new)
-    for code in notice.affected_codes:
+    for code in rekey.notice.affected_codes:
         # the affected codes are one top-down chain, so the first one off
         # the path ends it
         if not view.leaf.startswith(code):
             break
-        view.store(code, _rolled(notice, ak_new, view.keys[code]))
+        view.store(code, _rolled(rekey, ak_new, view.keys[code]))
 
 
 def build_joiner_view(
-    member_id: str, individual_key: bytes, plaintext: bytes, notice: JoinNotice
+    member_id: str, individual_key: bytes, unicasts: list[WireMessage], leaf: str, epoch: int
 ) -> MemberKeyView:
-    """Open the newcomer's view from its decrypted join unicast (AK', the
-    middle keys on its path top-down, its parent code) and the announced
-    leaf assignment."""
+    """Open the newcomer's view from its one join unicast (AK', the middle
+    keys on its path top-down, its parent code) and the announced leaf."""
+    (unicast,) = [p for msg in unicasts for p in msg.payloads]
+    plaintext = crypto.decrypt(individual_key, unicast.ciphertext)
     # one key and one code digit per level above the leaf
     if not plaintext or len(plaintext) % (KEY_WIDTH + 1):
         raise ProtocolError("join unicast payload is not AK', middle keys and a parent code")
     width = len(plaintext) // (KEY_WIDTH + 1) * KEY_WIDTH
     keys = [plaintext[i:i + KEY_WIDTH] for i in range(0, width, KEY_WIDTH)]
-    leaf = notice.leaf
     if parent_code(leaf).encode("ascii") != plaintext[width:]:
         raise ProtocolError("announced leaf does not extend the delivered parent code")
     path = dict(zip([ROOT_CODE, *strict_ancestors(leaf)], keys))
     path[leaf] = individual_key
-    return MemberKeyView(member_id, leaf, path, notice.epoch)
+    return MemberKeyView(member_id, leaf, path, epoch)
 
 
-def ckc_member_refresh_join(view: MemberKeyView, notice: JoinNotice) -> MemberKeyView:
-    """Local update on a join announcement: roll AK forward and, under it,
-    the touched middle keys that sit on the own path."""
-    if not view.follow_join(notice):
+def ckc_member_refresh_join(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
+    """Local update on a join: roll AK forward and, under it, the touched
+    middle keys that sit on the own path."""
+    if not view.follow_join(rekey.notice):
         return view
-    _roll_view(view, notice, _rolled(notice, view.group_key()))
+    _roll_view(view, rekey, _rolled(rekey, view.group_key()))
     return view
 
 
-def ckc_member_refresh_leave(
-    view: MemberKeyView,
-    notice: LeaveNotice,
-    index: dict[str, WirePayload],
-) -> MemberKeyView:
-    """Local update on a leave: open the cover payload this member can read
-    (``index``: the event's ``payload_index``), re-code if inside the
-    promoted subtree, and roll the affected keys."""
-    if not view.accept_leave(notice):
+def ckc_member_refresh_leave(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
+    """Local update on a leave: open the cover payload this member can read,
+    re-code if inside the promoted subtree, and roll the affected keys."""
+    if not view.accept_leave(rekey.notice):
         return view
 
     # covers are pre-promotion positions, so the payload is opened before re-coding
-    path = [view.leaf[:i] for i in range(1, len(view.leaf) + 1)]
-    mine = [index[code] for code in path if code in index]
+    mine = [rekey.index[code] for code in path_codes(view.leaf) if code in rekey.index]
     if len(mine) != 1:
         raise ProtocolError(f"{view.member_id} matches {len(mine)} cover nodes, expected 1")
     ak_new = crypto.decrypt(view.keys[mine[0].under], mine[0].ciphertext)
 
-    view.promote(notice)
-    _roll_view(view, notice, ak_new)
+    view.promote(rekey.notice)
+    _roll_view(view, rekey, ak_new)
     return view

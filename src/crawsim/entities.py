@@ -5,9 +5,9 @@ group, keyed by member id: registration, auth material, status and
 billing.  It answers authentication lookups, and it is the one record of
 where each member is.  Each area wireless server owns one key tree, holds
 the key view of every member present in it, and re-keys both as members
-come and go.  Mobile members hold only their credential.  Everything here
-is pure state transformation; the simulator layers timing, traces, and
-metrics on top.
+come and go, handing each event's ``Rekey`` to every member.  Mobile
+members hold only their credential.  Everything here is pure state
+transformation; the simulator layers timing, traces, and metrics on top.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .ckc import (
     ckc_member_refresh_join,
     ckc_member_refresh_leave,
 )
-from .crypto import ProtocolError, decrypt, fingerprint, random_key
+# decrypt is unused here, but the bench tracer wraps entities.decrypt by name
+from .crypto import ProtocolError, decrypt, fingerprint, random_key  # noqa: F401
 from .lkh import (
     LkhTree,
     build_lkh_joiner_view,
@@ -36,7 +37,7 @@ from .lkh import (
 )
 from .otp import AuthRecord, ClientSecret, make_challenge, verify
 from .otp import register as otp_register
-from .tree import MemberKeyView, Rekey, WireMessage, payload_index
+from .tree import MemberKeyView, Rekey, WireMessage
 
 # each scheme's auth mode: under "otp" the individual key falls out of the
 # accepted one-time password; under "ordinary" the server mints it
@@ -220,13 +221,10 @@ class AreaState:
     """One wireless area: the serving key tree plus the key view of each
     member keyed in it, by member id.
 
-    ``join``/``leave`` re-key the tree through the scheme, run every present
-    member's local update exactly as a real client would (decrypting the
-    actual payloads), and pass the scheme's ``Rekey`` on unchanged.  The
-    work the members of one event share is done once per event: its
-    payloads are indexed by position once (``payload_index``), and a CKC
-    roll runs once per distinct input (AK' and K), however many members
-    hold that input.
+    ``join``/``leave`` re-key the tree through the scheme, hand the
+    scheme's ``Rekey`` to every present member's local update, which opens
+    the actual payloads exactly as a real client would, and pass it on
+    unchanged.  A joiner opens its own view from the event's unicasts.
     """
 
     def __init__(self, area_id: str, scheme: str, rng: Random):
@@ -247,26 +245,19 @@ class AreaState:
     def join(self, member_id: str, individual_key: bytes) -> Rekey:
         if self.scheme == "lkh":
             res = lkh_join(self.tree, member_id, individual_key, self.rng)
-            index = payload_index(res.multicasts)
-            for view in self.views.values():
-                lkh_member_refresh_join(view, res.notice, index)
-            joiner = build_lkh_joiner_view(
-                member_id, individual_key, res.unicasts, res.notice.leaf, res.notice.epoch
-            )
+            refresh, joiner_view = lkh_member_refresh_join, build_lkh_joiner_view
         else:
+            ordinary = AUTH_MODES[self.scheme] == "ordinary"
             res = ckc_join(
-                self.tree,
-                member_id,
-                individual_key,
-                self.rng,
-                count_individual_key=AUTH_MODES[self.scheme] == "ordinary",
+                self.tree, member_id, individual_key, self.rng, count_individual_key=ordinary
             )
-            for view in self.views.values():
-                ckc_member_refresh_join(view, res.notice)
-            (unicast,) = res.unicasts[0].payloads
-            plaintext = decrypt(individual_key, unicast.ciphertext)
-            joiner = build_joiner_view(member_id, individual_key, plaintext, res.notice)
-        self.views[member_id] = joiner
+            refresh, joiner_view = ckc_member_refresh_join, build_joiner_view
+        for view in self.views.values():
+            refresh(view, res)
+        notice = res.notice
+        self.views[member_id] = joiner_view(
+            member_id, individual_key, res.unicasts, notice.leaf, notice.epoch
+        )
         return res
 
     def hand_out(self, member_id: str, individual_key: bytes) -> list[WireMessage]:
@@ -285,15 +276,12 @@ class AreaState:
 
     def leave(self, member_id: str) -> Rekey:
         if self.scheme == "lkh":
-            res = lkh_leave(self.tree, member_id, self.rng)
-            refresh = lkh_member_refresh_leave
+            res, refresh = lkh_leave(self.tree, member_id, self.rng), lkh_member_refresh_leave
         else:
-            res = ckc_leave(self.tree, member_id, self.rng)
-            refresh = ckc_member_refresh_leave
+            res, refresh = ckc_leave(self.tree, member_id, self.rng), ckc_member_refresh_leave
         del self.views[member_id]
-        index = payload_index(res.multicasts)
         for view in self.views.values():
-            refresh(view, res.notice, index)
+            refresh(view, res)
         return res
 
     def consistent(self) -> bool:

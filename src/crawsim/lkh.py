@@ -18,7 +18,8 @@ figures are both exposed: counters in ``RekeyCounters``, real messages in
 Placement and leave (``PositionTree.seat`` and ``unseat``) live in
 ``crawsim.tree``; this module supplies the child digits, the fresh path
 keys of both events (``_rekey_join``, ``_rekey_leave``), the sealed
-``Rekey`` of each event and how a member climbs its path to open them.
+``Rekey`` of each event and how a member climbs its path to open them,
+looking its own positions up in the event's ``index``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from random import Random
 
 from .crypto import ProtocolError, decrypt, encrypt, random_key
 from .tree import (
-    JoinNotice, LeaveNotice, MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage,
-    WirePayload,
+    MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, path_codes,
 )
 
 ROOT_LABEL = "r"
@@ -69,7 +69,7 @@ def root_path_chain(tree: PositionTree, leaf: str) -> list[WireMessage]:
     """The unicast chain that hands a member every key on its root path:
     bottom-up, each key encrypted under the one below it, the first under
     the member's individual key."""
-    path = tree.path_codes(leaf)
+    path = path_codes(leaf)
     return [
         WireMessage(f"label={label}", [_seal(tree, label, child)])
         for label, child in zip(reversed(path[:-1]), reversed(path[1:]))
@@ -136,43 +136,35 @@ def build_lkh_joiner_view(
                 raise ProtocolError(f"chain link under {p.under} arrives before that key")
             # a link under a position carries the key of its parent
             keys[p.under[:-1]] = decrypt(keys[p.under], p.ciphertext)
-    if sorted(keys) != sorted(leaf[:i] for i in range(1, len(leaf) + 1)):
+    if sorted(keys) != sorted(path_codes(leaf)):
         raise ProtocolError("unicast chain does not cover the announced path")
     return MemberKeyView(member_id, leaf, keys, epoch)
 
 
-def _climb(view: MemberKeyView, changed: list[str], index: dict[str, WirePayload]) -> None:
+def _climb(view: MemberKeyView, rekey: Rekey) -> None:
     """Open the regenerated keys on the view's own path from the event's
-    ``payload_index``.  ``changed`` runs bottom-up, so the key of the child
-    on the path is current when its parent's payload is opened under it."""
-    for label in changed:
+    ``index``.  They run bottom-up, so the key of the child on the path is
+    current when its parent's payload is opened under it."""
+    for label in rekey.notice.affected_codes:
         if not view.leaf.startswith(label):
             continue
         child_on_path = view.leaf[: len(label) + 1]
-        payload = index.get(child_on_path)
+        payload = rekey.index.get(child_on_path)
         if payload is None:
             raise ProtocolError(f"no payload under {child_on_path} for {label}")
         view.store(label, decrypt(view.keys[child_on_path], payload.ciphertext))
 
 
-def lkh_member_refresh_join(
-    view: MemberKeyView,
-    notice: JoinNotice,
-    index: dict[str, WirePayload],
-) -> MemberKeyView:
-    if not view.follow_join(notice):
+def lkh_member_refresh_join(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
+    if not view.follow_join(rekey.notice):
         return view
-    _climb(view, notice.affected_codes, index)
+    _climb(view, rekey)
     return view
 
 
-def lkh_member_refresh_leave(
-    view: MemberKeyView,
-    notice: LeaveNotice,
-    index: dict[str, WirePayload],
-) -> MemberKeyView:
-    if not view.accept_leave(notice):
+def lkh_member_refresh_leave(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
+    if not view.accept_leave(rekey.notice):
         return view
-    view.promote(notice)
-    _climb(view, notice.affected_codes, index)
+    view.promote(rekey.notice)
+    _climb(view, rekey)
     return view

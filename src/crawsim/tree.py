@@ -29,10 +29,11 @@ recorder.
 The wire format lives here too.  A scheme seals each key it ships into a
 ``WirePayload`` under one tree position and groups the payloads into
 ``WireMessage``s; one ``Rekey`` per event carries them with the notice,
-the counters and the event's re-keying cost.  The area server traces and
-records those very objects, indexes each event's payloads by position once
-(``payload_index``), and members open the payloads whose position lies on
-their own path.
+the counters and the event's re-keying cost.  The ``Rekey`` is the one
+object every member reads for the event: its ``index`` holds the
+multicast payloads by position, so a member opens those on its own path,
+and its ``rolls`` memo lets the members that hold the same CKC input
+share one roll.
 """
 
 from __future__ import annotations
@@ -79,11 +80,6 @@ class JoinNotice:
     # re-keyed positions in the order members refresh them: CKC top-down
     # below the root, LKH bottom-up up to the root
     affected_codes: list[str] = field(default_factory=list)
-    # the event's member-side rolls, input bytes -> output, so each distinct
-    # input is rolled once (``ckc._rolled``); outside equality and repr
-    _rolls: dict[tuple[bytes, ...], bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
 
 @dataclass
@@ -95,10 +91,6 @@ class LeaveNotice:
     promoted_dst: str | None  # position (and code) it was promoted into
     affected_codes: list[str] = field(default_factory=list)  # as on a join
     cover_codes: list[str] = field(default_factory=list)  # CKC, pre-promotion
-    # as on a join
-    _rolls: dict[tuple[bytes, ...], bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
 
 @dataclass(frozen=True)
@@ -118,18 +110,15 @@ class WireMessage:
         return f"{self.desc} {fps}"
 
 
-def payload_index(messages: list[WireMessage]) -> dict[str, WirePayload]:
-    """An event's payloads by the position whose key seals them (an event
-    seals at most one payload under each).  Built once per event, so each
-    member looks up the positions on its own path instead of scanning every
-    payload."""
-    return {p.under: p for msg in messages for p in msg.payloads}
+def path_codes(leaf: str) -> list[str]:
+    """All positions from the root to the leaf, top-down."""
+    return [leaf[:i] for i in range(1, len(leaf) + 1)]
 
 
 @dataclass
 class Rekey:
     """One re-keying event as its scheme reports it, from the tree to the
-    ledger."""
+    ledger, and as every current member reads it."""
 
     notice: JoinNotice | LeaveNotice
     unicasts: list[WireMessage]  # to the joiner, under its individual key first
@@ -139,6 +128,16 @@ class Rekey:
     # individual key included when server-minted), the leaver's depth for
     # a leave
     cost: int
+    # the multicast payloads by the position whose key seals them (an event
+    # seals at most one under each), so a member looks up its own path
+    index: dict[str, WirePayload] = field(init=False, repr=False, compare=False)
+    # the members' CKC rolls, input bytes -> output (``ckc._rolled``)
+    rolls: dict[tuple[bytes, ...], bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.index = {p.under: p for msg in self.multicasts for p in msg.payloads}
 
 
 @dataclass
@@ -247,10 +246,6 @@ class PositionTree:
     def member_count(self) -> int:
         return len(self.leaves)
 
-    def path_codes(self, leaf: str) -> list[str]:
-        """All positions from the root to the leaf, top-down."""
-        return [leaf[:i] for i in range(1, len(leaf) + 1)]
-
     def _set(self, code: str, key: bytes, premises: tuple[bytes, bytes] | None = None) -> None:
         """Store ``key`` at ``code``; ``premises`` (a, b) when it is f(a xor b)."""
         self.nodes[code] = key
@@ -264,7 +259,7 @@ class PositionTree:
         agree."""
         if view.epoch != self.epoch:
             return False
-        expected = self.path_codes(view.leaf)
+        expected = path_codes(view.leaf)
         if sorted(view.keys) != sorted(expected):
             return False
         return all(view.keys[c] == self.nodes.get(c) for c in expected)
@@ -341,7 +336,7 @@ class PositionTree:
         leaf = self.leaves.get(member_id, "")
         return [
             (sib, self.nodes[sib])
-            for code in self.path_codes(leaf)[1:]
+            for code in path_codes(leaf)[1:]
             for sib in self._children(code[:-1])
             if sib != code
         ]

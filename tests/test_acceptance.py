@@ -24,7 +24,8 @@ from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f
 from crawsim.ckc import CkcTree, ckc_join, ckc_leave, ckc_member_refresh_join, build_joiner_view
 from crawsim.otp import ClientSecret, make_challenge, register, verify
 from crawsim.scenario import load_scenario, validate_doc
-from crawsim.secrecy import check_secrecy, operational_decrypt_check
+from crawsim.secrecy import check_secrecy
+from oracles import operational_decrypt_check
 from crawsim.sim import DelayConfig, Simulation, render_report, to_ticks
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "crawsim" / "scenarios"
@@ -155,9 +156,8 @@ def test_c02_join_and_leave_walkthrough():
         iks[mid] = random_key(rng)
         res = ckc_join(tree, mid, iks[mid], rng)
         for v in views.values():
-            ckc_member_refresh_join(v, res.notice)
-        plaintext = decrypt(iks[mid], res.unicasts[0].payloads[0].ciphertext)
-        views[mid] = build_joiner_view(mid, iks[mid], plaintext, res.notice)
+            ckc_member_refresh_join(v, res)
+        views[mid] = build_joiner_view(mid, iks[mid], res.unicasts, res.notice.leaf, res.notice.epoch)
 
     ak_old = tree.group_key()
     before = dict(tree.nodes)
@@ -170,8 +170,8 @@ def test_c02_join_and_leave_walkthrough():
     leaf = res.notice.leaf
     assert res.counters.multicast_sends == 0 and res.counters.unicast_sends == 1
     for v in views.values():
-        ckc_member_refresh_join(v, res.notice)
-    views["m6"] = build_joiner_view("m6", iks["m6"], plaintext, res.notice)
+        ckc_member_refresh_join(v, res)
+    views["m6"] = build_joiner_view("m6", iks["m6"], res.unicasts, leaf, res.notice.epoch)
 
     # each middle key on the joiner's path rolls from its previous value
     # (the split position's is the occupant's individual key) under AK'; the

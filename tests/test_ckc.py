@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,12 +19,14 @@ from crawsim.ckc import (
     ckc_member_refresh_join,
     ckc_member_refresh_leave,
 )
-from crawsim.crypto import KEY_WIDTH, DecryptionError, ProtocolError, decrypt, hash_f_xor, random_key
+from crawsim.crypto import (
+    KEY_WIDTH, DecryptionError, ProtocolError, decrypt, encrypt, hash_f_xor, random_key,
+)
 from crawsim.entities import AreaState
 from crawsim.scenario import validate_doc
 from crawsim.secrecy import check_secrecy
 from crawsim.sim import Simulation
-from crawsim.tree import MemberKeyView, payload_index
+from crawsim.tree import MemberKeyView, WireMessage, WirePayload, path_codes
 from test_acceptance import ZERO_DELAYS, random_scenario
 
 
@@ -48,9 +51,10 @@ class Harness:
         self.individual[member] = ik
         res = ckc_join(self.tree, member, ik, self.rng, **kwargs)
         for view in self.views.values():
-            ckc_member_refresh_join(view, res.notice)
-        plaintext = decrypt(ik, res.unicasts[0].payloads[0].ciphertext)
-        self.views[member] = build_joiner_view(member, ik, plaintext, res.notice)
+            ckc_member_refresh_join(view, res)
+        self.views[member] = build_joiner_view(
+            member, ik, res.unicasts, res.notice.leaf, res.notice.epoch
+        )
         self._note()
         return res
 
@@ -58,7 +62,7 @@ class Harness:
         leaf = self.tree.leaves[member]
         canonical = [
             sib
-            for code in self.tree.path_codes(leaf)[1:]
+            for code in path_codes(leaf)[1:]
             for sib in sorted(c for c in self.tree.nodes if c[:-1] == code[:-1])
             if sib != code
         ]
@@ -67,7 +71,7 @@ class Harness:
         self.assert_covers_not_reproducible(res)
         departed = self.views.pop(member)
         for view in self.views.values():
-            ckc_member_refresh_leave(view, res.notice, payload_index(res.multicasts))
+            ckc_member_refresh_leave(view, res)
         self._note()
         return res, departed
 
@@ -179,7 +183,7 @@ def test_join_refresh_is_idempotent():
     res = h.join("u5")
     snapshot = {m: (v.leaf, dict(v.keys), v.epoch) for m, v in h.views.items()}
     for view in h.views.values():
-        ckc_member_refresh_join(view, res.notice)  # stale re-delivery
+        ckc_member_refresh_join(view, res)  # stale re-delivery
     assert snapshot == {m: (v.leaf, dict(v.keys), v.epoch) for m, v in h.views.items()}
 
 
@@ -345,7 +349,7 @@ def test_refresh_refuses_a_leave_without_its_cover_payload():
     mine = h.views["u7"]
     dropped = [msg for msg in res.multicasts if not mine.leaf.startswith(msg.payloads[0].under)]
     with pytest.raises(ProtocolError, match="u7 matches 0 cover nodes, expected 1"):
-        ckc_member_refresh_leave(mine, res.notice, payload_index(dropped))
+        ckc_member_refresh_leave(mine, replace(res, multicasts=dropped))
 
 
 def _ckc_area(n: int, seed: int) -> AreaState:
@@ -405,6 +409,11 @@ def test_a_member_holding_a_wrong_middle_key_gets_its_own_roll(event):
     assert [m for m, v in area.views.items() if not tree.view_matches(v)] == [victim]
 
 
+def _sealed(ik: bytes, leaf: str, plaintext: bytes) -> list[WireMessage]:
+    """A join unicast carrying ``plaintext`` under the individual key."""
+    return [WireMessage(f"leaf={leaf}", [WirePayload(leaf, ik, encrypt(ik, plaintext))])]
+
+
 def test_joiner_refuses_a_leaf_off_the_delivered_parent():
     h = Harness(seed=20)
     h.grow(4)
@@ -414,15 +423,17 @@ def test_joiner_refuses_a_leaf_off_the_delivered_parent():
     # one more key and one more code digit: a well-formed payload for the
     # announced leaf's child
     bogus = plaintext[:-2] + random_key(h.rng) + plaintext[-2:] + b"0"
+    leaf = res.notice.leaf
     with pytest.raises(ProtocolError, match="does not extend the delivered parent code"):
-        build_joiner_view("u5", ik, bogus, res.notice)
+        build_joiner_view("u5", ik, _sealed(ik, leaf, bogus), leaf, res.notice.epoch)
 
 
 def test_join_unicast_without_a_parent_code_is_refused():
-    notice = ckc_join(CkcTree.new(random.Random(21)), "u1", bytes(KEY_WIDTH), random.Random(21)).notice
+    ik = bytes(KEY_WIDTH)
+    notice = ckc_join(CkcTree.new(random.Random(21)), "u1", ik, random.Random(21)).notice
     for plaintext in (b"", random_key(random.Random(21))):  # nothing; AK' with no parent code
         with pytest.raises(ProtocolError, match="is not AK', middle keys and a parent code"):
-            build_joiner_view("u1", bytes(KEY_WIDTH), plaintext, notice)
+            build_joiner_view("u1", ik, _sealed(ik, notice.leaf, plaintext), notice.leaf, notice.epoch)
 
 
 def test_area_of_300_members_stays_consistent_and_audits_clean():

@@ -25,7 +25,7 @@ from crawsim.entities import (
 from crawsim.crypto import encrypt
 from crawsim.lkh import lkh_member_refresh_leave
 from crawsim.otp import AuthRecord, ClientSecret
-from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload, payload_index
+from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload, path_codes
 
 
 def make_member(mainlist: MainList, member_id: str, rng: random.Random) -> MobileMember:
@@ -255,7 +255,7 @@ def test_member_views_refuse_a_missed_notice_their_own_leave_and_any_mismatch(sc
     departed = area.views["u5"]
     outcome = area.leave("u5")
     with pytest.raises(ProtocolError, match="departed member cannot refresh"):
-        refresh_leave(departed, outcome.notice, payload_index(outcome.multicasts))
+        refresh_leave(departed, outcome)
     # the oracle refuses a view that is right but for one thing
     view = area.views["u1"]
     assert area.tree.view_matches(view)
@@ -386,3 +386,37 @@ def test_leave_outcome_counters_by_scheme():
     assert outcome.counters.encryptions == 2 * d
     assert outcome.counters.multicast_sends == 2 * d
     assert len(outcome.multicasts) == 2 * (d - 1)  # realized payload messages
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_shrunk_tree_keeps_the_depth_of_its_peak(scheme):
+    # The tree never rebalances: grow one area to 64 members, then let all
+    # leave but m0 and the first member of each sibling subtree off m0's
+    # root path.  The 7 left sit in a comb, and a leave of its deepest
+    # member costs 6 against ceil(log2 8) = 3 for a balanced tree of the 8
+    # members after one more join.  These pin today's costs, so a
+    # rebalancing rule changes them on purpose.
+    rng = random.Random(59)
+    area = AreaState("A", scheme, rng)
+    members = [f"m{i}" for i in range(64)]
+    for m in members:
+        area.join(m, random_key(rng))
+    tree, leaves = area.tree, area.tree.leaves
+    siblings = [
+        sib
+        for code in path_codes(leaves["m0"])[1:]
+        for sib in tree._children(code[:-1])
+        if sib != code
+    ]
+    kept = {"m0"} | {next(m for m in members if leaves[m].startswith(sib)) for sib in siblings}
+    for m in members:
+        if m not in kept:
+            area.leave(m)
+    assert sorted(len(leaf) - 1 for leaf in leaves.values()) == [1, 2, 3, 4, 5, 6, 6]
+    assert area.consistent()
+
+    join_cost = {"ckc_craw": 1, "ckc_plain": 2, "lkh": 3}[scheme]
+    assert area.join("new", random_key(rng)).cost == join_cost
+    deepest = max(leaves, key=lambda m: len(leaves[m]))
+    assert area.leave(deepest).cost == 6
+    assert area.consistent()

@@ -4,6 +4,7 @@ conventions, and view consistency."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from crawsim.lkh import (
     lkh_member_refresh_join,
     lkh_member_refresh_leave,
 )
-from crawsim.tree import MemberKeyView, WireMessage, payload_index
+from crawsim.tree import MemberKeyView, WireMessage
 
 
 class Harness:
@@ -31,7 +32,7 @@ class Harness:
         self.individual[member] = ik
         res = lkh_join(self.tree, member, ik, self.rng)
         for view in self.views.values():
-            lkh_member_refresh_join(view, res.notice, payload_index(res.multicasts))
+            lkh_member_refresh_join(view, res)
         self.views[member] = build_lkh_joiner_view(
             member, ik, res.unicasts, res.notice.leaf, res.notice.epoch
         )
@@ -41,7 +42,7 @@ class Harness:
         res = lkh_leave(self.tree, member, self.rng)
         departed = self.views.pop(member)
         for view in self.views.values():
-            lkh_member_refresh_leave(view, res.notice, payload_index(res.multicasts))
+            lkh_member_refresh_leave(view, res)
         return res, departed
 
     def grow(self, n: int, prefix: str = "u"):
@@ -206,7 +207,7 @@ def test_refresh_refuses_a_join_without_its_payload():
         for msg in res.multicasts
     ]
     with pytest.raises(ProtocolError, match=f"no payload under {child} for r"):
-        lkh_member_refresh_join(view, res.notice, payload_index(kept))
+        lkh_member_refresh_join(view, replace(res, multicasts=kept))
 
 
 def test_joiner_refuses_a_chain_that_stops_short():

@@ -12,10 +12,10 @@ from crawsim.secrecy import (
     check_secrecy,
     closure,
     derivation_edges,
-    operational_decrypt_check,
 )
 from crawsim.scenario import validate_doc
 from crawsim.sim import Simulation
+from oracles import operational_decrypt_check
 from test_acceptance import ZERO_DELAYS, random_scenario
 
 

@@ -17,7 +17,8 @@ from crawsim import crypto
 from crawsim.crypto import KEY_WIDTH, ProtocolError, fingerprint
 from crawsim.otp import ClientSecret
 from crawsim.scenario import apply_overrides, validate_doc
-from crawsim.secrecy import check_secrecy, operational_decrypt_check
+from crawsim.secrecy import check_secrecy
+from oracles import operational_decrypt_check
 from crawsim.sim import (
     METRICS_HEADER,
     TICKS_PER_SECOND,

@@ -44,6 +44,16 @@ def traced_run(bundled: str, scheme: str):
     return tracer, sim
 
 
+def has_child(tracer, child: str, parent: str) -> bool:
+    """Whether some span named ``child`` ran directly inside one named
+    ``parent``."""
+    c, p = tracer.names.index(child), tracer.names.index(parent)
+    return any(
+        nid == c and up >= 0 and tracer.name_id[up] == p
+        for nid, up in zip(tracer.name_id, tracer.parent)
+    )
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tracer_sees_every_layer(scheme):
     tracer, _sim = traced_run("tables", scheme)
@@ -58,11 +68,15 @@ def test_tracer_sees_every_layer(scheme):
         assert tracer.extra["ckc.covers"] > 0
         # a member opens its leave cover payload inside its refresh, through
         # the crypto module, so the wrapped decrypt is seen there
-        refresh, decrypt = tracer.names.index("ckc.refresh"), tracer.names.index("crypto.decrypt")
-        assert any(
-            nid == decrypt and p >= 0 and tracer.name_id[p] == refresh
-            for nid, p in zip(tracer.name_id, tracer.parent)
-        )
+        assert has_child(tracer, "crypto.decrypt", "ckc.refresh")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_each_joiner_opens_its_own_unicast(scheme):
+    # the joiner's view, not the area server, decrypts the join unicast
+    tracer, _sim = traced_run("tables", scheme)
+    family = "lkh" if scheme == "lkh" else "ckc"
+    assert has_child(tracer, "crypto.decrypt", f"{family}.joiner_view")
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
