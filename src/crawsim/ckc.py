@@ -27,8 +27,8 @@ holds no input to any later key, whatever codes it learns.
 
 The initial roster at t=0 is seated in one batch with no message in
 between (``seat``), so each member receives its whole root path, middle
-keys included, in one unicast chain under its individual key
-(``lkh.root_path_chain``, LKH's joiner chain).
+keys included, in the join unicast's format: one payload under its
+individual key (``joiner_unicasts``), under either scheme.
 
 The placement and leave rules and the position mechanics
 (``PositionTree.seat`` and ``unseat``, split, occupant slide, promotion,
@@ -106,8 +106,15 @@ class CkcTree(PositionTree):
         return affected
 
 
-def _join_plaintext(ak: bytes, middle: list[bytes], parent: str) -> bytes:
-    return ak + b"".join(middle) + parent.encode("ascii")
+def joiner_unicasts(tree: PositionTree, leaf: str) -> list[WireMessage]:
+    """The one unicast that hands the member at ``leaf`` every other key on
+    its root path (top-down) and its parent's position, sealed under the
+    key at ``leaf``: a CKC joiner's AK', middle keys and parent code, or a
+    whole path at t=0 under either scheme."""
+    key = tree.nodes[leaf]
+    path = b"".join(tree.nodes[code] for code in path_codes(leaf)[:-1])
+    unicast = encrypt(key, path + parent_code(leaf).encode("ascii"))
+    return [WireMessage(f"leaf={leaf}", [WirePayload(leaf, key, unicast)])]
 
 
 def ckc_join(
@@ -126,17 +133,14 @@ def ckc_join(
     it from authentication.
     """
     notice = tree.seat(member_id, individual_key, rng)
-    leaf = notice.leaf
-    middle = [tree.nodes[code] for code in notice.affected_codes]
-    unicast = encrypt(individual_key, _join_plaintext(tree.group_key(), middle, parent_code(leaf)))
+    unicasts = joiner_unicasts(tree, notice.leaf)
     counters = RekeyCounters(
         key_generations=1 + (1 if count_individual_key else 0),
         encryptions=1,
         unicast_sends=1,
         multicast_sends=0,
     )
-    payload = WirePayload(leaf, individual_key, unicast)
-    return Rekey(notice, [WireMessage(f"leaf={leaf}", [payload])], [], counters, counters.key_generations)
+    return Rekey(notice, unicasts, [], counters, counters.key_generations)
 
 
 def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
@@ -185,8 +189,9 @@ def _roll_view(view: MemberKeyView, rekey: Rekey, ak_new: bytes) -> None:
 def build_joiner_view(
     member_id: str, individual_key: bytes, unicasts: list[WireMessage], leaf: str, epoch: int
 ) -> MemberKeyView:
-    """Open the newcomer's view from its one join unicast (AK', the middle
-    keys on its path top-down, its parent code) and the announced leaf."""
+    """Open a member's view from its one ``joiner_unicasts`` payload (every
+    other key on its root path top-down, its parent's position) and the
+    announced leaf: a CKC joiner's, or any member's at t=0."""
     (unicast,) = [p for msg in unicasts for p in msg.payloads]
     plaintext = crypto.decrypt(individual_key, unicast.ciphertext)
     # one key and one code digit per level above the leaf
@@ -196,7 +201,7 @@ def build_joiner_view(
     keys = [plaintext[i:i + KEY_WIDTH] for i in range(0, width, KEY_WIDTH)]
     if parent_code(leaf).encode("ascii") != plaintext[width:]:
         raise ProtocolError("announced leaf does not extend the delivered parent code")
-    path = dict(zip([ROOT_CODE, *strict_ancestors(leaf)], keys))
+    path = dict(zip(path_codes(leaf), keys))
     path[leaf] = individual_key
     return MemberKeyView(member_id, leaf, path, epoch)
 

@@ -23,6 +23,7 @@ from .ckc import (
     ckc_leave,
     ckc_member_refresh_join,
     ckc_member_refresh_leave,
+    joiner_unicasts,
 )
 # decrypt is unused here, but the bench tracer wraps entities.decrypt by name
 from .crypto import ProtocolError, decrypt, fingerprint, random_key  # noqa: F401
@@ -33,7 +34,6 @@ from .lkh import (
     lkh_leave,
     lkh_member_refresh_join,
     lkh_member_refresh_leave,
-    root_path_chain,
 )
 from .otp import AuthRecord, ClientSecret, make_challenge, verify
 from .otp import register as otp_register
@@ -262,17 +262,17 @@ class AreaState:
 
     def hand_out(self, member_id: str, individual_key: bytes) -> list[WireMessage]:
         """Deliver a member already seated on ``tree`` its whole root path in
-        one unicast chain under its individual key, and open its view from
-        it.  The t=0 rosters are keyed in one batch: every member is seated
-        with ``tree.seat`` (no view refreshed, no payload built), then
-        ``hand_out`` gives each its view; the area is consistent again once
-        all have one."""
+        the CKC join unicast under its individual key, under every scheme,
+        and open its view from it.  The t=0 rosters are keyed in one batch:
+        every member is seated with ``tree.seat`` (no view refreshed, no
+        payload built), then ``hand_out`` gives each its view; the area is
+        consistent again once all have one."""
         leaf = self.tree.leaves[member_id]
-        chain = root_path_chain(self.tree, leaf)
-        self.views[member_id] = build_lkh_joiner_view(
-            member_id, individual_key, chain, leaf, self.tree.epoch
+        unicasts = joiner_unicasts(self.tree, leaf)
+        self.views[member_id] = build_joiner_view(
+            member_id, individual_key, unicasts, leaf, self.tree.epoch
         )
-        return chain
+        return unicasts
 
     def leave(self, member_id: str) -> Rekey:
         if self.scheme == "lkh":

@@ -19,7 +19,8 @@ Placement and leave (``PositionTree.seat`` and ``unseat``) live in
 ``crawsim.tree``; this module supplies the child digits, the fresh path
 keys of both events (``_rekey_join``, ``_rekey_leave``), the sealed
 ``Rekey`` of each event and how a member climbs its path to open them,
-looking its own positions up in the event's ``index``.
+looking its own positions up in the event's ``index``.  Only a joiner
+gets a chain: the t=0 roster gets ``ckc.joiner_unicasts`` under LKH too.
 """
 
 from __future__ import annotations
@@ -65,24 +66,17 @@ def _seal(tree: PositionTree, label: str, child: str) -> WirePayload:
     return WirePayload(child, key, encrypt(key, tree.nodes[label]))
 
 
-def root_path_chain(tree: PositionTree, leaf: str) -> list[WireMessage]:
-    """The unicast chain that hands a member every key on its root path:
-    bottom-up, each key encrypted under the one below it, the first under
-    the member's individual key."""
-    path = path_codes(leaf)
-    return [
-        WireMessage(f"label={label}", [_seal(tree, label, child)])
-        for label, child in zip(reversed(path[:-1]), reversed(path[1:]))
-    ]
-
-
 def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) -> Rekey:
     """Attach a member and regenerate every key on its path."""
     notice = tree.seat(member_id, individual_key, rng)
     changed = notice.affected_codes
-    # every key on the joiner's path is new, so its chain is the whole path
-    chain = root_path_chain(tree, notice.leaf)
-
+    # every key on the joiner's path is new, so its unicast chain climbs the
+    # whole path, each key under the one below it, the first under its own
+    path = path_codes(notice.leaf)
+    chain = [
+        WireMessage(f"label={label}", [_seal(tree, label, child)])
+        for label, child in zip(reversed(path[:-1]), reversed(path[1:]))
+    ]
     multicasts = [
         WireMessage(f"label={label}", [_seal(tree, label, child) for child in tree._children(label)])
         for label in changed
@@ -127,8 +121,7 @@ def build_lkh_joiner_view(
     leaf: str,
     epoch: int,
 ) -> MemberKeyView:
-    """Open a ``root_path_chain`` delivered for ``leaf``, under either
-    scheme."""
+    """Open the unicast chain of an ``lkh_join`` delivered for ``leaf``."""
     keys = {leaf: individual_key}
     for msg in chain:
         for p in msg.payloads:

@@ -383,7 +383,7 @@ class Simulation:
         """Key the initial rosters at t=0 in one batch, without trace or
         metric rows: seat every member of an area on its tree in roster order
         (no refreshes, no payloads), then hand each its whole root path in
-        one unicast chain under its individual key."""
+        one unicast under its individual key (``AreaState.hand_out``)."""
         for area_id in sorted(self.sc.areas):
             area = self.areas[area_id]
             seated = []
@@ -398,9 +398,9 @@ class Simulation:
                 self.recorder.open_window(member_id, area_id, 0)
                 seated.append((member_id, attempt.individual_key))
             for member_id, individual_key in seated:
-                chain = area.hand_out(member_id, individual_key)
+                unicasts = area.hand_out(member_id, individual_key)
                 self._bind_view(area.views[member_id])
-                self._record_msgs(area, 0, chain, "key_unicast", target=member_id)
+                self._record_msgs(area, 0, unicasts, "key_unicast", target=member_id)
 
     # -- plumbing ---------------------------------------------------------
 

@@ -318,8 +318,8 @@ def test_batch_seat_and_hand_out_equal_sequential_joins(scheme):
         batch.tree.seat(m, k, batch.rng)
     for m, k in zip(member_ids, keys):
         msgs = batch.hand_out(m, k)
-        # one chain link per level above the member's leaf
-        assert len(msgs) == len(batch.views[m].leaf) - 1
+        # one payload, under the member's leaf
+        assert [(p.under, p.enc_key) for msg in msgs for p in msg.payloads] == [(batch.views[m].leaf, k)]
     for m, k in zip(member_ids, keys):
         sequential.join(m, k)
     assert batch.tree.dump() == sequential.tree.dump()
@@ -353,9 +353,9 @@ def test_every_audit_handle_opens_its_own_payload(scheme):
     for desc, p in payloads:
         decrypt(p.enc_key, p.ciphertext)
         field, _, position = desc.split()[0].partition("=")
-        if field == "label":  # LKH, and every t=0 chain: under a child of the label
+        if field == "label":  # LKH: under a child of the label
             assert p.under[:-1] == position, desc
-        else:  # CKC: a join unicast under the joiner's leaf, a leave under a cover
+        else:  # a join or t=0 unicast under the member's leaf, a CKC leave under a cover
             assert p.under == position, desc
 
 

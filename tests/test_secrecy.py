@@ -224,7 +224,7 @@ A4 = {"A": ["u1", "u2", "u3", "u4"]}
 @pytest.mark.parametrize(
     ("areas", "events"),
     [
-        # a leave on the bootstrap's tick: the t=0 chains came first
+        # a leave on the bootstrap's tick: the t=0 unicasts came first
         (A4, [{"time": 0.0, "op": "leave", "member": "u1", "area": "A"}]),
         # the second leaver reads the first leave's multicast, sent while it
         # was still present

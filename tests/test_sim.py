@@ -514,14 +514,15 @@ def test_mixed_run_passes_secrecy_audit(scheme):
     assert operational_decrypt_check(sim.recorder) == []
 
 
-def test_large_lkh_bootstrap_is_quick_and_consistent():
+@pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
+def test_large_bootstrap_is_quick_and_consistent(scheme):
     # the t=0 roster is keyed in one batch; keyed as 1024 sequential joins,
     # each refreshing every member already seated, it took about 11 s
     doc = {
         "schema_version": 1,
         "name": "big",
         "seed": 1,
-        "scheme": "lkh",
+        "scheme": scheme,
         "group": "g1",
         "horizon": 1.0,
         "areas": {"A": [f"m{i}" for i in range(1024)]},
@@ -536,17 +537,62 @@ def test_large_lkh_bootstrap_is_quick_and_consistent():
     assert elapsed < 3.0
 
 
+def churn_scenario(n: int, scheme: str, n_ops: int = 48):
+    """One area of ``n`` members, then ``n_ops`` events one second apart
+    under zero delays, alternating a leave of a random present member with
+    a join of a random absent one (a member that left, or ``w1``)."""
+    rng = random.Random(n)
+    present, absent = [f"m{i}" for i in range(n)], ["w1"]
+    events = []
+    for t in range(1, n_ops + 1):
+        op, src, dst = ("leave", present, absent) if t % 2 else ("join", absent, present)
+        member = src.pop(rng.randrange(len(src)))
+        dst.append(member)
+        events.append({"time": float(t), "op": op, "member": member, "area": "A"})
+    return validate_doc({
+        "schema_version": 1,
+        "name": f"churn{n}",
+        "seed": n,
+        "scheme": scheme,
+        "group": "g1",
+        "horizon": float(n_ops + 1),
+        "delays": ZERO_DELAYS,
+        "areas": {"A": [f"m{i}" for i in range(n)]},
+        "members": ["w1"],
+        "events": events,
+    })
+
+
+def test_churn_at_scale_stays_consistent_and_secret():
+    """48 alternating leaves and joins in one area of 64, 256 and 1024
+    members, under every scheme: every view matches its tree after every
+    event, and the secrecy audit finds nothing.  Budget: the whole matrix
+    of nine runs with their audits in under 8 s; it takes about 4 s on a
+    2-core host."""
+    started = time.perf_counter()
+    for n in (64, 256, 1024):
+        for scheme in ("ckc_craw", "ckc_plain", "lkh"):
+            checked = []
+            sim = Simulation(
+                churn_scenario(n, scheme), on_event=lambda s, row: checked.append(s.check_consistent())
+            ).run()
+            assert checked == [True] * 48, (n, scheme)
+            assert check_secrecy(sim.recorder) == [], (n, scheme)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 8.0, f"churn matrix took {elapsed:.2f}s"
+
+
 @pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
 def test_bootstrap_chains_are_audited(scheme):
     sim = Simulation(scenario([JOIN_W1], scheme=scheme))
     boot = [c for c in sim.recorder.ciphertexts if c.time == 0]
-    # one unicast chain per initial member, one link per level of its leaf
+    # one unicast per initial member, under its individual key
     views = {m: sim.areas[a].views[m] for a in sorted(AREAS) for m in AREAS[a]}
-    assert [c.target for c in boot] == [m for m, view in views.items() for _ in view.leaf[1:]]
+    assert [(c.target, c.enc_key) for c in boot] == [(m, view.keys[view.leaf]) for m, view in views.items()]
     assert {c.kind for c in boot} == {"key_unicast"}
     sim.run()
     assert check_secrecy(sim.recorder) == []
-    # a later joiner that somehow held one chain key could open a t=0 link
+    # a later joiner that somehow held one individual key could open a t=0 unicast
     assert boot[0].target == "u1"
     sim.recorder.note_knowledge("w1", [boot[0].enc_key])
     held = fingerprint(boot[0].enc_key)

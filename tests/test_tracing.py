@@ -79,6 +79,15 @@ def test_each_joiner_opens_its_own_unicast(scheme):
     assert has_child(tracer, "crypto.decrypt", f"{family}.joiner_view")
 
 
+@pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain"))
+def test_ckc_runs_enter_no_lkh_code(scheme):
+    # the t=0 roster gets the CKC join unicast under every scheme, so a CKC
+    # run, bootstrap included, never calls into the LKH module
+    tracer, _sim = traced_run("tables", scheme)
+    called = [name for name, (n, _self_s) in tracer.summary().items() if n]
+    assert [name for name in called if name.startswith("lkh.")] == []
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tracer_counts_one_credit_per_frame_delivery(scheme):
     # an area's frame is billed to all its present members in one credit
