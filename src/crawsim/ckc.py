@@ -39,11 +39,11 @@ of each event and how a member rolls the keys.
 
 A member refreshes from the event's ``Rekey`` alone.  It rolls from the
 inputs it holds itself, but the members below one position hold the same
-K, so an event rolls each distinct input once: the memo is the event's
-``rolls``, keyed by the input bytes and never by code, and a member holding
-a wrong K gets its own (wrong) roll.  On a leave, each remaining member
-looks its own root-path positions up in the event's ``index`` to find its
-cover payload.
+K, so an event rolls each distinct input once, in the event's ``memo``
+keyed by the input bytes and never by code; a member holding a wrong K
+gets its own (wrong) roll.  On a leave, each remaining member looks its own
+root-path positions up in the event's ``index`` to find its cover payload,
+and opens it with ``Rekey.opened``: once per event for each cover key.
 """
 
 from __future__ import annotations
@@ -96,12 +96,12 @@ class CkcTree(PositionTree):
         self._roll(affected, ak_new)
         return affected
 
-    def _rekey_leave(self, leaf: str, promoted_dst: str | None, rng: Random) -> list[str]:
+    def _rekey_leave(self, leaf: str, rng: Random) -> list[str]:
         """Draw a fresh random AK', which the leaver never gets, and under it
-        roll the middle keys the leaver held, now above ``promoted_dst``."""
+        roll the middle keys the leaver held, above its vanished parent."""
         ak_new = random_key(rng)
         self._set(ROOT_CODE, ak_new)
-        affected = [] if promoted_dst is None else strict_ancestors(promoted_dst)
+        affected = strict_ancestors(leaf[:-1])
         self._roll(affected, ak_new)
         return affected
 
@@ -167,10 +167,10 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
 
 def _rolled(rekey: Rekey, *inputs: bytes) -> bytes:
     """f(AK) of one key, or f(AK' xor K) of two, from a member's own input
-    bytes, rolled once per event for each distinct input (``rekey.rolls``)."""
-    out = rekey.rolls.get(inputs)
+    bytes, rolled once per event for each distinct input (``rekey.memo``)."""
+    out = rekey.memo.get(inputs)
     if out is None:
-        out = rekey.rolls[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
+        out = rekey.memo[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
     return out
 
 
@@ -222,10 +222,10 @@ def ckc_member_refresh_leave(view: MemberKeyView, rekey: Rekey) -> MemberKeyView
         return view
 
     # covers are pre-promotion positions, so the payload is opened before re-coding
-    mine = [rekey.index[code] for code in path_codes(view.leaf) if code in rekey.index]
+    mine = [code for code in path_codes(view.leaf) if code in rekey.index]
     if len(mine) != 1:
         raise ProtocolError(f"{view.member_id} matches {len(mine)} cover nodes, expected 1")
-    ak_new = crypto.decrypt(view.keys[mine[0].under], mine[0].ciphertext)
+    ak_new = rekey.opened(mine[0], view.keys[mine[0]])
 
     view.promote(rekey.notice)
     _roll_view(view, rekey, ak_new)

@@ -6,18 +6,16 @@ from (key, plaintext), and all randomness flows through a caller-supplied
 ``random.Random``.  That keeps whole simulation runs bit-reproducible from a
 seed.
 
-Opening is a pure function of (key, nonce, body), so each ``Ciphertext``
-remembers the plaintexts it opened to, keyed by the exact key bytes: a frame
-or re-key payload that many members read under the same key is opened once
-per key.  Every reader still calls ``decrypt`` with its own key, so each
-member's outcome is its own; a wrong key never finds an entry, and a failed
-open is not remembered.
+A ``Ciphertext`` is a plain value, its nonce and body, and ``decrypt`` keeps
+no state: every call is one AES-GCM open.  Readers that share a key share
+the work where they meet, a re-keying event's members in its ``Rekey``
+(``crawsim.tree``) and an area's frame readers in ``sim.FrameReaders``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from cryptography.exceptions import InvalidTag
@@ -71,8 +69,6 @@ def hash_f_xor(a: bytes, b: bytes) -> bytes:
 class Ciphertext:
     nonce: bytes
     body: bytes  # AES-GCM output: ciphertext || tag
-    # key -> plaintext for every successful open; outside equality, hash and repr
-    _opened: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fingerprint(self) -> str:
         return fingerprint(self.nonce + self.body)
@@ -96,15 +92,10 @@ def decrypt(key: bytes, ct: Ciphertext) -> bytes:
     tampered ciphertext."""
     if len(key) != KEY_WIDTH:
         raise ValueError(f"decryption key must be {KEY_WIDTH} octets")
-    plaintext = ct._opened.get(key)
-    if plaintext is not None:
-        return plaintext
     try:
-        plaintext = AESGCM(key).decrypt(ct.nonce, ct.body, None)
+        return AESGCM(key).decrypt(ct.nonce, ct.body, None)
     except InvalidTag as exc:
         raise DecryptionError("ciphertext does not open under this key") from exc
-    ct._opened[key] = plaintext
-    return plaintext
 
 
 def random_key(rng: Random) -> bytes:

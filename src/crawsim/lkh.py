@@ -19,8 +19,9 @@ Placement and leave (``PositionTree.seat`` and ``unseat``) live in
 ``crawsim.tree``; this module supplies the child digits, the fresh path
 keys of both events (``_rekey_join``, ``_rekey_leave``), the sealed
 ``Rekey`` of each event and how a member climbs its path to open them,
-looking its own positions up in the event's ``index``.  Only a joiner
-gets a chain: the t=0 roster gets ``ckc.joiner_unicasts`` under LKH too.
+looking its own positions up in the event's ``index`` and sharing each
+open (``Rekey.opened``).  Only a joiner gets a chain: the t=0 roster gets
+``ckc.joiner_unicasts`` under LKH too.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class LkhTree(PositionTree):
             self._set(label, random_key(rng))
         return changed
 
-    def _rekey_leave(self, leaf: str, promoted_dst: str | None, rng: Random) -> list[str]:
+    def _rekey_leave(self, leaf: str, rng: Random) -> list[str]:
         """Draw fresh keys bottom-up above the collapsed parent, or for the
         root alone when the leaver sat right below it."""
         changed = [leaf[:i] for i in range(len(leaf) - 2, 0, -1)] or [ROOT_LABEL]
@@ -142,10 +143,9 @@ def _climb(view: MemberKeyView, rekey: Rekey) -> None:
         if not view.leaf.startswith(label):
             continue
         child_on_path = view.leaf[: len(label) + 1]
-        payload = rekey.index.get(child_on_path)
-        if payload is None:
+        if child_on_path not in rekey.index:
             raise ProtocolError(f"no payload under {child_on_path} for {label}")
-        view.store(label, decrypt(view.keys[child_on_path], payload.ciphertext))
+        view.store(label, rekey.opened(child_on_path, view.keys[child_on_path]))
 
 
 def lkh_member_refresh_join(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:

@@ -142,7 +142,7 @@ def validate_doc(doc: dict) -> Scenario:
         if not isinstance(ev, dict):
             _fail(where, "expected an object")
         op = ev.get("op")
-        if op not in _EVENT_KEYS:
+        if not isinstance(op, str) or op not in _EVENT_KEYS:
             _fail(f"{where}.op", "expected join, leave, or move")
         unknown = set(ev) - _EVENT_KEYS[op]
         if unknown:
@@ -153,16 +153,16 @@ def validate_doc(doc: dict) -> Scenario:
             _fail(f"{where}.member", f"{member!r} is not a registered member")
         if op == "move":
             src, dst = ev.get("from"), ev.get("to")
-            if src not in areas:
+            if not isinstance(src, str) or src not in areas:
                 _fail(f"{where}.from", f"{src!r} is not a declared area")
-            if dst not in areas:
+            if not isinstance(dst, str) or dst not in areas:
                 _fail(f"{where}.to", f"{dst!r} is not a declared area")
             if src == dst:
                 _fail(f"{where}.to", "source and destination must differ")
             events.append(ScenarioEvent(to_ticks(seconds), "move", member, src=src, dst=dst))
         else:
             area = ev.get("area")
-            if area not in areas:
+            if not isinstance(area, str) or area not in areas:
                 _fail(f"{where}.area", f"{area!r} is not a declared area")
             events.append(ScenarioEvent(to_ticks(seconds), op, member, area=area))
         last_time = max(last_time, seconds)

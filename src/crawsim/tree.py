@@ -32,8 +32,8 @@ The wire format lives here too.  A scheme seals each key it ships into a
 the counters and the event's re-keying cost.  The ``Rekey`` is the one
 object every member reads for the event: its ``index`` holds the
 multicast payloads by position, so a member opens those on its own path,
-and its ``rolls`` memo lets the members that hold the same CKC input
-share one roll.
+and its ``memo`` (``Rekey.opened``, ``ckc._rolled``) lets the members
+that hold the same key share one open of a payload or one CKC roll.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ import json
 from dataclasses import dataclass, field
 from random import Random
 
+# decrypt goes through the module, so a wrapper on crypto.decrypt sees it
+from . import crypto
 from .crypto import DIGITS, Ciphertext, ProtocolError, fingerprint, random_key
 
 
@@ -131,13 +133,20 @@ class Rekey:
     # the multicast payloads by the position whose key seals them (an event
     # seals at most one under each), so a member looks up its own path
     index: dict[str, WirePayload] = field(init=False, repr=False, compare=False)
-    # the members' CKC rolls, input bytes -> output (``ckc._rolled``)
-    rolls: dict[tuple[bytes, ...], bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # the members' shared work: (str position, key) -> an open's plaintext,
+    # and a CKC roll's input bytes -> its output (``ckc._rolled``)
+    memo: dict[tuple, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.index = {p.under: p for msg in self.multicasts for p in msg.payloads}
+
+    def opened(self, under: str, key: bytes) -> bytes:
+        """The payload at ``under`` opened with a member's ``key``, once per
+        event for each pair; a failed open raises and is not remembered."""
+        out = self.memo.get((under, key))
+        if out is None:
+            out = self.memo[under, key] = crypto.decrypt(key, self.index[under].ciphertext)
+        return out
 
 
 @dataclass
@@ -220,9 +229,8 @@ class PositionTree:
     in ``exclude``) and makes the fresh keys of both events, returning the
     re-keyed positions in the order members refresh them:
     ``_rekey_join(leaf, rng)`` for the joiner's path, and
-    ``_rekey_leave(leaf, promoted_dst, rng)`` for what the leaver at
-    ``leaf`` held, once its sibling subtree has moved into
-    ``promoted_dst``."""
+    ``_rekey_leave(leaf, rng)`` for what the leaver at ``leaf`` held, once
+    its sibling subtree has moved into its parent's position."""
 
     ROOT: str  # name of the root position, set by each scheme
 
@@ -350,7 +358,7 @@ class PositionTree:
             raise ProtocolError(f"{member_id} not in tree")
         leaf = self.leaves.pop(member_id)
         promoted_src, promoted_dst = self.detach(leaf)
-        affected = self._rekey_leave(leaf, promoted_dst, rng)
+        affected = self._rekey_leave(leaf, rng)
         self.epoch += 1
         return LeaveNotice(self.epoch, member_id, leaf, promoted_src, promoted_dst, affected)
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from crawsim import ckc
+from crawsim import ckc, crypto, entities, lkh
 from crawsim.ckc import (
     ROOT_CODE,
     CkcTree,
@@ -352,9 +352,9 @@ def test_refresh_refuses_a_leave_without_its_cover_payload():
         ckc_member_refresh_leave(mine, replace(res, multicasts=dropped))
 
 
-def _ckc_area(n: int, seed: int) -> AreaState:
+def _area(scheme: str, n: int, seed: int) -> AreaState:
     rng = random.Random(seed)
-    area = AreaState("A", "ckc_craw", rng)
+    area = AreaState("A", scheme, rng)
     for i in range(1, n + 1):
         area.join(f"u{i}", random_key(rng))
     return area
@@ -368,44 +368,100 @@ def _event(area: AreaState, event: str):
     return area.leave(max(leaves, key=lambda m: len(leaves[m])))
 
 
-@pytest.mark.parametrize("event", ("join", "leave"))
-def test_an_event_rolls_each_middle_key_once_for_all_its_members(event, monkeypatch):
+@pytest.mark.parametrize(
+    ("scheme", "event"),
+    (
+        pytest.param("ckc_craw", "join", id="join"),
+        pytest.param("ckc_craw", "leave", id="leave"),
+        pytest.param("lkh", "join", id="lkh-join"),
+        pytest.param("lkh", "leave", id="lkh-leave"),
+    ),
+)
+def test_an_event_rolls_each_middle_key_once_for_all_its_members(scheme, event, monkeypatch):
     # the server rolls each affected position once, and the members below
-    # it, who all hold the same K, share one more roll
-    area = _ckc_area(96, seed=23)
-    calls = []
+    # it, who all hold the same K, share one more roll; likewise the members
+    # that open a payload with the same key share one open
+    area = _area(scheme, 96, seed=23)
+    rolls, opens = [], []
 
-    def counting(a, b):
-        calls.append((a, b))
+    def counting_roll(a, b):
+        rolls.append((a, b))
         return hash_f_xor(a, b)
 
-    monkeypatch.setattr(ckc, "hash_f_xor", counting)
+    def counting_open(key, ct):
+        opens.append((key, ct))
+        return decrypt(key, ct)
+
+    monkeypatch.setattr(ckc, "hash_f_xor", counting_roll)
+    # every name a member-side open resolves to
+    for module in (crypto, lkh):
+        monkeypatch.setattr(module, "decrypt", counting_open)
     res = _event(area, event)
     assert len(res.notice.affected_codes) >= 3
-    assert len(calls) <= 2 * len(res.notice.affected_codes)
+    assert len(rolls) <= 2 * len(res.notice.affected_codes)
+    # each open by the payload it read: the joiner's unicast or a multicast
+    sent = {
+        id(p.ciphertext): (kind, p.under)
+        for kind, msgs in (("unicast", res.unicasts), ("multicast", res.multicasts))
+        for msg in msgs
+        for p in msg.payloads
+    }
+    opened = [(sent[id(ct)], key) for key, ct in opens]
+    assert len(opened) == len(set(opened))
+    multicast = [where for where, _key in opened if where[0] == "multicast"]
+    assert len(multicast) <= len(res.index)
+    assert bool(multicast) == bool(res.index)  # a CKC join multicasts nothing
     assert area.consistent()
 
 
-@pytest.mark.parametrize("event", ("join", "leave"))
-def test_a_member_holding_a_wrong_middle_key_gets_its_own_roll(event):
-    # rolls are shared by input bytes, not by position: a member holding a
-    # wrong K at a rolled position, with members before and after it that
-    # hold the right one, ends off the tree alone
-    area = _ckc_area(96, seed=24)
+@pytest.mark.parametrize(
+    ("scheme", "event", "rolled"),
+    (
+        pytest.param("ckc_craw", "join", True, id="join"),
+        pytest.param("ckc_craw", "leave", True, id="leave"),
+        pytest.param("ckc_craw", "leave", False, id="leave-cover"),
+        pytest.param("lkh", "join", False, id="lkh-join"),
+        pytest.param("lkh", "leave", False, id="lkh-leave"),
+    ),
+)
+def test_a_member_holding_a_wrong_middle_key_gets_its_own_roll(scheme, event, rolled, monkeypatch):
+    # rolls and opens are shared by input bytes, not by position: a member
+    # holding a wrong key at a position the event rolls (the root's child on
+    # the event's path) or opens a payload under (the root's other child),
+    # with members before and after it that hold the right one, ends off the
+    # tree alone
+    area = _area(scheme, 96, seed=24)
     tree = area.tree
     if event == "join":
-        rolled = tree.shallowest_leaf()[:2]  # the joiner's path runs through it
+        path = tree.shallowest_leaf()  # the joiner's path runs through it
         leaver = None
     else:
         leaver = max(tree.leaves, key=lambda m: len(tree.leaves[m]))
-        rolled = tree.leaves[leaver][:2]
-    sharing = [m for m, v in area.views.items() if v.leaf.startswith(rolled) and m != leaver]
+        path = tree.leaves[leaver]
+    spot = path[:2] if rolled else next(c for c in tree._children(tree.ROOT) if c != path[:2])
+    sharing = [m for m, v in area.views.items() if v.leaf.startswith(spot) and m != leaver]
     victim = sharing[len(sharing) // 2]
     view = area.views[victim]
-    spoiled = view.keys[rolled] = bytes(b ^ 1 for b in view.keys[rolled])
+    spoiled = view.keys[spot] = bytes(b ^ 1 for b in view.keys[spot])
+    failed = []
+
+    def tolerant(refresh):
+        # a failed open stops only its own member's refresh
+        def run(view, rekey):
+            try:
+                return refresh(view, rekey)
+            except DecryptionError:
+                failed.append(view.member_id)
+                return view
+        return run
+
+    for name in ("ckc_member_refresh_leave", "lkh_member_refresh_join", "lkh_member_refresh_leave"):
+        monkeypatch.setattr(entities, name, tolerant(getattr(entities, name)))
     res = _event(area, event)
-    assert rolled in res.notice.affected_codes
-    assert view.keys[rolled] == hash_f_xor(tree.group_key(), spoiled)
+    if rolled:
+        assert spot in res.notice.affected_codes
+        assert view.keys[spot] == hash_f_xor(tree.group_key(), spoiled)
+    assert failed == ([] if rolled else [victim])
     assert [m for m, v in area.views.items() if not tree.view_matches(v)] == [victim]
 
 

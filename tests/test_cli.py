@@ -195,6 +195,36 @@ def test_finite_numbers_past_the_tick_count_are_refused_with_their_field(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("bundled", "field", "reason"),
+    (
+        ("tables", "op", "expected join, leave, or move"),
+        ("tables", "area", "{!r} is not a declared area"),
+        ("handoff", "from", "{!r} is not a declared area"),
+        ("handoff", "to", "{!r} is not a declared area"),
+    ),
+    ids=("op", "area", "from", "to"),
+)
+def test_event_fields_holding_a_list_or_object_are_refused_with_their_field(
+    tmp_path, capsys, bundled, field, reason
+):
+    # a JSON list or object is unhashable, so a set or dict lookup of it raised
+    # TypeError, which neither run nor validate catches
+    raw = (Path(crawsim.__file__).parent / "scenarios" / f"{bundled}.json").read_text(encoding="utf-8")
+    for value in ([], {"A": 1}):
+        doc = json.loads(raw)
+        doc["events"][0][field] = value
+        message = f"events[0].{field}: {reason.format(value)}"
+        with pytest.raises(ValueError) as refused:
+            validate_doc(doc)
+        assert str(refused.value) == message
+        out = tmp_path / "o"
+        pair = f"events.0.{field}={json.dumps(value)}"
+        assert main(["run", bundled, "--out", str(out), "--override", pair]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_run_refuses_an_out_path_that_is_a_file(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep me", encoding="utf-8")

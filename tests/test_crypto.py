@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -167,6 +168,16 @@ def test_tampered_copy_of_an_opened_ciphertext_fails():
     with pytest.raises(DecryptionError):
         decrypt(key, tampered)
     assert decrypt(key, ct) == b"payload"
+
+
+def test_opened_ciphertext_carries_no_secrets():
+    # a ciphertext is its nonce and body alone, before and after an open
+    key = b"\x11" * KEY_WIDTH
+    ct = encrypt(key, b"group key payload")
+    assert decrypt(key, ct) == b"group key payload"
+    assert [f.name for f in dataclasses.fields(crypto.Ciphertext)] == ["nonce", "body"]
+    dumped = pickle.dumps(ct)
+    assert key not in dumped and b"group key payload" not in dumped
 
 
 def test_opening_leaves_equality_hash_and_repr_alone():

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from crawsim import crypto
 from crawsim.entities import SCHEMES
 from crawsim.scenario import apply_overrides, validate_doc
 
@@ -77,6 +78,31 @@ def test_each_joiner_opens_its_own_unicast(scheme):
     tracer, _sim = traced_run("tables", scheme)
     family = "lkh" if scheme == "lkh" else "ckc"
     assert has_child(tracer, "crypto.decrypt", f"{family}.joiner_view")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_each_decrypt_span_is_one_aes_gcm_open(scheme, monkeypatch):
+    # crypto.decrypt_calls and crypto.aead_s measure real opens only if no
+    # decrypt call is answered from a memo; the cryptography package's AESGCM
+    # refuses a subclass, so a wrapper object counts the opens
+    real = crypto.AESGCM
+    opens = []
+
+    class CountingAESGCM:
+        def __init__(self, key):
+            self.inner = real(key)
+
+        def encrypt(self, nonce, data, aad):
+            return self.inner.encrypt(nonce, data, aad)
+
+        def decrypt(self, nonce, data, aad):
+            opens.append(nonce)
+            return self.inner.decrypt(nonce, data, aad)
+
+    monkeypatch.setattr(crypto, "AESGCM", CountingAESGCM)
+    tracer, _sim = traced_run("tables", scheme)
+    calls = {name: n for name, (n, _self_s) in tracer.summary().items()}
+    assert calls["crypto.decrypt"] == len(opens) > 0
 
 
 @pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain"))
