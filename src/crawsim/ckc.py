@@ -19,11 +19,12 @@ newcomer receives AK', its path's middle keys (top-down) and its parent
 code in a single unicast under its individual key.
 
 Leave: the leaver's leaf and parent vanish, the sibling subtree is promoted
-into the parent's position (descendants drop the digit at the promotion
-depth), a fresh random AK' is multicast under each cover key (the siblings
-along the leaver's old root path), and the middle keys the leaver held roll
-under AK'.  The leaver held every K on its old path but never AK', so it
-holds no input to any later key, whatever codes it learns.
+into the parent's position (``tree.promoted``: descendants drop the digit
+at the promotion depth), a fresh random AK' is multicast under each cover
+key (the siblings along the leaver's old root path), and the middle keys
+the leaver held roll under AK'.  The leaver held every K on its old path
+but never AK', so it holds no input to any later key, whatever codes it
+learns.
 
 The initial roster at t=0 is seated in one batch with no message in
 between (``seat``), so each member receives its whole root path, middle
@@ -33,9 +34,10 @@ individual key (``joiner_unicasts``), under either scheme.
 The placement and leave rules and the position mechanics
 (``PositionTree.seat`` and ``unseat``, split, occupant slide, promotion,
 covers) and the member-side model (views, notices, the consistency oracle)
-live in ``crawsim.tree``.  This module supplies the random child digits,
-the rolled keys (``_rekey_join``, ``_rekey_leave``), the sealed ``Rekey``
-of each event and how a member rolls the keys.
+live in ``crawsim.tree``, where a notice names only the moved positions.
+This module supplies the random child digits, the rolled keys
+(``_rekey_join``, ``_rekey_leave``), the sealed ``Rekey`` of each event
+and how a member rolls the keys.
 
 A member refreshes from the event's ``Rekey`` alone.  It rolls from the
 inputs it holds itself, but the members below one position hold the same
@@ -60,17 +62,6 @@ from .tree import (
 ROOT_CODE = "1"
 
 
-def parent_code(code: str) -> str:
-    if len(code) < 2:
-        raise ValueError("root code has no parent")
-    return code[:-1]
-
-
-def strict_ancestors(code: str) -> list[str]:
-    """Codes strictly between the root and ``code``, top-down."""
-    return [code[:i] for i in range(2, len(code))]
-
-
 class CkcTree(PositionTree):
     """Server-side key tree: code -> key, member -> leaf code."""
 
@@ -92,7 +83,7 @@ class CkcTree(PositionTree):
         occupant's individual key."""
         ak_new = hash_f(self.group_key())
         self._set(ROOT_CODE, ak_new)
-        affected = strict_ancestors(leaf)
+        affected = path_codes(leaf)[1:-1]
         self._roll(affected, ak_new)
         return affected
 
@@ -101,7 +92,7 @@ class CkcTree(PositionTree):
         roll the middle keys the leaver held, above its vanished parent."""
         ak_new = random_key(rng)
         self._set(ROOT_CODE, ak_new)
-        affected = strict_ancestors(leaf[:-1])
+        affected = path_codes(leaf)[1:-2]
         self._roll(affected, ak_new)
         return affected
 
@@ -113,7 +104,7 @@ def joiner_unicasts(tree: PositionTree, leaf: str) -> list[WireMessage]:
     whole path at t=0 under either scheme."""
     key = tree.nodes[leaf]
     path = b"".join(tree.nodes[code] for code in path_codes(leaf)[:-1])
-    unicast = encrypt(key, path + parent_code(leaf).encode("ascii"))
+    unicast = encrypt(key, path + leaf[:-1].encode("ascii"))
     return [WireMessage(f"leaf={leaf}", [WirePayload(leaf, key, unicast)])]
 
 
@@ -199,7 +190,7 @@ def build_joiner_view(
         raise ProtocolError("join unicast payload is not AK', middle keys and a parent code")
     width = len(plaintext) // (KEY_WIDTH + 1) * KEY_WIDTH
     keys = [plaintext[i:i + KEY_WIDTH] for i in range(0, width, KEY_WIDTH)]
-    if parent_code(leaf).encode("ascii") != plaintext[width:]:
+    if leaf[:-1].encode("ascii") != plaintext[width:]:
         raise ProtocolError("announced leaf does not extend the delivered parent code")
     path = dict(zip(path_codes(leaf), keys))
     path[leaf] = individual_key

@@ -105,7 +105,7 @@ def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> Rekey:
     depth = len(notice.leaf) - 1
     # after a promotion, the conventional per-level tally (see module
     # docstring); the realized payload list is two messages shorter
-    reported = 2 * depth if notice.promoted_dst is not None else len(multicasts)
+    reported = 2 * depth if notice.promoted_src is not None else len(multicasts)
     counters = RekeyCounters(
         key_generations=len(changed),
         encryptions=reported,
@@ -143,9 +143,12 @@ def _climb(view: MemberKeyView, rekey: Rekey) -> None:
         if not view.leaf.startswith(label):
             continue
         child_on_path = view.leaf[: len(label) + 1]
-        if child_on_path not in rekey.index:
-            raise ProtocolError(f"no payload under {child_on_path} for {label}")
-        view.store(label, rekey.opened(child_on_path, view.keys[child_on_path]))
+        key = view.keys[child_on_path]
+        try:
+            opened = rekey.opened(child_on_path, key)
+        except KeyError:  # the event's index holds no payload there
+            raise ProtocolError(f"no payload under {child_on_path} for {label}") from None
+        view.store(label, opened)
 
 
 def lkh_member_refresh_join(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:

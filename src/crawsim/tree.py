@@ -14,12 +14,16 @@ without ever computing a key:
 * a leave (``PositionTree.unseat``) drops the leaver's leaf and, when its
   parent is internal and left with one child, promotes that sibling
   subtree into the parent's position: every code in it drops the digit at
-  the promotion depth; the scheme only re-keys what the leaver held.
+  the promotion depth (``promoted``, for the tree and every view alike);
+  the scheme only re-keys what the leaver held.
 
 Members learn of both from the plaintext notices below and mirror them on
 their own view (``MemberKeyView``), applying notices strictly in epoch
-order.  ``PositionTree.view_matches`` is the consistency oracle: a view
-must hold exactly the keys on its root path, equal to the server's.
+order.  A notice names only what a member cannot work out for itself: the
+split leaf is the parent of the occupant's new leaf, and a promoted
+subtree moves into the parent of its old root.
+``PositionTree.view_matches`` is the consistency oracle: a view must hold
+exactly the keys on its root path, equal to the server's.
 
 Each key is recorded where it is stored, for the secrecy oracle: the tree
 in ``stored`` (with the premises of each f(a xor b) in ``derived``) and a
@@ -38,13 +42,12 @@ that hold the same key share one open of a payload or one CKC roll.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from random import Random
 
 # decrypt goes through the module, so a wrapper on crypto.decrypt sees it
 from . import crypto
-from .crypto import DIGITS, Ciphertext, ProtocolError, fingerprint, random_key
+from .crypto import DIGITS, Ciphertext, ProtocolError, random_key
 
 
 @dataclass
@@ -75,10 +78,8 @@ class JoinNotice:
     """
 
     epoch: int
-    member_id: str
     leaf: str
-    split_code: str | None  # former code of the leaf that was split
-    occupant_leaf: str | None  # where the split leaf's occupant moved
+    occupant_leaf: str | None  # where the split leaf's occupant moved, one level down
     # re-keyed positions in the order members refresh them: CKC top-down
     # below the root, LKH bottom-up up to the root
     affected_codes: list[str] = field(default_factory=list)
@@ -89,8 +90,7 @@ class LeaveNotice:
     epoch: int
     member_id: str
     leaf: str  # the leaver's leaf before the promotion
-    promoted_src: str | None  # sibling subtree root before promotion
-    promoted_dst: str | None  # position (and code) it was promoted into
+    promoted_src: str | None  # sibling subtree root before it moved into its parent
     affected_codes: list[str] = field(default_factory=list)  # as on a join
     cover_codes: list[str] = field(default_factory=list)  # CKC, pre-promotion
 
@@ -115,6 +115,13 @@ class WireMessage:
 def path_codes(leaf: str) -> list[str]:
     """All positions from the root to the leaf, top-down."""
     return [leaf[:i] for i in range(1, len(leaf) + 1)]
+
+
+def promoted(code: str, src: str) -> str:
+    """The code of position ``code`` once subtree ``src`` has moved into
+    its parent's position: a code inside the subtree drops the digit at the
+    promotion depth, and any other code is unchanged."""
+    return src[:-1] + code[len(src):] if code.startswith(src) else code
 
 
 @dataclass
@@ -190,12 +197,13 @@ class MemberKeyView:
         stale re-delivery.  The scheme then refreshes the keys."""
         if not self._in_order(notice.epoch):
             return False
-        if notice.split_code is not None and self.leaf == notice.split_code:
+        occupant_leaf = notice.occupant_leaf
+        if occupant_leaf is not None and self.leaf == occupant_leaf[:-1]:
             # this member occupied the split leaf; it slides down one level
             # with its individual key, which stays at the split position
             # until the scheme re-keys it
-            self.keys[notice.occupant_leaf] = self.keys[notice.split_code]
-            self.leaf = notice.occupant_leaf
+            self.keys[occupant_leaf] = self.keys[self.leaf]
+            self.leaf = occupant_leaf
         return True
 
     def accept_leave(self, notice: LeaveNotice) -> bool:
@@ -205,20 +213,15 @@ class MemberKeyView:
         return self._in_order(notice.epoch)
 
     def promote(self, notice: LeaveNotice) -> None:
-        """Mirror the promotion of subtree ``promoted_src`` into position
-        ``promoted_dst``.  Inside the subtree every held code drops the digit
-        at the promotion depth and the key values are unchanged; the old
+        """Mirror the promotion of subtree ``promoted_src`` into its parent's
+        position (``promoted``); the key values are unchanged, and the old
         parent key dies with its position (the subtree root replaces it).
         Members outside the subtree are unchanged."""
-        src, dst = notice.promoted_src, notice.promoted_dst
+        src = notice.promoted_src
         if src is None or not self.leaf.startswith(src):
             return
-        moved = {}
-        for c, k in self.keys.items():
-            if c != dst:
-                moved[dst + c[len(src):] if c.startswith(src) else c] = k
-        self.keys = moved
-        self.leaf = dst + self.leaf[len(src):]
+        self.keys = {promoted(c, src): k for c, k in self.keys.items() if c != src[:-1]}
+        self.leaf = promoted(self.leaf, src)
 
 
 class PositionTree:
@@ -310,13 +313,12 @@ class PositionTree:
         # ``split``, and CKC rolls ``split`` from it
         affected = self._rekey_join(leaf, rng)
         self.epoch += 1
-        return JoinNotice(self.epoch, member_id, leaf, split, occupant_leaf, affected)
+        return JoinNotice(self.epoch, leaf, occupant_leaf, affected)
 
-    def detach(self, leaf: str) -> tuple[str | None, str | None]:
+    def detach(self, leaf: str) -> str | None:
         """Drop a vacated leaf position and promote its sibling subtree into
-        the parent's position when the parent is not the root.  Returns
-        (promoted subtree root before the move, position it moved into), or
-        (None, None) when nothing moved.
+        the parent's position when the parent is not the root.  Returns the
+        promoted subtree's root before the move, or None when nothing moved.
 
         Every internal position below the root has exactly two children: a
         seat splits a leaf into two, and a detach replaces a parent by its
@@ -324,18 +326,18 @@ class PositionTree:
         here; anything else is a broken tree and fails loudly."""
         del self.nodes[leaf]
         if len(leaf) <= 2:  # the parent is the root, which never collapses
-            return None, None
-        parent = leaf[:-1]
-        (src,) = self._children(parent)
+            return None
+        (src,) = self._children(leaf[:-1])
+        # every moved code is popped before any is placed: a promoted code
+        # may be another moved code's old one
         moved = [c for c in self.nodes if c.startswith(src)]
-        relocated = {parent + c[len(src):]: self.nodes[c] for c in moved}
-        for c in moved:
-            del self.nodes[c]
-        self.nodes.update(relocated)
+        keys = [self.nodes.pop(c) for c in moved]
+        for c, k in zip(moved, keys):
+            self.nodes[promoted(c, src)] = k
         for m, c in self.leaves.items():
             if c.startswith(src):
-                self.leaves[m] = parent + c[len(src):]
-        return src, parent
+                self.leaves[m] = promoted(c, src)
+        return src
 
     def covers(self, member_id: str) -> list[tuple[str, bytes]]:
         """The siblings along a member's root path, top-down, with their
@@ -357,17 +359,7 @@ class PositionTree:
         if member_id not in self.leaves:
             raise ProtocolError(f"{member_id} not in tree")
         leaf = self.leaves.pop(member_id)
-        promoted_src, promoted_dst = self.detach(leaf)
+        promoted_src = self.detach(leaf)
         affected = self._rekey_leave(leaf, rng)
         self.epoch += 1
-        return LeaveNotice(self.epoch, member_id, leaf, promoted_src, promoted_dst, affected)
-
-    def dump(self) -> str:
-        """Deterministic JSON snapshot (keys reduced to fingerprints)."""
-        doc = {
-            "root": self.ROOT,
-            "epoch": self.epoch,
-            "nodes": {c: fingerprint(k) for c, k in sorted(self.nodes.items())},
-            "leaves": dict(sorted(self.leaves.items())),
-        }
-        return json.dumps(doc, sort_keys=True, indent=1)
+        return LeaveNotice(self.epoch, member_id, leaf, promoted_src, affected)

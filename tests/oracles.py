@@ -1,11 +1,26 @@
-"""Test oracles that read a finished run's recorder but that no run calls."""
+"""Test oracles that no run calls: checks on a finished run's recorder and
+a snapshot of a server tree."""
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
-from crawsim.crypto import DecryptionError, decrypt, hash_f, hash_f_xor
+from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor
 from crawsim.secrecy import RunRecorder, _legal
+from crawsim.tree import PositionTree
+
+
+def dump(tree: PositionTree) -> str:
+    """Deterministic JSON snapshot of a server tree (keys reduced to
+    fingerprints)."""
+    doc = {
+        "root": tree.ROOT,
+        "epoch": tree.epoch,
+        "nodes": {c: fingerprint(k) for c, k in sorted(tree.nodes.items())},
+        "leaves": dict(sorted(tree.leaves.items())),
+    }
+    return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def operational_decrypt_check(rec: RunRecorder, max_attempts: int = 4000) -> list[str]:

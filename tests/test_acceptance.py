@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from crawsim.cli import main as cli_main
-from crawsim.ckc import parent_code
 from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor, random_key, xor_bytes
 from crawsim.ckc import CkcTree, ckc_join, ckc_leave, ckc_member_refresh_join, build_joiner_view
 from crawsim.otp import ClientSecret, make_challenge, register, verify
@@ -178,10 +177,10 @@ def test_c02_join_and_leave_walkthrough():
     # joiner gets them in its unicast, and no middle key is multicast
     middle = [leaf[:i] for i in range(2, len(leaf))]
     assert res.notice.affected_codes == middle
-    assert before[parent_code(leaf)] in iks.values()
+    assert before[leaf[:-1]] in iks.values()
     rolled = [hash_f_xor(ak_new, before[code]) for code in middle]
     assert [tree.nodes[code] for code in middle] == rolled
-    assert plaintext == ak_new + b"".join(rolled) + parent_code(leaf).encode("ascii")
+    assert plaintext == ak_new + b"".join(rolled) + leaf[:-1].encode("ascii")
     for v in views.values():
         assert tree.view_matches(v)
 
@@ -195,7 +194,7 @@ def test_c02_join_and_leave_walkthrough():
         prefix = leaver_leaf[:i]
         siblings = [
             c for c in pre_nodes
-            if len(c) == len(prefix) and c != prefix and parent_code(c) == parent_code(prefix)
+            if len(c) == len(prefix) and c != prefix and c[:-1] == prefix[:-1]
         ]
         assert len(siblings) == 1
         expected_cover.append(siblings[0])

@@ -27,6 +27,7 @@ from crawsim.scenario import validate_doc
 from crawsim.secrecy import check_secrecy
 from crawsim.sim import Simulation
 from crawsim.tree import MemberKeyView, WireMessage, WirePayload, path_codes
+from oracles import dump
 from test_acceptance import ZERO_DELAYS, random_scenario
 
 
@@ -218,7 +219,7 @@ def test_leave_promotion_recodes_sibling_subtree():
     leaf = h.tree.leaves[leaver]
     res, _ = h.leave(leaver)
     if res.notice.promoted_src is not None:
-        assert res.notice.promoted_dst == leaf[:-1]
+        assert res.notice.promoted_src[:-1] == leaf[:-1]
         # promoted members' codes dropped the digit at the promotion depth
         for view in h.views.values():
             assert not view.leaf.startswith(res.notice.promoted_src)
@@ -265,10 +266,10 @@ def test_duplicate_join_and_unknown_leave_raise():
         lambda: ckc_join(h.tree, "u1", ik, h.rng),
         lambda: ckc_leave(h.tree, "ghost", h.rng),
     ):
-        dump, state = h.tree.dump(), h.rng.getstate()
+        snapshot, state = dump(h.tree), h.rng.getstate()
         with pytest.raises(ProtocolError):
             refused()
-        assert h.tree.dump() == dump
+        assert dump(h.tree) == snapshot
         assert h.rng.getstate() == state
 
 
@@ -295,9 +296,9 @@ def test_dump_is_deterministic_and_fingerprinted():
     h1, h2 = Harness(seed=16), Harness(seed=16)
     h1.grow(5)
     h2.grow(5)
-    assert h1.tree.dump() == h2.tree.dump()
+    assert dump(h1.tree) == dump(h2.tree)
     assert len(h1.tree.group_key().hex()) == 32
-    assert h1.tree.group_key().hex() not in h1.tree.dump()  # no raw keys
+    assert h1.tree.group_key().hex() not in dump(h1.tree)  # no raw keys
 
 
 def test_randomized_sequences_stay_consistent():
@@ -484,7 +485,7 @@ def test_joiner_refuses_a_leaf_off_the_delivered_parent():
         build_joiner_view("u5", ik, _sealed(ik, leaf, bogus), leaf, res.notice.epoch)
 
 
-def test_join_unicast_without_a_parent_code_is_refused():
+def test_join_unicast_without_a_parent_position_is_refused():
     ik = bytes(KEY_WIDTH)
     notice = ckc_join(CkcTree.new(random.Random(21)), "u1", ik, random.Random(21)).notice
     for plaintext in (b"", random_key(random.Random(21))):  # nothing; AK' with no parent code

@@ -4,7 +4,7 @@ orchestration across all three schemes."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -25,7 +25,8 @@ from crawsim.entities import (
 from crawsim.crypto import encrypt
 from crawsim.lkh import lkh_member_refresh_leave
 from crawsim.otp import AuthRecord, ClientSecret
-from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload, path_codes
+from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload, path_codes, promoted
+from oracles import dump
 
 
 def make_member(mainlist: MainList, member_id: str, rng: random.Random) -> MobileMember:
@@ -237,10 +238,10 @@ def test_area_join_leave_keeps_every_view_consistent(scheme):
     view.keys[code] = kept
     assert area.consistent()
     # a non-member's leave is refused before any change or draw
-    before = (area.tree.dump(), rng.getstate(), sorted(area.views))
+    before = (dump(area.tree), rng.getstate(), sorted(area.views))
     with pytest.raises(ProtocolError):
         area.leave("nobody")
-    assert (area.tree.dump(), rng.getstate(), sorted(area.views)) == before
+    assert (dump(area.tree), rng.getstate(), sorted(area.views)) == before
     with pytest.raises(ProtocolError):
         AreaState("A", "mystery", rng)
 
@@ -322,7 +323,7 @@ def test_batch_seat_and_hand_out_equal_sequential_joins(scheme):
         assert [(p.under, p.enc_key) for msg in msgs for p in msg.payloads] == [(batch.views[m].leaf, k)]
     for m, k in zip(member_ids, keys):
         sequential.join(m, k)
-    assert batch.tree.dump() == sequential.tree.dump()
+    assert dump(batch.tree) == dump(sequential.tree)
     assert batch.rng.getstate() == sequential.rng.getstate()
     for m in member_ids:
         vb, vs = batch.views[m], sequential.views[m]
@@ -420,3 +421,50 @@ def test_a_shrunk_tree_keeps_the_depth_of_its_peak(scheme):
     deepest = max(leaves, key=lambda m: len(leaves[m]))
     assert area.leave(deepest).cost == 6
     assert area.consistent()
+
+
+def test_a_promotion_recodes_its_subtree_in_place_by_one_rule():
+    # Grow a balanced 64-member LKH area (leaves r000000 .. r111111) and
+    # let three leaves under r0000 go, so that one member sits at r0000
+    # beside the three-level subtree r0001.  When it leaves, r0001 moves
+    # into r000, and the promoted codes reuse old ones: r00010 -> r0000
+    # (the leaver's), r000110 -> r00010, r00011 -> r0001.
+    rng = random.Random(61)
+    area = AreaState("A", "lkh", rng)
+    for i in range(64):
+        area.join(f"m{i}", random_key(rng))
+    tree = area.tree
+
+    def at(code: str) -> str:
+        (member,) = [m for m, c in tree.leaves.items() if c == code]
+        return member
+
+    for code in ("r000000", "r000010", "r00000"):
+        area.leave(at(code))
+    leaf, src = "r0000", "r0001"
+    member = at(leaf)
+    assert "r000111" in tree.nodes
+
+    nodes, leaves = tree.nodes, tree.leaves
+    old_nodes, old_leaves = dict(nodes), dict(leaves)
+    notice = area.leave(member).notice
+    assert notice.leaf == leaf and notice.promoted_src == src
+    assert tree.nodes is nodes and tree.leaves is leaves
+    assert promoted("r00010", src) == leaf and promoted(leaf, src) == leaf
+    for m, c in old_leaves.items():
+        if m != member:
+            assert leaves[m] == area.views[m].leaf == promoted(c, src)
+    # the promoted keys keep their values; only positions above the
+    # leaver's old parent are re-keyed
+    for c, key in old_nodes.items():
+        if c.startswith(src):
+            assert nodes[promoted(c, src)] == key
+    assert area.consistent()
+
+    # a notice names only what a member cannot work out for itself: no
+    # joiner id, split leaf (the occupant leaf's parent) or promotion target
+    # (the promoted root's parent)
+    assert [f.name for f in fields(JoinNotice)] == ["epoch", "leaf", "occupant_leaf", "affected_codes"]
+    assert [f.name for f in fields(LeaveNotice)] == [
+        "epoch", "member_id", "leaf", "promoted_src", "affected_codes", "cover_codes",
+    ]

@@ -1,16 +1,21 @@
 """Message-flow regression: each operation must emit exactly the expected
 kind sequence, byte for byte against the committed golden files, and every
-bundled scenario must render the same four artifacts under every scheme."""
+bundled scenario must render the same four artifacts under every scheme and
+every hash seed."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import crawsim
 from crawsim.scenario import apply_overrides, validate_doc
 from crawsim.sim import (
     Simulation,
@@ -116,3 +121,31 @@ def test_bundled_artifacts_byte_identical(name, scheme):
     )
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in rendered)
     assert digests == ARTIFACT_SHA256[(name, scheme)]
+
+
+# Run every bundled scenario's byte-identity check above in a fresh
+# interpreter; prints the cases that failed, or "ok".
+_CHILD = """
+from test_golden import ARTIFACT_SHA256, test_bundled_artifacts_byte_identical as check
+failed = []
+for name, scheme in sorted(ARTIFACT_SHA256):
+    try:
+        check(name, scheme)
+    except AssertionError:
+        failed.append(f"{name}/{scheme}")
+print(" ".join(failed) or "ok")
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "77"])
+def test_bundled_artifacts_do_not_depend_on_the_hash_seed(hash_seed):
+    # key sets are set[bytes], whose iteration order follows PYTHONHASHSEED:
+    # an artifact built by iterating one would change from seed to seed
+    paths = (Path(crawsim.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, paths), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -18,6 +18,7 @@ from crawsim.lkh import (
     lkh_member_refresh_leave,
 )
 from crawsim.tree import MemberKeyView, WireMessage
+from oracles import dump
 
 
 class Harness:
@@ -162,10 +163,10 @@ def test_duplicate_join_and_unknown_leave_raise():
         lambda: lkh_join(h.tree, "u1", ik, h.rng),
         lambda: lkh_leave(h.tree, "ghost", h.rng),
     ):
-        dump, state = h.tree.dump(), h.rng.getstate()
+        snapshot, state = dump(h.tree), h.rng.getstate()
         with pytest.raises(ProtocolError):
             refused()
-        assert h.tree.dump() == dump
+        assert dump(h.tree) == snapshot
         assert h.rng.getstate() == state
 
 
@@ -192,7 +193,7 @@ def test_dump_deterministic():
     a, b = Harness(seed=11), Harness(seed=11)
     a.grow(6)
     b.grow(6)
-    assert a.tree.dump() == b.tree.dump()
+    assert dump(a.tree) == dump(b.tree)
 
 
 def test_refresh_refuses_a_join_without_its_payload():
