@@ -285,7 +285,8 @@ class AreaState:
         return res
 
     def consistent(self) -> bool:
-        """Every present member's view matches the server tree exactly."""
-        if self.tree.member_count() != len(self.views):
+        """Every present member's view matches the server tree exactly, and
+        the tree's placement index matches its leaves."""
+        if self.tree.member_count() != len(self.views) or not self.tree.index_matches():
             return False
         return all(self.tree.view_matches(view) for view in self.views.values())

@@ -17,6 +17,11 @@ without ever computing a key:
   the promotion depth (``promoted``, for the tree and every view alike);
   the scheme only re-keys what the leaver held.
 
+Neither scans the whole tree.  The server keeps an occupant index (leaf
+position -> member, the inverse of ``leaves``) and a heap of leaf positions
+by (depth, code) with lazy deletion, so a seat finds the leaf to split in
+O(log n), and a promotion walks and re-codes only the moved subtree.
+
 Members learn of both from the plaintext notices below and mirror them on
 their own view (``MemberKeyView``), applying notices strictly in epoch
 order.  A notice names only what a member cannot work out for itself: the
@@ -43,6 +48,7 @@ that hold the same key share one open of a payload or one CKC roll.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from random import Random
 
 # decrypt goes through the module, so a wrapper on crypto.decrypt sees it
@@ -233,13 +239,25 @@ class PositionTree:
     re-keyed positions in the order members refresh them:
     ``_rekey_join(leaf, rng)`` for the joiner's path, and
     ``_rekey_leave(leaf, rng)`` for what the leaver at ``leaf`` held, once
-    its sibling subtree has moved into its parent's position."""
+    its sibling subtree has moved into its parent's position.
+
+    Placement is indexed so that no join or leave scans the whole tree.
+    ``occupants`` (leaf position -> member) is the exact inverse of
+    ``leaves``, and a heap of ``(depth, position)`` holds every leaf
+    position, so ``shallowest_leaf`` peeks at its top.  A position that
+    stops being a leaf stays in the heap until it reaches the top
+    (lazy deletion); when stale entries outnumber the leaves, the heap is
+    rebuilt from ``occupants``.  A member changes position only through
+    ``_place``, which keeps all three in step.  A promotion walks only the
+    moved subtree, from its root through ``_children``."""
 
     ROOT: str  # name of the root position, set by each scheme
 
     def __init__(self, group_key: bytes):
         self.nodes: dict[str, bytes] = {self.ROOT: group_key}
         self.leaves: dict[str, str] = {}
+        self.occupants: dict[str, str] = {}  # the inverse of ``leaves``
+        self._heap: list[tuple[int, str]] = []  # (depth, position), lazily deleted
         self.epoch = 0
         # every key ever stored, recorded here (``_set``); a simulation
         # shares it as its recorder's ``key_universe``
@@ -275,20 +293,47 @@ class PositionTree:
             return False
         return all(view.keys[c] == self.nodes.get(c) for c in expected)
 
+    def index_matches(self) -> bool:
+        """Consistency oracle of the placement index: ``occupants`` inverts
+        ``leaves`` exactly, and every leaf position is in the heap."""
+        if self.occupants != {c: m for m, c in self.leaves.items()}:
+            return False
+        return self.occupants.keys() <= {c for _, c in self._heap}
+
     def _children(self, code: str) -> list[str]:
         """Occupied one-digit extensions of ``code``, in sorted order."""
         return [child for child in (code + d for d in DIGITS) if child in self.nodes]
 
+    def _place(self, moves: list[tuple[str, str | None]]) -> None:
+        """Move each member to its new leaf position, or out of the tree
+        for None.  Every old position leaves the occupant index before any
+        new one enters it: a promoted code may be another mover's old one."""
+        for member_id, _ in moves:
+            if member_id in self.leaves:
+                del self.occupants[self.leaves[member_id]]
+        for member_id, leaf in moves:
+            if leaf is None:
+                del self.leaves[member_id]
+            else:
+                self.leaves[member_id] = leaf
+                self.occupants[leaf] = member_id
+                heappush(self._heap, (len(leaf), leaf))
+        if len(self._heap) > 2 * len(self.occupants):
+            self._heap = [(len(c), c) for c in self.occupants]
+            heapify(self._heap)
+
     def shallowest_leaf(self) -> str:
         """The leaf a join splits: least depth, ties broken by smallest code."""
-        return min(self.leaves.values(), key=lambda c: (len(c), c))
+        heap = self._heap
+        while heap[0][1] not in self.occupants:
+            heappop(heap)
+        return heap[0][1]
 
     def slide_occupant(self, split: str, occupant_leaf: str) -> None:
         """Move the member at leaf ``split`` down to ``occupant_leaf`` with its
         individual key; ``split`` becomes internal and is re-keyed by the
         scheme."""
-        occupant = next(m for m, c in self.leaves.items() if c == split)
-        self.leaves[occupant] = occupant_leaf
+        self._place([(self.occupants[split], occupant_leaf)])
         self._set(occupant_leaf, self.nodes[split])
 
     def seat(self, member_id: str, individual_key: bytes, rng: Random) -> JoinNotice:
@@ -307,7 +352,7 @@ class PositionTree:
             occupant_leaf = split + self._digit(rng, "")
             leaf = split + self._digit(rng, occupant_leaf[-1])
             self.slide_occupant(split, occupant_leaf)
-        self.leaves[member_id] = leaf
+        self._place([(member_id, leaf)])
         self._set(leaf, individual_key)
         # re-keyed only now: the slide copied the occupant's key out of
         # ``split``, and CKC rolls ``split`` from it
@@ -328,15 +373,15 @@ class PositionTree:
         if len(leaf) <= 2:  # the parent is the root, which never collapses
             return None
         (src,) = self._children(leaf[:-1])
+        moved = [src]
+        for code in moved:  # the subtree top-down, grown while walked
+            moved.extend(self._children(code))
         # every moved code is popped before any is placed: a promoted code
         # may be another moved code's old one
-        moved = [c for c in self.nodes if c.startswith(src)]
         keys = [self.nodes.pop(c) for c in moved]
         for c, k in zip(moved, keys):
             self.nodes[promoted(c, src)] = k
-        for m, c in self.leaves.items():
-            if c.startswith(src):
-                self.leaves[m] = promoted(c, src)
+        self._place([(self.occupants[c], promoted(c, src)) for c in moved if c in self.occupants])
         return src
 
     def covers(self, member_id: str) -> list[tuple[str, bytes]]:
@@ -358,7 +403,8 @@ class PositionTree:
         changes nothing and draws nothing."""
         if member_id not in self.leaves:
             raise ProtocolError(f"{member_id} not in tree")
-        leaf = self.leaves.pop(member_id)
+        leaf = self.leaves[member_id]
+        self._place([(member_id, None)])
         promoted_src = self.detach(leaf)
         affected = self._rekey_leave(leaf, rng)
         self.epoch += 1

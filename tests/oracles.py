@@ -1,5 +1,6 @@
-"""Test oracles that no run calls: checks on a finished run's recorder and
-a snapshot of a server tree."""
+"""Test oracles that no run calls: checks on a finished run's recorder, a
+snapshot of a server tree, and the placement rules read off the tree by
+brute-force scans, against which its index is checked."""
 
 from __future__ import annotations
 
@@ -21,6 +22,18 @@ def dump(tree: PositionTree) -> str:
         "leaves": dict(sorted(tree.leaves.items())),
     }
     return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def scan_shallowest_leaf(tree: PositionTree) -> str:
+    """The leaf a join splits, by a scan of every leaf: least depth, ties
+    broken by smallest code."""
+    return min(tree.leaves.values(), key=lambda c: (len(c), c))
+
+
+def scan_occupant(tree: PositionTree, code: str) -> str:
+    """The one member at leaf ``code``, by a scan of every leaf."""
+    (member,) = [m for m, c in tree.leaves.items() if c == code]
+    return member
 
 
 def operational_decrypt_check(rec: RunRecorder, max_attempts: int = 4000) -> list[str]:

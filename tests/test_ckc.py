@@ -27,7 +27,7 @@ from crawsim.scenario import validate_doc
 from crawsim.secrecy import check_secrecy
 from crawsim.sim import Simulation
 from crawsim.tree import MemberKeyView, WireMessage, WirePayload, path_codes
-from oracles import dump
+from oracles import dump, scan_occupant, scan_shallowest_leaf
 from test_acceptance import ZERO_DELAYS, random_scenario
 
 
@@ -152,7 +152,7 @@ def test_off_path_member_only_group_key_changes():
     h = Harness(seed=4)
     h.grow(8)
     # pick a member in the opposite root subtree from the next insertion point
-    split = min(h.tree.leaves.values(), key=lambda c: (len(c), c))
+    split = scan_shallowest_leaf(h.tree)
     off = next(m for m, c in h.tree.leaves.items() if c[1] != split[1])
     before = dict(h.views[off].keys)
     h.join("u9")
@@ -165,8 +165,8 @@ def test_off_path_member_only_group_key_changes():
 def test_occupant_slides_down_and_keeps_individual_key():
     h = Harness(seed=5)
     h.grow(8)
-    split = min(h.tree.leaves.values(), key=lambda c: (len(c), c))
-    occupant = next(m for m, c in h.tree.leaves.items() if c == split)
+    split = scan_shallowest_leaf(h.tree)
+    occupant = scan_occupant(h.tree, split)
     ik_before = h.views[occupant].keys[split]
     res = h.join("u9")
     occ_view = h.views[occupant]

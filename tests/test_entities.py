@@ -26,7 +26,7 @@ from crawsim.crypto import encrypt
 from crawsim.lkh import lkh_member_refresh_leave
 from crawsim.otp import AuthRecord, ClientSecret
 from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload, path_codes, promoted
-from oracles import dump
+from oracles import dump, scan_occupant
 
 
 def make_member(mainlist: MainList, member_id: str, rng: random.Random) -> MobileMember:
@@ -434,15 +434,10 @@ def test_a_promotion_recodes_its_subtree_in_place_by_one_rule():
     for i in range(64):
         area.join(f"m{i}", random_key(rng))
     tree = area.tree
-
-    def at(code: str) -> str:
-        (member,) = [m for m, c in tree.leaves.items() if c == code]
-        return member
-
     for code in ("r000000", "r000010", "r00000"):
-        area.leave(at(code))
+        area.leave(scan_occupant(tree, code))
     leaf, src = "r0000", "r0001"
-    member = at(leaf)
+    member = scan_occupant(tree, leaf)
     assert "r000111" in tree.nodes
 
     nodes, leaves = tree.nodes, tree.leaves

@@ -18,7 +18,7 @@ from crawsim.lkh import (
     lkh_member_refresh_leave,
 )
 from crawsim.tree import MemberKeyView, WireMessage
-from oracles import dump
+from oracles import dump, scan_occupant, scan_shallowest_leaf
 
 
 class Harness:
@@ -144,8 +144,8 @@ def test_leave_depth_one_member():
 def test_occupant_relabels_and_keeps_key():
     h = Harness(seed=8)
     h.grow(4)
-    split = min(h.tree.leaves.values(), key=lambda c: (len(c), c))
-    occupant = next(m for m, c in h.tree.leaves.items() if c == split)
+    split = scan_shallowest_leaf(h.tree)
+    occupant = scan_occupant(h.tree, split)
     ik = h.views[occupant].keys[split]
     res = h.join("u5")
     assert h.views[occupant].leaf == res.notice.occupant_leaf

@@ -1,0 +1,92 @@
+"""The position tree's placement index: the occupant index and the leaf heap
+agree with the brute-force placement rules after every seat and unseat."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from crawsim.ckc import CkcTree
+from crawsim.crypto import random_key
+from crawsim.entities import AreaState
+from crawsim.lkh import LkhTree
+from oracles import scan_shallowest_leaf
+
+
+def churn(tree_cls, seed: int, n_ops: int, cap: int):
+    """Seeded random seats and unseats on a fresh tree, in waves that grow
+    it to ``cap`` members and shrink it to two, so that leaves scattered
+    over a full tree leave lopsided subtrees to promote; yields the tree
+    and, for an unseat, the moved members' old and new leaves."""
+    rng = random.Random(seed)
+    tree = tree_cls.new(rng)
+    absent = [f"m{i}" for i in range(cap)]
+    shrinking = False
+    for _ in range(n_ops):
+        shrinking = (shrinking or not absent) and len(tree.leaves) > 2
+        if shrinking:
+            before = dict(tree.leaves)
+            member = rng.choice(list(before))
+            tree.unseat(member, rng)
+            absent.append(member)
+            del before[member]
+            yield tree, {m: (c, tree.leaves[m]) for m, c in before.items() if tree.leaves[m] != c}
+        else:
+            tree.seat(absent.pop(rng.randrange(len(absent))), random_key(rng), rng)
+            yield tree, {}
+
+
+@pytest.mark.parametrize("tree_cls", (CkcTree, LkhTree))
+def test_the_index_agrees_with_the_scan_rule(tree_cls):
+    reused = 0
+    for seed in range(10):
+        for tree, moved in churn(tree_cls, seed, n_ops=600, cap=64):
+            assert tree.occupants == {c: m for m, c in tree.leaves.items()}
+            assert tree.shallowest_leaf() == scan_shallowest_leaf(tree)
+            # a promoted code that is another moved code's old one
+            reused += bool({new for _, new in moved.values()} & {old for old, _ in moved.values()})
+    assert reused > 0
+
+
+@pytest.mark.parametrize("tree_cls", (CkcTree, LkhTree))
+def test_the_heap_stays_bounded_under_churn(tree_cls):
+    # 2 000 alternating leaves and joins in a 64-member area: stale entries
+    # never outnumber the live leaves for long
+    rng = random.Random(3)
+    tree = tree_cls.new(rng)
+    for i in range(64):
+        tree.seat(f"m{i}", random_key(rng), rng)
+    absent = ["w0"]
+    for t in range(2000):
+        if t % 2 == 0:
+            member = rng.choice(list(tree.leaves))
+            tree.unseat(member, rng)
+            absent.append(member)
+        else:
+            tree.seat(absent.pop(rng.randrange(len(absent))), random_key(rng), rng)
+        assert len(tree._heap) <= 2 * len(tree.leaves) + 2, t
+    assert tree.index_matches()
+
+
+@pytest.mark.parametrize("scheme", ("ckc_craw", "lkh"))
+def test_a_corrupted_index_is_inconsistent(scheme):
+    rng = random.Random(7)
+    area = AreaState("A", scheme, rng)
+    for i in range(9):
+        area.join(f"m{i}", random_key(rng))
+    assert area.consistent()
+    tree = area.tree
+    a, b = tree.leaves["m0"], tree.leaves["m1"]
+
+    tree.occupants[a], tree.occupants[b] = "m1", "m0"  # swapped
+    assert not area.consistent()
+    tree.occupants[a], tree.occupants[b] = "m0", "m1"
+    assert area.consistent()
+
+    tree.occupants[a + "1"] = "m0"  # a stale extra entry
+    assert not area.consistent()
+    del tree.occupants[a + "1"]
+
+    tree._heap.remove((len(a), a))  # a leaf the heap lost
+    assert not area.consistent()
