@@ -31,13 +31,13 @@ between (``seat``), so each member receives its whole root path, middle
 keys included, in the join unicast's format: one payload under its
 individual key (``joiner_unicasts``), under either scheme.
 
-The placement and leave rules and the position mechanics
-(``PositionTree.seat`` and ``unseat``, split, occupant slide, promotion,
-covers) and the member-side model (views, notices, the consistency oracle)
-live in ``crawsim.tree``, where a notice names only the moved positions.
-This module supplies the random child digits, the rolled keys
-(``_rekey_join``, ``_rekey_leave``), the sealed ``Rekey`` of each event
-and how a member rolls the keys.
+The placement and leave rules, the positions each event re-keys, the
+position mechanics (``PositionTree.seat`` and ``unseat``, split, occupant
+slide, promotion, covers), the member-side model (views, notices, the
+consistency oracle) and the counting rule (``RekeyCounters.sent``) live in
+``crawsim.tree``.  This module supplies the random child digits, the
+fresh AK' and rolled middle keys (``CkcTree._rekey``), the sealed ``Rekey``
+of each event and how a member rolls the keys.
 
 A member refreshes from the event's ``Rekey`` alone.  It rolls from the
 inputs it holds itself, but the members below one position hold the same
@@ -67,34 +67,20 @@ class CkcTree(PositionTree):
 
     ROOT = ROOT_CODE
 
-    def _roll(self, codes: list[str], ak: bytes) -> None:
-        """Roll each middle key at ``codes`` from its previous value K to
-        f(AK' xor K)."""
-        for code in codes:
-            premises = (ak, self.nodes[code])
-            self._set(code, hash_f_xor(*premises), premises)
-
     def _digit(self, rng: Random, exclude: str) -> str:
         return random_digit(rng, exclude=exclude)
 
-    def _rekey_join(self, leaf: str, rng: Random) -> list[str]:
-        """Roll the group key forward (AK' = f(AK)) and, under AK', the
-        middle keys on the joiner's path; the split position rolls from the
-        occupant's individual key."""
-        ak_new = hash_f(self.group_key())
+    def _rekey(self, middles: list[str], rng: Random, joined: bool) -> list[str]:
+        """Roll the group key forward on a join (AK' = f(AK)), or draw a
+        fresh random AK' on a leave, which the leaver never gets; under AK',
+        roll each middle key from its previous value K to f(AK' xor K).  A
+        join's split position rolls from the occupant's individual key."""
+        ak_new = hash_f(self.group_key()) if joined else random_key(rng)
         self._set(ROOT_CODE, ak_new)
-        affected = path_codes(leaf)[1:-1]
-        self._roll(affected, ak_new)
-        return affected
-
-    def _rekey_leave(self, leaf: str, rng: Random) -> list[str]:
-        """Draw a fresh random AK', which the leaver never gets, and under it
-        roll the middle keys the leaver held, above its vanished parent."""
-        ak_new = random_key(rng)
-        self._set(ROOT_CODE, ak_new)
-        affected = path_codes(leaf)[1:-2]
-        self._roll(affected, ak_new)
-        return affected
+        for code in middles:
+            premises = (ak_new, self.nodes[code])
+            self._set(code, hash_f_xor(*premises), premises)
+        return middles
 
 
 def joiner_unicasts(tree: PositionTree, leaf: str) -> list[WireMessage]:
@@ -125,12 +111,7 @@ def ckc_join(
     """
     notice = tree.seat(member_id, individual_key, rng)
     unicasts = joiner_unicasts(tree, notice.leaf)
-    counters = RekeyCounters(
-        key_generations=1 + (1 if count_individual_key else 0),
-        encryptions=1,
-        unicast_sends=1,
-        multicast_sends=0,
-    )
+    counters = RekeyCounters.sent(2 if count_individual_key else 1, unicasts, [])
     return Rekey(notice, unicasts, [], counters, counters.key_generations)
 
 
@@ -147,13 +128,7 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
         WireMessage(f"code={code}", [WirePayload(code, key, encrypt(key, ak_new))])
         for code, key in covers
     ]
-    counters = RekeyCounters(
-        key_generations=1,
-        encryptions=len(multicasts),
-        unicast_sends=0,
-        multicast_sends=len(multicasts),
-    )
-    return Rekey(notice, [], multicasts, counters, len(notice.leaf) - 1)
+    return Rekey(notice, [], multicasts, RekeyCounters.sent(1, [], multicasts), len(notice.leaf) - 1)
 
 
 def _rolled(rekey: Rekey, *inputs: bytes) -> bytes:

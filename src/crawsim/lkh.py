@@ -6,20 +6,21 @@ unicast chain and to current members as per-node multicasts under child
 keys), and a leave collapses the leaver's parent by promoting the sibling
 subtree, then regenerates the surviving path keys.
 
-Counter conventions: join counters are realized counts and equal the
-textbook formulas on balanced trees (depth keygens, 3*depth encryptions,
-depth unicasts, depth multicasts).  Leave counters follow the conventional
-per-level tally of 2*depth encryptions/multicasts over the leaver's depth;
-the realized minimal payload set is 2*(depth-1) messages, two per
-regenerated ancestor, and is what the payload list contains.  The two
-figures are both exposed: counters in ``RekeyCounters``, real messages in
-``multicasts``.
+Counter conventions: counters are the realized counts
+(``RekeyCounters.sent``); on a join they equal the textbook formulas on
+balanced trees (depth keygens, 3*depth encryptions, depth unicasts, depth
+multicasts).  The one exception is a leave that promotes a subtree: its
+counters follow the conventional per-level tally of 2*depth
+encryptions/multicasts over the leaver's depth, while its payload list
+holds the realized minimal set of 2*(depth-1) messages, two per
+regenerated ancestor.  A depth-1 leave promotes nothing and reports its
+realized counts.
 
-Placement and leave (``PositionTree.seat`` and ``unseat``) live in
-``crawsim.tree``; this module supplies the child digits, the fresh path
-keys of both events (``_rekey_join``, ``_rekey_leave``), the sealed
-``Rekey`` of each event and how a member climbs its path to open them,
-looking its own positions up in the event's ``index`` and sharing each
+Placement, leave and the positions each event re-keys live in
+``crawsim.tree``; this module supplies the child digits, the fresh keys
+(``LkhTree._rekey``: the middle positions bottom-up, then the root), the
+sealed ``Rekey`` of each event and how a member climbs its path to open
+them, looking its own positions up in the event's ``index`` and sharing each
 open (``Rekey.opened``).  Only a joiner gets a chain: the t=0 roster gets
 ``ckc.joiner_unicasts`` under LKH too.
 """
@@ -44,18 +45,10 @@ class LkhTree(PositionTree):
     def _digit(self, rng: Random, exclude: str) -> str:
         return "0" if "0" not in exclude else "1"
 
-    def _rekey_join(self, leaf: str, rng: Random) -> list[str]:
-        """Draw fresh keys bottom-up: the split position (if any), every
-        ancestor above it, and the root."""
-        changed = [leaf[:i] for i in range(len(leaf) - 1, 0, -1)]
-        for label in changed:
-            self._set(label, random_key(rng))
-        return changed
-
-    def _rekey_leave(self, leaf: str, rng: Random) -> list[str]:
-        """Draw fresh keys bottom-up above the collapsed parent, or for the
-        root alone when the leaver sat right below it."""
-        changed = [leaf[:i] for i in range(len(leaf) - 2, 0, -1)] or [ROOT_LABEL]
+    def _rekey(self, middles: list[str], rng: Random, joined: bool) -> list[str]:
+        """Draw a fresh key for each middle position bottom-up, then for the
+        root, on a join and a leave alike."""
+        changed = middles[::-1] + [ROOT_LABEL]
         for label in changed:
             self._set(label, random_key(rng))
         return changed
@@ -82,12 +75,7 @@ def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) 
         WireMessage(f"label={label}", [_seal(tree, label, child) for child in tree._children(label)])
         for label in changed
     ]
-    counters = RekeyCounters(
-        key_generations=len(changed),
-        encryptions=len(chain) + sum(len(msg.payloads) for msg in multicasts),
-        unicast_sends=len(chain),
-        multicast_sends=len(multicasts),
-    )
+    counters = RekeyCounters.sent(len(changed), chain, multicasts)
     # the server also mints the joiner's individual key
     return Rekey(notice, chain, multicasts, counters, len(changed) + 1)
 

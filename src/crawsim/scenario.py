@@ -159,12 +159,12 @@ def validate_doc(doc: dict) -> Scenario:
                 _fail(f"{where}.to", f"{dst!r} is not a declared area")
             if src == dst:
                 _fail(f"{where}.to", "source and destination must differ")
-            events.append(ScenarioEvent(to_ticks(seconds), "move", member, src=src, dst=dst))
+            events.append(ScenarioEvent(i, to_ticks(seconds), "move", member, src=src, dst=dst))
         else:
             area = ev.get("area")
             if not isinstance(area, str) or area not in areas:
                 _fail(f"{where}.area", f"{area!r} is not a declared area")
-            events.append(ScenarioEvent(to_ticks(seconds), op, member, area=area))
+            events.append(ScenarioEvent(i, to_ticks(seconds), op, member, area=area))
         last_time = max(last_time, seconds)
     events.sort(key=lambda e: e.time)  # stable: same-tick events keep file order
 

@@ -148,12 +148,17 @@ class DelayConfig:
 
 @dataclass(frozen=True)
 class ScenarioEvent:
+    index: int  # position in the document's ``events`` list
     time: int  # ticks
     op: str  # "join" | "leave" | "move"
     member: str
     area: str | None = None  # join / leave
     src: str | None = None  # move
     dst: str | None = None
+
+    def refusal(self, reason: str) -> ProtocolError:
+        """The run's refusal of this event, named by its field path and time."""
+        return ProtocolError(f"events[{self.index}] (t={fmt_ticks(self.time)}): {reason}")
 
 
 @dataclass
@@ -454,7 +459,7 @@ class Simulation:
 
     def _dispatch(self, ev: ScenarioEvent) -> None:
         if self.members[ev.member].busy:
-            raise ProtocolError(f"{ev.member} already has an operation in flight")
+            raise ev.refusal(f"{ev.member} already has an operation in flight")
         if ev.op == "leave":
             self._leave(ev)
         else:
@@ -483,7 +488,7 @@ class Simulation:
         area = self.areas[ev.area]
         keyed_in = self.mainlist.area_of(ev.member)
         if keyed_in is not None:
-            raise ProtocolError(f"{ev.member} is already keyed in {keyed_in}")
+            raise ev.refusal(f"{ev.member} is already keyed in {keyed_in}")
         member.busy = True
         t = ev.time
         self._emit(t, "igmp_connect", ev.member, area.area_id)
@@ -511,7 +516,7 @@ class Simulation:
     def _leave(self, ev: ScenarioEvent) -> None:
         area = self.areas[ev.area]
         if self.mainlist.area_of(ev.member) != area.area_id:
-            raise ProtocolError(f"{ev.member} is not active in {area.area_id}")
+            raise ev.refusal(f"{ev.member} is not active in {area.area_id}")
         t = ev.time
         self._emit(t, "leave_request", ev.member, area.area_id, f"member={ev.member}")
         self._emit(t, "leave_request", area.area_id, "main", f"member={ev.member}")
@@ -522,9 +527,9 @@ class Simulation:
     def _move(self, ev: ScenarioEvent) -> Iterator[int]:
         member = self.members[ev.member]
         if ev.src == ev.dst:
-            raise ProtocolError("move source and destination are the same area")
+            raise ev.refusal("move source and destination are the same area")
         if self.mainlist.area_of(ev.member) != ev.src:
-            raise ProtocolError(f"{ev.member} is not active in {ev.src}")
+            raise ev.refusal(f"{ev.member} is not active in {ev.src}")
         member.busy = True
         d = self.sc.delays
         # the probe phase scans channels; no protocol messages yet

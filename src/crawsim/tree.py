@@ -9,13 +9,16 @@ without ever computing a key:
 
 * a join (``PositionTree.seat``) takes a free root slot, or else splits the
   shallowest leaf (ties: smallest code) and slides its occupant one level
-  down, keeping the occupant's individual key; the scheme only names the
-  new digits and re-keys the joiner's path;
+  down, keeping the occupant's individual key;
 * a leave (``PositionTree.unseat``) drops the leaver's leaf and, when its
   parent is internal and left with one child, promotes that sibling
   subtree into the parent's position: every code in it drops the digit at
   the promotion depth (``promoted``, for the tree and every view alike);
-  the scheme only re-keys what the leaver held.
+* both re-key the group key and the middle positions worked out from the
+  leaf alone, top-down: a join's path below the root and above the leaf
+  (``path_codes(leaf)[1:-1]``, the split position included), a leave's
+  above its vanished parent (``path_codes(leaf)[1:-2]``); the scheme only
+  names new digits and makes the fresh keys.
 
 Neither scans the whole tree.  The server keeps an occupant index (leaf
 position -> member, the inverse of ``leaves``) and a heap of leaf positions
@@ -38,11 +41,13 @@ recorder.
 The wire format lives here too.  A scheme seals each key it ships into a
 ``WirePayload`` under one tree position and groups the payloads into
 ``WireMessage``s; one ``Rekey`` per event carries them with the notice,
-the counters and the event's re-keying cost.  The ``Rekey`` is the one
-object every member reads for the event: its ``index`` holds the
-multicast payloads by position, so a member opens those on its own path,
-and its ``memo`` (``Rekey.opened``, ``ckc._rolled``) lets the members
-that hold the same key share one open of a payload or one CKC roll.
+the counters and the event's re-keying cost.  One rule counts what an
+event sends (``RekeyCounters.sent``): one encryption per payload and one
+send per message.  The ``Rekey`` is the one object every member reads for
+the event: its ``index`` holds the multicast payloads by position, so a
+member opens those on its own path, and its ``memo`` (``Rekey.opened``,
+``ckc._rolled``) lets the members that hold the same key share one open of
+a payload or one CKC roll.
 """
 
 from __future__ import annotations
@@ -73,6 +78,15 @@ class RekeyCounters:
             self.unicast_sends + other.unicast_sends,
             self.multicast_sends + other.multicast_sends,
         )
+
+    @classmethod
+    def sent(
+        cls, key_generations: int, unicasts: list[WireMessage], multicasts: list[WireMessage]
+    ) -> RekeyCounters:
+        """The realized counts of an event: one encryption per payload and
+        one send per message."""
+        payloads = sum(len(msg.payloads) for msg in unicasts + multicasts)
+        return cls(key_generations, payloads, len(unicasts), len(multicasts))
 
 
 @dataclass
@@ -233,13 +247,12 @@ class MemberKeyView:
 class PositionTree:
     """Server-side key tree: position -> key, member -> leaf position.
 
-    ``seat`` is the server side of a join and ``unseat`` of a leave.  Each
-    scheme names new child positions (``_digit(rng, exclude)``: a digit not
-    in ``exclude``) and makes the fresh keys of both events, returning the
-    re-keyed positions in the order members refresh them:
-    ``_rekey_join(leaf, rng)`` for the joiner's path, and
-    ``_rekey_leave(leaf, rng)`` for what the leaver at ``leaf`` held, once
-    its sibling subtree has moved into its parent's position.
+    ``seat`` is the server side of a join and ``unseat`` of a leave; each
+    names the middle positions its event re-keys (module docstring).  A
+    scheme supplies ``_digit(rng, exclude)``, a new child digit not in
+    ``exclude``, and ``_rekey(middles, rng, joined)``, which makes the
+    fresh keys of a join (``joined``) or a leave and returns the re-keyed
+    positions in the order members refresh them.
 
     Placement is indexed so that no join or leave scans the whole tree.
     ``occupants`` (leaf position -> member) is the exact inverse of
@@ -329,13 +342,6 @@ class PositionTree:
             heappop(heap)
         return heap[0][1]
 
-    def slide_occupant(self, split: str, occupant_leaf: str) -> None:
-        """Move the member at leaf ``split`` down to ``occupant_leaf`` with its
-        individual key; ``split`` becomes internal and is re-keyed by the
-        scheme."""
-        self._place([(self.occupants[split], occupant_leaf)])
-        self._set(occupant_leaf, self.nodes[split])
-
     def seat(self, member_id: str, individual_key: bytes, rng: Random) -> JoinNotice:
         """The server side of a join: place the member, re-key its path and
         bump the epoch, with no payload built and no member refreshed.  A
@@ -345,18 +351,21 @@ class PositionTree:
         root_children = self._children(self.ROOT)
         if len(root_children) < 2:
             # a free root slot (bootstrap or post-leave): 2^k members sit at depth k
-            split = occupant_leaf = None
+            occupant_leaf = None
             leaf = self.ROOT + self._digit(rng, "".join(c[-1] for c in root_children))
         else:
             split = self.shallowest_leaf()
             occupant_leaf = split + self._digit(rng, "")
             leaf = split + self._digit(rng, occupant_leaf[-1])
-            self.slide_occupant(split, occupant_leaf)
+            # the occupant slides down with its individual key, and ``split``
+            # becomes internal
+            self._place([(self.occupants[split], occupant_leaf)])
+            self._set(occupant_leaf, self.nodes[split])
         self._place([(member_id, leaf)])
         self._set(leaf, individual_key)
         # re-keyed only now: the slide copied the occupant's key out of
         # ``split``, and CKC rolls ``split`` from it
-        affected = self._rekey_join(leaf, rng)
+        affected = self._rekey(path_codes(leaf)[1:-1], rng, joined=True)
         self.epoch += 1
         return JoinNotice(self.epoch, leaf, occupant_leaf, affected)
 
@@ -406,6 +415,7 @@ class PositionTree:
         leaf = self.leaves[member_id]
         self._place([(member_id, None)])
         promoted_src = self.detach(leaf)
-        affected = self._rekey_leave(leaf, rng)
+        # the positions above the vanished parent, which the promotion keeps
+        affected = self._rekey(path_codes(leaf)[1:-2], rng, joined=False)
         self.epoch += 1
         return LeaveNotice(self.epoch, member_id, leaf, promoted_src, affected)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor
 from crawsim.secrecy import RunRecorder, _legal
-from crawsim.tree import PositionTree
+from crawsim.tree import PositionTree, Rekey
 
 
 def dump(tree: PositionTree) -> str:
@@ -34,6 +34,20 @@ def scan_occupant(tree: PositionTree, code: str) -> str:
     """The one member at leaf ``code``, by a scan of every leaf."""
     (member,) = [m for m, c in tree.leaves.items() if c == code]
     return member
+
+
+def rekeyed_middles(leaf: str, joined: bool) -> list[str]:
+    """The middle positions an event at ``leaf`` re-keys, top-down, read off
+    the leaf's prefixes: below the root and above the joiner's leaf, or
+    above the leaver's vanished parent."""
+    return [leaf[:i] for i in range(2, len(leaf) - (0 if joined else 1))]
+
+
+def realized_counts(rekey: Rekey) -> tuple[int, int, int]:
+    """What an event sends, counted off its messages: (payloads, unicast
+    messages, multicast messages)."""
+    messages = rekey.unicasts + rekey.multicasts
+    return sum(len(msg.payloads) for msg in messages), len(rekey.unicasts), len(rekey.multicasts)
 
 
 def operational_decrypt_check(rec: RunRecorder, max_attempts: int = 4000) -> list[str]:

@@ -27,7 +27,7 @@ from crawsim.scenario import validate_doc
 from crawsim.secrecy import check_secrecy
 from crawsim.sim import Simulation
 from crawsim.tree import MemberKeyView, WireMessage, WirePayload, path_codes
-from oracles import dump, scan_occupant, scan_shallowest_leaf
+from oracles import dump, realized_counts, rekeyed_middles, scan_occupant, scan_shallowest_leaf
 from test_acceptance import ZERO_DELAYS, random_scenario
 
 
@@ -302,22 +302,28 @@ def test_dump_is_deterministic_and_fingerprinted():
 
 
 def test_randomized_sequences_stay_consistent():
-    # module-level churn: random joins/leaves, up to 64 members
+    # module-level churn: random joins/leaves, up to 64 members; every
+    # event re-keys the middles its leaf names, top-down, and counts what
+    # it sends
     rng = random.Random(17)
     for trial in range(60):
         h = Harness(seed=1000 + trial)
         alive: list[str] = []
         counter = 0
         for _ in range(rng.randint(10, 40)):
-            if alive and (rng.random() < 0.4 or len(alive) >= 64):
-                member = rng.choice(alive)
-                alive.remove(member)
-                h.leave(member)
-            else:
+            joined = not (alive and (rng.random() < 0.4 or len(alive) >= 64))
+            if joined:
                 counter += 1
                 member = f"r{counter}"
                 alive.append(member)
-                h.join(member)
+                res = h.join(member)
+            else:
+                member = rng.choice(alive)
+                alive.remove(member)
+                res, _ = h.leave(member)
+            assert res.notice.affected_codes == rekeyed_middles(res.notice.leaf, joined)
+            c = res.counters
+            assert (c.encryptions, c.unicast_sends, c.multicast_sends) == realized_counts(res)
             h.assert_consistent()
 
 

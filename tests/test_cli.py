@@ -387,6 +387,17 @@ def test_run_reports_protocol_refusal_without_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_run_refusal_names_its_event_by_field_path(tmp_path, capsys):
+    doc = dict(SMALL, name="bad", events=[{"time": 1.0, "op": "leave", "member": "w1", "area": "A"}])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = "error: bad: events[0] (t=1.0000000): w1 is not active in A\n"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == expected
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == expected
+
+
 def test_a_refused_run_removes_only_the_directories_it_made(tmp_path, capsys):
     bundled = Path(crawsim.__file__).parent / "scenarios" / "handoff.json"
     doc = json.loads(bundled.read_text(encoding="utf-8"))

@@ -18,7 +18,7 @@ from crawsim.lkh import (
     lkh_member_refresh_leave,
 )
 from crawsim.tree import MemberKeyView, WireMessage
-from oracles import dump, scan_occupant, scan_shallowest_leaf
+from oracles import dump, realized_counts, rekeyed_middles, scan_occupant, scan_shallowest_leaf
 
 
 class Harness:
@@ -171,22 +171,39 @@ def test_duplicate_join_and_unknown_leave_raise():
 
 
 def test_randomized_churn_consistency():
+    # every event re-keys the middles its leaf names, bottom-up, then the
+    # root, and counts what it sends, except that a promoted leave reports
+    # the conventional per-level tally
     rng = random.Random(10)
+    promoted = realized_leaves = 0
     for trial in range(40):
         h = Harness(seed=2000 + trial)
         alive: list[str] = []
         counter = 0
         for _ in range(rng.randint(8, 30)):
-            if alive and rng.random() < 0.4:
-                member = rng.choice(alive)
-                alive.remove(member)
-                h.leave(member)
-            else:
+            joined = not (alive and rng.random() < 0.4)
+            if joined:
                 counter += 1
                 member = f"r{counter}"
                 alive.append(member)
-                h.join(member)
+                res = h.join(member)
+            else:
+                member = rng.choice(alive)
+                alive.remove(member)
+                res, _ = h.leave(member)
+            notice, c = res.notice, res.counters
+            assert notice.affected_codes == rekeyed_middles(notice.leaf, joined)[::-1] + ["r"]
+            assert c.key_generations == len(notice.affected_codes)
+            if not joined and notice.promoted_src is not None:
+                promoted += 1
+                depth = len(notice.leaf) - 1
+                assert c.encryptions == c.multicast_sends == 2 * depth
+                assert c.unicast_sends == 0
+            else:
+                realized_leaves += not joined
+                assert (c.encryptions, c.unicast_sends, c.multicast_sends) == realized_counts(res)
             h.assert_consistent()
+    assert promoted > 0 and realized_leaves > 0
 
 
 def test_dump_deterministic():

@@ -8,6 +8,7 @@ import json
 import random
 import time
 from collections import defaultdict
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -177,6 +178,50 @@ def test_move_requires_activity_in_source():
     sim = Simulation(scenario(events))
     with pytest.raises(ProtocolError, match="not active"):
         sim.run()
+
+
+REFUSALS = {
+    # each event list puts the refused event after a later-timed one, so
+    # the path is its document position, not its place in time order
+    "in_flight": (
+        [{"time": 2.0, "op": "leave", "member": "u2", "area": "A"}, MOVE_U1,
+         {"time": 1.5, "op": "leave", "member": "u1", "area": "A"}],
+        "events[2] (t=1.5000000): u1 already has an operation in flight",
+    ),
+    "already_keyed": (
+        [{"time": 2.0, "op": "leave", "member": "u2", "area": "A"},
+         {"time": 1.0, "op": "join", "member": "u1", "area": "B"}],
+        "events[1] (t=1.0000000): u1 is already keyed in A",
+    ),
+    "leave_not_active": (
+        [{"time": 3.0, "op": "join", "member": "w1", "area": "A"},
+         {"time": 1.0, "op": "leave", "member": "u1", "area": "B"}],
+        "events[1] (t=1.0000000): u1 is not active in B",
+    ),
+    "move_not_active": (
+        [{"time": 3.0, "op": "join", "member": "w1", "area": "A"}, LEAVE_U8,
+         {"time": 2.0, "op": "move", "member": "u8", "from": "A", "to": "B"}],
+        "events[2] (t=2.0000000): u8 is not active in A",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSALS))
+def test_a_refusal_names_its_event_by_field_path_and_time(kind):
+    events, message = REFUSALS[kind]
+    with pytest.raises(ProtocolError) as refused:
+        Simulation(scenario(events)).run()
+    assert str(refused.value) == message
+
+
+def test_a_same_area_move_refusal_names_its_event():
+    # the validator refuses a same-area move, so only a scenario built past
+    # it reaches the run's own check
+    sc = scenario([LEAVE_U8, MOVE_U1])
+    sc.events[1] = replace(sc.events[1], dst="A")
+    with pytest.raises(ProtocolError) as refused:
+        Simulation(sc).run()
+    assert str(refused.value) == "events[1] (t=1.0000000): move source and destination are the same area"
 
 
 def test_rejected_join_changes_nothing():

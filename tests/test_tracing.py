@@ -3,7 +3,8 @@ wrapping the name a caller module imported.  A scheme function that is no
 longer called through that name drops out of the counts silently, so this
 runs the bundled ``tables`` scenario (joins and leaves) and ``handoff``
 (content frames) under the tracer for every scheme and checks that each
-layer is still seen."""
+layer is still seen, and that every count equals the one pinned in
+``golden/traced_counts.json``."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from crawsim.scenario import apply_overrides, validate_doc
 
 MODULES = ("ckc", "crypto", "entities", "lkh", "otp", "scenario", "secrecy", "sim")
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+GOLDEN_COUNTS = Path(__file__).resolve().parent / "golden" / "traced_counts.json"
 
 
 def load_tracer():
@@ -43,6 +45,21 @@ def traced_run(bundled: str, scheme: str):
     finally:
         tracer.uninstall()
     return tracer, sim
+
+
+def traced_counts() -> dict:
+    """Every span's call count and the tracer's extra counts, for the
+    bundled ``tables`` and ``handoff`` runs under each scheme, keyed
+    ``"<bundled>/<scheme>"``: the layout of ``golden/traced_counts.json``,
+    which is this dict written with ``json.dumps(..., indent=1,
+    sort_keys=True)``."""
+    out = {}
+    for bundled in ("tables", "handoff"):
+        for scheme in SCHEMES:
+            tracer, _sim = traced_run(bundled, scheme)
+            calls = {name: n for name, (n, _self_s) in tracer.summary().items()}
+            out[f"{bundled}/{scheme}"] = {"calls": calls, "extra": dict(tracer.extra)}
+    return out
 
 
 def has_child(tracer, child: str, parent: str) -> bool:
@@ -126,3 +143,10 @@ def test_tracer_counts_one_credit_per_frame_delivery(scheme):
     billed = sum(entry.service_accounting for entry in sim.mainlist.entries.values())
     assert billed == len(sim.ledger.frames)
     assert calls["crypto.decrypt"] >= frames
+
+
+def test_traced_counts_match_the_golden():
+    # a refactor that claims the same work keeps every traced count; a change
+    # that moves one on purpose rewrites the golden file and says why
+    golden = json.loads(GOLDEN_COUNTS.read_text(encoding="utf-8"))
+    assert traced_counts() == golden
