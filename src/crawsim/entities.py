@@ -162,17 +162,20 @@ class MainList:
             entry.last_area = last_area
         return entry
 
-    def credit(self, member_ids: Iterable[str]) -> None:
-        """Bill one delivered frame to each member, or refuse the whole bill
-        when any id is unknown."""
+    def credit(self, member_ids: Iterable[str], frames: int) -> None:
+        """Bill ``frames`` delivered frames to each member, or refuse the
+        whole bill when ``frames`` is not a positive int or any id is
+        unknown."""
         if isinstance(member_ids, str):  # iterable too, one character at a time
             raise ProtocolError(f"credit takes a collection of member ids, not the string {member_ids!r}")
+        if isinstance(frames, bool) or not isinstance(frames, int) or frames < 1:
+            raise ProtocolError(f"credit bills a positive whole number of frames, not {frames!r}")
         try:
             billed = [self.entries[m] for m in member_ids]
         except KeyError as exc:
             raise ProtocolError(f"cannot bill unknown member {exc.args[0]}") from None
         for entry in billed:
-            entry.service_accounting += 1
+            entry.service_accounting += frames
 
     def to_doc(self, fmt_time) -> list[dict]:
         return [self.entries[m].to_doc(self.group_id, fmt_time) for m in sorted(self.entries)]

@@ -35,10 +35,13 @@ With content frames on, each non-empty area multicasts one frame under its
 group key every ``frame_interval`` up to and including the horizon.  Each
 member reads it with the group key in its own view, so each outcome is that
 member's own, but the frame is opened once per distinct key in the area
-(``FrameReaders``) and billed to all the area's members in one
-``MainList.credit`` call.  The ledger's ``FrameLog`` keeps one run per
-stretch of consecutive frame ticks with the same audience, so it grows
-with the re-keying events, not with the horizon.
+(``FrameReaders``).  An area's audience changes only at a re-keying event,
+so its frames are billed once per stretch, the frames between two events:
+one ``MainList.credit`` call per area, made before each ``on_event`` hook
+and at the end of ``run``, so ``service_accounting`` is exact at both.  The
+ledger's ``FrameLog`` keeps one run per stretch of consecutive frame ticks
+with the same audience, so it grows with the re-keying events, not with
+the horizon.
 """
 
 from __future__ import annotations
@@ -282,13 +285,15 @@ class FrameLog:
 
 
 class FrameReaders:
-    """The readers of one area's frames: its present members in view order,
-    and the group key each one's own view holds.  Each member's outcome is
-    that of its own key, so members holding the same key bytes share one
-    open."""
+    """The readers of one area's frames for one stretch: its present members
+    in view order, the group key each one's own view holds, and the frames
+    served to them, billed once when the stretch ends.  Each member's
+    outcome is that of its own key, so members holding the same key bytes
+    share one open."""
 
     def __init__(self, views: dict[str, MemberKeyView]):
         self.members = tuple(views)
+        self.frames = 0  # frames served this stretch, not yet billed
         self._held = [view.group_key() for view in views.values()]
         self._keys = tuple(dict.fromkeys(self._held))
         self._opens: dict[bytes, bool] | None = None
@@ -330,8 +335,8 @@ class Simulation:
     """Runs one scenario to completion.
 
     ``on_event`` is invoked as ``on_event(sim, row)`` after every re-keying
-    event, with all state and recorder updates already applied; test suites
-    hang invariant checks there.
+    event, with all state, recorder and billing updates already applied;
+    test suites hang invariant checks there.
     """
 
     def __init__(self, scenario: Scenario, on_event: Callable | None = None):
@@ -358,8 +363,8 @@ class Simulation:
         self._seq = itertools.count()
         self._frame_seq: dict[str, int] = {a: 0 for a in self.areas}
         # a view changes only in a re-keying event or in its on_event hook,
-        # and _append_event forgets every area's readers after both, so each
-        # member's key is read once per event, not once per frame
+        # and _bill drops every area's readers before the hook, so each
+        # member's key is read and billed once per stretch, not once per frame
         self._readers: dict[str, FrameReaders] = {}
         self._register_all()
         self._bootstrap()
@@ -450,10 +455,18 @@ class Simulation:
             counters=rekey.counters,
         )
         self.ledger.events.append(row)
+        self._bill()
         if self.on_event is not None:
             self.on_event(self, row)
-        self._readers.clear()
         return row
+
+    def _bill(self) -> None:
+        """Bill each area's readers the frames they were served since the
+        last re-keying event, in one main-list call per area, and drop the
+        readers: the stretch they served has ended."""
+        for readers in self._readers.values():
+            self.mainlist.credit(readers.members, readers.frames)
+        self._readers.clear()
 
     # -- event dispatch ---------------------------------------------------
 
@@ -476,6 +489,7 @@ class Simulation:
         while self._heap:
             ticks, _prio, _seq, fn, args = heapq.heappop(self._heap)
             fn(*args)
+        self._bill()
         return self
 
     def check_consistent(self) -> bool:
@@ -618,7 +632,7 @@ class Simulation:
             readers = self._readers.get(area_id)
             if readers is None:
                 readers = self._readers[area_id] = FrameReaders(area.views)
-            self.mainlist.credit(readers.members)
+            readers.frames += 1
             audience.append((area_id, readers.members, readers.read(frame)))
         self.ledger.frames.add(ticks, tuple(audience))
         nxt = ticks + self.sc.delays.frame_interval

@@ -120,7 +120,7 @@ def test_advance_and_credit_require_registration():
     with pytest.raises(ProtocolError):
         ml.advance("ghost", STATUS_ACTIVE, 0)
     with pytest.raises(ProtocolError):
-        ml.credit(["ghost"])
+        ml.credit(["ghost"], 1)
 
 
 def test_credit_refuses_a_bare_string_and_any_unknown_id():
@@ -129,19 +129,31 @@ def test_credit_refuses_a_bare_string_and_any_unknown_id():
     for member_id in ("u1", "u", "1"):
         ml.register(MobileMember(member_id, b"cred:" + member_id.encode()))
     with pytest.raises(ProtocolError, match="not the string 'u1'"):
-        ml.credit("u1")
+        ml.credit("u1", 1)
     with pytest.raises(ProtocolError, match="unknown member ghost"):
-        ml.credit(["u", "ghost"])
+        ml.credit(["u", "ghost"], 1)
     assert [ml.lookup(m).service_accounting for m in ("u1", "u", "1")] == [0, 0, 0]
-    ml.credit(("u1", "u"))
+    ml.credit(("u1", "u"), 1)
     assert [ml.lookup(m).service_accounting for m in ("u1", "u", "1")] == [1, 1, 0]
+
+
+def test_credit_bills_a_positive_int_of_frames_or_nothing():
+    ml = MainList("g1")
+    for member_id in ("u1", "u2", "u3"):
+        ml.register(MobileMember(member_id, b"cred:" + member_id.encode()))
+    ml.credit(["u1", "u2"], 3)
+    assert [ml.lookup(m).service_accounting for m in ("u1", "u2", "u3")] == [3, 3, 0]
+    for frames in (True, False, 0, -1, 1.5, 3.0, "3", None):
+        with pytest.raises(ProtocolError, match="positive whole number of frames"):
+            ml.credit(["u1", "u3"], frames)
+        assert [ml.lookup(m).service_accounting for m in ("u1", "u2", "u3")] == [3, 3, 0]
 
 
 def test_accounting_only_increases():
     ml = MainList("g1")
     ml.register(MobileMember("u1", b"cred:u1"))
     for n in range(1, 201):
-        ml.credit(["u1"])
+        ml.credit(["u1"], 1)
         assert ml.lookup("u1").service_accounting == n
 
 

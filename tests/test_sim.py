@@ -16,6 +16,7 @@ from test_acceptance import ZERO_DELAYS, random_scenario
 
 from crawsim import crypto
 from crawsim.crypto import KEY_WIDTH, ProtocolError, fingerprint
+from crawsim.entities import MainList
 from crawsim.otp import ClientSecret
 from crawsim.scenario import apply_overrides, validate_doc
 from crawsim.secrecy import check_secrecy
@@ -471,6 +472,54 @@ def test_frame_log_does_not_grow_with_the_horizon():
     assert len(short.ledger.frames) == 99 * 8 + 101 * 7
     assert len(long.ledger.frames) == 99 * 8 + 1901 * 7  # about tenfold
     assert list(long.ledger.frames)[: len(short.ledger.frames)] == list(short.ledger.frames)
+
+
+def assert_billed_as_delivered(sim: Simulation) -> None:
+    delivered = sim.ledger.frames.tally()
+    for member_id, entry in sim.mainlist.entries.items():
+        assert entry.service_accounting == delivered.get(member_id, [0, 0])[0], member_id
+
+
+@pytest.mark.parametrize(
+    "source, scheme", [("handoff", s) for s in ("ckc_craw", "ckc_plain", "lkh")] + [(3, "lkh")],
+    ids=lambda v: str(v),
+)
+def test_billing_is_exact_at_every_hook_and_after_the_run(source, scheme):
+    # frames are billed once per area per stretch, so a bill is due before
+    # each hook sees the main list, and once more when the run ends
+    if isinstance(source, int):
+        sc = random_scenario(source, scheme, frames=True)
+    else:
+        sc = validate_doc(apply_overrides(bundled_doc(source), scheme=scheme))
+    checked = []
+
+    def hook(sim, row):
+        assert_billed_as_delivered(sim)
+        checked.append(row.event_id)
+
+    sim = Simulation(sc, on_event=hook).run()
+    assert checked and len(sim.ledger.frames) > 0
+    assert_billed_as_delivered(sim)
+
+
+def test_credit_calls_do_not_grow_with_the_horizon(monkeypatch):
+    # handoff has one move, so each area has two stretches whatever the
+    # horizon: one bill each, where one per frame tick grows tenfold
+    calls = []
+    real = MainList.credit
+
+    def counting_credit(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(MainList, "credit", counting_credit)
+
+    def count(horizon):
+        calls.clear()
+        Simulation(validate_doc(apply_overrides(bundled_doc("handoff"), pairs=[f"horizon={horizon}"]))).run()
+        return len(calls)
+
+    assert count(20) == count(200) > 0
 
 
 def test_no_frame_is_sent_past_the_horizon():

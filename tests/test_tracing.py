@@ -132,14 +132,15 @@ def test_ckc_runs_enter_no_lkh_code(scheme):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_tracer_counts_one_credit_per_frame_delivery(scheme):
-    # an area's frame is billed to all its present members in one credit
-    # call, and opened at least once; the bills add up to the deliveries
+def test_tracer_counts_one_credit_per_area_stretch(scheme):
+    # an area's frames between two re-keying events are billed to all its
+    # present members in one credit call, and each frame is opened at least
+    # once; the bills add up to the deliveries
     tracer, sim = traced_run("handoff", scheme)
     calls = {name: n for name, (n, _self_s) in tracer.summary().items()}
     frames = sum(r.kind == "content_frame" for r in sim.recorder.ciphertexts)
     assert frames > 0
-    assert calls["entities.credit"] == frames
+    assert 0 < calls["entities.credit"] <= (len(sim.ledger.events) + 1) * len(sim.areas)
     billed = sum(entry.service_accounting for entry in sim.mainlist.entries.values())
     assert billed == len(sim.ledger.frames)
     assert calls["crypto.decrypt"] >= frames
