@@ -43,9 +43,11 @@ A member refreshes from the event's ``Rekey`` alone.  It rolls from the
 inputs it holds itself, but the members below one position hold the same
 K, so an event rolls each distinct input once, in the event's ``memo``
 keyed by the input bytes and never by code; a member holding a wrong K
-gets its own (wrong) roll.  On a leave, each remaining member looks its own
-root-path positions up in the event's ``index`` to find its cover payload,
-and opens it with ``Rekey.opened``: once per event for each cover key.
+gets its own (wrong) roll.  On a leave, the event's ``index`` holds one
+cover per level of the leaver's path, top-down, and each remaining member
+sits below exactly one, so a member takes the first that prefixes its
+leaf and opens it with ``Rekey.opened``: once per event for each cover
+key.  It rolls the affected keys top-down to the first one off its path.
 """
 
 from __future__ import annotations
@@ -131,25 +133,26 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
     return Rekey(notice, [], multicasts, RekeyCounters.sent(1, [], multicasts), len(notice.leaf) - 1)
 
 
-def _rolled(rekey: Rekey, *inputs: bytes) -> bytes:
+def _rolled(memo: dict[tuple, bytes], *inputs: bytes) -> bytes:
     """f(AK) of one key, or f(AK' xor K) of two, from a member's own input
-    bytes, rolled once per event for each distinct input (``rekey.memo``)."""
-    out = rekey.memo.get(inputs)
+    bytes, rolled once per event for each distinct input (``Rekey.memo``)."""
+    out = memo.get(inputs)
     if out is None:
-        out = rekey.memo[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
+        out = memo[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
     return out
 
 
 def _roll_view(view: MemberKeyView, rekey: Rekey, ak_new: bytes) -> None:
     """Install AK' and roll the event's affected middle keys that sit on
-    the view's own path."""
+    the view's own path, top-down."""
+    leaf, keys, memo = view.leaf, view.keys, rekey.memo
     view.store(ROOT_CODE, ak_new)
     for code in rekey.notice.affected_codes:
         # the affected codes are one top-down chain, so the first one off
         # the path ends it
-        if not view.leaf.startswith(code):
+        if not leaf.startswith(code):
             break
-        view.store(code, _rolled(rekey, ak_new, view.keys[code]))
+        view.store(code, _rolled(memo, ak_new, keys[code]))
 
 
 def build_joiner_view(
@@ -177,7 +180,7 @@ def ckc_member_refresh_join(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
     middle keys that sit on the own path."""
     if not view.follow_join(rekey.notice):
         return view
-    _roll_view(view, rekey, _rolled(rekey, view.group_key()))
+    _roll_view(view, rekey, _rolled(rekey.memo, view.group_key()))
     return view
 
 
@@ -187,11 +190,15 @@ def ckc_member_refresh_leave(view: MemberKeyView, rekey: Rekey) -> MemberKeyView
     if not view.accept_leave(rekey.notice):
         return view
 
-    # covers are pre-promotion positions, so the payload is opened before re-coding
-    mine = [code for code in path_codes(view.leaf) if code in rekey.index]
-    if len(mine) != 1:
-        raise ProtocolError(f"{view.member_id} matches {len(mine)} cover nodes, expected 1")
-    ak_new = rekey.opened(mine[0], view.keys[mine[0]])
+    # covers are pre-promotion positions, so the payload is opened before
+    # re-coding; the first in the index that prefixes the leaf is the one
+    leaf = view.leaf
+    for mine in rekey.index:
+        if leaf.startswith(mine):
+            break
+    else:
+        raise ProtocolError(f"{view.member_id} matches 0 cover nodes, expected 1")
+    ak_new = rekey.opened(mine, view.keys[mine])
 
     view.promote(rekey.notice)
     _roll_view(view, rekey, ak_new)

@@ -20,7 +20,8 @@ Placement, leave and the positions each event re-keys live in
 ``crawsim.tree``; this module supplies the child digits, the fresh keys
 (``LkhTree._rekey``: the middle positions bottom-up, then the root), the
 sealed ``Rekey`` of each event and how a member climbs its path to open
-them, looking its own positions up in the event's ``index`` and sharing each
+them: only the labels' suffix on its own path, found from the root end,
+looking each child on the path up in the event's ``index`` and sharing each
 open (``Rekey.opened``).  Only a joiner gets a chain: the t=0 roster gets
 ``ckc.joiner_unicasts`` under LKH too.
 """
@@ -125,13 +126,17 @@ def build_lkh_joiner_view(
 
 def _climb(view: MemberKeyView, rekey: Rekey) -> None:
     """Open the regenerated keys on the view's own path from the event's
-    ``index``.  They run bottom-up, so the key of the child on the path is
+    ``index``.  They run bottom-up along one root path, so those on the
+    view's path are a suffix, found from the root end up to the first label
+    off the path; climbed bottom-up, the key of the child on the path is
     current when its parent's payload is opened under it."""
-    for label in rekey.notice.affected_codes:
-        if not view.leaf.startswith(label):
-            continue
-        child_on_path = view.leaf[: len(label) + 1]
-        key = view.keys[child_on_path]
+    labels, leaf, keys = rekey.notice.affected_codes, view.leaf, view.keys
+    start = len(labels)
+    while start and leaf.startswith(labels[start - 1]):
+        start -= 1
+    for label in labels[start:]:
+        child_on_path = leaf[: len(label) + 1]
+        key = keys[child_on_path]
         try:
             opened = rekey.opened(child_on_path, key)
         except KeyError:  # the event's index holds no payload there

@@ -47,7 +47,9 @@ send per message.  The ``Rekey`` is the one object every member reads for
 the event: its ``index`` holds the multicast payloads by position, so a
 member opens those on its own path, and its ``memo`` (``Rekey.opened``,
 ``ckc._rolled``) lets the members that hold the same key share one open of
-a payload or one CKC roll.
+a payload or one CKC roll.  An event's re-keyed positions all lie on one
+root path, so a member reads them from the root end and stops at the
+first one it does not share; nothing after it can be on its path.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Test oracles that no run calls: checks on a finished run's recorder, a
-snapshot of a server tree, and the placement rules read off the tree by
-brute-force scans, against which its index is checked."""
+snapshot of a server tree, the placement rules read off the tree by
+brute-force scans, against which its index is checked, and what a member
+refresh reads off an event by full scans, against which its early exits
+are checked."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from itertools import combinations
 
 from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor
 from crawsim.secrecy import RunRecorder, _legal
-from crawsim.tree import PositionTree, Rekey
+from crawsim.tree import PositionTree, Rekey, path_codes
 
 
 def dump(tree: PositionTree) -> str:
@@ -41,6 +43,20 @@ def rekeyed_middles(leaf: str, joined: bool) -> list[str]:
     the leaf's prefixes: below the root and above the joiner's leaf, or
     above the leaver's vanished parent."""
     return [leaf[:i] for i in range(2, len(leaf) - (0 if joined else 1))]
+
+
+def scan_on_path(leaf: str, affected: list[str]) -> list[str]:
+    """The event's re-keyed positions on the root path of ``leaf``, in the
+    event's order, by a test of every one: the middle keys a CKC member
+    rolls, or the keys an LKH member opens."""
+    return [code for code in affected if leaf.startswith(code)]
+
+
+def scan_covers(leaf: str, rekey: Rekey) -> list[str]:
+    """The cover payloads of a CKC leave that a member at ``leaf`` (before
+    the promotion) can open, by a lookup of every position on its root
+    path in the event's index."""
+    return [code for code in path_codes(leaf) if code in rekey.index]
 
 
 def realized_counts(rekey: Rekey) -> tuple[int, int, int]:

@@ -359,6 +359,35 @@ def test_refresh_refuses_a_leave_without_its_cover_payload():
         ckc_member_refresh_leave(mine, replace(res, multicasts=dropped))
 
 
+def test_every_leave_indexes_one_cover_per_level_below_which_each_member_sits_once():
+    # A remaining member takes the first index position that prefixes its
+    # leaf as its one cover.  That is sound because, on every leave of a
+    # seeded churn, the index holds exactly the sibling of each position on
+    # the leaver's path below the root, top-down, no cover prefixes
+    # another, and every remaining member's leaf extends exactly one.
+    rng = random.Random(71)
+    area = AreaState("A", "ckc_craw", rng)
+    for i in range(96):
+        area.join(f"m{i}", random_key(rng))
+    for i in range(96, 156):
+        tree = area.tree
+        leaver = rng.choice(sorted(area.views))
+        leaf = tree.leaves[leaver]
+        siblings = [
+            [sib for sib in tree._children(code[:-1]) if sib != code]
+            for code in path_codes(leaf)[1:]
+        ]
+        others = [c for m, c in tree.leaves.items() if m != leaver]
+        covers = list(area.leave(leaver).index)
+        assert [len(level) for level in siblings] == [1] * (len(leaf) - 1)
+        assert covers == [sib for (sib,) in siblings]
+        assert not [(a, b) for a in covers for b in covers if a != b and b.startswith(a)]
+        for other in others:
+            assert sum(other.startswith(code) for code in covers) == 1, other
+        area.join(f"m{i}", random_key(rng))
+    assert area.consistent()
+
+
 def _area(scheme: str, n: int, seed: int) -> AreaState:
     rng = random.Random(seed)
     area = AreaState("A", scheme, rng)

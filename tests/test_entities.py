@@ -8,7 +8,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from crawsim.ckc import ckc_member_refresh_leave
+from crawsim import entities
+from crawsim.ckc import ROOT_CODE, ckc_member_refresh_leave
 from crawsim.crypto import ProtocolError, decrypt, random_key
 from crawsim.entities import (
     SCHEMES,
@@ -25,8 +26,10 @@ from crawsim.entities import (
 from crawsim.crypto import encrypt
 from crawsim.lkh import lkh_member_refresh_leave
 from crawsim.otp import AuthRecord, ClientSecret
-from crawsim.tree import JoinNotice, LeaveNotice, WireMessage, WirePayload, path_codes, promoted
-from oracles import dump, scan_occupant
+from crawsim.tree import (
+    JoinNotice, LeaveNotice, MemberKeyView, Rekey, WireMessage, WirePayload, path_codes, promoted,
+)
+from oracles import dump, scan_covers, scan_occupant, scan_on_path
 
 
 def make_member(mainlist: MainList, member_id: str, rng: random.Random) -> MobileMember:
@@ -475,3 +478,63 @@ def test_a_promotion_recodes_its_subtree_in_place_by_one_rule():
     assert [f.name for f in fields(LeaveNotice)] == [
         "epoch", "member_id", "leaf", "promoted_src", "affected_codes", "cover_codes",
     ]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_refresh_stores_exactly_what_the_event_changed_on_the_members_path(scheme, monkeypatch):
+    # A member reads each event top-down and stops at the first position
+    # the event does not touch.  Against full scans of the event (the
+    # oracles), each member refresh of a seeded churn on a 96-member area
+    # stores the group key and the rolled middle keys on its path (CKC),
+    # or the opened keys on its path (LKH), and opens only its one cover
+    # (CKC leave) or the payloads under its path (LKH): no early exit drops
+    # or adds a roll or an open.
+    stored, opened = [], []
+    store, opened_by = MemberKeyView.store, Rekey.opened
+
+    def logged_store(view, code, key):
+        stored.append(code)
+        store(view, code, key)
+
+    def logged_open(rekey, under, key):
+        opened.append(under)
+        return opened_by(rekey, under, key)
+
+    refreshes = []
+
+    def checked(name):
+        refresh = getattr(entities, name)
+
+        def wrapper(view, rekey):
+            before = view.leaf
+            stored.clear()
+            opened.clear()
+            out = refresh(view, rekey)
+            on_path = scan_on_path(view.leaf, rekey.notice.affected_codes)
+            if scheme == "lkh":
+                assert (stored, opened) == (on_path, [view.leaf[: len(c) + 1] for c in on_path])
+            elif name.endswith("leave"):
+                (cover,) = scan_covers(before, rekey)
+                assert (stored, opened) == ([ROOT_CODE] + on_path, [cover])
+            else:
+                assert (stored, opened) == ([ROOT_CODE] + on_path, [])
+            refreshes.append(name)
+            return out
+
+        monkeypatch.setattr(entities, name, wrapper)
+
+    monkeypatch.setattr(MemberKeyView, "store", logged_store)
+    monkeypatch.setattr(Rekey, "opened", logged_open)
+    prefix = "lkh" if scheme == "lkh" else "ckc"
+    for event in ("join", "leave"):
+        checked(f"{prefix}_member_refresh_{event}")
+
+    rng = random.Random(67)
+    area = AreaState("A", scheme, rng)
+    for i in range(96):
+        area.join(f"m{i}", random_key(rng))
+    for i in range(96, 156):
+        area.leave(rng.choice(sorted(area.views)))
+        area.join(f"m{i}", random_key(rng))
+    assert area.consistent()
+    assert refreshes.count(f"{prefix}_member_refresh_leave") == 60 * 95

@@ -18,7 +18,9 @@ from crawsim.lkh import (
     lkh_member_refresh_leave,
 )
 from crawsim.tree import MemberKeyView, WireMessage
-from oracles import dump, realized_counts, rekeyed_middles, scan_occupant, scan_shallowest_leaf
+from oracles import (
+    dump, realized_counts, rekeyed_middles, scan_occupant, scan_on_path, scan_shallowest_leaf,
+)
 
 
 class Harness:
@@ -226,6 +228,29 @@ def test_refresh_refuses_a_join_without_its_payload():
     ]
     with pytest.raises(ProtocolError, match=f"no payload under {child} for r"):
         lkh_member_refresh_join(view, replace(res, multicasts=kept))
+
+
+def test_refresh_refuses_a_leave_without_its_payload():
+    h = Harness(seed=15)
+    h.grow(16)
+    res = lkh_leave(h.tree, "u16", h.rng)
+    leaf = res.notice.leaf
+    # a member outside the promoted subtree that shares the leaver's path
+    # down to leaf[:3] climbs three re-keyed positions: leaf[:3], leaf[:2], r
+    view = next(
+        v for m, v in sorted(h.views.items())
+        if m != "u16" and v.leaf.startswith(leaf[:3])
+        and not v.leaf.startswith(res.notice.promoted_src)
+    )
+    assert scan_on_path(view.leaf, res.notice.affected_codes) == [leaf[:3], leaf[:2], "r"]
+    # drop the payload that carries the middle one of them to this member
+    child = view.leaf[:3]
+    kept = [
+        WireMessage(msg.desc, [p for p in msg.payloads if p.under != child])
+        for msg in res.multicasts
+    ]
+    with pytest.raises(ProtocolError, match=f"no payload under {child} for {leaf[:2]}"):
+        lkh_member_refresh_leave(view, replace(res, multicasts=kept))
 
 
 def test_joiner_refuses_a_chain_that_stops_short():
