@@ -35,13 +35,13 @@ With content frames on, each non-empty area multicasts one frame under its
 group key every ``frame_interval`` up to and including the horizon.  Each
 member reads it with the group key in its own view, so each outcome is that
 member's own, but the frame is opened once per distinct key in the area
-(``FrameReaders``).  An area's audience changes only at a re-keying event,
-so its frames are billed once per stretch, the frames between two events:
-one ``MainList.credit`` call per area, made before each ``on_event`` hook
-and at the end of ``run``, so ``service_accounting`` is exact at both.  The
-ledger's ``FrameLog`` keeps one run per stretch of consecutive frame ticks
-with the same audience, so it grows with the re-keying events, not with
-the horizon.
+(``FrameReaders``).  Only a re-keying event changes an area's members or
+any key, so ``_bill`` ends a stretch, the frames between two events, at
+each one: one ``MainList.credit`` call per area, made before each
+``on_event`` hook and at the end of ``run``, so ``service_accounting`` is
+exact at both.  The ledger's ``FrameLog`` keeps one run per stretch, so it
+grows with the re-keying events, not with the horizon; a frame whose
+outcomes differ from its stretch's first is refused.
 """
 
 from __future__ import annotations
@@ -226,43 +226,34 @@ class FrameRecord(NamedTuple):
     decrypted: bool
 
 
-# one frame tick's deliveries: for each area that held members, in sorted
-# order, its id, its member ids in view order and each member's outcome
+# one stretch's deliveries at each of its frame ticks: for each area that
+# held members, in sorted order, its id, its member ids in view order and
+# each member's outcome
 Audience = tuple[tuple[str, tuple[str, ...], tuple[bool, ...]], ...]
 
 
 @dataclass
 class FrameRun:
-    """Consecutive frame ticks with one audience."""
+    """The frame ticks of one billing stretch, which share one audience."""
 
     first: int  # tick of the first frame
-    count: int  # frame ticks in the run
     audience: Audience
+    count: int = 1  # frame ticks in the run
 
 
 class FrameLog:
-    """Every content-frame delivery of a run, kept as runs of consecutive
-    frame ticks that share one audience, so it grows with the re-keying
-    events, not with the horizon.  ``len`` counts deliveries, and iterating
-    yields one ``FrameRecord`` per delivery: by tick, then by area, then by
-    member in view order."""
+    """Every content-frame delivery of a run, kept as one run per billing
+    stretch (the frame ticks between two re-keying events), so it grows with
+    the re-keying events, not with the horizon.  ``len`` counts deliveries,
+    and iterating yields one ``FrameRecord`` per delivery: by tick, then by
+    area, then by member in view order."""
 
     def __init__(self, interval: int):
         self.interval = interval  # ticks between frames
         self.runs: list[FrameRun] = []
-        self._deliveries = 0
-
-    def add(self, ticks: int, audience: Audience) -> None:
-        """Log one frame tick's deliveries."""
-        last = self.runs[-1] if self.runs else None
-        if last is not None and last.audience == audience and ticks == last.first + last.count * self.interval:
-            last.count += 1
-        else:
-            self.runs.append(FrameRun(ticks, 1, audience))
-        self._deliveries += sum(len(members) for _area, members, _outcomes in audience)
 
     def __len__(self) -> int:
-        return self._deliveries
+        return sum(run.count * len(members) for run in self.runs for _area, members, _outcomes in run.audience)
 
     def __iter__(self) -> Iterator[FrameRecord]:
         for run in self.runs:
@@ -286,21 +277,22 @@ class FrameLog:
 
 class FrameReaders:
     """The readers of one area's frames for one stretch: its present members
-    in view order, the group key each one's own view holds, and the frames
-    served to them, billed once when the stretch ends.  Each member's
-    outcome is that of its own key, so members holding the same key bytes
-    share one open."""
+    in view order and the group key each one's own view holds.  Each
+    member's outcome is that of its own key, so members holding the same key
+    bytes share one open.  No key changes within a stretch, so the first
+    frame's outcomes hold for all of them; a frame whose opens differ is
+    refused."""
 
-    def __init__(self, views: dict[str, MemberKeyView]):
+    def __init__(self, area_id: str, views: dict[str, MemberKeyView]):
+        self.area = area_id
         self.members = tuple(views)
-        self.frames = 0  # frames served this stretch, not yet billed
         self._held = [view.group_key() for view in views.values()]
         self._keys = tuple(dict.fromkeys(self._held))
         self._opens: dict[bytes, bool] | None = None
-        self._outcomes: tuple[bool, ...] = ()
+        self.outcomes: tuple[bool, ...] = ()
 
-    def read(self, frame: Ciphertext) -> tuple[bool, ...]:
-        """Each member's outcome on ``frame``, opening it once per key."""
+    def read(self, frame: Ciphertext) -> None:
+        """Open ``frame`` once per key; the first frame sets ``outcomes``."""
         opens = {}
         for key in self._keys:
             try:
@@ -308,9 +300,10 @@ class FrameReaders:
                 opens[key] = True
             except DecryptionError:
                 opens[key] = False
-        if opens != self._opens:
-            self._opens, self._outcomes = opens, tuple(map(opens.__getitem__, self._held))
-        return self._outcomes
+        if self._opens is None:
+            self._opens, self.outcomes = opens, tuple(map(opens.__getitem__, self._held))
+        elif opens != self._opens:
+            raise ProtocolError(f"area {self.area}: a frame's outcomes changed within a re-keying stretch")
 
 
 @dataclass
@@ -362,10 +355,11 @@ class Simulation:
         self._heap: list = []
         self._seq = itertools.count()
         self._frame_seq: dict[str, int] = {a: 0 for a in self.areas}
-        # a view changes only in a re-keying event or in its on_event hook,
-        # and _bill drops every area's readers before the hook, so each
-        # member's key is read and billed once per stretch, not once per frame
-        self._readers: dict[str, FrameReaders] = {}
+        # this stretch's readers, one per area with members, or None before
+        # its first frame tick; a view changes only in a re-keying event or
+        # in its on_event hook, and _bill drops the readers before the hook,
+        # so each member's key is read and billed once per stretch
+        self._readers: tuple[FrameReaders, ...] | None = None
         self._register_all()
         self._bootstrap()
         for ev in scenario.events:
@@ -461,12 +455,13 @@ class Simulation:
         return row
 
     def _bill(self) -> None:
-        """Bill each area's readers the frames they were served since the
-        last re-keying event, in one main-list call per area, and drop the
-        readers: the stretch they served has ended."""
-        for readers in self._readers.values():
-            self.mainlist.credit(readers.members, readers.frames)
-        self._readers.clear()
+        """End the stretch: bill each area's readers the frames of its run,
+        in one main-list call per area, and drop the readers and their keys."""
+        if self._readers is not None:
+            count = self.ledger.frames.runs[-1].count
+            for readers in self._readers:
+                self.mainlist.credit(readers.members, count)
+            self._readers = None
 
     # -- event dispatch ---------------------------------------------------
 
@@ -540,8 +535,6 @@ class Simulation:
 
     def _move(self, ev: ScenarioEvent) -> Iterator[int]:
         member = self.members[ev.member]
-        if ev.src == ev.dst:
-            raise ev.refusal("move source and destination are the same area")
         if self.mainlist.area_of(ev.member) != ev.src:
             raise ev.refusal(f"{ev.member} is not active in {ev.src}")
         member.busy = True
@@ -617,24 +610,28 @@ class Simulation:
     # -- content ----------------------------------------------------------
 
     def _frame_tick(self, ticks: int) -> None:
-        audience = []
-        for area_id, area in self.areas.items():  # built in sorted order
-            if area.size() == 0:
-                continue
+        readers = self._readers
+        opening = readers is None
+        if opening:  # the stretch's first frame tick
+            readers = self._readers = tuple(
+                FrameReaders(area_id, area.views) for area_id, area in self.areas.items() if area.views
+            )
+        for reader in readers:  # areas built in sorted order
+            area_id = reader.area
             self._frame_seq[area_id] += 1
             seq = self._frame_seq[area_id]
-            group_key = area.group_key()
+            group_key = self.areas[area_id].group_key()
             frame = encrypt(group_key, f"{area_id}:{seq}".encode("ascii"))
             self._emit(ticks, "content_frame", area_id, f"area:{area_id}", f"seq={seq} {frame.fingerprint()}")
             self.recorder.record_ciphertext(
                 CipherRecord(group_key, ticks, area_id, "content_frame", ciphertext=frame)
             )
-            readers = self._readers.get(area_id)
-            if readers is None:
-                readers = self._readers[area_id] = FrameReaders(area.views)
-            readers.frames += 1
-            audience.append((area_id, readers.members, readers.read(frame)))
-        self.ledger.frames.add(ticks, tuple(audience))
+            reader.read(frame)
+        runs = self.ledger.frames.runs
+        if opening:
+            runs.append(FrameRun(ticks, tuple((r.area, r.members, r.outcomes) for r in readers)))
+        else:
+            runs[-1].count += 1
         nxt = ticks + self.sc.delays.frame_interval
         if nxt <= self.sc.horizon:
             self._schedule(nxt, _PRIO_FRAME, self._frame_tick, nxt)

@@ -16,7 +16,7 @@ import pytest
 
 import crawsim
 from crawsim.cli import main
-from crawsim.scenario import validate_doc
+from crawsim.scenario import apply_overrides, validate_doc
 from crawsim.secrecy import check_secrecy
 from crawsim.sim import Simulation, render_report
 
@@ -69,6 +69,62 @@ def test_validate_reports_field_errors(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
     assert "neither a scenario file nor a bundled scenario" in capsys.readouterr().err
+
+
+# every refusal of validate_doc, as (dotted path, value set there, the exact
+# "field: message"); the id, frame and events limits have tests of their own
+FIELD_REFUSALS = (
+    ("extra", 1, "extra: unknown top-level field"),
+    ("schema_version", 2, "schema_version: expected 1, got 2"),
+    ("name", "", "name: expected a non-empty string"),
+    ("seed", "9", "seed: expected an integer, got '9'"),
+    ("seed", True, "seed: expected an integer, got True"),
+    ("scheme", None, "scheme: expected a non-empty string"),
+    ("scheme", "rot13", "scheme: expected one of ckc_craw, ckc_plain, lkh"),
+    ("group", "", "group: expected a non-empty string"),
+    ("delays", [], "delays: expected an object"),
+    ("delays.t_fly", 1, "delays: unknown field 't_fly'"),
+    ("delays.t_probe", "1", "delays.t_probe: expected a number, got '1'"),
+    ("delays.t_probe", -1, "delays.t_probe: must be non-negative"),
+    ("content_frames", 1, "content_frames: expected true or false"),
+    ("areas", {}, "areas: expected a non-empty object mapping area id to member list"),
+    ("areas", [], "areas: expected a non-empty object mapping area id to member list"),
+    ("areas.B", "v1", "areas.B: expected a list of member ids"),
+    ("areas.B", [5], "areas.B[0]: member ids must be non-empty strings"),
+    ("areas.B", ["v1", "u1"], "areas.B[1]: u1 appears more than once"),
+    ("members", "w1", "members: expected a list of member ids"),
+    ("members", ["v1"], "members[0]: v1 appears more than once"),
+    ("members", ["w1", "w1"], "members[1]: w1 appears more than once"),
+    ("events", {}, "events: expected a list"),
+    ("events.0", 5, "events[0]: expected an object"),
+    ("events.0.op", "fly", "events[0].op: expected join, leave, or move"),
+    ("events.0.to", "B", "events[0].to: unknown field for op 'join'"),
+    ("events.1.area", "A", "events[1].area: unknown field for op 'move'"),
+    ("events.0.time", None, "events[0].time: expected a number, got None"),
+    ("events.0.time", -1, "events[0].time: must be non-negative"),
+    ("events.0.member", "zz", "events[0].member: 'zz' is not a registered member"),
+    ("events.0.member", 7, "events[0].member: 7 is not a registered member"),
+    ("events.0.area", "C", "events[0].area: 'C' is not a declared area"),
+    ("events.1.from", "C", "events[1].from: 'C' is not a declared area"),
+    ("events.1.to", "C", "events[1].to: 'C' is not a declared area"),
+    ("events.1.to", "A", "events[1].to: source and destination must differ"),
+    ("horizon", "6", "horizon: expected a number, got '6'"),
+    ("horizon", 3.0, "horizon: must not be earlier than the last event"),
+)
+
+
+@pytest.mark.parametrize(
+    ("path", "value", "message"), FIELD_REFUSALS, ids=[re.sub(r"\W+", "_", m) for _, _, m in FIELD_REFUSALS]
+)
+def test_every_field_refusal_names_its_field_path(tmp_path, capsys, path, value, message):
+    doc = apply_overrides(SMALL, pairs=[f"{path}={json.dumps(value)}"])
+    with pytest.raises(ValueError) as refused:
+        validate_doc(doc)
+    assert str(refused.value) == message
+    scenario_path = tmp_path / "bad.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(scenario_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_writes_reproducible_artifacts(small_path, tmp_path, capsys):

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import random
 import time
 from collections import defaultdict
-from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -213,16 +213,6 @@ def test_a_refusal_names_its_event_by_field_path_and_time(kind):
     with pytest.raises(ProtocolError) as refused:
         Simulation(scenario(events)).run()
     assert str(refused.value) == message
-
-
-def test_a_same_area_move_refusal_names_its_event():
-    # the validator refuses a same-area move, so only a scenario built past
-    # it reaches the run's own check
-    sc = scenario([LEAVE_U8, MOVE_U1])
-    sc.events[1] = replace(sc.events[1], dst="A")
-    with pytest.raises(ProtocolError) as refused:
-        Simulation(sc).run()
-    assert str(refused.value) == "events[1] (t=1.0000000): move source and destination are the same area"
 
 
 def test_rejected_join_changes_nothing():
@@ -472,6 +462,42 @@ def test_frame_log_does_not_grow_with_the_horizon():
     assert len(short.ledger.frames) == 99 * 8 + 101 * 7
     assert len(long.ledger.frames) == 99 * 8 + 1901 * 7  # about tenfold
     assert list(long.ledger.frames)[: len(short.ledger.frames)] == list(short.ledger.frames)
+
+
+def test_a_frame_whose_outcome_changes_within_a_stretch_is_refused(monkeypatch):
+    # no key changes between two re-keying events, so every frame of a
+    # stretch opens as its first did; one that does not is refused, not
+    # logged as a new run
+    real = crypto.decrypt
+    frames = []
+
+    def second_frame_fails(key, frame):
+        if frame not in frames:
+            frames.append(frame)
+        if len(frames) == 2:
+            raise crypto.DecryptionError("spoiled")
+        return real(key, frame)
+
+    monkeypatch.setattr("crawsim.sim.decrypt", second_frame_fails)
+    with pytest.raises(ProtocolError) as refused:
+        Simulation(validate_doc(bundled_doc("departed"))).run()
+    assert str(refused.value) == "area A: a frame's outcomes changed within a re-keying stretch"
+
+
+@pytest.mark.parametrize(
+    "source, scheme", [("handoff", s) for s in ("ckc_craw", "ckc_plain", "lkh")] + [(3, "lkh")],
+    ids=lambda v: str(v),
+)
+def test_the_ledger_keeps_no_key_material(source, scheme):
+    # the frame log keeps ids and outcomes; the readers' keys go at each bill
+    if isinstance(source, int):
+        sc = random_scenario(source, scheme, frames=True)
+    else:
+        sc = validate_doc(apply_overrides(bundled_doc(source), scheme=scheme))
+    sim = Simulation(sc).run()
+    dumped = pickle.dumps(sim.ledger)
+    assert sim.recorder.key_universe and len(sim.ledger.frames) > 0
+    assert [key for key in sim.recorder.key_universe if key in dumped] == []
 
 
 def assert_billed_as_delivered(sim: Simulation) -> None:
