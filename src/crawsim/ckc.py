@@ -39,26 +39,30 @@ consistency oracle) and the counting rule (``RekeyCounters.sent``) live in
 fresh AK' and rolled middle keys (``CkcTree._rekey``), the sealed ``Rekey``
 of each event and how a member rolls the keys.
 
-A member refreshes from the event's ``Rekey`` alone.  It rolls from the
-inputs it holds itself, but the members below one position hold the same
-K, so an event rolls each distinct input once, in the event's ``memo``
-keyed by the input bytes and never by code; a member holding a wrong K
-gets its own (wrong) roll.  On a leave, the event's ``index`` holds one
-cover per level of the leaver's path, top-down, and each remaining member
-sits below exactly one, so a member takes the first that prefixes its
-leaf and opens it with ``Rekey.opened``: once per event for each cover
-key.  It rolls the affected keys top-down to the first one off its path.
+A member refreshes from the event's ``Rekey`` alone, and one pass per
+event refreshes every view of an area in view order (``_roll_pass``).
+Each member rolls from the inputs it holds itself, but the members below
+one position hold the same K, so an event rolls each distinct input once,
+in the event's ``memo`` keyed by the input bytes and never by code; a
+member holding a wrong K gets its own (wrong) roll.  On a leave, the
+event's ``index`` holds one cover per level of the leaver's path,
+top-down, and each remaining member sits below exactly one, so a member
+takes the first that prefixes its leaf and opens it with
+``Rekey.opened``: once per event for each cover key.  It rolls the
+affected keys top-down to the first one off its path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from random import Random
 
 # decrypt goes through the module, so a wrapper on crypto.decrypt sees it
 from . import crypto
 from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_digit, random_key
 from .tree import (
-    MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, path_codes,
+    MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, following,
+    path_codes,
 )
 
 ROOT_CODE = "1"
@@ -133,28 +137,6 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
     return Rekey(notice, [], multicasts, RekeyCounters.sent(1, [], multicasts), len(notice.leaf) - 1)
 
 
-def _rolled(memo: dict[tuple, bytes], *inputs: bytes) -> bytes:
-    """f(AK) of one key, or f(AK' xor K) of two, from a member's own input
-    bytes, rolled once per event for each distinct input (``Rekey.memo``)."""
-    out = memo.get(inputs)
-    if out is None:
-        out = memo[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
-    return out
-
-
-def _roll_view(view: MemberKeyView, rekey: Rekey, ak_new: bytes) -> None:
-    """Install AK' and roll the event's affected middle keys that sit on
-    the view's own path, top-down."""
-    leaf, keys, memo = view.leaf, view.keys, rekey.memo
-    view.store(ROOT_CODE, ak_new)
-    for code in rekey.notice.affected_codes:
-        # the affected codes are one top-down chain, so the first one off
-        # the path ends it
-        if not leaf.startswith(code):
-            break
-        view.store(code, _rolled(memo, ak_new, keys[code]))
-
-
 def build_joiner_view(
     member_id: str, individual_key: bytes, unicasts: list[WireMessage], leaf: str, epoch: int
 ) -> MemberKeyView:
@@ -175,31 +157,57 @@ def build_joiner_view(
     return MemberKeyView(member_id, leaf, path, epoch)
 
 
-def ckc_member_refresh_join(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
-    """Local update on a join: roll AK forward and, under it, the touched
-    middle keys that sit on the own path."""
-    if not view.follow_join(rekey.notice):
-        return view
-    _roll_view(view, rekey, _rolled(rekey.memo, view.group_key()))
-    return view
+def _roll_pass(views: Iterable[MemberKeyView], rekey: Rekey, joined: bool) -> None:
+    """Each view in order gets AK' and rolls, under it, the event's affected
+    middle keys on its own path, top-down.  On a join AK' is f(AK); on a
+    leave a view opens the cover payload it can read and then re-codes if
+    it sits in the promoted subtree.  Each roll is one ``memo`` entry per
+    distinct input (f(AK) of one key, f(AK' xor K) of two)."""
+    notice, memo, opened = rekey.notice, rekey.memo, rekey.opened
+    affected = notice.affected_codes
+    # covers are pre-promotion positions, one per level of the leaver's
+    # path, so a view opens its payload before re-coding
+    covers = list(rekey.index)
+    for view in following(views, notice):
+        keys, held, leaf = view.keys, view.held, view.leaf
+        if joined:
+            inputs = (keys[ROOT_CODE],)
+            ak_new = memo.get(inputs)
+            if ak_new is None:
+                ak_new = memo[inputs] = hash_f(*inputs)
+        else:
+            # the first cover that prefixes the leaf is the one
+            for mine in covers:
+                if leaf.startswith(mine):
+                    break
+            else:
+                raise ProtocolError(f"{view.member_id} matches 0 cover nodes, expected 1")
+            ak_new = opened(mine, keys[mine])
+            view.promote(notice)
+            keys, leaf = view.keys, view.leaf
+        keys[ROOT_CODE] = ak_new
+        held.add(ak_new)
+        for code in affected:
+            # the affected codes are one top-down chain, so the first one
+            # off the path ends it
+            if not leaf.startswith(code):
+                break
+            inputs = (ak_new, keys[code])
+            key = memo.get(inputs)
+            if key is None:
+                key = memo[inputs] = hash_f_xor(*inputs)
+            keys[code] = key
+            held.add(key)
 
 
-def ckc_member_refresh_leave(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
-    """Local update on a leave: open the cover payload this member can read,
-    re-code if inside the promoted subtree, and roll the affected keys."""
-    if not view.accept_leave(rekey.notice):
-        return view
+def ckc_member_refresh_join(views: Iterable[MemberKeyView], rekey: Rekey) -> None:
+    """Local update of every view on a join: roll AK forward and, under it,
+    the touched middle keys on each view's own path."""
+    _roll_pass(views, rekey, joined=True)
 
-    # covers are pre-promotion positions, so the payload is opened before
-    # re-coding; the first in the index that prefixes the leaf is the one
-    leaf = view.leaf
-    for mine in rekey.index:
-        if leaf.startswith(mine):
-            break
-    else:
-        raise ProtocolError(f"{view.member_id} matches 0 cover nodes, expected 1")
-    ak_new = rekey.opened(mine, view.keys[mine])
 
-    view.promote(rekey.notice)
-    _roll_view(view, rekey, ak_new)
-    return view
+def ckc_member_refresh_leave(views: Iterable[MemberKeyView], rekey: Rekey) -> None:
+    """Local update of every view on a leave: open the cover payload the
+    view can read, re-code if inside the promoted subtree, and roll the
+    affected keys."""
+    _roll_pass(views, rekey, joined=False)

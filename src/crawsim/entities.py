@@ -5,9 +5,10 @@ group, keyed by member id: registration, auth material, status and
 billing.  It answers authentication lookups, and it is the one record of
 where each member is.  Each area wireless server owns one key tree, holds
 the key view of every member present in it, and re-keys both as members
-come and go, handing each event's ``Rekey`` to every member.  Mobile
-members hold only their credential.  Everything here is pure state
-transformation; the simulator layers timing, traces, and metrics on top.
+come and go, handing each event's ``Rekey`` to all of its members in one
+refresh pass.  Mobile members hold only their credential.  Everything
+here is pure state transformation; the simulator layers timing, traces,
+and metrics on top.
 """
 
 from __future__ import annotations
@@ -225,9 +226,10 @@ class AreaState:
     member keyed in it, by member id.
 
     ``join``/``leave`` re-key the tree through the scheme, hand the
-    scheme's ``Rekey`` to every present member's local update, which opens
-    the actual payloads exactly as a real client would, and pass it on
-    unchanged.  A joiner opens its own view from the event's unicasts.
+    scheme's ``Rekey`` with every present member's view to the scheme's
+    one refresh pass, which opens the actual payloads exactly as a real
+    client would, and pass it on unchanged.  A joiner opens its own view
+    from the event's unicasts.
     """
 
     def __init__(self, area_id: str, scheme: str, rng: Random):
@@ -255,8 +257,7 @@ class AreaState:
                 self.tree, member_id, individual_key, self.rng, count_individual_key=ordinary
             )
             refresh, joiner_view = ckc_member_refresh_join, build_joiner_view
-        for view in self.views.values():
-            refresh(view, res)
+        refresh(self.views.values(), res)
         notice = res.notice
         self.views[member_id] = joiner_view(
             member_id, individual_key, res.unicasts, notice.leaf, notice.epoch
@@ -283,8 +284,7 @@ class AreaState:
         else:
             res, refresh = ckc_leave(self.tree, member_id, self.rng), ckc_member_refresh_leave
         del self.views[member_id]
-        for view in self.views.values():
-            refresh(view, res)
+        refresh(self.views.values(), res)
         return res
 
     def consistent(self) -> bool:

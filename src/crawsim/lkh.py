@@ -22,17 +22,20 @@ Placement, leave and the positions each event re-keys live in
 sealed ``Rekey`` of each event and how a member climbs its path to open
 them: only the labels' suffix on its own path, found from the root end,
 looking each child on the path up in the event's ``index`` and sharing each
-open (``Rekey.opened``).  Only a joiner gets a chain: the t=0 roster gets
-``ckc.joiner_unicasts`` under LKH too.
+open (``Rekey.opened``).  One pass per event climbs for every view of an
+area in view order (``_climb_pass``).  Only a joiner gets a chain: the t=0
+roster gets ``ckc.joiner_unicasts`` under LKH too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from random import Random
 
 from .crypto import ProtocolError, decrypt, encrypt, random_key
 from .tree import (
-    MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, path_codes,
+    MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, following,
+    path_codes,
 )
 
 ROOT_LABEL = "r"
@@ -124,36 +127,36 @@ def build_lkh_joiner_view(
     return MemberKeyView(member_id, leaf, keys, epoch)
 
 
-def _climb(view: MemberKeyView, rekey: Rekey) -> None:
-    """Open the regenerated keys on the view's own path from the event's
-    ``index``.  They run bottom-up along one root path, so those on the
-    view's path are a suffix, found from the root end up to the first label
-    off the path; climbed bottom-up, the key of the child on the path is
-    current when its parent's payload is opened under it."""
-    labels, leaf, keys = rekey.notice.affected_codes, view.leaf, view.keys
-    start = len(labels)
-    while start and leaf.startswith(labels[start - 1]):
-        start -= 1
-    for label in labels[start:]:
-        child_on_path = leaf[: len(label) + 1]
-        key = keys[child_on_path]
-        try:
-            opened = rekey.opened(child_on_path, key)
-        except KeyError:  # the event's index holds no payload there
-            raise ProtocolError(f"no payload under {child_on_path} for {label}") from None
-        view.store(label, opened)
+def _climb_pass(views: Iterable[MemberKeyView], rekey: Rekey, joined: bool) -> None:
+    """Each view in order re-codes if a leave promoted its subtree, then
+    opens the regenerated keys on its own path from the event's ``index``.
+    They run bottom-up along one root path, so those on a view's path are a
+    suffix, found from the root end up to the first label off the path;
+    climbed bottom-up, the key of the child on the path is current when its
+    parent's payload is opened under it."""
+    notice, opened = rekey.notice, rekey.opened
+    labels = notice.affected_codes
+    for view in following(views, notice):
+        if not joined:
+            view.promote(notice)
+        leaf, keys, held = view.leaf, view.keys, view.held
+        start = len(labels)
+        while start and leaf.startswith(labels[start - 1]):
+            start -= 1
+        for label in labels[start:]:
+            child_on_path = leaf[: len(label) + 1]
+            key = keys[child_on_path]
+            try:
+                key = opened(child_on_path, key)
+            except KeyError:  # the event's index holds no payload there
+                raise ProtocolError(f"no payload under {child_on_path} for {label}") from None
+            keys[label] = key
+            held.add(key)
 
 
-def lkh_member_refresh_join(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
-    if not view.follow_join(rekey.notice):
-        return view
-    _climb(view, rekey)
-    return view
+def lkh_member_refresh_join(views: Iterable[MemberKeyView], rekey: Rekey) -> None:
+    _climb_pass(views, rekey, joined=True)
 
 
-def lkh_member_refresh_leave(view: MemberKeyView, rekey: Rekey) -> MemberKeyView:
-    if not view.accept_leave(rekey.notice):
-        return view
-    view.promote(rekey.notice)
-    _climb(view, rekey)
-    return view
+def lkh_member_refresh_leave(views: Iterable[MemberKeyView], rekey: Rekey) -> None:
+    _climb_pass(views, rekey, joined=False)

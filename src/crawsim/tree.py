@@ -29,7 +29,9 @@ Members learn of both from the plaintext notices below and mirror them on
 their own view (``MemberKeyView``), applying notices strictly in epoch
 order.  A notice names only what a member cannot work out for itself: the
 split leaf is the parent of the occupant's new leaf, and a promoted
-subtree moves into the parent of its old root.
+subtree moves into the parent of its old root.  Each scheme refreshes an
+area's views in one pass per event; ``following`` is the pass's one
+epoch rule (and a join's slide) for both schemes.
 ``PositionTree.view_matches`` is the consistency oracle: a view must hold
 exactly the keys on its root path, equal to the server's.
 
@@ -46,14 +48,15 @@ event sends (``RekeyCounters.sent``): one encryption per payload and one
 send per message.  The ``Rekey`` is the one object every member reads for
 the event: its ``index`` holds the multicast payloads by position, so a
 member opens those on its own path, and its ``memo`` (``Rekey.opened``,
-``ckc._rolled``) lets the members that hold the same key share one open of
-a payload or one CKC roll.  An event's re-keyed positions all lie on one
-root path, so a member reads them from the root end and stops at the
-first one it does not share; nothing after it can be on its path.
+and the CKC pass's rolls) lets the members that hold the same key share
+one open of a payload or one CKC roll.  An event's re-keyed positions all
+lie on one root path, so a member reads them from the root end and stops
+at the first one it does not share; nothing after it can be on its path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from random import Random
@@ -163,7 +166,7 @@ class Rekey:
     # seals at most one under each), so a member looks up its own path
     index: dict[str, WirePayload] = field(init=False, repr=False, compare=False)
     # the members' shared work: (str position, key) -> an open's plaintext,
-    # and a CKC roll's input bytes -> its output (``ckc._rolled``)
+    # and a CKC roll's input bytes -> its output
     memo: dict[tuple, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -193,46 +196,9 @@ class MemberKeyView:
     def __post_init__(self) -> None:
         self.held = set(self.keys.values())
 
-    def store(self, code: str, key: bytes) -> None:
-        self.keys[code] = key
-        self.held.add(key)
-
     def group_key(self) -> bytes:
         # every position starts with the root's one-character name
         return self.keys[self.leaf[0]]
-
-    def _in_order(self, epoch: int) -> bool:
-        """True when a notice for ``epoch`` should be applied, and the view
-        moves to that epoch; False for a stale re-delivery.  A gap means the
-        member missed an announcement and can no longer follow the tree."""
-        if epoch <= self.epoch:
-            return False
-        if epoch != self.epoch + 1:
-            raise ProtocolError(
-                f"{self.member_id} missed an announcement (view at {self.epoch}, notice {epoch})"
-            )
-        self.epoch = epoch
-        return True
-
-    def follow_join(self, notice: JoinNotice) -> bool:
-        """Mirror a join's position change; False (view untouched) for a
-        stale re-delivery.  The scheme then refreshes the keys."""
-        if not self._in_order(notice.epoch):
-            return False
-        occupant_leaf = notice.occupant_leaf
-        if occupant_leaf is not None and self.leaf == occupant_leaf[:-1]:
-            # this member occupied the split leaf; it slides down one level
-            # with its individual key, which stays at the split position
-            # until the scheme re-keys it
-            self.keys[occupant_leaf] = self.keys[self.leaf]
-            self.leaf = occupant_leaf
-        return True
-
-    def accept_leave(self, notice: LeaveNotice) -> bool:
-        """Whether to apply a leave notice; the leaver itself is refused."""
-        if self.member_id == notice.member_id:
-            raise ProtocolError("departed member cannot refresh")
-        return self._in_order(notice.epoch)
 
     def promote(self, notice: LeaveNotice) -> None:
         """Mirror the promotion of subtree ``promoted_src`` into its parent's
@@ -244,6 +210,39 @@ class MemberKeyView:
             return
         self.keys = {promoted(c, src): k for c, k in self.keys.items() if c != src[:-1]}
         self.leaf = promoted(self.leaf, src)
+
+
+def following(
+    views: Iterable[MemberKeyView], notice: JoinNotice | LeaveNotice
+) -> Iterator[MemberKeyView]:
+    """The views that apply ``notice``, in view order, each moved to its
+    epoch as it is handed out; on a join, the occupant of the split leaf
+    also slides down one level with its individual key, which stays at the
+    split position until the scheme re-keys it.  A stale re-delivery is
+    skipped.  A gap means the member missed an announcement and can no
+    longer follow the tree, and a leave's leaver cannot refresh: either
+    refusal stops the pass at that view.  A leave's promotion is left to
+    the scheme, which may need the pre-promotion codes first."""
+    epoch, leaver, occupant_leaf = notice.epoch, None, None
+    if isinstance(notice, LeaveNotice):
+        leaver = notice.member_id
+    else:
+        occupant_leaf = notice.occupant_leaf
+    split = occupant_leaf and occupant_leaf[:-1]
+    for view in views:
+        if view.member_id == leaver:
+            raise ProtocolError("departed member cannot refresh")
+        if view.epoch != epoch - 1:
+            if view.epoch >= epoch:
+                continue
+            raise ProtocolError(
+                f"{view.member_id} missed an announcement (view at {view.epoch}, notice {epoch})"
+            )
+        view.epoch = epoch
+        if view.leaf == split:
+            view.keys[occupant_leaf] = view.keys[split]
+            view.leaf = occupant_leaf
+        yield view
 
 
 class PositionTree:

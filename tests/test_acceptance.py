@@ -154,8 +154,7 @@ def test_c02_join_and_leave_walkthrough():
     for mid in ("m1", "m2", "m3", "m4", "m5"):
         iks[mid] = random_key(rng)
         res = ckc_join(tree, mid, iks[mid], rng)
-        for v in views.values():
-            ckc_member_refresh_join(v, res)
+        ckc_member_refresh_join(views.values(), res)
         views[mid] = build_joiner_view(mid, iks[mid], res.unicasts, res.notice.leaf, res.notice.epoch)
 
     ak_old = tree.group_key()
@@ -168,8 +167,7 @@ def test_c02_join_and_leave_walkthrough():
     assert ak_new == tree.group_key()
     leaf = res.notice.leaf
     assert res.counters.multicast_sends == 0 and res.counters.unicast_sends == 1
-    for v in views.values():
-        ckc_member_refresh_join(v, res)
+    ckc_member_refresh_join(views.values(), res)
     views["m6"] = build_joiner_view("m6", iks["m6"], res.unicasts, leaf, res.notice.epoch)
 
     # each middle key on the joiner's path rolls from its previous value

@@ -51,8 +51,7 @@ class Harness:
         ik = random_key(self.rng)
         self.individual[member] = ik
         res = ckc_join(self.tree, member, ik, self.rng, **kwargs)
-        for view in self.views.values():
-            ckc_member_refresh_join(view, res)
+        ckc_member_refresh_join(self.views.values(), res)
         self.views[member] = build_joiner_view(
             member, ik, res.unicasts, res.notice.leaf, res.notice.epoch
         )
@@ -71,8 +70,7 @@ class Harness:
         assert res.notice.cover_codes == canonical
         self.assert_covers_not_reproducible(res)
         departed = self.views.pop(member)
-        for view in self.views.values():
-            ckc_member_refresh_leave(view, res)
+        ckc_member_refresh_leave(self.views.values(), res)
         self._note()
         return res, departed
 
@@ -183,8 +181,7 @@ def test_join_refresh_is_idempotent():
     h.grow(4)
     res = h.join("u5")
     snapshot = {m: (v.leaf, dict(v.keys), v.epoch) for m, v in h.views.items()}
-    for view in h.views.values():
-        ckc_member_refresh_join(view, res)  # stale re-delivery
+    ckc_member_refresh_join(h.views.values(), res)  # stale re-delivery
     assert snapshot == {m: (v.leaf, dict(v.keys), v.epoch) for m, v in h.views.items()}
 
 
@@ -356,7 +353,7 @@ def test_refresh_refuses_a_leave_without_its_cover_payload():
     mine = h.views["u7"]
     dropped = [msg for msg in res.multicasts if not mine.leaf.startswith(msg.payloads[0].under)]
     with pytest.raises(ProtocolError, match="u7 matches 0 cover nodes, expected 1"):
-        ckc_member_refresh_leave(mine, replace(res, multicasts=dropped))
+        ckc_member_refresh_leave([mine], replace(res, multicasts=dropped))
 
 
 def test_every_leave_indexes_one_cover_per_level_below_which_each_member_sits_once():
@@ -482,13 +479,14 @@ def test_a_member_holding_a_wrong_middle_key_gets_its_own_roll(scheme, event, ro
     failed = []
 
     def tolerant(refresh):
-        # a failed open stops only its own member's refresh
-        def run(view, rekey):
-            try:
-                return refresh(view, rekey)
-            except DecryptionError:
-                failed.append(view.member_id)
-                return view
+        # the event's pass one view at a time, so a failed open stops only
+        # its own member's refresh
+        def run(views, rekey):
+            for view in views:
+                try:
+                    refresh([view], rekey)
+                except DecryptionError:
+                    failed.append(view.member_id)
         return run
 
     for name in ("ckc_member_refresh_leave", "lkh_member_refresh_join", "lkh_member_refresh_leave"):

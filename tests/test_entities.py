@@ -3,6 +3,7 @@ orchestration across all three schemes."""
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import fields, replace
 
@@ -271,7 +272,7 @@ def test_member_views_refuse_a_missed_notice_their_own_leave_and_any_mismatch(sc
     departed = area.views["u5"]
     outcome = area.leave("u5")
     with pytest.raises(ProtocolError, match="departed member cannot refresh"):
-        refresh_leave(departed, outcome)
+        refresh_leave([departed], outcome)
     # the oracle refuses a view that is right but for one thing
     view = area.views["u1"]
     assert area.tree.view_matches(view)
@@ -489,12 +490,15 @@ def test_a_refresh_stores_exactly_what_the_event_changed_on_the_members_path(sch
     # or the opened keys on its path (LKH), and opens only its one cover
     # (CKC leave) or the payloads under its path (LKH): no early exit drops
     # or adds a roll or an open.
-    stored, opened = [], []
-    store, opened_by = MemberKeyView.store, Rekey.opened
+    added, opened = [], []
+    opened_by = Rekey.opened
 
-    def logged_store(view, code, key):
-        stored.append(code)
-        store(view, code, key)
+    class LoggedHeld(set):
+        """A view's ``held`` set that logs each key a refresh records."""
+
+        def add(self, key):
+            added.append(key)
+            super().add(key)
 
     def logged_open(rekey, under, key):
         opened.append(under)
@@ -505,25 +509,29 @@ def test_a_refresh_stores_exactly_what_the_event_changed_on_the_members_path(sch
     def checked(name):
         refresh = getattr(entities, name)
 
-        def wrapper(view, rekey):
-            before = view.leaf
-            stored.clear()
-            opened.clear()
-            out = refresh(view, rekey)
-            on_path = scan_on_path(view.leaf, rekey.notice.affected_codes)
-            if scheme == "lkh":
-                assert (stored, opened) == (on_path, [view.leaf[: len(c) + 1] for c in on_path])
-            elif name.endswith("leave"):
-                (cover,) = scan_covers(before, rekey)
-                assert (stored, opened) == ([ROOT_CODE] + on_path, [cover])
-            else:
-                assert (stored, opened) == ([ROOT_CODE] + on_path, [])
-            refreshes.append(name)
-            return out
+        def wrapper(views, rekey):
+            # the event's pass one view at a time
+            for view in views:
+                before = view.leaf
+                view.held = LoggedHeld(view.held)
+                added.clear()
+                opened.clear()
+                refresh([view], rekey)
+                # each recorded key by the position the view now holds it at
+                code_of = {key: code for code, key in view.keys.items()}
+                stored = [code_of[key] for key in added]
+                on_path = scan_on_path(view.leaf, rekey.notice.affected_codes)
+                if scheme == "lkh":
+                    assert (stored, opened) == (on_path, [view.leaf[: len(c) + 1] for c in on_path])
+                elif name.endswith("leave"):
+                    (cover,) = scan_covers(before, rekey)
+                    assert (stored, opened) == ([ROOT_CODE] + on_path, [cover])
+                else:
+                    assert (stored, opened) == ([ROOT_CODE] + on_path, [])
+                refreshes.append(name)
 
         monkeypatch.setattr(entities, name, wrapper)
 
-    monkeypatch.setattr(MemberKeyView, "store", logged_store)
     monkeypatch.setattr(Rekey, "opened", logged_open)
     prefix = "lkh" if scheme == "lkh" else "ckc"
     for event in ("join", "leave"):
@@ -538,3 +546,76 @@ def test_a_refresh_stores_exactly_what_the_event_changed_on_the_members_path(sch
         area.join(f"m{i}", random_key(rng))
     assert area.consistent()
     assert refreshes.count(f"{prefix}_member_refresh_leave") == 60 * 95
+
+
+@pytest.mark.parametrize("scheme", ("ckc_craw", "lkh"))
+def test_one_pass_over_an_area_equals_one_pass_per_member(scheme, monkeypatch):
+    # Each event's pass reads the event once for every view.  On a seeded
+    # churn of a 96-member area it leaves every view, and the event's memo,
+    # as passes over one view at a time in view order do on a copy, and a
+    # view that missed an announcement stops both at itself.
+    def state(views):
+        return [(v.member_id, v.leaf, v.keys, v.epoch, v.held) for v in views]
+
+    def copied(view):
+        out = MemberKeyView(view.member_id, view.leaf, dict(view.keys), view.epoch)
+        out.held = set(view.held)
+        return out
+
+    def refused(refresh, batches, rekey):
+        try:
+            for batch in batches:
+                refresh(batch, rekey)
+        except ProtocolError as exc:
+            return str(exc)
+        return None
+
+    passes = []
+
+    def compared(name):
+        refresh = getattr(entities, name)
+
+        def wrapper(views, rekey):
+            views = list(views)
+            # the same event with its own (empty) memo
+            alone, alone_rekey = [copied(v) for v in views], replace(rekey)
+            alone_refusal = refused(refresh, [[view] for view in alone], alone_rekey)
+            refusal = refused(refresh, [views], rekey)
+            assert (state(views), rekey.memo, refusal) == (
+                state(alone), alone_rekey.memo, alone_refusal
+            )
+            passes.append(name)
+            if refusal is not None:
+                raise ProtocolError(refusal)
+
+        monkeypatch.setattr(entities, name, wrapper)
+
+    prefix = "lkh" if scheme == "lkh" else "ckc"
+    for event in ("join", "leave"):
+        compared(f"{prefix}_member_refresh_{event}")
+
+    rng = random.Random(71)
+    area = AreaState("A", scheme, rng)
+    for i in range(96):
+        area.join(f"m{i}", random_key(rng))
+    for i in range(96, 156):
+        area.leave(rng.choice(sorted(area.views)))
+        area.join(f"m{i}", random_key(rng))
+    assert area.consistent()
+    assert (passes.count(f"{prefix}_member_refresh_join"), len(passes)) == (156, 216)
+
+    for event in ("join", "leave"):
+        lagged = copy.deepcopy(area)
+        views = list(lagged.views.values())
+        middle = views[48]
+        middle.epoch -= 1
+        before = [copied(v) for v in views]
+        with pytest.raises(ProtocolError, match=rf"^{middle.member_id} missed an announcement"):
+            if event == "join":
+                lagged.join("late", random_key(rng))
+            else:
+                lagged.leave(views[-1].member_id)
+        # the views before it are refreshed and the views after it (but the
+        # last, which is the leaver on a leave) are untouched
+        assert all(v.epoch == lagged.tree.epoch for v in views[:48])
+        assert state(views[49:95]) == state(before[49:95])

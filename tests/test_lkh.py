@@ -34,8 +34,7 @@ class Harness:
         ik = random_key(self.rng)
         self.individual[member] = ik
         res = lkh_join(self.tree, member, ik, self.rng)
-        for view in self.views.values():
-            lkh_member_refresh_join(view, res)
+        lkh_member_refresh_join(self.views.values(), res)
         self.views[member] = build_lkh_joiner_view(
             member, ik, res.unicasts, res.notice.leaf, res.notice.epoch
         )
@@ -44,8 +43,7 @@ class Harness:
     def leave(self, member: str):
         res = lkh_leave(self.tree, member, self.rng)
         departed = self.views.pop(member)
-        for view in self.views.values():
-            lkh_member_refresh_leave(view, res)
+        lkh_member_refresh_leave(self.views.values(), res)
         return res, departed
 
     def grow(self, n: int, prefix: str = "u"):
@@ -227,7 +225,7 @@ def test_refresh_refuses_a_join_without_its_payload():
         for msg in res.multicasts
     ]
     with pytest.raises(ProtocolError, match=f"no payload under {child} for r"):
-        lkh_member_refresh_join(view, replace(res, multicasts=kept))
+        lkh_member_refresh_join([view], replace(res, multicasts=kept))
 
 
 def test_refresh_refuses_a_leave_without_its_payload():
@@ -250,7 +248,7 @@ def test_refresh_refuses_a_leave_without_its_payload():
         for msg in res.multicasts
     ]
     with pytest.raises(ProtocolError, match=f"no payload under {child} for {leaf[:2]}"):
-        lkh_member_refresh_leave(view, replace(res, multicasts=kept))
+        lkh_member_refresh_leave([view], replace(res, multicasts=kept))
 
 
 def test_joiner_refuses_a_chain_that_stops_short():

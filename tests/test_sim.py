@@ -14,7 +14,7 @@ from importlib import resources
 import pytest
 from test_acceptance import ZERO_DELAYS, random_scenario
 
-from crawsim import crypto
+from crawsim import crypto, entities
 from crawsim.crypto import KEY_WIDTH, ProtocolError, fingerprint
 from crawsim.entities import MainList
 from crawsim.otp import ClientSecret
@@ -603,7 +603,17 @@ def test_recorder_holds_every_key_stored(monkeypatch, source, scheme):
     wrap(PositionTree, "__init__", lambda tree, group_key: tree_keys.add(group_key))
     wrap(PositionTree, "_set", log_set)
     wrap(MemberKeyView, "__post_init__", lambda view: view_keys[view.member_id].update(view.keys.values()))
-    wrap(MemberKeyView, "store", lambda view, code, key: view_keys[view.member_id].add(key))
+    # a refresh pass writes each position at most once per view, so what
+    # the views hold after it is every key it stored
+    def log_pass(views, rekey):
+        for view in views:
+            view_keys[view.member_id].update(view.keys.values())
+
+    for name in (
+        "ckc_member_refresh_join", "ckc_member_refresh_leave",
+        "lkh_member_refresh_join", "lkh_member_refresh_leave",
+    ):
+        wrap(entities, name, log_pass)
     wrap(Simulation, "_note_auth_material", log_auth)
 
     if source == "churn":
