@@ -6,16 +6,19 @@ from (key, plaintext), and all randomness flows through a caller-supplied
 ``random.Random``.  That keeps whole simulation runs bit-reproducible from a
 seed.
 
-A ``Ciphertext`` is a plain value, its nonce and body, and ``decrypt`` keeps
-no state: every call is one AES-GCM open.  Readers that share a key share
-the work where they meet, a re-keying event's members in its ``Rekey``
-(``crawsim.tree``) and an area's frame readers in ``sim.FrameReaders``.
+A ``Ciphertext`` is a plain value, its nonce and body.  ``encrypt`` and
+``decrypt`` keep no plaintext and no outcome, only the AES-GCM object of each
+of the last 64 keys they used: every call is still one AES-GCM seal or open.
+Readers that share a key share the work where they meet, a re-keying event's
+members in its ``Rekey`` (``crawsim.tree``) and an area's frame readers in
+``sim.FrameReaders``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from cryptography.exceptions import InvalidTag
@@ -80,11 +83,20 @@ def _nonce_for(key: bytes, plaintext: bytes) -> bytes:
     return hashlib.sha256(b"nonce|" + key + b"|" + plaintext).digest()[:12]
 
 
+@lru_cache(maxsize=64)
+def _aead(cipher: type, key: bytes):
+    # Building an AES-GCM object (its key schedule) costs more than one
+    # open, and a frame stretch seals and opens under the same few keys at
+    # every tick.  The memo is keyed by the class as well as the key, so
+    # a replaced ``crypto.AESGCM`` builds and keeps objects of its own.
+    return cipher(key)
+
+
 def encrypt(key: bytes, plaintext: bytes) -> Ciphertext:
     if len(key) != KEY_WIDTH:
         raise ValueError(f"encryption key must be {KEY_WIDTH} octets")
     nonce = _nonce_for(key, plaintext)
-    return Ciphertext(nonce, AESGCM(key).encrypt(nonce, plaintext, None))
+    return Ciphertext(nonce, _aead(AESGCM, key).encrypt(nonce, plaintext, None))
 
 
 def decrypt(key: bytes, ct: Ciphertext) -> bytes:
@@ -93,7 +105,7 @@ def decrypt(key: bytes, ct: Ciphertext) -> bytes:
     if len(key) != KEY_WIDTH:
         raise ValueError(f"decryption key must be {KEY_WIDTH} octets")
     try:
-        return AESGCM(key).decrypt(ct.nonce, ct.body, None)
+        return _aead(AESGCM, key).decrypt(ct.nonce, ct.body, None)
     except InvalidTag as exc:
         raise DecryptionError("ciphertext does not open under this key") from exc
 

@@ -211,3 +211,53 @@ def test_fingerprint_short_and_stable():
     assert fp == crypto.fingerprint(b"abc")
     assert len(fp) == 12
     assert fp != crypto.fingerprint(b"abd")
+
+
+def test_a_replaced_aesgcm_seals_and_opens_through_its_own_objects(monkeypatch):
+    # AES-GCM objects built before the patch, under the same key, must not
+    # answer for the patched class: every seal and open goes through the
+    # wrapper, each decrypt call is one open, and a bad open still raises
+    key, wrong = b"\x33" * KEY_WIDTH, b"\x44" * KEY_WIDTH
+    ct = encrypt(key, b"payload")
+    assert decrypt(key, ct) == b"payload"
+    real = crypto.AESGCM
+    seals, opens = [], []
+
+    class CountingAESGCM:
+        def __init__(self, k):
+            self.key = k
+            self.inner = real(k)
+
+        def encrypt(self, nonce, data, aad):
+            seals.append(self.key)
+            return self.inner.encrypt(nonce, data, aad)
+
+        def decrypt(self, nonce, data, aad):
+            opens.append(self.key)
+            return self.inner.decrypt(nonce, data, aad)
+
+    monkeypatch.setattr(crypto, "AESGCM", CountingAESGCM)
+    assert encrypt(key, b"payload") == ct
+    assert seals == [key]
+    for n in range(1, 4):
+        assert decrypt(key, ct) == b"payload"
+        assert opens == [key] * n
+    tampered = dataclasses.replace(ct, body=bytes([ct.body[0] ^ 0x01]) + ct.body[1:])
+    with pytest.raises(DecryptionError):
+        decrypt(key, tampered)
+    with pytest.raises(DecryptionError):
+        decrypt(wrong, ct)
+    assert opens == [key] * 4 + [wrong]
+
+
+def test_the_aead_memo_is_bounded_and_keeps_no_outcome():
+    bound = crypto._aead.cache_info().maxsize
+    for i in range(4 * bound):
+        encrypt(i.to_bytes(KEY_WIDTH, "big"), b"payload")
+    assert crypto._aead.cache_info().currsize <= bound
+    key = b"\x55" * KEY_WIDTH
+    ct = encrypt(key, b"payload")
+    assert decrypt(key, ct) == b"payload"
+    tampered = dataclasses.replace(ct, body=ct.body[:-1] + bytes([ct.body[-1] ^ 0x01]))
+    with pytest.raises(DecryptionError):
+        decrypt(key, tampered)
