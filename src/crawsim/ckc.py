@@ -40,16 +40,19 @@ fresh AK' and rolled middle keys (``CkcTree._rekey``), the sealed ``Rekey``
 of each event and how a member rolls the keys.
 
 A member refreshes from the event's ``Rekey`` alone, and one pass per
-event refreshes every view of an area in view order (``_roll_pass``).
-Each member rolls from the inputs it holds itself, but the members below
-one position hold the same K, so an event rolls each distinct input once,
-in the event's ``memo`` keyed by the input bytes and never by code; a
-member holding a wrong K gets its own (wrong) roll.  On a leave, the
-event's ``index`` holds one cover per level of the leaver's path,
-top-down, and each remaining member sits below exactly one, so a member
-takes the first that prefixes its leaf and opens it with
-``Rekey.opened``: once per event for each cover key.  It rolls the
-affected keys top-down to the first one off its path.
+event refreshes every view of an area one re-keyed position at a time
+(``_roll_pass``): the members below a position are one run of the views
+in leaf order (``tree.under``).  Each member rolls from the inputs it
+holds itself, but the members below one position hold the same K, so an
+event rolls each distinct input once, in the event's ``memo`` keyed by the
+input bytes and never by code, and the next view of a run whose inputs are
+the very objects of the last takes its result; a member holding a wrong K
+gets its own (wrong) roll.  On a leave, the event's ``index`` holds one
+cover per level of the leaver's path, top-down, none below another, and
+each remaining member sits below exactly one: the views of each cover's
+run open it with ``Rekey.opened``, once per event for each cover key, and
+a member below no cover is refused before any view opens one.  The
+views then roll the affected keys top-down, each key's run in turn.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from . import crypto
 from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_digit, random_key
 from .tree import (
     MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, following,
-    path_codes,
+    path_codes, under,
 )
 
 ROOT_CODE = "1"
@@ -157,47 +160,57 @@ def build_joiner_view(
     return MemberKeyView(member_id, leaf, path, epoch)
 
 
+def _rolled(memo: dict[tuple, bytes], *inputs: bytes) -> bytes:
+    """f(AK) of one input or f(AK' xor K) of two, once per event for each
+    distinct input in the event's ``memo``."""
+    out = memo.get(inputs)
+    if out is None:
+        out = memo[inputs] = hash_f(*inputs) if len(inputs) == 1 else hash_f_xor(*inputs)
+    return out
+
+
 def _roll_pass(views: Iterable[MemberKeyView], rekey: Rekey, joined: bool) -> None:
-    """Each view in order gets AK' and rolls, under it, the event's affected
-    middle keys on its own path, top-down.  On a join AK' is f(AK); on a
-    leave a view opens the cover payload it can read and then re-codes if
-    it sits in the promoted subtree.  Each roll is one ``memo`` entry per
-    distinct input (f(AK) of one key, f(AK' xor K) of two)."""
+    """Every ready view (``following``) gets AK', then, one affected code at
+    a time top-down, the views below it roll its middle key under AK'.  On
+    a join AK' is f(AK) of the root key; on a leave the views below each
+    cover open its payload, and then the promoted run re-codes.  The next
+    view in a run whose inputs are the same objects takes the last
+    result."""
     notice, memo, opened = rekey.notice, rekey.memo, rekey.opened
-    affected = notice.affected_codes
-    # covers are pre-promotion positions, one per level of the leaver's
-    # path, so a view opens its payload before re-coding
-    covers = list(rekey.index)
-    for view in following(views, notice):
-        keys, held, leaf = view.keys, view.held, view.leaf
-        if joined:
-            inputs = (keys[ROOT_CODE],)
-            ak_new = memo.get(inputs)
-            if ak_new is None:
-                ak_new = memo[inputs] = hash_f(*inputs)
-        else:
-            # the first cover that prefixes the leaf is the one
-            for mine in covers:
-                if leaf.startswith(mine):
-                    break
-            else:
-                raise ProtocolError(f"{view.member_id} matches 0 cover nodes, expected 1")
-            ak_new = opened(mine, keys[mine])
+    ready, refusal = following(views, notice)
+    if joined:
+        runs = [(ROOT_CODE, ready)]
+    else:
+        # covers are pre-promotion positions, one per level of the leaver's
+        # path, none below another, so their runs are disjoint
+        runs = [(cover, under(ready, cover)) for cover in rekey.index]
+        if sum(len(run) for _, run in runs) < len(ready):
+            stray = next(v for v in ready if not any(v.leaf.startswith(c) for c, _ in runs))
+            raise ProtocolError(f"{stray.member_id} matches 0 cover nodes, expected 1")
+    for source, run in runs:
+        last = None
+        for view in run:
+            keys = view.keys
+            if keys[source] is not last:
+                last = keys[source]
+                ak_new = _rolled(memo, last) if joined else opened(source, last)
+            keys[ROOT_CODE] = ak_new
+            view.held.add(ak_new)
+    if not joined and notice.promoted_src is not None:
+        for view in under(ready, notice.promoted_src):
             view.promote(notice)
-            keys, leaf = view.keys, view.leaf
-        keys[ROOT_CODE] = ak_new
-        held.add(ak_new)
-        for code in affected:
-            # the affected codes are one top-down chain, so the first one
-            # off the path ends it
-            if not leaf.startswith(code):
-                break
-            inputs = (ak_new, keys[code])
-            key = memo.get(inputs)
-            if key is None:
-                key = memo[inputs] = hash_f_xor(*inputs)
+    for code in notice.affected_codes:
+        last_ak = last_k = None
+        for view in under(ready, code):
+            keys = view.keys
+            ak, k = keys[ROOT_CODE], keys[code]
+            if k is not last_k or ak is not last_ak:
+                last_ak, last_k = ak, k
+                key = _rolled(memo, ak, k)
             keys[code] = key
-            held.add(key)
+            view.held.add(key)
+    if refusal is not None:
+        raise refusal
 
 
 def ckc_member_refresh_join(views: Iterable[MemberKeyView], rekey: Rekey) -> None:

@@ -19,12 +19,14 @@ realized counts.
 Placement, leave and the positions each event re-keys live in
 ``crawsim.tree``; this module supplies the child digits, the fresh keys
 (``LkhTree._rekey``: the middle positions bottom-up, then the root), the
-sealed ``Rekey`` of each event and how a member climbs its path to open
-them: only the labels' suffix on its own path, found from the root end,
-looking each child on the path up in the event's ``index`` and sharing each
-open (``Rekey.opened``).  One pass per event climbs for every view of an
-area in view order (``_climb_pass``).  Only a joiner gets a chain: the t=0
-roster gets ``ckc.joiner_unicasts`` under LKH too.
+sealed ``Rekey`` of each event and how members climb their paths to open
+them.  One pass per event climbs for every view of an area one label at a
+time, bottom-up (``_climb_pass``): the members below a label are one run of
+the views in leaf order (``tree.under``), and each opens the label's
+payload under its child on the path, looked up in the event's ``index``;
+an open is shared through ``Rekey.opened``, and the next view of a run with
+the same child and key object takes the last result.  Only a joiner gets a
+chain: the t=0 roster gets ``ckc.joiner_unicasts`` under LKH too.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from random import Random
 from .crypto import ProtocolError, decrypt, encrypt, random_key
 from .tree import (
     MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, following,
-    path_codes,
+    path_codes, under,
 )
 
 ROOT_LABEL = "r"
@@ -128,30 +130,33 @@ def build_lkh_joiner_view(
 
 
 def _climb_pass(views: Iterable[MemberKeyView], rekey: Rekey, joined: bool) -> None:
-    """Each view in order re-codes if a leave promoted its subtree, then
-    opens the regenerated keys on its own path from the event's ``index``.
-    They run bottom-up along one root path, so those on a view's path are a
-    suffix, found from the root end up to the first label off the path;
-    climbed bottom-up, the key of the child on the path is current when its
-    parent's payload is opened under it."""
+    """After a leave the promoted run of the ready views (``following``)
+    re-codes; then, one regenerated label at a time bottom-up, the views
+    below it open its payload under their child on the path, so the child's
+    key is current when its parent's payload is opened under it.  The next
+    view in a run with the same child and the same key object takes the
+    last open's result."""
     notice, opened = rekey.notice, rekey.opened
-    labels = notice.affected_codes
-    for view in following(views, notice):
-        if not joined:
+    ready, refusal = following(views, notice)
+    if not joined and notice.promoted_src is not None:
+        for view in under(ready, notice.promoted_src):
             view.promote(notice)
-        leaf, keys, held = view.leaf, view.keys, view.held
-        start = len(labels)
-        while start and leaf.startswith(labels[start - 1]):
-            start -= 1
-        for label in labels[start:]:
-            child_on_path = leaf[: len(label) + 1]
-            key = keys[child_on_path]
-            try:
-                key = opened(child_on_path, key)
-            except KeyError:  # the event's index holds no payload there
-                raise ProtocolError(f"no payload under {child_on_path} for {label}") from None
+    for label in notice.affected_codes:
+        depth = len(label) + 1
+        last_child = last = key = None
+        for view in under(ready, label):
+            keys = view.keys
+            child_on_path = view.leaf[:depth]
+            if keys[child_on_path] is not last or child_on_path != last_child:
+                last_child, last = child_on_path, keys[child_on_path]
+                try:
+                    key = opened(child_on_path, last)
+                except KeyError:  # the event's index holds no payload there
+                    raise ProtocolError(f"no payload under {child_on_path} for {label}") from None
             keys[label] = key
-            held.add(key)
+            view.held.add(key)
+    if refusal is not None:
+        raise refusal
 
 
 def lkh_member_refresh_join(views: Iterable[MemberKeyView], rekey: Rekey) -> None:

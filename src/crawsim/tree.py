@@ -31,7 +31,14 @@ order.  A notice names only what a member cannot work out for itself: the
 split leaf is the parent of the occupant's new leaf, and a promoted
 subtree moves into the parent of its old root.  Each scheme refreshes an
 area's views in one pass per event; ``following`` is the pass's one
-epoch rule (and a join's slide) for both schemes.
+epoch rule (and a join's slide) for both schemes, and hands the pass the
+views sorted by leaf.  In that order the members below any position are
+one contiguous run (``under``), the subtree that receives the position's
+new key (Wong, Gouda & Lam), and a promotion and a join's slide both keep
+the order, so a pass refreshes an area one re-keyed position at a time.
+A refusal inside a pass (a failed open, a missing payload) therefore
+leaves every position the pass has not reached unrefreshed for the whole
+area; the run aborts either way.
 ``PositionTree.view_matches`` is the consistency oracle: a view must hold
 exactly the keys on its root path, equal to the server's.
 
@@ -50,15 +57,17 @@ the event: its ``index`` holds the multicast payloads by position, so a
 member opens those on its own path, and its ``memo`` (``Rekey.opened``,
 and the CKC pass's rolls) lets the members that hold the same key share
 one open of a payload or one CKC roll.  An event's re-keyed positions all
-lie on one root path, so a member reads them from the root end and stops
-at the first one it does not share; nothing after it can be on its path.
+lie on one root path, and the members that share one of them are its run
+of the leaf-ordered views, so a pass takes each position's run in turn.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from random import Random
 
 # decrypt goes through the module, so a wrapper on crypto.decrypt sees it
@@ -212,37 +221,57 @@ class MemberKeyView:
         self.leaf = promoted(self.leaf, src)
 
 
+_leaf_of = attrgetter("leaf")
+
+
 def following(
     views: Iterable[MemberKeyView], notice: JoinNotice | LeaveNotice
-) -> Iterator[MemberKeyView]:
-    """The views that apply ``notice``, in view order, each moved to its
-    epoch as it is handed out; on a join, the occupant of the split leaf
-    also slides down one level with its individual key, which stays at the
-    split position until the scheme re-keys it.  A stale re-delivery is
-    skipped.  A gap means the member missed an announcement and can no
-    longer follow the tree, and a leave's leaver cannot refresh: either
-    refusal stops the pass at that view.  A leave's promotion is left to
-    the scheme, which may need the pre-promotion codes first."""
+) -> tuple[list[MemberKeyView], ProtocolError | None]:
+    """The views that apply ``notice``, sorted by leaf, and the refusal that
+    stopped the walk, if any.  The views are walked in the given order, each
+    moved to its epoch as it is reached; on a join, the occupant of the
+    split leaf also slides down one level with its individual key, which
+    stays at the split position until the scheme re-keys it.  A stale
+    re-delivery is skipped.  A gap means the member missed an announcement
+    and can no longer follow the tree, and a leave's leaver cannot refresh:
+    either refusal stops the walk at that view, so the pass refreshes the
+    views before it, leaves those after it untouched and then raises it.  A
+    leave's promotion is left to the scheme, which may need the
+    pre-promotion codes first."""
     epoch, leaver, occupant_leaf = notice.epoch, None, None
     if isinstance(notice, LeaveNotice):
         leaver = notice.member_id
     else:
         occupant_leaf = notice.occupant_leaf
     split = occupant_leaf and occupant_leaf[:-1]
+    ready, refusal = [], None
     for view in views:
         if view.member_id == leaver:
-            raise ProtocolError("departed member cannot refresh")
+            refusal = ProtocolError("departed member cannot refresh")
+            break
         if view.epoch != epoch - 1:
             if view.epoch >= epoch:
                 continue
-            raise ProtocolError(
+            refusal = ProtocolError(
                 f"{view.member_id} missed an announcement (view at {view.epoch}, notice {epoch})"
             )
+            break
         view.epoch = epoch
         if view.leaf == split:
             view.keys[occupant_leaf] = view.keys[split]
             view.leaf = occupant_leaf
-        yield view
+        ready.append(view)
+    ready.sort(key=_leaf_of)
+    return ready, refusal
+
+
+def under(views: list[MemberKeyView], code: str) -> list[MemberKeyView]:
+    """The run of ``views``, sorted by leaf, whose leaves are at or below
+    position ``code``: they all sort from ``code`` up to, not including,
+    ``code`` with its last character bumped by one."""
+    lo = bisect_left(views, code, key=_leaf_of)
+    hi = bisect_left(views, code[:-1] + chr(ord(code[-1]) + 1), lo, key=_leaf_of)
+    return views[lo:hi]
 
 
 class PositionTree:

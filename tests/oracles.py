@@ -1,8 +1,8 @@
 """Test oracles that no run calls: checks on a finished run's recorder, a
 snapshot of a server tree, the placement rules read off the tree by
 brute-force scans, against which its index is checked, and what a member
-refresh reads off an event by full scans, against which its early exits
-are checked."""
+refresh reads off an event by full scans, against which the refresh passes
+and their runs of leaf-ordered views are checked."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from itertools import combinations
 
 from crawsim.crypto import DecryptionError, decrypt, fingerprint, hash_f, hash_f_xor
 from crawsim.secrecy import RunRecorder, _legal
-from crawsim.tree import PositionTree, Rekey, path_codes
+from crawsim.tree import MemberKeyView, PositionTree, Rekey, path_codes
 
 
 def dump(tree: PositionTree) -> str:
@@ -50,6 +50,13 @@ def scan_on_path(leaf: str, affected: list[str]) -> list[str]:
     event's order, by a test of every one: the middle keys a CKC member
     rolls, or the keys an LKH member opens."""
     return [code for code in affected if leaf.startswith(code)]
+
+
+def scan_under(views: list[MemberKeyView], code: str) -> list[MemberKeyView]:
+    """The views whose leaf is at or below position ``code``, in the given
+    order, by a test of every one: the members that share the key at
+    ``code``."""
+    return [view for view in views if view.leaf.startswith(code)]
 
 
 def scan_covers(leaf: str, rekey: Rekey) -> list[str]:

@@ -26,7 +26,7 @@ from crawsim.entities import AreaState
 from crawsim.scenario import validate_doc
 from crawsim.secrecy import check_secrecy
 from crawsim.sim import Simulation
-from crawsim.tree import MemberKeyView, WireMessage, WirePayload, path_codes
+from crawsim.tree import MemberKeyView, Rekey, WireMessage, WirePayload, path_codes
 from oracles import dump, realized_counts, rekeyed_middles, scan_occupant, scan_shallowest_leaf
 from test_acceptance import ZERO_DELAYS, random_scenario
 
@@ -497,6 +497,81 @@ def test_a_member_holding_a_wrong_middle_key_gets_its_own_roll(scheme, event, ro
         assert view.keys[spot] == hash_f_xor(tree.group_key(), spoiled)
     assert failed == ([] if rolled else [victim])
     assert [m for m, v in area.views.items() if not tree.view_matches(v)] == [victim]
+
+
+@pytest.mark.parametrize(
+    ("scheme", "event", "rolled"),
+    (
+        pytest.param("ckc_craw", "join", True, id="join"),
+        pytest.param("ckc_craw", "leave", True, id="leave"),
+        pytest.param("ckc_craw", "leave", False, id="leave-cover"),
+        pytest.param("lkh", "join", False, id="lkh-join"),
+        pytest.param("lkh", "leave", False, id="lkh-leave"),
+    ),
+)
+def test_a_wrong_middle_key_inside_a_run_stays_with_its_member(scheme, event, rolled, monkeypatch):
+    # A pass takes the members below a position as one run of the
+    # leaf-ordered views, and the next view whose inputs are the same
+    # objects takes the last result.  A member in the middle of such a run
+    # holds a wrong key at a position the event rolls (the root's child on
+    # the event's path) or opens a payload under (the root's other child),
+    # and the whole area refreshes in one pass; an open that fails leaves
+    # the member its own key, so the pass goes on.  It alone rolls or opens
+    # its wrong key, and it alone ends off the tree.
+    area = _area(scheme, 96, seed=25)
+    tree = area.tree
+    if event == "join":
+        path = tree.shallowest_leaf()  # the joiner's path runs through it
+        leaver = None
+    else:
+        leaver = max(tree.leaves, key=lambda m: len(tree.leaves[m]))
+        path = tree.leaves[leaver]
+    spot = path[:2] if rolled else next(c for c in tree._children(tree.ROOT) if c != path[:2])
+    run = sorted(
+        (v for m, v in area.views.items() if v.leaf.startswith(spot) and m != leaver),
+        key=lambda v: v.leaf,
+    )
+    view = run[len(run) // 2]
+    # its neighbours in the run hold the right key
+    assert run[len(run) // 2 - 1].keys[spot] == run[len(run) // 2 + 1].keys[spot] == tree.nodes[spot]
+    spoiled = view.keys[spot] = bytes(b ^ 1 for b in view.keys[spot])
+    failed = []
+    opened_by = Rekey.opened
+
+    def tolerant(rekey, under, key):
+        try:
+            return opened_by(rekey, under, key)
+        except DecryptionError:
+            failed.append(key)
+            return key
+
+    monkeypatch.setattr(Rekey, "opened", tolerant)
+    res = _event(area, event)
+    if rolled:
+        assert spot in res.notice.affected_codes
+        assert view.keys[spot] == hash_f_xor(tree.group_key(), spoiled)
+    assert failed == ([] if rolled else [spoiled])
+    assert [m for m, v in area.views.items() if not tree.view_matches(v)] == [view.member_id]
+
+
+def test_a_whole_area_leave_refuses_a_member_under_no_cover():
+    # Every remaining member sits below one cover of a leave.  A whole-area
+    # pass over an event that lost the cover of one member (a leaf sibling
+    # of the leaver) refuses, naming that member.
+    area = _area("ckc_craw", 24, seed=26)
+    tree = area.tree
+    siblings = {
+        m: [c for c in tree._children(leaf[:-1]) if c != leaf and c in tree.occupants]
+        for m, leaf in sorted(tree.leaves.items())
+    }
+    leaver, (sibling,) = next((m, sib) for m, sib in siblings.items() if sib)
+    stray = tree.occupants[sibling]
+    res = ckc_leave(tree, leaver, area.rng)
+    del area.views[leaver]
+    kept = [msg for msg in res.multicasts if msg.payloads[0].under != sibling]
+    assert len(kept) == len(res.multicasts) - 1
+    with pytest.raises(ProtocolError, match=f"^{stray} matches 0 cover nodes, expected 1$"):
+        ckc_member_refresh_leave(area.views.values(), replace(res, multicasts=kept))
 
 
 def _sealed(ik: bytes, leaf: str, plaintext: bytes) -> list[WireMessage]:

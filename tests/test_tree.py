@@ -1,5 +1,6 @@
 """The position tree's placement index: the occupant index and the leaf heap
-agree with the brute-force placement rules after every seat and unseat."""
+agree with the brute-force placement rules after every seat and unseat; and
+the members below each position are one run of the leaf-ordered views."""
 
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ import pytest
 
 from crawsim.ckc import CkcTree
 from crawsim.crypto import random_key
-from crawsim.entities import AreaState
+from crawsim.entities import SCHEMES, AreaState
 from crawsim.lkh import LkhTree
-from oracles import scan_shallowest_leaf
+from crawsim.tree import under
+from oracles import scan_shallowest_leaf, scan_under
 
 
 def churn(tree_cls, seed: int, n_ops: int, cap: int):
@@ -90,3 +92,34 @@ def test_a_corrupted_index_is_inconsistent(scheme):
 
     tree._heap.remove((len(a), a))  # a leaf the heap lost
     assert not area.consistent()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_views_below_each_position_are_one_run_in_leaf_order(scheme):
+    # A refresh pass takes the members below a re-keyed position as one run
+    # of the leaf-ordered views (``tree.under``).  After every event of a
+    # seeded churn in waves, that run equals a scan for every position of
+    # the tree, and the event kept the leaf order of the views it refreshed:
+    # a promotion and an occupant slide re-code a run without leaving it.
+    rng = random.Random(29)
+    area = AreaState("A", scheme, rng)
+    absent = [f"m{i}" for i in range(40)]
+    shrinking, promotions, slides = False, 0, 0
+    for _ in range(160):
+        ordered = sorted(area.views.values(), key=lambda v: v.leaf)
+        shrinking = (shrinking or not absent) and area.size() > 2
+        if shrinking:
+            member = rng.choice(sorted(area.views))
+            promotions += area.leave(member).notice.promoted_src is not None
+            absent.append(member)
+        else:
+            notice = area.join(absent.pop(rng.randrange(len(absent))), random_key(rng)).notice
+            slides += notice.occupant_leaf is not None
+        kept = [v.leaf for v in ordered if v.member_id in area.views]
+        assert kept == sorted(kept)
+        views = sorted(area.views.values(), key=lambda v: v.leaf)
+        for code in area.tree.nodes:
+            run = [v.member_id for v in under(views, code)]
+            assert run == [v.member_id for v in scan_under(views, code)], code
+    assert area.consistent()
+    assert promotions > 0 and slides > 0
