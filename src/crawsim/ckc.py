@@ -1,15 +1,16 @@
 """Code-based logical key tree (CKC re-keying).
 
-Every node carries a decimal code: the root is a single digit, each child
-appends one digit, and dropping the rightmost digit walks to the parent.
-Codes are public: the trace prints them and a sibling's code is one guess
-in nine.  No key is derived from a code.  A middle key is rolled from the
-key its position held before the event, K, under the new group key AK':
-it becomes f(AK' xor K), the one-way roll of LKH+ (Waldvogel et al., "The
-VersaKey Framework", IEEE JSAC 1999).  Members below a position hold K, so
-they roll it locally, and a re-keying event ships no middle key to a
-current member: a join costs one unicast and zero multicasts, and a leave
-costs one multicast per cover node.
+Every node carries a binary code: the root is "1", each child appends "0"
+or "1", and dropping the rightmost digit walks to the parent.  The paper
+writes codes in decimal digits; here they are binary labels placed by the
+one rule LKH uses too (``crawsim.tree``), so both schemes build one tree.
+Codes are public: the trace prints them, and no key is derived from one.
+A middle key is rolled from the key its position held before the event, K,
+under the new group key AK': it becomes f(AK' xor K), the one-way roll of
+LKH+ (Waldvogel et al., "The VersaKey Framework", IEEE JSAC 1999).
+Members below a position hold K, so they roll it locally, and a re-keying
+event ships no middle key to a current member: a join costs one unicast and
+zero multicasts, and a leave costs one multicast per cover node.
 
 Join: the group key is refreshed in place (AK' = f(AK), so current members
 need no message), the insertion leaf is split, and every middle position on
@@ -35,9 +36,9 @@ The placement and leave rules, the positions each event re-keys, the
 position mechanics (``PositionTree.seat`` and ``unseat``, split, occupant
 slide, promotion, covers), the member-side model (views, notices, the
 consistency oracle) and the counting rule (``RekeyCounters.sent``) live in
-``crawsim.tree``.  This module supplies the random child digits, the
-fresh AK' and rolled middle keys (``CkcTree._rekey``), the sealed ``Rekey``
-of each event and how a member rolls the keys.
+``crawsim.tree``.  This module supplies the fresh AK' and rolled middle
+keys (``CkcTree._rekey``), the sealed ``Rekey`` of each event and how a
+member rolls the keys.
 
 A member refreshes from the event's ``Rekey`` alone, and one pass per
 event refreshes every view of an area one re-keyed position at a time
@@ -62,7 +63,7 @@ from random import Random
 
 # decrypt goes through the module, so a wrapper on crypto.decrypt sees it
 from . import crypto
-from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_digit, random_key
+from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_key
 from .tree import (
     MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, following,
     path_codes, under,
@@ -75,9 +76,6 @@ class CkcTree(PositionTree):
     """Server-side key tree: code -> key, member -> leaf code."""
 
     ROOT = ROOT_CODE
-
-    def _digit(self, rng: Random, exclude: str) -> str:
-        return random_digit(rng, exclude=exclude)
 
     def _rekey(self, middles: list[str], rng: Random, joined: bool) -> list[str]:
         """Roll the group key forward on a join (AK' = f(AK)), or draw a

@@ -26,8 +26,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 KEY_WIDTH = 16
 
-DIGITS = "0123456789"
-
 
 class ProtocolError(Exception):
     """A protocol-level contract was violated."""
@@ -112,14 +110,6 @@ def decrypt(key: bytes, ct: Ciphertext) -> bytes:
 
 def random_key(rng: Random) -> bytes:
     return rng.randbytes(KEY_WIDTH)
-
-
-def random_digit(rng: Random, exclude: str = "") -> str:
-    """Draw one decimal digit, skipping any in ``exclude``."""
-    allowed = [d for d in DIGITS if d not in exclude]
-    if not allowed:
-        raise ValueError("no digits left to draw from")
-    return rng.choice(allowed)
 
 
 def fingerprint(data: bytes) -> str:

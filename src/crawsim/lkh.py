@@ -17,15 +17,15 @@ regenerated ancestor.  A depth-1 leave promotes nothing and reports its
 realized counts.
 
 Placement, leave and the positions each event re-keys live in
-``crawsim.tree``; this module supplies the child digits, the fresh keys
-(``LkhTree._rekey``: the middle positions bottom-up, then the root), the
-sealed ``Rekey`` of each event and how members climb their paths to open
-them.  One pass per event climbs for every view of an area one label at a
-time, bottom-up (``_climb_pass``): the members below a label are one run of
-the views in leaf order (``tree.under``), and each opens the label's
-payload under its child on the path, looked up in the event's ``index``;
-an open is shared through ``Rekey.opened``, and the next view of a run with
-the same child and key object takes the last result.  Only a joiner gets a
+``crawsim.tree``; this module supplies the fresh keys (``LkhTree._rekey``:
+the middle positions bottom-up, then the root), the sealed ``Rekey`` of
+each event and how members climb their paths to open them.  One pass per
+event climbs for every view of an area one label at a time, bottom-up
+(``_climb_pass``): the members below a label are one run of the views in
+leaf order (``tree.under``), and each opens the label's payload under its
+child on the path, looked up in the event's ``index``; an open is shared
+through ``Rekey.opened``, and the next view of a run with the same child
+and key object takes the last result.  Only a joiner gets a
 chain: the t=0 roster gets ``ckc.joiner_unicasts`` under LKH too.
 """
 
@@ -47,9 +47,6 @@ class LkhTree(PositionTree):
     """Server-side LKH state: label -> key, member -> leaf label."""
 
     ROOT = ROOT_LABEL
-
-    def _digit(self, rng: Random, exclude: str) -> str:
-        return "0" if "0" not in exclude else "1"
 
     def _rekey(self, middles: list[str], rng: Random, joined: bool) -> list[str]:
         """Draw a fresh key for each middle position bottom-up, then for the

@@ -1,15 +1,17 @@
 """Position tree and member-side model shared by the CKC and LKH key trees.
 
 Both schemes run the same binary key graph (Wong, Gouda & Lam, "Secure Group
-Communications Using Key Graphs"): a node is named by a string of digits
-under the root name, a child appends one digit, and dropping the rightmost
-digit walks to the parent.  The schemes differ only in how node keys are
-made and how a member refreshes them, so this module holds everything else
-without ever computing a key:
+Communications Using Key Graphs"), placed by one rule, so a scenario builds
+one tree under either: a node is named by a string of binary digits under
+the root name, a child appends "0" or "1", and dropping the rightmost digit
+walks to the parent.  The schemes differ only in how node keys are made and
+how a member refreshes them, so this module holds everything else without
+ever computing a key:
 
-* a join (``PositionTree.seat``) takes a free root slot, or else splits the
-  shallowest leaf (ties: smallest code) and slides its occupant one level
-  down, keeping the occupant's individual key;
+* a join (``PositionTree.seat``) takes a free root slot (the first of "0"
+  and "1" not taken), or else splits the shallowest leaf (ties: smallest
+  code): its occupant slides one level down to "0", keeping its individual
+  key, and the joiner takes "1";
 * a leave (``PositionTree.unseat``) drops the leaver's leaf and, when its
   parent is internal and left with one child, promotes that sibling
   subtree into the parent's position: every code in it drops the digit at
@@ -18,7 +20,7 @@ without ever computing a key:
   leaf alone, top-down: a join's path below the root and above the leaf
   (``path_codes(leaf)[1:-1]``, the split position included), a leave's
   above its vanished parent (``path_codes(leaf)[1:-2]``); the scheme only
-  names new digits and makes the fresh keys.
+  makes the fresh keys.
 
 Neither scans the whole tree.  The server keeps an occupant index (leaf
 position -> member, the inverse of ``leaves``) and a heap of leaf positions
@@ -72,7 +74,7 @@ from random import Random
 
 # decrypt goes through the module, so a wrapper on crypto.decrypt sees it
 from . import crypto
-from .crypto import DIGITS, Ciphertext, ProtocolError, random_key
+from .crypto import Ciphertext, ProtocolError, random_key
 
 
 @dataclass
@@ -279,9 +281,8 @@ class PositionTree:
 
     ``seat`` is the server side of a join and ``unseat`` of a leave; each
     names the middle positions its event re-keys (module docstring).  A
-    scheme supplies ``_digit(rng, exclude)``, a new child digit not in
-    ``exclude``, and ``_rekey(middles, rng, joined)``, which makes the
-    fresh keys of a join (``joined``) or a leave and returns the re-keyed
+    scheme supplies ``_rekey(middles, rng, joined)``, which makes the fresh
+    keys of a join (``joined``) or a leave and returns the re-keyed
     positions in the order members refresh them.
 
     Placement is indexed so that no join or leave scans the whole tree.
@@ -345,7 +346,7 @@ class PositionTree:
 
     def _children(self, code: str) -> list[str]:
         """Occupied one-digit extensions of ``code``, in sorted order."""
-        return [child for child in (code + d for d in DIGITS) if child in self.nodes]
+        return [child for child in (code + "0", code + "1") if child in self.nodes]
 
     def _place(self, moves: list[tuple[str, str | None]]) -> None:
         """Move each member to its new leaf position, or out of the tree
@@ -382,11 +383,10 @@ class PositionTree:
         if len(root_children) < 2:
             # a free root slot (bootstrap or post-leave): 2^k members sit at depth k
             occupant_leaf = None
-            leaf = self.ROOT + self._digit(rng, "".join(c[-1] for c in root_children))
+            leaf = self.ROOT + ("1" if self.ROOT + "0" in root_children else "0")
         else:
             split = self.shallowest_leaf()
-            occupant_leaf = split + self._digit(rng, "")
-            leaf = split + self._digit(rng, occupant_leaf[-1])
+            occupant_leaf, leaf = split + "0", split + "1"
             # the occupant slides down with its individual key, and ``split``
             # becomes internal
             self._place([(self.occupants[split], occupant_leaf)])

@@ -547,16 +547,13 @@ def test_compare_reads_shallow_leaves(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "order, expected",
-    [
-        (("u1", "u2"), ("ckc_craw=1 ckc_plain=1 lkh=2", "ckc_craw=2 ckc_plain=2 lkh=1")),
-        (("u2", "u1"), ("ckc_craw=2 ckc_plain=2 lkh=1", "ckc_craw=1 ckc_plain=1 lkh=2")),
-    ],
+    [(("u1", "u2"), (2, 1)), (("u2", "u1"), (1, 2))],
 )
-def test_compare_shows_each_runs_leave_depths(tmp_path, capsys, order, expected):
-    # in a three-member area CKC and LKH seat the members at different
-    # depths, so the same leave re-keys a different number of levels; each
-    # run's report.txt is the source of its costs, and differing leave
-    # depths are shown, not reported as a violated relation
+def test_compare_checks_each_leave_under_every_scheme(tmp_path, capsys, order, expected):
+    # every scheme seats a three-member area alike, so a leave re-keys the
+    # same number of levels under each and compare checks that it does;
+    # each run's report.txt is the source of its costs, and a report whose
+    # leave cost differs makes the relation violated
     doc = dict(
         SMALL,
         seed=3,
@@ -573,18 +570,27 @@ def test_compare_shows_each_runs_leave_depths(tmp_path, capsys, order, expected)
     for scheme in ("ckc_craw", "ckc_plain", "lkh"):
         dirs.append(str(tmp_path / scheme))
         assert main(["run", str(path), "--scheme", scheme, "--out", dirs[-1]]) == 0
-        report = (tmp_path / scheme / "report.txt").read_text(encoding="utf-8")
-        for event, shown in enumerate(expected, start=1):
-            cost = dict(pair.split("=") for pair in shown.split())[scheme]
-            assert f"event {event} leave area=A size={3 - event} cost={cost}" in report
     capsys.readouterr()
     assert main(["compare"] + dirs) == 0
     out = capsys.readouterr().out
-    assert f"event 1 leave: {expected[0]} [depths differ]" in out
-    assert f"event 2 leave: {expected[1]} [depths differ]" in out
+    for event, cost in enumerate(expected, start=1):
+        assert f"event {event} leave: ckc_craw={cost} ckc_plain={cost} lkh={cost} [ok]" in out
     assert "[violated]" not in out
     assert "cost relation holds on 0 joins" in out
-    assert "2 leaves cost the leaver's depth, not checked (2 at differing depths)" in out
+    assert "and 2 leaves (every scheme re-keys the leaver's depth)" in out
+
+    report = tmp_path / "lkh" / "report.txt"
+    line = f"event 1 leave area=A size=2 cost={expected[0]}\n"
+    text = report.read_text(encoding="utf-8")
+    assert text.count(line) == 1
+    damaged = text.replace(line, f"event 1 leave area=A size=2 cost={expected[0] + 1}\n")
+    report.write_text(damaged, encoding="utf-8")
+    assert main(["compare"] + dirs) == 0
+    out = capsys.readouterr().out
+    cost = expected[0]
+    assert f"event 1 leave: ckc_craw={cost} ckc_plain={cost} lkh={cost + 1} [violated]" in out
+    assert out.count("[ok]") == 1
+    assert "cost relation violated on 0 joins" in out
 
 
 def test_compare_rejects_duplicate_scheme_and_misaligned_runs(small_path, tmp_path, capsys):
@@ -602,6 +608,16 @@ def test_compare_rejects_duplicate_scheme_and_misaligned_runs(small_path, tmp_pa
     main(["run", str(short_path), "--scheme", "lkh", "--out", str(c)])
     capsys.readouterr()
     assert main(["compare", str(a), str(c)]) == 0
+    assert "event sequences differ" in capsys.readouterr().out
+
+    # the same kinds of event, but another member leaves
+    other = dict(SMALL, events=SMALL["events"][:2] + [dict(SMALL["events"][2], member="u3")])
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other), encoding="utf-8")
+    d = tmp_path / "d"
+    main(["run", str(other_path), "--scheme", "lkh", "--out", str(d)])
+    capsys.readouterr()
+    assert main(["compare", str(a), str(d)]) == 0
     assert "event sequences differ" in capsys.readouterr().out
 
     assert main(["compare", str(a), str(tmp_path / "nothere")]) == 2

@@ -19,7 +19,6 @@ from crawsim.crypto import (
     hash_E,
     hash_f,
     hash_f_xor,
-    random_digit,
     random_key,
     xor_bytes,
 )
@@ -196,14 +195,6 @@ def test_random_key_is_seed_deterministic():
     b = [random_key(random.Random(123)) for _ in range(3)]
     assert a == b
     assert len({random_key(random.Random(s)) for s in range(50)}) == 50
-
-
-def test_random_digit_exclusions_and_exhaustion():
-    rng = random.Random(7)
-    draws = {random_digit(rng, exclude="135") for _ in range(1000)}
-    assert draws == set("0246789")
-    with pytest.raises(ValueError):
-        random_digit(rng, exclude="0123456789")
 
 
 def test_fingerprint_short_and_stable():

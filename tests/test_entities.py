@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from crawsim import entities
+from crawsim import crypto, entities
 from crawsim.ckc import ROOT_CODE, ckc_member_refresh_leave
 from crawsim.crypto import ProtocolError, decrypt, random_key
 from crawsim.entities import (
@@ -481,58 +481,93 @@ def test_a_promotion_recodes_its_subtree_in_place_by_one_rule():
     ]
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_a_refresh_stores_exactly_what_the_event_changed_on_the_members_path(scheme, monkeypatch):
-    # A member reads each event top-down and stops at the first position
-    # the event does not touch.  Against full scans of the event (the
-    # oracles), each member refresh of a seeded churn on a 96-member area
-    # stores the group key and the rolled middle keys on its path (CKC),
-    # or the opened keys on its path (LKH), and opens only its one cover
-    # (CKC leave) or the payloads under its path (LKH): no early exit drops
-    # or adds a roll or an open.
-    added, opened = [], []
-    opened_by = Rekey.opened
+@pytest.mark.parametrize(
+    "scheme, whole_area",
+    [pytest.param(s, False, id=s) for s in SCHEMES]
+    + [pytest.param(s, True, id=f"{s}-whole-area") for s in SCHEMES],
+)
+def test_a_refresh_stores_exactly_what_the_event_changed_on_the_members_path(
+    scheme, whole_area, monkeypatch
+):
+    # Against full scans of the event (the oracles), each member refresh of a
+    # seeded churn on a 96-member area stores the group key and the rolled
+    # middle keys on its path (CKC), or the opened keys on its path (LKH).
+    # One-view mode splits each event's pass into passes over one view at a
+    # time, each of which opens only its one cover (CKC leave) or the
+    # payloads under its path (LKH).  Whole-area mode runs each event's pass
+    # over the whole area, where the views of a run share one roll or open:
+    # each view still stores exactly its oracle keys, and the event's real
+    # AES-GCM opens are exactly the union of the views' oracle positions,
+    # with no (position, key) opened twice.
+    opened, decrypted = [], []
+    opened_by, decrypt_by = Rekey.opened, crypto.decrypt
 
     class LoggedHeld(set):
         """A view's ``held`` set that logs each key a refresh records."""
 
+        def __init__(self, keys):
+            super().__init__(keys)
+            self.log = []
+
         def add(self, key):
-            added.append(key)
+            self.log.append(key)
             super().add(key)
 
     def logged_open(rekey, under, key):
         opened.append(under)
         return opened_by(rekey, under, key)
 
+    def logged_decrypt(key, ct):
+        decrypted.append((key, ct))
+        return decrypt_by(key, ct)
+
     refreshes = []
+
+    def expected(name, view, before, rekey):
+        """The view's oracle: the positions it stores keys at, in order, and
+        the payloads it opens."""
+        on_path = scan_on_path(view.leaf, rekey.notice.affected_codes)
+        if scheme == "lkh":
+            return on_path, [view.leaf[: len(c) + 1] for c in on_path]
+        if name.endswith("leave"):
+            return [ROOT_CODE] + on_path, scan_covers(before, rekey)
+        return [ROOT_CODE] + on_path, []
+
+    def stored(view):
+        # each recorded key by the position the view now holds it at
+        code_of = {key: code for code, key in view.keys.items()}
+        return [code_of[key] for key in view.held.log]
 
     def checked(name):
         refresh = getattr(entities, name)
 
         def wrapper(views, rekey):
-            # the event's pass one view at a time
+            views = list(views)
+            before = {view.member_id: view.leaf for view in views}
             for view in views:
-                before = view.leaf
                 view.held = LoggedHeld(view.held)
-                added.clear()
+            passes = [views] if whole_area else [[view] for view in views]
+            union = set()
+            decrypted.clear()
+            for batch in passes:
                 opened.clear()
-                refresh([view], rekey)
-                # each recorded key by the position the view now holds it at
-                code_of = {key: code for code, key in view.keys.items()}
-                stored = [code_of[key] for key in added]
-                on_path = scan_on_path(view.leaf, rekey.notice.affected_codes)
-                if scheme == "lkh":
-                    assert (stored, opened) == (on_path, [view.leaf[: len(c) + 1] for c in on_path])
-                elif name.endswith("leave"):
-                    (cover,) = scan_covers(before, rekey)
-                    assert (stored, opened) == ([ROOT_CODE] + on_path, [cover])
-                else:
-                    assert (stored, opened) == ([ROOT_CODE] + on_path, [])
-                refreshes.append(name)
+                refresh(batch, rekey)
+                for view in batch:
+                    keys, opens = expected(name, view, before[view.member_id], rekey)
+                    assert stored(view) == keys
+                    if not whole_area:
+                        assert opened == opens
+                    union.update(opens)
+                    refreshes.append(name)
+            position = {p.ciphertext: code for code, p in rekey.index.items()}
+            real = [(position[ct], key) for key, ct in decrypted]
+            assert len(set(real)) == len(real)
+            assert {code for code, _ in real} == union
 
         monkeypatch.setattr(entities, name, wrapper)
 
     monkeypatch.setattr(Rekey, "opened", logged_open)
+    monkeypatch.setattr(crypto, "decrypt", logged_decrypt)
     prefix = "lkh" if scheme == "lkh" else "ckc"
     for event in ("join", "leave"):
         checked(f"{prefix}_member_refresh_{event}")

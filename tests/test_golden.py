@@ -52,13 +52,13 @@ def test_flow_is_stable_across_repeat_runs(name):
 # purpose updates the digests and says why.
 ARTIFACT_SHA256 = {
     ("tables", "ckc_craw"): (
-        "0443a0c28224b645a17bc7e366da464131b5220b809015e0e46e2e7f8afd7781",
+        "d55adb2eed6bc2c7183ffc0b5aa122c9fb0b221caeef67c6bbe935b7d4ff8000",
         "fda7a791ce64e48e9e0c18b454da51cd55794cf5e4a652819aa16a3459d8d0cb",
         "4919da0deb18edc3b6d600180a5b4691628bfe562dffc310503b1202fbe29a5c",
-        "0f7ec7631fc0e5bd888d38df37920c26a49ce424330f706fb0a59ec49546b10b",
+        "9dc3e4348edec7474d7e90b2a796fc34eec736723a775308bdc5883cb672e522",
     ),
     ("tables", "ckc_plain"): (
-        "57b6322d9a411b44a089e8eeace62cae095ff56f4a077b330cbf77cb3e4d17f5",
+        "d6e7a82a2af05cf70fcce3917e890723cf7002dd48209002b40a70016e684e0b",
         "e3c374bd8521f537b3cf2760a982e00adb4c7c76d76470789c06fbb5c86c9447",
         "129359b5a1744aa3952682134f3f3cf2d4d716e526a8a0bd1f00d65dded62d1a",
         "d3040d0670c789f51963b381813f63f5f12a4c76f46697e15a74bcde645f1262",
@@ -70,13 +70,13 @@ ARTIFACT_SHA256 = {
         "59da67904daae9d85d700839c30c7edc9b5104136e5fc98e637037d38070a2ca",
     ),
     ("handoff", "ckc_craw"): (
-        "7c4680bb8379bed4b44e355b5462042c7f6c4dfd07b184ec10058da87515696e",
+        "49483e584e92dbd9e5af8eb8169009c0ae760a895279129a1b1f8cf760493f7f",
         "86d1b4bed71c930fc1a4a4c65df980fd7422d845295197ef68d7c3ad37346a04",
         "7f52bb55e9463a7ae1521883a56417ddfeabfb5df8a2454f90a898ad220b628e",
-        "f8f3b895fb0f097ff553a4a61a070d63b2a772f2eb516ab479c1fc3dbfd1baad",
+        "e4d0879371ac99579b4b8d1c341f471144d4a774858913b83b7ee88c4d74b2f4",
     ),
     ("handoff", "ckc_plain"): (
-        "df0d00d9f1a53196121af48e1ce19cf519f4e4052de7b4919b993a718d2a69c0",
+        "ae5688cc4f482b561e8a0b1c18cfe947abd6ba573e1868c814627f44e159e3d6",
         "a0ada3877f4d856bde88acb7ab96dd5048e4d8c775b3ec6354b43aac08352328",
         "f6c448d83cbd21e7f15803c4e4694d26fa2c1a45b4f93c44e2524366ed325e77",
         "d64bf1b6924620515d6cd923d32fe7278c79f474fd19decc98bc9adcdb88f45e",
@@ -88,13 +88,13 @@ ARTIFACT_SHA256 = {
         "37fb336235ed5f7a7a888769aa17a695b3d062dae8d3a64ddf5f69150ca658e5",
     ),
     ("departed", "ckc_craw"): (
-        "be03ef9689754f613c6d6a3dca27ac911dfb8b26ae68cfd47d650b17155ef90a",
+        "ae62bc1472b51e40e81a849c22dc3cd05c8a73662e7dcc59092826488d8ef7a3",
         "c098f8fbc1ff60dc68e5a415990d8af2b072d08987a252851b19c82acb64042c",
         "77ccb7dc8441f9febe7a57af32d4157ae2142880aef38b465e2644c1e5a45b59",
-        "284cf1f826b6f10061d3bf6bc9afe127a163f9565e4296f774f53613c5f50a5e",
+        "83dfb08fcb093984b7ec5e828355eddeb7eb2807e32f07d6ddb114d22d71d5cf",
     ),
     ("departed", "ckc_plain"): (
-        "80181c38b7ebe4bc3b619742a613574b37d9adb00826ee75fb959728047bdb1f",
+        "1528192fce6a7e9b741a007aa024e7c10f64aa5cba74ad44322fb0463d0b4bd0",
         "0e077146202d0457165b2d80e030795860eb6cc237d5505af7159d422126823b",
         "3d62adb5b9d964b7d286f507400215d2c625909162fd213fb01cb36b1fe91027",
         "672c34e02aed92f6edde6decd2a0b967857b2019f0167b93cbce02d7c43f97bc",

@@ -763,8 +763,8 @@ def test_report_sections():
 
 # SHA-256 of render_trace + render_metrics_csv for SAME_TICK_EVENTS.
 SAME_TICK_SHA256 = {
-    "ckc_craw": "6f791ba926ca96e30eba4cd694a0fe29a13c9970b4a00c652cbe07586551ee1b",
-    "ckc_plain": "24bdc00f61c9586af16b6addebe4e48a1275d5eb837f3dcdd5f1ff00da165bc4",
+    "ckc_craw": "9f1fb7042b83fc0e85cdbc75e0619e8b34714541c0743a233a1d69bf2b5ab0c5",
+    "ckc_plain": "fd8a95cb156a31ede3f70f20b5434439ec9186d1908735b4cf656f9689128bf3",
     "lkh": "b0075bfe94f7c7d85b064697b8513476110c30b2c4a842a041f0affd5856edff",
 }
 SAME_TICK_EVENTS = [

@@ -1,6 +1,7 @@
 """The position tree's placement index: the occupant index and the leaf heap
-agree with the brute-force placement rules after every seat and unseat; and
-the members below each position are one run of the leaf-ordered views."""
+agree with the brute-force placement rules after every seat and unseat; the
+members below each position are one run of the leaf-ordered views; and one
+placement rule seats every member at the same position under every scheme."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from crawsim.ckc import CkcTree
 from crawsim.crypto import random_key
 from crawsim.entities import SCHEMES, AreaState
 from crawsim.lkh import LkhTree
+from crawsim.sim import Simulation
 from crawsim.tree import under
 from oracles import scan_shallowest_leaf, scan_under
+from test_acceptance import random_scenario
 
 
 def churn(tree_cls, seed: int, n_ops: int, cap: int):
@@ -123,3 +126,42 @@ def test_the_views_below_each_position_are_one_run_in_leaf_order(scheme):
             assert run == [v.member_id for v in scan_under(views, code)], code
     assert area.consistent()
     assert promotions > 0 and slides > 0
+
+
+def test_one_seeded_sequence_seats_every_member_alike_under_both_trees():
+    # One seeded sequence of seats and unseats, in waves that grow the trees
+    # to 48 members and shrink them to two, drives a CKC and an LKH tree,
+    # each drawing its keys from its own RNG: after every event each member
+    # sits at the same position in both, once the root names are mapped.
+    ops, ckc_rng, lkh_rng = random.Random(41), random.Random(1), random.Random(2)
+    ckc, lkh = CkcTree.new(ckc_rng), LkhTree.new(lkh_rng)
+    absent = [f"m{i}" for i in range(48)]
+    shrinking, promotions = False, 0
+    for _ in range(400):
+        shrinking = (shrinking or not absent) and len(ckc.leaves) > 2
+        if shrinking:
+            member = ops.choice(sorted(ckc.leaves))
+            promotions += ckc.unseat(member, ckc_rng).promoted_src is not None
+            lkh.unseat(member, lkh_rng)
+            absent.append(member)
+        else:
+            member, key = absent.pop(ops.randrange(len(absent))), random_key(ops)
+            ckc.seat(member, key, ckc_rng)
+            lkh.seat(member, key, lkh_rng)
+        assert {m: LkhTree.ROOT + leaf[1:] for m, leaf in ckc.leaves.items()} == lkh.leaves
+    assert promotions > 0
+
+
+def test_every_scheme_places_each_event_at_one_depth():
+    # The 300-run random set (2171 event rows per scheme) under all three
+    # schemes: each event row has one (kind, area, member, depth), so a
+    # leave re-keys the same number of levels under every scheme.
+    for trial in range(300):
+        rows = {
+            scheme: [
+                (row.kind, row.area, row.member, row.depth)
+                for row in Simulation(random_scenario(trial, scheme)).run().ledger.events
+            ]
+            for scheme in SCHEMES
+        }
+        assert rows["ckc_craw"] == rows["ckc_plain"] == rows["lkh"], trial
