@@ -35,10 +35,10 @@ individual key (``joiner_unicasts``), under either scheme.
 The placement and leave rules, the positions each event re-keys, the
 position mechanics (``PositionTree.seat`` and ``unseat``, split, occupant
 slide, promotion, covers), the member-side model (views, notices, the
-consistency oracle) and the counting rule (``RekeyCounters.sent``) live in
-``crawsim.tree``.  This module supplies the fresh AK' and rolled middle
-keys (``CkcTree._rekey``), the sealed ``Rekey`` of each event and how a
-member rolls the keys.
+consistency oracle) and each event's accounting (``Rekey.counters`` and
+``Rekey.cost``) live in ``crawsim.tree``.  This module supplies the fresh
+AK' and rolled middle keys (``CkcTree._rekey``), the sealed ``Rekey`` of
+each event and how a member rolls the keys.
 
 A member refreshes from the event's ``Rekey`` alone, and one pass per
 event refreshes every view of an area one re-keyed position at a time
@@ -65,8 +65,7 @@ from random import Random
 from . import crypto
 from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_key
 from .tree import (
-    MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, following,
-    path_codes, under,
+    MemberKeyView, PositionTree, Rekey, WireMessage, WirePayload, following, path_codes, under,
 )
 
 ROOT_CODE = "1"
@@ -101,25 +100,11 @@ def joiner_unicasts(tree: PositionTree, leaf: str) -> list[WireMessage]:
     return [WireMessage(f"leaf={leaf}", [WirePayload(leaf, key, unicast)])]
 
 
-def ckc_join(
-    tree: CkcTree,
-    member_id: str,
-    individual_key: bytes,
-    rng: Random,
-    *,
-    count_individual_key: bool = False,
-) -> Rekey:
+def ckc_join(tree: CkcTree, member_id: str, individual_key: bytes, rng: Random) -> Rekey:
     """Seat a member (``PositionTree.seat``) and unicast AK', the middle keys
-    on its path (top-down) and its parent code under its individual key.
-
-    ``count_individual_key`` adds the individual key to the generation
-    counter for deployments where the server mints it instead of deriving
-    it from authentication.
-    """
+    on its path (top-down) and its parent code under its individual key."""
     notice = tree.seat(member_id, individual_key, rng)
-    unicasts = joiner_unicasts(tree, notice.leaf)
-    counters = RekeyCounters.sent(2 if count_individual_key else 1, unicasts, [])
-    return Rekey(notice, unicasts, [], counters, counters.key_generations)
+    return Rekey(notice, joiner_unicasts(tree, notice.leaf), [], 1)
 
 
 def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
@@ -135,7 +120,7 @@ def ckc_leave(tree: CkcTree, member_id: str, rng: Random) -> Rekey:
         WireMessage(f"code={code}", [WirePayload(code, key, encrypt(key, ak_new))])
         for code, key in covers
     ]
-    return Rekey(notice, [], multicasts, RekeyCounters.sent(1, [], multicasts), len(notice.leaf) - 1)
+    return Rekey(notice, [], multicasts, 1)
 
 
 def build_joiner_view(

@@ -13,7 +13,8 @@ under different schemes, each from its report.txt alone (scheme, totals,
 and each event's kind, member, area and cost), and checks the join cost
 relation (otp-combined 1 <= plain 2 <= lkh log2(n)+1) and that a leave
 costs every scheme the same: the leaver's depth in the one tree that every
-scheme builds.
+scheme builds.  It exits 0 when the relation holds or the event sequences
+differ (no verdict), 1 when it is violated, and 2 on an error.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def cmd_compare(args) -> int:
         f"cost relation {verdict} on {joins} joins (otp-combined(1) <= plain(2) <= lkh(log2 n + 1))"
         f" and {leaves} leaves (every scheme re-keys the leaver's depth)"
     )
-    return 0
+    return 0 if all_ok else 1
 
 
 def main(argv=None) -> int:

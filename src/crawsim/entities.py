@@ -228,8 +228,9 @@ class AreaState:
     ``join``/``leave`` re-key the tree through the scheme, hand the
     scheme's ``Rekey`` with every present member's view to the scheme's
     one refresh pass, which opens the actual payloads exactly as a real
-    client would, and pass it on unchanged.  A joiner opens its own view
-    from the event's unicasts.
+    client would, and pass it on.  A joiner opens its own view from the
+    event's unicasts; under ordinary auth the join also counts the
+    individual key the server minted.
     """
 
     def __init__(self, area_id: str, scheme: str, rng: Random):
@@ -252,11 +253,10 @@ class AreaState:
             res = lkh_join(self.tree, member_id, individual_key, self.rng)
             refresh, joiner_view = lkh_member_refresh_join, build_lkh_joiner_view
         else:
-            ordinary = AUTH_MODES[self.scheme] == "ordinary"
-            res = ckc_join(
-                self.tree, member_id, individual_key, self.rng, count_individual_key=ordinary
-            )
+            res = ckc_join(self.tree, member_id, individual_key, self.rng)
             refresh, joiner_view = ckc_member_refresh_join, build_joiner_view
+        if AUTH_MODES[self.scheme] == "ordinary":
+            res.key_generations += 1  # the server minted the individual key
         refresh(self.views.values(), res)
         notice = res.notice
         self.views[member_id] = joiner_view(

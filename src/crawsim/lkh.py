@@ -6,15 +6,13 @@ unicast chain and to current members as per-node multicasts under child
 keys), and a leave collapses the leaver's parent by promoting the sibling
 subtree, then regenerates the surviving path keys.
 
-Counter conventions: counters are the realized counts
-(``RekeyCounters.sent``); on a join they equal the textbook formulas on
-balanced trees (depth keygens, 3*depth encryptions, depth unicasts, depth
-multicasts).  The one exception is a leave that promotes a subtree: its
-counters follow the conventional per-level tally of 2*depth
-encryptions/multicasts over the leaver's depth, while its payload list
-holds the realized minimal set of 2*(depth-1) messages, two per
-regenerated ancestor.  A depth-1 leave promotes nothing and reports its
-realized counts.
+An event's counters are what it sends (``Rekey.counters``).  On a join
+at depth d they are d key generations, 3*d encryptions, d unicasts and d
+multicasts; the server also mints the joiner's individual key, which
+``AreaState.join`` adds.  A leave at depth d that promotes a subtree
+regenerates the d-1 ancestors above the vanished parent and sends each
+under each of its children: 2*(d-1) messages, one fewer when the root
+has a single child (the root never collapses).
 
 Placement, leave and the positions each event re-keys live in
 ``crawsim.tree``; this module supplies the fresh keys (``LkhTree._rekey``:
@@ -36,8 +34,7 @@ from random import Random
 
 from .crypto import ProtocolError, decrypt, encrypt, random_key
 from .tree import (
-    MemberKeyView, PositionTree, Rekey, RekeyCounters, WireMessage, WirePayload, following,
-    path_codes, under,
+    MemberKeyView, PositionTree, Rekey, WireMessage, WirePayload, following, path_codes, under,
 )
 
 ROOT_LABEL = "r"
@@ -78,9 +75,7 @@ def lkh_join(tree: LkhTree, member_id: str, individual_key: bytes, rng: Random) 
         WireMessage(f"label={label}", [_seal(tree, label, child) for child in tree._children(label)])
         for label in changed
     ]
-    counters = RekeyCounters.sent(len(changed), chain, multicasts)
-    # the server also mints the joiner's individual key
-    return Rekey(notice, chain, multicasts, counters, len(changed) + 1)
+    return Rekey(notice, chain, multicasts, len(changed))
 
 
 def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> Rekey:
@@ -93,17 +88,7 @@ def lkh_leave(tree: LkhTree, member_id: str, rng: Random) -> Rekey:
         for label in changed
         for child in tree._children(label)
     ]
-    depth = len(notice.leaf) - 1
-    # after a promotion, the conventional per-level tally (see module
-    # docstring); the realized payload list is two messages shorter
-    reported = 2 * depth if notice.promoted_src is not None else len(multicasts)
-    counters = RekeyCounters(
-        key_generations=len(changed),
-        encryptions=reported,
-        unicast_sends=0,
-        multicast_sends=reported,
-    )
-    return Rekey(notice, [], multicasts, counters, depth)
+    return Rekey(notice, [], multicasts, len(changed))
 
 
 def build_lkh_joiner_view(

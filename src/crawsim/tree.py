@@ -51,10 +51,12 @@ recorder.
 
 The wire format lives here too.  A scheme seals each key it ships into a
 ``WirePayload`` under one tree position and groups the payloads into
-``WireMessage``s; one ``Rekey`` per event carries them with the notice,
-the counters and the event's re-keying cost.  One rule counts what an
-event sends (``RekeyCounters.sent``): one encryption per payload and one
-send per message.  The ``Rekey`` is the one object every member reads for
+``WireMessage``s; one ``Rekey`` per event carries them with the notice
+and the number of fresh keys the server made.  The ``Rekey`` states the
+event's accounting, for every event alike: its counters are what it sent
+(``Rekey.counters``: one encryption per payload and one send per message),
+and its cost is a join's key generations or a leaver's depth
+(``Rekey.cost``).  The ``Rekey`` is the one object every member reads for
 the event: its ``index`` holds the multicast payloads by position, so a
 member opens those on its own path, and its ``memo`` (``Rekey.opened``,
 and the CKC pass's rolls) lets the members that hold the same key share
@@ -94,15 +96,6 @@ class RekeyCounters:
             self.unicast_sends + other.unicast_sends,
             self.multicast_sends + other.multicast_sends,
         )
-
-    @classmethod
-    def sent(
-        cls, key_generations: int, unicasts: list[WireMessage], multicasts: list[WireMessage]
-    ) -> RekeyCounters:
-        """The realized counts of an event: one encryption per payload and
-        one send per message."""
-        payloads = sum(len(msg.payloads) for msg in unicasts + multicasts)
-        return cls(key_generations, payloads, len(unicasts), len(multicasts))
 
 
 @dataclass
@@ -168,11 +161,7 @@ class Rekey:
     notice: JoinNotice | LeaveNotice
     unicasts: list[WireMessage]  # to the joiner, under its individual key first
     multicasts: list[WireMessage]  # to the current members
-    counters: RekeyCounters
-    # the abstract's cost: keys the server produced for a join (the
-    # individual key included when server-minted), the leaver's depth for
-    # a leave
-    cost: int
+    key_generations: int  # fresh keys the server made for the event
     # the multicast payloads by the position whose key seals them (an event
     # seals at most one under each), so a member looks up its own path
     index: dict[str, WirePayload] = field(init=False, repr=False, compare=False)
@@ -182,6 +171,22 @@ class Rekey:
 
     def __post_init__(self) -> None:
         self.index = {p.under: p for msg in self.multicasts for p in msg.payloads}
+
+    @property
+    def counters(self) -> RekeyCounters:
+        """What the event sent: one encryption per payload and one send per
+        message."""
+        payloads = sum(len(msg.payloads) for msg in self.unicasts + self.multicasts)
+        return RekeyCounters(
+            self.key_generations, payloads, len(self.unicasts), len(self.multicasts)
+        )
+
+    @property
+    def cost(self) -> int:
+        """The abstract's cost: the keys a join made, the leaver's depth."""
+        if isinstance(self.notice, JoinNotice):
+            return self.key_generations
+        return len(self.notice.leaf) - 1
 
     def opened(self, under: str, key: bytes) -> bytes:
         """The payload at ``under`` opened with a member's ``key``, once per

@@ -128,14 +128,16 @@ def test_c01_rekey_counter_tables():
             elif scheme == "ckc_plain":
                 expected = (2, 1, 1, 0)
             else:
-                expected = (k, 3 * k, k, k)
+                # the d path keys and the minted individual key
+                expected = (k + 1, 3 * k, k, k)
             assert (c.key_generations, c.encryptions, c.unicast_sends, c.multicast_sends) == expected
         for row in leaves:
             k = depth[row.size + 1]
             c = row.counters
             assert row.depth == k
             if scheme == "lkh":
-                expected = (k - 1, 2 * k, 0, 2 * k)
+                # two messages for each of the k-1 ancestors the promotion keeps
+                expected = (k - 1, 2 * (k - 1), 0, 2 * (k - 1))
             else:
                 expected = (1, k, 0, k)
             assert (c.key_generations, c.encryptions, c.unicast_sends, c.multicast_sends) == expected

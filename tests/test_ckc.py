@@ -47,10 +47,10 @@ class Harness:
         self.individual: dict[str, bytes] = {}
         self.held: dict[str, set[bytes]] = {}
 
-    def join(self, member: str, **kwargs):
+    def join(self, member: str):
         ik = random_key(self.rng)
         self.individual[member] = ik
-        res = ckc_join(self.tree, member, ik, self.rng, **kwargs)
+        res = ckc_join(self.tree, member, ik, self.rng)
         ckc_member_refresh_join(self.views.values(), res)
         self.views[member] = build_joiner_view(
             member, ik, res.unicasts, res.notice.leaf, res.notice.epoch
@@ -108,9 +108,8 @@ def test_join_counters_craw_and_plain():
     res = h.join("u8")
     assert (res.counters.key_generations, res.counters.encryptions) == (1, 1)
     assert (res.counters.unicast_sends, res.counters.multicast_sends) == (1, 0)
-    res2 = h.join("u9", count_individual_key=True)
-    assert res2.counters.key_generations == 2
-    assert (res2.counters.encryptions, res2.counters.unicast_sends) == (1, 1)
+    # both CKC schemes seat alike; ``AreaState.join`` counts the key a
+    # ckc_plain server mints (test_entities)
 
 
 def test_join_unicast_contents():
@@ -276,17 +275,6 @@ def test_member_codes_are_exactly_path_prefixes():
     for view in h.views.values():
         prefixes = [view.leaf[:i] for i in range(1, len(view.leaf) + 1)]
         assert sorted(view.keys) == sorted(prefixes)
-
-
-def test_sibling_digits_distinct_everywhere():
-    h = Harness(seed=15)
-    h.grow(17)
-    by_parent: dict[str, set[str]] = {}
-    for code in h.tree.nodes:
-        if len(code) > 1:
-            by_parent.setdefault(code[:-1], set())
-            assert code[-1] not in by_parent[code[:-1]]
-            by_parent[code[:-1]].add(code[-1])
 
 
 def test_dump_is_deterministic_and_fingerprinted():

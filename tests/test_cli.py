@@ -585,7 +585,7 @@ def test_compare_checks_each_leave_under_every_scheme(tmp_path, capsys, order, e
     assert text.count(line) == 1
     damaged = text.replace(line, f"event 1 leave area=A size=2 cost={expected[0] + 1}\n")
     report.write_text(damaged, encoding="utf-8")
-    assert main(["compare"] + dirs) == 0
+    assert main(["compare"] + dirs) == 1
     out = capsys.readouterr().out
     cost = expected[0]
     assert f"event 1 leave: ckc_craw={cost} ckc_plain={cost} lkh={cost + 1} [violated]" in out
@@ -664,7 +664,7 @@ def test_compare_reads_a_run_directory_that_holds_only_its_report(small_path, tm
         assert main(["compare"] + [str(root / scheme) for scheme in ("ckc_craw", "ckc_plain", "lkh")]) == 0
         outputs.append(capsys.readouterr().out.replace(str(root), "<root>"))
     assert outputs[0] == outputs[1]
-    assert "run <root>/lkh: scheme=lkh events=4 keygen=8 enc=25 unicast=5 multicast=15" in outputs[1]
+    assert "run <root>/lkh: scheme=lkh events=4 keygen=10 enc=21 unicast=5 multicast=11" in outputs[1]
     assert "event 1 join: ckc_craw=1 ckc_plain=2 lkh=4 [ok]" in outputs[1]
 
 

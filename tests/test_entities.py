@@ -315,7 +315,8 @@ def test_join_outcome_counters_by_scheme():
     outcome = area.join("u7", random_key(rng))
     d = len(outcome.notice.leaf) - 1
     assert d == 3  # eighth member of a balanced binary tree
-    assert outcome.counters.key_generations == d
+    # the d path keys and the minted individual key
+    assert outcome.counters.key_generations == d + 1
     assert outcome.counters.encryptions == 3 * d
     assert outcome.counters.unicast_sends == d
     assert outcome.counters.multicast_sends == d
@@ -398,11 +399,12 @@ def test_leave_outcome_counters_by_scheme():
     outcome = area.leave("u3")
     d = len(outcome.notice.leaf) - 1
     assert d == 3
-    # reported accounting: d-1 fresh keys, two encryptions per level
+    # d-1 fresh keys, each sent under both its children
     assert outcome.counters.key_generations == d - 1
-    assert outcome.counters.encryptions == 2 * d
-    assert outcome.counters.multicast_sends == 2 * d
-    assert len(outcome.multicasts) == 2 * (d - 1)  # realized payload messages
+    assert outcome.counters.encryptions == 2 * (d - 1)
+    assert outcome.counters.multicast_sends == 2 * (d - 1)
+    assert outcome.cost == d
+    assert len(outcome.multicasts) == 2 * (d - 1)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

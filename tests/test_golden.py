@@ -65,8 +65,8 @@ ARTIFACT_SHA256 = {
     ),
     ("tables", "lkh"): (
         "2c7ef82353faea7374eba372a2c320c142ba841e3e8734c72c91e01f1259f9e5",
-        "29dd750cc4c004b3e2c0a91e7e9231bf7c1c3322e9ca3c181a006e47084976b3",
-        "2bbed0c874255c52e9f6304909286d73fd798f8acc688fc6e82c7965d63654fd",
+        "13cd8c6e8fbc91f45a0b801f281ff2cd62f44e567ac941098ded0dd919e9390b",
+        "15c956fa366a36ac6afb182418db979a334e795fccb2fa6c690ff9e9acb1fe3f",
         "59da67904daae9d85d700839c30c7edc9b5104136e5fc98e637037d38070a2ca",
     ),
     ("handoff", "ckc_craw"): (
@@ -83,8 +83,8 @@ ARTIFACT_SHA256 = {
     ),
     ("handoff", "lkh"): (
         "c6aadf1b9339fcd67850ecb8c387a6bdcc92600d73bf1b30a095248725232f7b",
-        "ea68c1dfbb776e3af9536476594a89a750bbf976396912021f77a8a7b256e374",
-        "403f172fa6ba0cacdc63272a675323ada2a38caec61efdd853daf34728322329",
+        "2edb903b5bf6ac5654f94eccbccbc00f0862a40e58ad8f4294f8444e8ace5ee8",
+        "1bb3b33b11f3867acaaf6bf8f7bd9f81e53df0557d15f75399e8e5cd17308b99",
         "37fb336235ed5f7a7a888769aa17a695b3d062dae8d3a64ddf5f69150ca658e5",
     ),
     ("departed", "ckc_craw"): (
@@ -101,8 +101,8 @@ ARTIFACT_SHA256 = {
     ),
     ("departed", "lkh"): (
         "e9ee7156aa2347700e1ab74b55bda7a714270814905ad915a0d1a5ac316a375d",
-        "410e95272a622eb1adcbf20972989a5311b53b44a305edeec54968abe352b968",
-        "4a290367e21056575ff2c5ae82527d2f34ffb014f6a67449399a5a1bbfc57e6f",
+        "7168a0947b7a1aa5317a4e4b1e473ea5c033739e9c9f5a643143d1d2332b19f1",
+        "28632b3ad5084b1baafc5c4baa518f3db69fa0385cfa961613399dde7b62d759",
         "42c64e141433721b4cc0c873f85758ce750f5f1c88c567f6180824a81268abc6",
     ),
 }

@@ -1,7 +1,8 @@
 """The position tree's placement index: the occupant index and the leaf heap
 agree with the brute-force placement rules after every seat and unseat; the
 members below each position are one run of the leaf-ordered views; and one
-placement rule seats every member at the same position under every scheme."""
+placement rule seats every member at the same position under every scheme,
+where each event row's counts and cost agree with the run's own trace."""
 
 from __future__ import annotations
 
@@ -52,6 +53,30 @@ def test_the_index_agrees_with_the_scan_rule(tree_cls):
             # a promoted code that is another moved code's old one
             reused += bool({new for _, new in moved.values()} & {old for old, _ in moved.values()})
     assert reused > 0
+
+
+@pytest.mark.parametrize("tree_cls", (CkcTree, LkhTree))
+def test_every_internal_position_below_the_root_has_two_children(tree_cls):
+    # what ``PositionTree.detach`` relies on to promote a vacated leaf's
+    # one sibling: after every seat and unseat, the root has at most two
+    # children, every other internal position exactly two, and every leaf
+    # position is occupied
+    promotions = 0
+    for seed in range(10):
+        for tree, moved in churn(tree_cls, seed, n_ops=600, cap=64):
+            promotions += bool(moved)
+            children: dict[str, list[str]] = {}
+            for code in tree.nodes:
+                if code != tree.ROOT:
+                    children.setdefault(code[:-1], []).append(code)
+            assert children.keys() <= tree.nodes.keys()
+            assert len(children.get(tree.ROOT, [])) <= 2
+            for code in tree.nodes.keys() - {tree.ROOT}:
+                if code in children:
+                    assert len(children[code]) == 2, code
+                else:
+                    assert code in tree.occupants, code
+    assert promotions > 0
 
 
 @pytest.mark.parametrize("tree_cls", (CkcTree, LkhTree))
@@ -152,15 +177,44 @@ def test_one_seeded_sequence_seats_every_member_alike_under_both_trees():
     assert promotions > 0
 
 
+def run_checking_rows_against_trace(sim: Simulation) -> Simulation:
+    """Run ``sim``, checking that each event row states what its event sent:
+    the ``key_unicast`` and ``key_multicast`` lines traced since the row
+    before are its unicast and multicast sends (the individual key a server
+    mints rides a secured channel and is not one of them), their payload
+    fingerprints its encryptions, and its cost is a join's key generations
+    or a leaver's depth."""
+    start = len(sim.trace)  # past the t=0 hand-out
+
+    def check(sim: Simulation, row) -> None:
+        nonlocal start
+        sent = [
+            m for m in sim.trace[start:]
+            if m.kind in ("key_unicast", "key_multicast") and not m.info.startswith("individual-key ")
+        ]
+        start = len(sim.trace)
+        c = row.counters
+        assert sum(m.kind == "key_unicast" for m in sent) == c.unicast_sends, row
+        assert sum(m.kind == "key_multicast" for m in sent) == c.multicast_sends, row
+        assert sum(len(m.info.split()[-1].split("+")) for m in sent) == c.encryptions, row
+        assert row.cost == (c.key_generations if row.kind.endswith("join") else row.depth), row
+
+    sim.on_event = check
+    return sim.run()
+
+
 def test_every_scheme_places_each_event_at_one_depth():
     # The 300-run random set (2171 event rows per scheme) under all three
     # schemes: each event row has one (kind, area, member, depth), so a
-    # leave re-keys the same number of levels under every scheme.
+    # leave re-keys the same number of levels under every scheme, and each
+    # row's counts and cost agree with its own trace lines.
     for trial in range(300):
         rows = {
             scheme: [
                 (row.kind, row.area, row.member, row.depth)
-                for row in Simulation(random_scenario(trial, scheme)).run().ledger.events
+                for row in run_checking_rows_against_trace(
+                    Simulation(random_scenario(trial, scheme))
+                ).ledger.events
             ]
             for scheme in SCHEMES
         }
