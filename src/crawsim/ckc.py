@@ -24,8 +24,9 @@ into the parent's position (``tree.promoted``: descendants drop the digit
 at the promotion depth), a fresh random AK' is multicast under each cover
 key (the siblings along the leaver's old root path), and the middle keys
 the leaver held roll under AK'.  The leaver held every K on its old path
-but never AK', so it holds no input to any later key, whatever codes it
-learns.
+but never AK', so on its own it holds no input to any later key, whatever
+codes it learns.  Two departed members together can: one holds an old K,
+and the other the AK' it rolled under.
 
 The initial roster at t=0 is seated in one batch with no message in
 between (``seat``), so each member receives its whole root path, middle
@@ -35,37 +36,29 @@ individual key (``joiner_unicasts``), under either scheme.
 The placement and leave rules, the positions each event re-keys, the
 position mechanics (``PositionTree.seat`` and ``unseat``, split, occupant
 slide, promotion, covers), the member-side model (views, notices, the
-consistency oracle) and each event's accounting (``Rekey.counters`` and
-``Rekey.cost``) live in ``crawsim.tree``.  This module supplies the fresh
-AK' and rolled middle keys (``CkcTree._rekey``), the sealed ``Rekey`` of
-each event and how a member rolls the keys.
-
-A member refreshes from the event's ``Rekey`` alone, and one pass per
-event refreshes every view of an area one re-keyed position at a time
-(``_roll_pass``): the members below a position are one run of the views
-in leaf order (``tree.under``).  Each member rolls from the inputs it
-holds itself, but the members below one position hold the same K, so an
-event rolls each distinct input once, in the event's ``memo`` keyed by the
-input bytes and never by code, and the next view of a run whose inputs are
-the very objects of the last takes its result; a member holding a wrong K
-gets its own (wrong) roll.  On a leave, the event's ``index`` holds one
-cover per level of the leaver's path, top-down, none below another, and
-each remaining member sits below exactly one: the views of each cover's
-run open it with ``Rekey.opened``, once per event for each cover key, and
-a member below no cover is refused before any view opens one.  The
-views then roll the affected keys top-down, each key's run in turn.
+consistency oracle, the one refresh pass ``tree.refresh``) and each
+event's accounting (``Rekey.counters`` and ``Rekey.cost``) live in
+``crawsim.tree``.  This module supplies the fresh AK' and rolled middle
+keys (``CkcTree._rekey``), the sealed ``Rekey`` of each event and the
+steps of the pass.  A join first rolls AK' = f(AK) on every view; a
+leave first opens its covers, one per level of the leaver's path, none
+below another, each by the views below it, and refuses a member below
+no cover before any view opens one.  Then the views below each affected
+code roll it under AK', top-down, memoised by the input bytes, never by
+code, so a member holding a wrong key gets its own (wrong) roll.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 from random import Random
 
 # decrypt goes through the module, so a wrapper on crypto.decrypt sees it
 from . import crypto
 from .crypto import KEY_WIDTH, ProtocolError, encrypt, hash_f, hash_f_xor, random_key
 from .tree import (
-    MemberKeyView, PositionTree, Rekey, WireMessage, WirePayload, following, path_codes, under,
+    MemberKeyView, PositionTree, Rekey, Step, WireMessage, WirePayload, path_codes, refresh, under,
 )
 
 ROOT_CODE = "1"
@@ -152,58 +145,40 @@ def _rolled(memo: dict[tuple, bytes], *inputs: bytes) -> bytes:
     return out
 
 
-def _roll_pass(views: Iterable[MemberKeyView], rekey: Rekey, joined: bool) -> None:
-    """Every ready view (``following``) gets AK', then, one affected code at
-    a time top-down, the views below it roll its middle key under AK'.  On
-    a join AK' is f(AK) of the root key; on a leave the views below each
-    cover open its payload, and then the promoted run re-codes.  The next
-    view in a run whose inputs are the same objects takes the last
-    result."""
-    notice, memo, opened = rekey.notice, rekey.memo, rekey.opened
-    ready, refusal = following(views, notice)
-    if joined:
-        runs = [(ROOT_CODE, ready)]
-    else:
-        # covers are pre-promotion positions, one per level of the leaver's
-        # path, none below another, so their runs are disjoint
-        runs = [(cover, under(ready, cover)) for cover in rekey.index]
-        if sum(len(run) for _, run in runs) < len(ready):
-            stray = next(v for v in ready if not any(v.leaf.startswith(c) for c, _ in runs))
-            raise ProtocolError(f"{stray.member_id} matches 0 cover nodes, expected 1")
-    for source, run in runs:
-        last = None
-        for view in run:
-            keys = view.keys
-            if keys[source] is not last:
-                last = keys[source]
-                ak_new = _rolled(memo, last) if joined else opened(source, last)
-            keys[ROOT_CODE] = ak_new
-            view.held.add(ak_new)
-    if not joined and notice.promoted_src is not None:
-        for view in under(ready, notice.promoted_src):
-            view.promote(notice)
-    for code in notice.affected_codes:
-        last_ak = last_k = None
-        for view in under(ready, code):
-            keys = view.keys
-            ak, k = keys[ROOT_CODE], keys[code]
-            if k is not last_k or ak is not last_ak:
-                last_ak, last_k = ak, k
-                key = _rolled(memo, ak, k)
-            keys[code] = key
-            view.held.add(key)
-    if refusal is not None:
-        raise refusal
+def _join_steps(ready: list[MemberKeyView], rekey: Rekey) -> list[Step]:
+    """Every view rolls AK' = f(AK), then the affected codes."""
+    return [(ROOT_CODE, ready, (ROOT_CODE,), partial(_rolled, rekey.memo)), *_rolls(ready, rekey)]
+
+
+def _leave_steps(ready: list[MemberKeyView], rekey: Rekey) -> list[Step]:
+    """After the promotion (only the leaver's sibling moved, into its
+    parent's position), the views below each cover open its payload for
+    AK', then roll the affected codes; a view below no cover is refused
+    before any opens."""
+    src = rekey.notice.promoted_src
+    opens = []
+    for cover in rekey.index:  # pre-promotion positions
+        at = cover[:-1] if cover == src else cover
+        opens.append((ROOT_CODE, under(ready, at), (at,), partial(rekey.opened, cover)))
+    # one per level of the leaver's path, none below another: disjoint runs
+    if sum(len(run) for _, run, _, _ in opens) < len(ready):
+        stray = next(v for v in ready if not any(v.leaf.startswith(at) for _, _, (at,), _ in opens))
+        raise ProtocolError(f"{stray.member_id} matches 0 cover nodes, expected 1")
+    return opens + _rolls(ready, rekey)
+
+
+def _rolls(ready: list[MemberKeyView], rekey: Rekey) -> list[Step]:
+    """Each affected code top-down, rolled under AK' by the views below it."""
+    roll = partial(_rolled, rekey.memo)
+    return [(c, under(ready, c), (ROOT_CODE, c), roll) for c in rekey.notice.affected_codes]
 
 
 def ckc_member_refresh_join(views: Iterable[MemberKeyView], rekey: Rekey) -> None:
     """Local update of every view on a join: roll AK forward and, under it,
     the touched middle keys on each view's own path."""
-    _roll_pass(views, rekey, joined=True)
+    refresh(views, rekey, _join_steps)
 
 
 def ckc_member_refresh_leave(views: Iterable[MemberKeyView], rekey: Rekey) -> None:
-    """Local update of every view on a leave: open the cover payload the
-    view can read, re-code if inside the promoted subtree, and roll the
-    affected keys."""
-    _roll_pass(views, rekey, joined=False)
+    """Local update of every view on a leave: open its cover, roll the rest."""
+    refresh(views, rekey, _leave_steps)

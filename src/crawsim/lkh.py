@@ -17,24 +17,23 @@ has a single child (the root never collapses).
 Placement, leave and the positions each event re-keys live in
 ``crawsim.tree``; this module supplies the fresh keys (``LkhTree._rekey``:
 the middle positions bottom-up, then the root), the sealed ``Rekey`` of
-each event and how members climb their paths to open them.  One pass per
-event climbs for every view of an area one label at a time, bottom-up
-(``_climb_pass``): the members below a label are one run of the views in
-leaf order (``tree.under``), and each opens the label's payload under its
-child on the path, looked up in the event's ``index``; an open is shared
-through ``Rekey.opened``, and the next view of a run with the same child
-and key object takes the last result.  Only a joiner gets a
-chain: the t=0 roster gets ``ckc.joiner_unicasts`` under LKH too.
+each event and the steps of the members' one pass (``tree.refresh``),
+one table for a join and a leave alike: for each regenerated label,
+bottom-up, the views below each of its children open its payload under
+that child, looked up in the event's ``index`` and shared through
+``Rekey.opened``.  Only a joiner gets a chain: the t=0 roster gets
+``ckc.joiner_unicasts`` under LKH too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 from random import Random
 
 from .crypto import ProtocolError, decrypt, encrypt, random_key
 from .tree import (
-    MemberKeyView, PositionTree, Rekey, WireMessage, WirePayload, following, path_codes, under,
+    MemberKeyView, PositionTree, Rekey, Step, WireMessage, WirePayload, path_codes, refresh, under,
 )
 
 ROOT_LABEL = "r"
@@ -111,39 +110,27 @@ def build_lkh_joiner_view(
     return MemberKeyView(member_id, leaf, keys, epoch)
 
 
-def _climb_pass(views: Iterable[MemberKeyView], rekey: Rekey, joined: bool) -> None:
-    """After a leave the promoted run of the ready views (``following``)
-    re-codes; then, one regenerated label at a time bottom-up, the views
-    below it open its payload under their child on the path, so the child's
-    key is current when its parent's payload is opened under it.  The next
-    view in a run with the same child and the same key object takes the
-    last open's result."""
-    notice, opened = rekey.notice, rekey.opened
-    ready, refusal = following(views, notice)
-    if not joined and notice.promoted_src is not None:
-        for view in under(ready, notice.promoted_src):
-            view.promote(notice)
-    for label in notice.affected_codes:
-        depth = len(label) + 1
-        last_child = last = key = None
-        for view in under(ready, label):
-            keys = view.keys
-            child_on_path = view.leaf[:depth]
-            if keys[child_on_path] is not last or child_on_path != last_child:
-                last_child, last = child_on_path, keys[child_on_path]
-                try:
-                    key = opened(child_on_path, last)
-                except KeyError:  # the event's index holds no payload there
-                    raise ProtocolError(f"no payload under {child_on_path} for {label}") from None
-            keys[label] = key
-            view.held.add(key)
-    if refusal is not None:
-        raise refusal
+def _opened(rekey: Rekey, label: str, child: str, key: bytes) -> bytes:
+    try:
+        return rekey.opened(child, key)
+    except KeyError:  # the event's index holds no payload there
+        raise ProtocolError(f"no payload under {child} for {label}") from None
+
+
+def _steps(ready: list[MemberKeyView], rekey: Rekey) -> list[Step]:
+    """Each regenerated label bottom-up, so a child's key is current when
+    its parent's payload is opened under it: the views below each child of
+    the label open the payload under that child."""
+    return [
+        (label, under(ready, child), (child,), partial(_opened, rekey, label, child))
+        for label in rekey.notice.affected_codes
+        for child in (label + "0", label + "1")
+    ]
 
 
 def lkh_member_refresh_join(views: Iterable[MemberKeyView], rekey: Rekey) -> None:
-    _climb_pass(views, rekey, joined=True)
+    refresh(views, rekey, _steps)
 
 
 def lkh_member_refresh_leave(views: Iterable[MemberKeyView], rekey: Rekey) -> None:
-    _climb_pass(views, rekey, joined=False)
+    refresh(views, rekey, _steps)

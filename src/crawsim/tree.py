@@ -31,18 +31,18 @@ Members learn of both from the plaintext notices below and mirror them on
 their own view (``MemberKeyView``), applying notices strictly in epoch
 order.  A notice names only what a member cannot work out for itself: the
 split leaf is the parent of the occupant's new leaf, and a promoted
-subtree moves into the parent of its old root.  Each scheme refreshes an
-area's views in one pass per event; ``following`` is the pass's one
-epoch rule (and a join's slide) for both schemes, and hands the pass the
-views sorted by leaf.  In that order the members below any position are
-one contiguous run (``under``), the subtree that receives the position's
-new key (Wong, Gouda & Lam), and a promotion and a join's slide both keep
-the order, so a pass refreshes an area one re-keyed position at a time.
-A refusal inside a pass (a failed open, a missing payload) therefore
-leaves every position the pass has not reached unrefreshed for the whole
-area; the run aborts either way.
-``PositionTree.view_matches`` is the consistency oracle: a view must hold
-exactly the keys on its root path, equal to the server's.
+subtree moves into the parent of its old root.  One pass per event
+(``refresh``) refreshes an area's views under either scheme: ``following``
+applies the epoch rule, a join's slide and a leave's promotion, and sorts
+the views by leaf, so the members below a position (the subtree that
+receives its new key; Wong, Gouda & Lam) are one run (``under``).  A
+scheme supplies only its step table: for each re-keyed key in turn, the
+run that stores it and the one or two keys on each view's path it comes
+from.  A refusal inside a pass (a failed open, a missing payload, a CKC
+member below no cover) comes after every view followed the notice and
+leaves the steps not reached undone for the whole area; the run aborts
+either way.  ``PositionTree.view_matches`` is the consistency oracle: a
+view must hold exactly the keys on its root path, equal to the server's.
 
 Each key is recorded where it is stored, for the secrecy oracle: the tree
 in ``stored`` (with the premises of each f(a xor b) in ``derived``) and a
@@ -59,16 +59,14 @@ and its cost is a join's key generations or a leaver's depth
 (``Rekey.cost``).  The ``Rekey`` is the one object every member reads for
 the event: its ``index`` holds the multicast payloads by position, so a
 member opens those on its own path, and its ``memo`` (``Rekey.opened``,
-and the CKC pass's rolls) lets the members that hold the same key share
-one open of a payload or one CKC roll.  An event's re-keyed positions all
-lie on one root path, and the members that share one of them are its run
-of the leaf-ordered views, so a pass takes each position's run in turn.
+and the CKC rolls) lets the members that hold the same key share one open
+of a payload or one CKC roll.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
@@ -84,10 +82,10 @@ class RekeyCounters:
     """Per-event bookkeeping mirrored in reports: server key generations,
     encryptions performed, and unicast/multicast sends."""
 
-    key_generations: int = 0
-    encryptions: int = 0
-    unicast_sends: int = 0
-    multicast_sends: int = 0
+    key_generations: int
+    encryptions: int
+    unicast_sends: int
+    multicast_sends: int
 
     def __add__(self, other: "RekeyCounters") -> "RekeyCounters":
         return RekeyCounters(
@@ -166,7 +164,7 @@ class Rekey:
     # seals at most one under each), so a member looks up its own path
     index: dict[str, WirePayload] = field(init=False, repr=False, compare=False)
     # the members' shared work: (str position, key) -> an open's plaintext,
-    # and a CKC roll's input bytes -> its output
+    # and a CKC roll's input keys -> its output
     memo: dict[tuple, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -216,14 +214,11 @@ class MemberKeyView:
         # every position starts with the root's one-character name
         return self.keys[self.leaf[0]]
 
-    def promote(self, notice: LeaveNotice) -> None:
-        """Mirror the promotion of subtree ``promoted_src`` into its parent's
-        position (``promoted``); the key values are unchanged, and the old
-        parent key dies with its position (the subtree root replaces it).
-        Members outside the subtree are unchanged."""
-        src = notice.promoted_src
-        if src is None or not self.leaf.startswith(src):
-            return
+    def promote(self, src: str) -> None:
+        """Mirror the promotion of subtree ``src``, which holds this view's
+        leaf, into its parent's position (``promoted``); the key values are
+        unchanged, and the old parent key dies with its position (the
+        subtree root replaces it)."""
         self.keys = {promoted(c, src): k for c, k in self.keys.items() if c != src[:-1]}
         self.leaf = promoted(self.leaf, src)
 
@@ -242,21 +237,19 @@ def following(
     re-delivery is skipped.  A gap means the member missed an announcement
     and can no longer follow the tree, and a leave's leaver cannot refresh:
     either refusal stops the walk at that view, so the pass refreshes the
-    views before it, leaves those after it untouched and then raises it.  A
-    leave's promotion is left to the scheme, which may need the
-    pre-promotion codes first."""
-    epoch, leaver, occupant_leaf = notice.epoch, None, None
-    if isinstance(notice, LeaveNotice):
-        leaver = notice.member_id
-    else:
-        occupant_leaf = notice.occupant_leaf
+    views before it, leaves those after it untouched and then raises it.
+    On a leave, the ready views below ``promoted_src`` then re-code
+    (``MemberKeyView.promote``)."""
+    epoch, leave = notice.epoch, isinstance(notice, LeaveNotice)
+    leaver, src = (notice.member_id, notice.promoted_src) if leave else (None, None)
+    occupant_leaf = None if leave else notice.occupant_leaf
     split = occupant_leaf and occupant_leaf[:-1]
-    ready, refusal = [], None
+    ready, refusal, prev = [], None, epoch - 1
     for view in views:
         if view.member_id == leaver:
             refusal = ProtocolError("departed member cannot refresh")
             break
-        if view.epoch != epoch - 1:
+        if view.epoch != prev:
             if view.epoch >= epoch:
                 continue
             refusal = ProtocolError(
@@ -269,6 +262,9 @@ def following(
             view.leaf = occupant_leaf
         ready.append(view)
     ready.sort(key=_leaf_of)
+    if src is not None:
+        for view in under(ready, src):
+            view.promote(src)
     return ready, refusal
 
 
@@ -279,6 +275,47 @@ def under(views: list[MemberKeyView], code: str) -> list[MemberKeyView]:
     lo = bisect_left(views, code, key=_leaf_of)
     hi = bisect_left(views, code[:-1] + chr(ord(code[-1]) + 1), lo, key=_leaf_of)
     return views[lo:hi]
+
+
+# (target, run, inputs, make): a step of a scheme's pass; see ``refresh``
+Step = tuple[str, list[MemberKeyView], tuple[str] | tuple[str, str], Callable[..., bytes]]
+StepTable = Callable[[list[MemberKeyView], Rekey], list[Step]]
+
+
+def refresh(views: Iterable[MemberKeyView], rekey: Rekey, steps: StepTable) -> None:
+    """One pass of ``rekey`` over an area's views, for either scheme: the
+    views that follow the notice (``following``) take each step of
+    ``steps(ready, rekey)`` in turn, every view of its run (a slice of
+    ``ready``) storing ``make(*v)`` at ``target``, ``v`` its own keys at
+    the one or two positions ``inputs``.  Each ``make`` is memoised by
+    value in ``rekey``, so a view holding the same key objects as the last
+    takes the last result, and one holding a wrong key gets its own.  A
+    refusal from ``following`` is raised last."""
+    ready, refusal = following(views, rekey.notice)
+    for target, run, inputs, make in steps(ready, rekey):
+        # a loop per arity: a generic fetch costs ckc_churn 3% of its time
+        if len(inputs) == 1:
+            (a,) = inputs
+            last = None
+            for view in run:
+                keys = view.keys
+                if keys[a] is not last:
+                    last = keys[a]
+                    key = make(last)
+                keys[target] = key
+                view.held.add(key)
+        else:
+            a, b = inputs
+            last_a = last_b = None
+            for view in run:
+                keys = view.keys
+                if keys[a] is not last_a or keys[b] is not last_b:
+                    last_a, last_b = keys[a], keys[b]
+                    key = make(last_a, last_b)
+                keys[target] = key
+                view.held.add(key)
+    if refusal is not None:
+        raise refusal
 
 
 class PositionTree:

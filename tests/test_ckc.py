@@ -20,7 +20,7 @@ from crawsim.ckc import (
     ckc_member_refresh_leave,
 )
 from crawsim.crypto import (
-    KEY_WIDTH, DecryptionError, ProtocolError, decrypt, encrypt, hash_f_xor, random_key,
+    KEY_WIDTH, DecryptionError, ProtocolError, decrypt, encrypt, hash_f, hash_f_xor, random_key,
 )
 from crawsim.entities import AreaState
 from crawsim.scenario import validate_doc
@@ -542,10 +542,12 @@ def test_a_wrong_middle_key_inside_a_run_stays_with_its_member(scheme, event, ro
     assert [m for m, v in area.views.items() if not tree.view_matches(v)] == [view.member_id]
 
 
-def test_a_whole_area_leave_refuses_a_member_under_no_cover():
+def test_a_whole_area_leave_refuses_a_member_under_no_cover(monkeypatch):
     # Every remaining member sits below one cover of a leave.  A whole-area
     # pass over an event that lost the cover of one member (a leaf sibling
-    # of the leaver) refuses, naming that member.
+    # of the leaver) refuses, naming that member, before any view opens a
+    # payload or takes a new group key, though after the views followed
+    # the notice's epoch and promotion.
     area = _area("ckc_craw", 24, seed=26)
     tree = area.tree
     siblings = {
@@ -558,8 +560,47 @@ def test_a_whole_area_leave_refuses_a_member_under_no_cover():
     del area.views[leaver]
     kept = [msg for msg in res.multicasts if msg.payloads[0].under != sibling]
     assert len(kept) == len(res.multicasts) - 1
+    roots = {m: v.keys[ROOT_CODE] for m, v in area.views.items()}
+    opens = []
+
+    def counting_open(key, ct):
+        opens.append(key)
+        return decrypt(key, ct)
+
+    monkeypatch.setattr(crypto, "decrypt", counting_open)
     with pytest.raises(ProtocolError, match=f"^{stray} matches 0 cover nodes, expected 1$"):
         ckc_member_refresh_leave(area.views.values(), replace(res, multicasts=kept))
+    assert opens == []
+    assert {m: v.keys[ROOT_CODE] for m, v in area.views.items()} == roots
+    # the refusal comes after ``following``: every view has taken the
+    # event's epoch, and the promoted run (the stray's) its new code
+    assert res.notice.promoted_src == sibling
+    assert {m: v.leaf for m, v in area.views.items()} == tree.leaves
+    assert {v.epoch for v in area.views.values()} == {tree.epoch}
+
+
+def test_a_wrong_group_key_inside_a_join_run_stays_with_its_member():
+    # A join rolls AK' = f(AK) on every view, then each middle key on the
+    # joiner's path to f(AK' xor K).  A member in the middle of the run
+    # below the root's child on that path holds a wrong AK, while its
+    # neighbours hold the right AK and every one of them the same K.  It
+    # alone gets f(wrong AK) and its own f(AK' xor K) roll of that pair, and
+    # it alone ends off the tree.
+    area = _area("ckc_craw", 96, seed=27)
+    tree = area.tree
+    spot = tree.shallowest_leaf()[:2]  # the joiner's path runs through it
+    run = sorted((v for v in area.views.values() if v.leaf.startswith(spot)), key=lambda v: v.leaf)
+    view = run[len(run) // 2]
+    neighbours = (run[len(run) // 2 - 1], run[len(run) // 2 + 1])
+    assert all(v.keys[ROOT_CODE] == tree.group_key() for v in neighbours)
+    assert all(v.keys[spot] == view.keys[spot] == tree.nodes[spot] for v in neighbours)
+    k = view.keys[spot]
+    spoiled = view.keys[ROOT_CODE] = bytes(b ^ 1 for b in view.keys[ROOT_CODE])
+    res = area.join("new", random_key(area.rng))
+    assert spot in res.notice.affected_codes
+    assert view.keys[ROOT_CODE] == hash_f(spoiled) != tree.group_key()
+    assert view.keys[spot] == hash_f_xor(hash_f(spoiled), k) != tree.nodes[spot]
+    assert [m for m, v in area.views.items() if not tree.view_matches(v)] == [view.member_id]
 
 
 def _sealed(ik: bytes, leaf: str, plaintext: bytes) -> list[WireMessage]:

@@ -304,6 +304,23 @@ def test_run_checks_the_out_path_before_any_simulation(tmp_path, capsys, monkeyp
     assert taken.read_text(encoding="utf-8") == "keep me"
 
 
+def test_run_reports_an_artifact_it_cannot_write(small_path, tmp_path, capsys, monkeypatch):
+    # the simulation succeeds, and then writing one artifact fails
+    write_text = Path.write_text
+
+    def full(path, text, *args, **kwargs):
+        if path.name == "trace.log":
+            raise OSError(28, "No space left on device", str(path))
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full)
+    out = tmp_path / "run"
+    assert main(["run", str(small_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 28] No space left on device: '{out / 'trace.log'}'\n"
+
+
 def frames_doc(horizon, **delays) -> dict:
     return dict(json.loads(json.dumps(SMALL)), content_frames=True, horizon=horizon, delays=delays)
 

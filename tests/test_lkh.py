@@ -253,6 +253,23 @@ def test_refresh_refuses_a_leave_without_its_payload():
         lkh_member_refresh_leave([view], replace(res, multicasts=kept))
 
 
+def test_a_whole_area_leave_refuses_a_child_without_its_payload():
+    # The members below a regenerated label open its payload under their
+    # child on the path.  A whole-area pass over a leave that lost the
+    # payload under one child refuses, naming the child and the label.
+    h = Harness(seed=16)
+    h.grow(24)
+    res = lkh_leave(h.tree, "u24", h.rng)
+    del h.views["u24"]
+    for msg in res.multicasts:
+        (payload,) = msg.payloads
+        child = payload.under
+        kept = [m for m in res.multicasts if m is not msg]
+        views = [MemberKeyView(v.member_id, v.leaf, dict(v.keys), v.epoch) for v in h.views.values()]
+        with pytest.raises(ProtocolError, match=f"^no payload under {child} for {child[:-1]}$"):
+            lkh_member_refresh_leave(views, replace(res, multicasts=kept))
+
+
 def test_joiner_refuses_a_chain_that_stops_short():
     h = Harness(seed=13)
     h.grow(4)
