@@ -2,8 +2,9 @@
 
 The recorder accumulates, over a whole simulation run, every key the servers
 ever stored (the key universe), how each key derived from two others came
-to be, every key each member ever legitimately held, every ciphertext
-emitted, and each member's area-membership windows.
+to be, an append-only log per member of every key it ever legitimately
+stored, every ciphertext emitted, and each member's area-membership
+windows.
 
 The oracle then asks, for every (member, ciphertext) pair: could this member
 ever derive the encrypting key?  Derivation capability is the closure of the
@@ -72,7 +73,7 @@ class RunRecorder:
     # key -> (a, b) for every key the servers derived as f(a xor b)
     derived: dict[bytes, tuple[bytes, bytes]] = field(default_factory=dict)
     codes: set[str] = field(default_factory=set)  # unused; bench/ reads its length
-    knowledge: dict[str, set[bytes]] = field(default_factory=dict)
+    knowledge: dict[str, list[bytes]] = field(default_factory=dict)
     member_codes: dict[str, set[str]] = field(default_factory=dict)  # unused; bench/ wraps note_codes
     ciphertexts: list[CipherRecord] = field(default_factory=list)
     windows: dict[str, list[Window]] = field(default_factory=dict)
@@ -85,7 +86,7 @@ class RunRecorder:
         self.codes.update(codes)
 
     def note_knowledge(self, member: str, keys) -> None:
-        self.knowledge.setdefault(member, set()).update(keys)
+        self.knowledge.setdefault(member, []).extend(keys)
 
     def note_codes(self, member: str, codes) -> None:  # no caller; bench/tracing.py wraps it by name
         self.member_codes.setdefault(member, set()).update(codes)
@@ -127,8 +128,9 @@ def derivation_edges(keys: Collection[bytes]) -> dict[bytes, list[Edge]]:
     return edges
 
 
-def closure(knowledge: set[bytes], edges, parent: dict | None = None) -> set[bytes]:
-    """Keys reachable from ``knowledge`` along derivation edges.  ``edges``
+def closure(knowledge: Collection[bytes], edges, parent: dict | None = None) -> set[bytes]:
+    """Keys reachable from ``knowledge``, any collection of keys (a member's
+    log, say), along derivation edges; a key in it twice counts once.  ``edges``
     is anything with ``get(key, default)``, such as the dict
     ``derivation_edges`` returns.  A pair edge fires once both premises are
     reached: at the first premise, if the other is reached already, and
@@ -140,7 +142,7 @@ def closure(knowledge: set[bytes], edges, parent: dict | None = None) -> set[byt
     held key.  With the edges of each key in a fixed order, the path is the
     same in every process."""
     reached = set(knowledge)
-    frontier = deque(sorted(knowledge))
+    frontier = deque(sorted(reached))
     while frontier:
         key = frontier.popleft()
         for other, nxt in edges.get(key, ()):

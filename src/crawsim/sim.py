@@ -28,8 +28,9 @@ books the ledger row.  A move is ``_key_in`` at the destination, then
 ``_key_out`` at the source, at one tick.
 
 Each area's tree, when it is built, and each member view, when a join or
-the t=0 hand-out opens it, is bound once to the run's ``RunRecorder``: its
-key sets become the recorder's own, so each key is recorded as it is stored.
+the t=0 hand-out opens it, is bound once to the run's ``RunRecorder``: the
+tree's key sets and the view's append-only key log become the recorder's
+own, so each key is recorded as it is stored.
 
 With content frames on, each non-empty area multicasts one frame under its
 group key every ``frame_interval`` up to and including the horizon.  Each
@@ -430,8 +431,8 @@ class Simulation:
                 )
 
     def _bind_view(self, view: MemberKeyView) -> None:
-        """Note what a new view holds, then make its ``held`` set the
-        recorder's knowledge of the member."""
+        """Note what a new view holds, then make the recorder's log of the
+        member the view's ``held`` log."""
         self.recorder.note_knowledge(view.member_id, view.held)
         view.held = self.recorder.knowledge[view.member_id]
 

@@ -46,8 +46,9 @@ view must hold exactly the keys on its root path, equal to the server's.
 
 Each key is recorded where it is stored, for the secrecy oracle: the tree
 in ``stored`` (with the premises of each f(a xor b) in ``derived``) and a
-view in ``held``.  They only grow; a simulation shares them with its run
-recorder.
+view in ``held``, an append-only log (a list: no view is handed a key it
+already holds, so a set would only cost more memory).  They only grow; a
+simulation shares them with its run recorder.
 
 The wire format lives here too.  A scheme seals each key it ships into a
 ``WirePayload`` under one tree position and groups the payloads into
@@ -203,12 +204,13 @@ class MemberKeyView:
     leaf: str
     keys: dict[str, bytes]
     epoch: int
-    # every key the view ever stored (a move to another code stores nothing),
-    # recorded here; a simulation shares it as its recorder's ``knowledge``
-    held: set[bytes] = field(init=False, repr=False, compare=False)
+    # append-only log of every key the view ever stored, its first keys
+    # first (a move to another code stores nothing); a simulation shares it
+    # as its recorder's ``knowledge`` of the member
+    held: list[bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.held = set(self.keys.values())
+        self.held = list(self.keys.values())
 
     def group_key(self) -> bytes:
         # every position starts with the root's one-character name
@@ -303,7 +305,7 @@ def refresh(views: Iterable[MemberKeyView], rekey: Rekey, steps: StepTable) -> N
                     last = keys[a]
                     key = make(last)
                 keys[target] = key
-                view.held.add(key)
+                view.held.append(key)
         else:
             a, b = inputs
             last_a = last_b = None
@@ -313,7 +315,7 @@ def refresh(views: Iterable[MemberKeyView], rekey: Rekey, steps: StepTable) -> N
                     last_a, last_b = keys[a], keys[b]
                     key = make(last_a, last_b)
                 keys[target] = key
-                view.held.add(key)
+                view.held.append(key)
     if refusal is not None:
         raise refusal
 

@@ -504,16 +504,16 @@ def test_a_refresh_stores_exactly_what_the_event_changed_on_the_members_path(
     opened, decrypted = [], []
     opened_by, decrypt_by = Rekey.opened, crypto.decrypt
 
-    class LoggedHeld(set):
-        """A view's ``held`` set that logs each key a refresh records."""
+    class LoggedHeld(list):
+        """A view's ``held`` log that also logs each key a refresh records."""
 
         def __init__(self, keys):
             super().__init__(keys)
             self.log = []
 
-        def add(self, key):
+        def append(self, key):
             self.log.append(key)
-            super().add(key)
+            super().append(key)
 
     def logged_open(rekey, under, key):
         opened.append(under)
@@ -596,7 +596,7 @@ def test_one_pass_over_an_area_equals_one_pass_per_member(scheme, monkeypatch):
 
     def copied(view):
         out = MemberKeyView(view.member_id, view.leaf, dict(view.keys), view.epoch)
-        out.held = set(view.held)
+        out.held = list(view.held)
         return out
 
     def refused(refresh, batches, rekey):

@@ -61,7 +61,7 @@ def replay(rec: RunRecorder, violation: str) -> tuple[str, list]:
     earlier on the path."""
     message, path = violation.split(" via held ")
     member = message.split(" ", 1)[0]
-    by_print = {fingerprint(k): k for k in rec.key_universe | rec.knowledge[member]}
+    by_print = {fingerprint(k): k for k in rec.key_universe | set(rec.knowledge[member])}
     start, *steps = path.split(" -> ")
     key = by_print[start]
     out = [key]
@@ -134,6 +134,29 @@ def test_pair_edge_fires_at_whichever_premise_is_reached_last():
             f" -> (f, {fingerprint(hash_f(a))}) -> (f, {fingerprint(b)})"
             f" -> (xor {fingerprint(a)}, {fingerprint(c)})"
         ]
+
+
+def test_a_key_logged_twice_counts_once():
+    # a = f(k xor b) and y = f(k xor a); k sorts before b, and k's edge to
+    # y (other premise a) before its edge to a (other premise b).  So the
+    # walk's first visit to k skips y, reaches a, and y waits for a's own
+    # visit.  A second visit to k would take y there on a shorter path;
+    # the walk starts from each held key once, so the log [k, k, b] gives
+    # the audit of [k, b]
+    rng = random.Random(7)
+    k, b = random_key(rng), random_key(rng)
+    a = hash_f_xor(k, b)
+    y = hash_f_xor(k, a)
+    assert k < b and a < b
+    for log in ([k, b], [k, k, b]):
+        rec = RunRecorder()
+        rec.record_keys([k, b, a, y], {a: (k, b), y: (k, a)})
+        rec.note_knowledge("m", log)
+        rec.record_ciphertext(CipherRecord(y, 5, "A", "key_multicast"))
+        assert assert_matches_eager(rec) == [
+            f"m can derive the key of a key_multicast in A at t=5 via held {fingerprint(k)}"
+            f" -> (xor {fingerprint(b)}, {fingerprint(a)}) -> (xor {fingerprint(k)}, {fingerprint(y)})"
+        ], log
 
 
 def test_recorded_derivation_that_does_not_hash_to_its_key_is_refused():
@@ -319,6 +342,21 @@ def test_knowledge_outside_universe_is_not_expanded():
     assert assert_matches_eager(rec) == [
         f"m can derive the key of a key_multicast in A at t=5 via held {fingerprint(key)}"
         f" -> (f, {fingerprint(hash_f(key))})"
+    ]
+    # nor is a recorded derivation with a premise outside the universe an
+    # edge, even to a universe key, until that premise is recorded too
+    other, paired = random_key(rng), random_key(rng)
+    derived = hash_f_xor(other, paired)
+    rec = RunRecorder()
+    rec.record_keys([paired], {derived: (other, paired)})
+    rec.note_knowledge("m", [other, paired])
+    rec.record_ciphertext(CipherRecord(derived, 5, "A", "key_multicast"))
+    assert assert_matches_eager(rec) == []
+    rec.record_keys([other])
+    first, second = sorted((other, paired))
+    assert assert_matches_eager(rec) == [
+        f"m can derive the key of a key_multicast in A at t=5 via held {fingerprint(first)}"
+        f" -> (xor {fingerprint(second)}, {fingerprint(derived)})"
     ]
 
 
