@@ -11,7 +11,7 @@ A ``Ciphertext`` is a plain value, its nonce and body.  ``encrypt`` and
 of the last 64 keys they used: every call is still one AES-GCM seal or open.
 Readers that share a key share the work where they meet, a re-keying event's
 members in its ``Rekey`` (``crawsim.tree``) and an area's frame readers in
-``sim.FrameReaders``.
+``sim.FrameReaders``, which open each frame once per distinct key.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .ckc import (
     CkcTree,
@@ -76,17 +77,28 @@ MESSAGE_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ProtocolMessage:
+class _Message(NamedTuple):
     time: int  # ticks
     kind: str
     src: str
     dst: str
     info: str = "-"
 
-    def __post_init__(self):
-        if self.kind not in MESSAGE_KINDS:
-            raise ProtocolError(f"unknown message kind {self.kind!r}")
+
+class ProtocolMessage(_Message):
+    """One trace line.  A tuple, so a frame tick builds one cheaply; its kind
+    must be one of ``MESSAGE_KINDS``."""
+
+    __slots__ = ()
+
+    def __new__(cls, time: int, kind: str, src: str, dst: str, info: str = "-"):
+        if kind not in MESSAGE_KINDS:
+            raise ProtocolError(f"unknown message kind {kind!r}")
+        return tuple.__new__(cls, (time, kind, src, dst, info))
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` checks the kind too
+        return cls(*iterable)
 
 
 @dataclass

@@ -41,6 +41,7 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .crypto import Ciphertext, fingerprint, hash_f, hash_f_xor
 
@@ -48,8 +49,7 @@ from .crypto import Ciphertext, fingerprint, hash_f, hash_f_xor
 Edge = tuple[bytes | None, bytes]
 
 
-@dataclass(frozen=True)
-class CipherRecord:
+class CipherRecord(NamedTuple):
     enc_key: bytes
     time: int  # ticks
     area: str

@@ -33,16 +33,20 @@ tree's key sets and the view's append-only key log become the recorder's
 own, so each key is recorded as it is stored.
 
 With content frames on, each non-empty area multicasts one frame under its
-group key every ``frame_interval`` up to and including the horizon.  Each
-member reads it with the group key in its own view, so each outcome is that
-member's own, but the frame is opened once per distinct key in the area
-(``FrameReaders``).  Only a re-keying event changes an area's members or
-any key, so ``_bill`` ends a stretch, the frames between two events, at
-each one: one ``MainList.credit`` call per area, made before each
-``on_event`` hook and at the end of ``run``, so ``service_accounting`` is
-exact at both.  The ledger's ``FrameLog`` keeps one run per stretch, so it
-grows with the re-keying events, not with the horizon; a frame whose
-outcomes differ from its stretch's first is refused.
+group key every ``frame_interval`` up to and including the horizon.  Nothing
+but frames runs between two scheduled steps, so ``_frame_tick`` sends every
+frame tick before the next step in one loop, with each area's group key and
+readers read once, and then schedules the first tick left; a step on a
+frame's own tick still runs first.  Each member reads a frame with the
+group key in its own view, so each outcome is that member's own, but the
+frame is opened once per distinct key in the area (``FrameReaders``).
+Only a re-keying event changes an area's members or any key, so ``_bill``
+ends a stretch, the frames between two events, at each one: one
+``MainList.credit`` call per area, made before each ``on_event`` hook and
+at the end of ``run``, so ``service_accounting`` is exact at both.  The
+ledger's ``FrameLog`` keeps one run per stretch, so it grows with the
+re-keying events, not with the horizon; a frame whose outcomes differ from
+its stretch's first is refused.
 """
 
 from __future__ import annotations
@@ -282,27 +286,30 @@ class FrameReaders:
     member's outcome is that of its own key, so members holding the same key
     bytes share one open.  No key changes within a stretch, so the first
     frame's outcomes hold for all of them; a frame whose opens differ is
-    refused."""
+    refused.  ``Simulation._frame_tick`` hands one area's readers every
+    frame of a run of frame ticks, which ends at the next scheduled step."""
 
     def __init__(self, area_id: str, views: dict[str, MemberKeyView]):
         self.area = area_id
         self.members = tuple(views)
         self._held = [view.group_key() for view in views.values()]
         self._keys = tuple(dict.fromkeys(self._held))
-        self._opens: dict[bytes, bool] | None = None
+        self._opens: list[bool] | None = None  # one outcome per key in ``_keys``
         self.outcomes: tuple[bool, ...] = ()
 
     def read(self, frame: Ciphertext) -> None:
         """Open ``frame`` once per key; the first frame sets ``outcomes``."""
-        opens = {}
+        opens = []
         for key in self._keys:
             try:
                 decrypt(key, frame)
-                opens[key] = True
+                opens.append(True)
             except DecryptionError:
-                opens[key] = False
+                opens.append(False)
         if self._opens is None:
-            self._opens, self.outcomes = opens, tuple(map(opens.__getitem__, self._held))
+            self._opens = opens
+            by_key = dict(zip(self._keys, opens))
+            self.outcomes = tuple(map(by_key.__getitem__, self._held))
         elif opens != self._opens:
             raise ProtocolError(f"area {self.area}: a frame's outcomes changed within a re-keying stretch")
 
@@ -611,29 +618,34 @@ class Simulation:
     # -- content ----------------------------------------------------------
 
     def _frame_tick(self, ticks: int) -> None:
+        """Send every frame tick from ``ticks`` up to, not onto, the next
+        scheduled step's tick in one loop, then schedule the first tick
+        left."""
         readers = self._readers
         opening = readers is None
         if opening:  # the stretch's first frame tick
             readers = self._readers = tuple(
                 FrameReaders(area_id, area.views) for area_id, area in self.areas.items() if area.views
             )
-        for reader in readers:  # areas built in sorted order
-            area_id = reader.area
-            self._frame_seq[area_id] += 1
-            seq = self._frame_seq[area_id]
-            group_key = self.areas[area_id].group_key()
-            frame = encrypt(group_key, f"{area_id}:{seq}".encode("ascii"))
-            self._emit(ticks, "content_frame", area_id, f"area:{area_id}", f"seq={seq} {frame.fingerprint()}")
-            self.recorder.record_ciphertext(
-                CipherRecord(group_key, ticks, area_id, "content_frame", ciphertext=frame)
-            )
-            reader.read(frame)
+        end = self.sc.horizon + 1
+        if self._heap:
+            end = min(end, self._heap[0][0])
+        frame_ticks = range(ticks, end, self.sc.delays.frame_interval)
+        senders = [(r, r.area, self.areas[r.area].group_key(), f"area:{r.area}") for r in readers]
+        trace, seqs, record = self.trace, self._frame_seq, self.recorder.record_ciphertext
+        for t in frame_ticks:
+            for reader, area_id, group_key, dst in senders:  # areas built in sorted order
+                seq = seqs[area_id] = seqs[area_id] + 1
+                frame = encrypt(group_key, f"{area_id}:{seq}".encode("ascii"))
+                trace.append(ProtocolMessage(t, "content_frame", area_id, dst, f"seq={seq} {frame.fingerprint()}"))
+                record(CipherRecord(group_key, t, area_id, "content_frame", None, frame))
+                reader.read(frame)
         runs = self.ledger.frames.runs
         if opening:
-            runs.append(FrameRun(ticks, tuple((r.area, r.members, r.outcomes) for r in readers)))
+            runs.append(FrameRun(ticks, tuple((r.area, r.members, r.outcomes) for r in readers), len(frame_ticks)))
         else:
-            runs[-1].count += 1
-        nxt = ticks + self.sc.delays.frame_interval
+            runs[-1].count += len(frame_ticks)
+        nxt = ticks + len(frame_ticks) * frame_ticks.step
         if nxt <= self.sc.horizon:
             self._schedule(nxt, _PRIO_FRAME, self._frame_tick, nxt)
 

@@ -46,6 +46,21 @@ def test_message_kind_is_validated():
         ProtocolMessage(0, "teleport_request", "u1", "A")
 
 
+def test_a_protocol_message_is_an_immutable_value():
+    msg = ProtocolMessage(5, "content_frame", "A", "area:A", "seq=1 0123456789ab")
+    for name in ("time", "kind", "src", "dst", "info"):
+        with pytest.raises(AttributeError):
+            setattr(msg, name, "join_request")
+    with pytest.raises(AttributeError):
+        msg.note = "no other attribute either"
+    twin = ProtocolMessage(time=5, kind="content_frame", src="A", dst="area:A", info="seq=1 0123456789ab")
+    assert msg == twin and hash(msg) == hash(twin) and len({msg, twin}) == 1
+    assert ProtocolMessage(0, "join_request", "u1", "A").info == "-"
+    with pytest.raises(ProtocolError):  # the constructor's kind check, also on a copy
+        msg._replace(kind="teleport_request")
+    assert msg._replace(info="-") == ProtocolMessage(5, "content_frame", "A", "area:A")
+
+
 def test_register_and_duplicate_rejected():
     ml = MainList("g1")
     ml.register(MobileMember("u1", b"cred:u1"))
@@ -53,6 +68,15 @@ def test_register_and_duplicate_rejected():
     assert ml.lookup("u2") is None
     with pytest.raises(ProtocolError):
         ml.register(MobileMember("u1", b"cred:u1"))
+
+
+def test_a_registered_member_has_no_update_yet():
+    ml = MainList("g1")
+    ml.register(MobileMember("u1", b"cred:u1"))
+    (doc,) = ml.to_doc(lambda ticks: ticks)
+    assert (doc["status"], doc["last_area"], doc["service_accounting"], doc["last_update"]) == (
+        STATUS_REGISTERED, None, 0, 0,
+    )
 
 
 def test_a_member_holds_one_credential_and_its_entry_one_auth():
@@ -199,6 +223,22 @@ def test_otp_auth_without_registration_recovers():
     # followed by a fresh attempt still lines up
     ml.register(member)
     assert run_auth(ml, member, rng).accepted
+
+
+def test_a_rejected_otp_attempt_leaves_the_client_as_it_was():
+    # rejection discards the challenge's nonce: no session stays in flight,
+    # and the current one is kept, whether the member is unknown or its
+    # verifier does not match
+    rng = random.Random(12)
+    ml = MainList("g1")
+    unknown = MobileMember("u0", ClientSecret("u0", b"pw:u0", rng))
+    member = make_member(ml, "u1", rng)
+    ml.lookup("u1").auth = AuthRecord("u1", 1, bytes(16))
+    for client in (unknown, member):
+        before = client.credential.current_nonce
+        assert not run_auth(ml, client, rng).accepted
+        assert client.credential.pending_nonce is None
+        assert client.credential.current_nonce == before
 
 
 def test_credential_auth_paths():

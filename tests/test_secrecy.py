@@ -19,6 +19,22 @@ from oracles import operational_decrypt_check
 from test_acceptance import ZERO_DELAYS, random_scenario
 
 
+def test_a_cipher_record_is_an_immutable_value():
+    k = bytes(16)
+    rec = CipherRecord(k, 5, "A", "key_multicast")
+    assert rec.target is None and rec.ciphertext is None
+    for name in ("enc_key", "time", "area", "kind", "target", "ciphertext"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    with pytest.raises(AttributeError):
+        rec.note = "no other attribute either"
+    twin = CipherRecord(enc_key=k, time=5, area="A", kind="key_multicast", target=None, ciphertext=None)
+    assert rec == twin and hash(rec) == hash(twin) and len({rec, twin}) == 1
+    sealed = CipherRecord(k, 5, "A", "content_frame", ciphertext=encrypt(k, b"A:1"))
+    again = CipherRecord(k, 5, "A", "content_frame", None, encrypt(k, b"A:1"))
+    assert sealed == again and hash(sealed) == hash(again) and sealed != rec
+
+
 def eager_audit(rec: RunRecorder, edges=None) -> list[tuple[str, list]]:
     """The audit from first principles, kept as the reference: every edge
     of the key universe under f and under f(a xor b) for every pair, each

@@ -572,6 +572,43 @@ def test_no_frame_is_sent_past_the_horizon():
 
 
 @pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
+def test_frames_run_up_to_the_next_step_and_never_onto_it(scheme):
+    """Frame ticks run in one loop up to the next scheduled step.  Under the
+    default delays the leave at 1.0 s and the join request at 2.0 s fall on
+    frame ticks, and the move's probe, auth and reassoc phases all end
+    between two; every step's lines still come before its tick's frames,
+    and the frames run one per interval, each area's numbered 1..N."""
+    events = [
+        {"time": 1.0, "op": "leave", "member": "u8", "area": "A"},
+        {"time": 1.503, "op": "move", "member": "u1", "from": "A", "to": "B"},
+        {"time": 2.0, "op": "join", "member": "w1", "area": "B"},
+    ]
+    sc = scenario(events, scheme=scheme, frames=True, horizon=4.0)
+    sim = Simulation(sc).run()
+    interval = sc.delays.frame_interval
+    frame_ticks = range(interval, sc.horizon + 1, interval)
+    steps = [m for m in sim.trace if m.kind != "content_frame"]
+    assert {to_ticks(1.0), to_ticks(2.0)} <= {m.time for m in steps} & set(frame_ticks)
+    phases = [m.time for m in steps if m.kind in ("handoff_leave", "area_join_ack")]
+    phases += [m.time for m in steps if m.kind == "auth_result" and m.dst == "u1"]
+    assert len(phases) == 3 and all(t % interval for t in phases)
+
+    ticks = [m.time for m in sim.trace]
+    assert ticks == sorted(ticks)
+    for before, after in zip(sim.trace, sim.trace[1:]):
+        assert not (before.time == after.time and before.kind == "content_frame" != after.kind), after
+    for area_id in ("A", "B"):
+        frames = [m for m in sim.trace if m.kind == "content_frame" and m.src == area_id]
+        assert [m.time for m in frames] == list(frame_ticks)
+        assert [m.info.split()[0] for m in frames] == [f"seq={k}" for k in range(1, len(frame_ticks) + 1)]
+
+    runs = sim.ledger.frames.runs
+    assert sum(run.count for run in runs) == len(frame_ticks)
+    assert [run.first for run in runs[1:]] == [run.first + run.count * interval for run in runs[:-1]]
+    assert sim.mainlist.lookup("u8").service_accounting == 99  # the 1.00 frame follows the leave
+
+
+@pytest.mark.parametrize("scheme", ("ckc_craw", "ckc_plain", "lkh"))
 @pytest.mark.parametrize("source", ("tables", "handoff", "departed", "churn"))
 def test_recorder_holds_every_key_stored(monkeypatch, source, scheme):
     """Every key a tree or a view stores reaches the recorder, and nothing
